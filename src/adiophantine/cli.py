@@ -51,8 +51,6 @@ EXIT_RUNTIME = 1
 EXIT_USAGE = 2
 EXIT_INCONCLUSIVE = 3
 
-THREADS_ENV_VAR = "ADIOPHANTINE_THREADS"
-
 _SEMANTICS = {
     "nonneg": VariableSemantics.NON_NEGATIVE,
     "nonnegative": VariableSemantics.NON_NEGATIVE,
@@ -90,7 +88,6 @@ class RunConfig:
     extrapolation_steps: list[float] | None = None
     bound: int | None = None
     out_dir: str = "."
-    reproducible: bool = False
     dump_probabilities: bool = False
 
     def semantics_enum(self) -> VariableSemantics:
@@ -392,12 +389,6 @@ def build_parser() -> argparse.ArgumentParser:
             const=True,
             help="apply the >1/2 bar to the single top state, not its class",
         )
-        p.add_argument(
-            "--reproducible",
-            action="store_const",
-            const=True,
-            help=f"deterministic mode; honors {THREADS_ENV_VAR}",
-        )
 
     p_check = sub.add_parser("check", help="parse and echo the canonical form")
     add_common(p_check)
@@ -456,21 +447,6 @@ _HANDLERS = {
 }
 
 
-def _apply_reproducible_mode() -> None:
-    threads = os.environ.get(THREADS_ENV_VAR)
-    if not threads:
-        return
-    try:
-        import threadpoolctl
-
-        threadpoolctl.threadpool_limits(int(threads))
-    except ImportError:
-        print(
-            f"warning: {THREADS_ENV_VAR} set but threadpoolctl is unavailable",
-            file=sys.stderr,
-        )
-
-
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = vars(parser.parse_args(argv))
@@ -478,8 +454,6 @@ def main(argv: list[str] | None = None) -> int:
     config_path = args.pop("config", None)
     try:
         config = load_config(config_path, args)
-        if config.reproducible:
-            _apply_reproducible_mode()
         return _HANDLERS[command](config)
     except ParseError as err:
         print(f"parse error: {err}", file=sys.stderr)

@@ -21,7 +21,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, MutableMapping, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -146,37 +146,12 @@ def _matvec_for(family: AdiabaticFamily) -> Callable[[float, np.ndarray], np.nda
     return apply
 
 
-def _midpoint_eigensystem(
-    family: AdiabaticFamily,
-    s: float,
-    cache: MutableMapping | None,
-) -> tuple[np.ndarray, np.ndarray | None]:
-    """Spectrum (and eigenvectors, None for the diagonal fast path) at s."""
-    key = s
-    if cache is not None and key in cache:
-        return cache[key]
-    h = family.hamiltonian(s)
-    if h.is_diagonal:
-        result = (h.diagonal, None)
-    else:
-        result = np.linalg.eigh(h.to_matrix())
-    if cache is not None:
-        cache[key] = result
-    return result
-
-
 def evolve(
-    family: AdiabaticFamily,
-    init: StateVector,
-    params: EvolutionParams,
-    propagator_cache: MutableMapping | None = None,
+    family: AdiabaticFamily, init: StateVector, params: EvolutionParams
 ) -> EvolutionTrace:
     """Integrate from t = 0 to t = total_time with s = t / total_time.
 
-    ``init`` must be normalized.  ``propagator_cache`` optionally memoizes
-    midpoint eigendecompositions across repeated runs of the same family
-    with identical step grids; it is off by default because the operator
-    changes at every step within a single run.
+    ``init`` must be normalized.
     """
     if init.basis != family.basis:
         raise ValueError("initial state does not live on the family's basis")
@@ -208,6 +183,7 @@ def evolve(
 
     use_rk4 = params.integrator is Integrator.RK4
     matvec = _matvec_for(family) if use_rk4 else None
+    hamiltonian_at = None if use_rk4 else family.path_arrays()
 
     for j in range(n_steps):
         t = starts[j]
@@ -223,12 +199,12 @@ def evolve(
             k4 = -1j * matvec(s1, psi + h * k3)
             psi = psi + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         else:
-            s_mid = s_of(t + 0.5 * h)
-            energies, vectors = _midpoint_eigensystem(family, s_mid, propagator_cache)
-            phases = np.exp(-1j * h * energies)
-            if vectors is None:
-                psi = phases * psi
+            generator = hamiltonian_at(s_of(t + 0.5 * h))
+            if generator.ndim == 1:
+                psi = np.exp(-1j * h * generator) * psi
             else:
+                energies, vectors = np.linalg.eigh(generator)
+                phases = np.exp(-1j * h * energies)
                 psi = vectors @ (phases * (vectors.conj().T @ psi))
 
         norm = float(np.linalg.norm(psi))
@@ -279,9 +255,7 @@ def richardson_from_values(
     d1 = v1 - v0
     d2 = v2 - v1
     if d2 == 0.0:
-        if d1 == 0.0:
-            return v2, 0.0, None
-        # converged between the two finest runs
+        # converged, at the latest between the two finest runs
         return v2, 0.0, None
     if abs(d2) >= abs(d1):
         raise ExtrapolationError(

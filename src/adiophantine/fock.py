@@ -1,15 +1,10 @@
 """Truncated multimode bosonic state space.
 
 Provides basis indexing for occupation tuples with a per-mode cutoff,
-state vectors, ladder and number operators, coherent states, and a small
-operator algebra with a real-diagonal fast path next to dense complex
-storage.  Dimensions are desk scale (hundreds to a few thousand); there is
-no sparse backend.
-
-JSON layout used for golden files: every state and operator serializes to
-``{"basis": {"num_modes": k, "cutoff": n}, ...}``.  Complex data is encoded
-as ``[re, im]`` pairs in row-major order; operators carry ``"storage":
-"diagonal" | "dense"``.
+state vectors, ladder and number operators, coherent states, and a
+validated Hermitian operator with a real-diagonal fast path next to dense
+complex storage.  Dimensions are desk scale (hundreds to a few thousand);
+there is no sparse backend.
 """
 
 from __future__ import annotations
@@ -26,10 +21,8 @@ __all__ = [
     "BasisMismatchError",
     "FockBasis",
     "StateVector",
-    "Operator",
     "HermitianOperator",
     "annihilation",
-    "creation",
     "number_operator",
     "coherent_state",
     "as_mode_alphas",
@@ -97,20 +90,21 @@ class FockBasis:
         grids = np.unravel_index(np.arange(self.dimension), self.shape)
         return np.stack(grids, axis=1).astype(np.int64)
 
-    def mode_stride(self, mode: int) -> int:
-        self._check_mode(mode)
-        return (self.cutoff + 1) ** (self.num_modes - 1 - mode)
-
     def _check_mode(self, mode: int) -> None:
         if not 0 <= mode < self.num_modes:
             raise ValueError(f"mode {mode} outside [0, {self.num_modes})")
 
+    def on_mode(self, mode: int, single: np.ndarray) -> np.ndarray:
+        """Dense d x d array acting as the (cutoff+1)^2 ``single`` on one
+        mode and as the identity on the others (a Kronecker product)."""
+        self._check_mode(mode)
+        levels = self.cutoff + 1
+        before = np.eye(levels**mode)
+        after = np.eye(levels ** (self.num_modes - 1 - mode))
+        return np.kron(np.kron(before, single), after)
+
     def to_json_dict(self) -> dict:
         return {"num_modes": self.num_modes, "cutoff": self.cutoff}
-
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "FockBasis":
-        return cls(int(data["num_modes"]), int(data["cutoff"]))
 
 
 @dataclass(frozen=True, eq=False)
@@ -135,19 +129,9 @@ class StateVector:
     def norm(self) -> float:
         return float(np.linalg.norm(self.amplitudes))
 
-    def normalized(self) -> "StateVector":
-        n = self.norm()
-        if n == 0.0:
-            raise ValueError("cannot normalize the zero vector")
-        return StateVector(self.basis, self.amplitudes / n)
-
     def probabilities(self) -> np.ndarray:
         # re^2 + im^2 rather than |z|^2: no square-root round-trip
         return self.amplitudes.real**2 + self.amplitudes.imag**2
-
-    def overlap(self, other: "StateVector") -> complex:
-        _same_basis(self.basis, other.basis)
-        return complex(np.vdot(self.amplitudes, other.amplitudes))
 
     @classmethod
     def basis_state(cls, basis: FockBasis, occupation: Sequence[int]) -> "StateVector":
@@ -155,39 +139,14 @@ class StateVector:
         amps[basis.index(occupation)] = 1.0
         return cls(basis, amps)
 
-    def to_json_dict(self) -> dict:
-        return {
-            "basis": self.basis.to_json_dict(),
-            "kind": "state",
-            "amplitudes": _complex_pairs(self.amplitudes),
-        }
 
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "StateVector":
-        basis = FockBasis.from_json_dict(data["basis"])
-        return cls(basis, _pairs_to_complex(data["amplitudes"]))
+class HermitianOperator:
+    """Hermitian operator over a FockBasis, stored dense or as a real diagonal.
 
-
-def _same_basis(a: FockBasis, b: FockBasis) -> None:
-    if a != b:
-        raise BasisMismatchError(f"basis mismatch: {a} vs {b}")
-
-
-def _complex_pairs(array: np.ndarray) -> list[list[float]]:
-    flat = np.asarray(array, dtype=np.complex128).ravel(order="C")
-    return [[float(z.real), float(z.imag)] for z in flat]
-
-
-def _pairs_to_complex(pairs: Sequence[Sequence[float]]) -> np.ndarray:
-    return np.array([complex(re, im) for re, im in pairs], dtype=np.complex128)
-
-
-class Operator:
-    """Linear operator over a FockBasis, stored dense or as a real diagonal.
-
-    Diagonal storage is kept through addition, real scaling and composition
-    with other diagonals; any mix with dense (or a genuinely complex scalar)
-    promotes to dense complex storage.
+    Validated once, at construction: diagonal storage is real by type, and
+    dense storage must be finite and conjugate symmetric within
+    ``HERMITICITY_TOL``.  The stored array is read-only.  ``eigensystem``
+    returns the full ascending spectrum (exactly, for diagonal storage).
     """
 
     __slots__ = ("basis", "_diagonal", "_matrix")
@@ -196,38 +155,28 @@ class Operator:
         if (diagonal is None) == (matrix is None):
             raise ValueError("provide exactly one of diagonal or matrix")
         self.basis = basis
+        self._diagonal = self._matrix = None
+        dim = basis.dimension
         if diagonal is not None:
-            diag = np.array(diagonal, dtype=np.float64)
-            if diag.shape != (basis.dimension,):
+            stored = np.array(diagonal, dtype=np.float64)
+            if stored.shape != (dim,):
                 raise ValueError("diagonal length does not match basis dimension")
-            if not np.all(np.isfinite(diag)):
-                raise ValueError("diagonal entries must be finite")
-            diag.setflags(write=False)
-            self._diagonal = diag
-            self._matrix = None
         else:
-            dense = np.array(matrix, dtype=np.complex128)
-            dim = basis.dimension
-            if dense.shape != (dim, dim):
+            stored = np.array(matrix, dtype=np.complex128)
+            if stored.shape != (dim, dim):
                 raise ValueError("matrix shape does not match basis dimension")
-            if not np.all(np.isfinite(dense)):
-                raise ValueError("matrix entries must be finite")
-            dense.setflags(write=False)
-            self._diagonal = None
-            self._matrix = dense
-
-    @classmethod
-    def from_diagonal(cls, basis: FockBasis, values) -> "Operator":
-        values = np.asarray(values)
-        if np.iscomplexobj(values):
-            if np.any(values.imag != 0):
-                raise ValueError("diagonal storage is real")
-            values = values.real
-        return cls(basis, diagonal=values)
-
-    @classmethod
-    def from_matrix(cls, basis: FockBasis, matrix) -> "Operator":
-        return cls(basis, matrix=matrix)
+        if not np.all(np.isfinite(stored)):
+            raise ValueError("operator entries must be finite")
+        stored.setflags(write=False)
+        if diagonal is not None:
+            self._diagonal = stored
+            return
+        self._matrix = stored
+        defect = self.hermiticity_defect()
+        if defect > HERMITICITY_TOL:
+            raise ValueError(
+                f"matrix is not Hermitian (defect {defect:.3e} > {HERMITICITY_TOL})"
+            )
 
     @property
     def is_diagonal(self) -> bool:
@@ -245,136 +194,43 @@ class Operator:
         return self._matrix.copy()
 
     def apply(self, state: StateVector) -> StateVector:
-        _same_basis(self.basis, state.basis)
+        if self.basis != state.basis:
+            raise BasisMismatchError(f"basis mismatch: {self.basis} vs {state.basis}")
         if self._diagonal is not None:
             return StateVector(self.basis, self._diagonal * state.amplitudes)
         return StateVector(self.basis, self._matrix @ state.amplitudes)
-
-    def dagger(self) -> "Operator":
-        if self._diagonal is not None:
-            return Operator(self.basis, diagonal=self._diagonal)
-        return Operator(self.basis, matrix=self._matrix.conj().T)
 
     def hermiticity_defect(self) -> float:
         if self._diagonal is not None:
             return 0.0
         return float(np.max(np.abs(self._matrix - self._matrix.conj().T)))
 
-    def is_hermitian(self, tol: float = HERMITICITY_TOL) -> bool:
-        return self.hermiticity_defect() <= tol
-
-    def __add__(self, other: "Operator") -> "Operator":
-        if not isinstance(other, Operator):
-            return NotImplemented
-        _same_basis(self.basis, other.basis)
-        if self.is_diagonal and other.is_diagonal:
-            return Operator(self.basis, diagonal=self._diagonal + other._diagonal)
-        return Operator(self.basis, matrix=self.to_matrix() + other.to_matrix())
-
-    def __sub__(self, other: "Operator") -> "Operator":
-        if not isinstance(other, Operator):
-            return NotImplemented
-        return self + (-1.0) * other
-
-    def __mul__(self, scalar) -> "Operator":
-        if not isinstance(scalar, (int, float, complex)):
-            return NotImplemented
-        z = complex(scalar)
-        if self.is_diagonal and z.imag == 0.0:
-            return Operator(self.basis, diagonal=self._diagonal * z.real)
-        return Operator(self.basis, matrix=self.to_matrix() * z)
-
-    __rmul__ = __mul__
-
-    def __neg__(self) -> "Operator":
-        return (-1.0) * self
-
-    def __matmul__(self, other: "Operator") -> "Operator":
-        if not isinstance(other, Operator):
-            return NotImplemented
-        _same_basis(self.basis, other.basis)
-        if self.is_diagonal and other.is_diagonal:
-            return Operator(self.basis, diagonal=self._diagonal * other._diagonal)
-        return Operator(self.basis, matrix=self.to_matrix() @ other.to_matrix())
-
-    def to_json_dict(self) -> dict:
-        out: dict = {"basis": self.basis.to_json_dict(), "kind": "operator"}
-        if self._diagonal is not None:
-            out["storage"] = "diagonal"
-            out["diagonal"] = [float(x) for x in self._diagonal]
-        else:
-            out["storage"] = "dense"
-            out["matrix"] = _complex_pairs(self._matrix)
-        return out
-
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "Operator":
-        basis = FockBasis.from_json_dict(data["basis"])
-        if data["storage"] == "diagonal":
-            return cls(basis, diagonal=np.array(data["diagonal"], dtype=np.float64))
-        dim = basis.dimension
-        dense = _pairs_to_complex(data["matrix"]).reshape(dim, dim)
-        return cls(basis, matrix=dense)
-
-
-class HermitianOperator(Operator):
-    """Operator validated Hermitian at construction.
-
-    Diagonal storage is real by type; dense storage must be conjugate
-    symmetric within ``HERMITICITY_TOL``.  ``eigensystem`` returns the full
-    ascending spectrum (exactly, for diagonal storage).
-    """
-
-    __slots__ = ()
-
-    def __init__(self, basis: FockBasis, *, diagonal=None, matrix=None):
-        super().__init__(basis, diagonal=diagonal, matrix=matrix)
-        if not self.is_diagonal:
-            defect = self.hermiticity_defect()
-            if defect > HERMITICITY_TOL:
-                raise ValueError(
-                    f"matrix is not Hermitian (defect {defect:.3e} > {HERMITICITY_TOL})"
-                )
-
     def eigenvalues(self) -> np.ndarray:
-        if self.is_diagonal:
-            return np.sort(self.diagonal)
+        if self._diagonal is not None:
+            return np.sort(self._diagonal)
         return np.linalg.eigvalsh(self._matrix)
 
     def eigensystem(self) -> tuple[np.ndarray, np.ndarray]:
         """Ascending eigenvalues and matching eigenvector columns."""
-        if self.is_diagonal:
-            order = np.argsort(self.diagonal, kind="stable")
+        if self._diagonal is not None:
+            order = np.argsort(self._diagonal, kind="stable")
             vectors = np.eye(self.basis.dimension, dtype=np.complex128)[:, order]
-            return self.diagonal[order].copy(), vectors
+            return self._diagonal[order].copy(), vectors
         return np.linalg.eigh(self._matrix)
 
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "HermitianOperator":
-        plain = Operator.from_json_dict(data)
-        if plain.is_diagonal:
-            return cls(plain.basis, diagonal=plain.diagonal)
-        return cls(plain.basis, matrix=plain.to_matrix())
+
+def ladder(cutoff: int) -> np.ndarray:
+    """Single-mode lowering matrix a|n> = sqrt(n)|n-1> on levels 0..cutoff."""
+    return np.diag(np.sqrt(np.arange(1, cutoff + 1, dtype=np.float64)), k=1)
 
 
-def annihilation(basis: FockBasis, mode: int) -> Operator:
-    """Bosonic lowering operator on one mode: a|n> = sqrt(n)|n-1>.
+def annihilation(basis: FockBasis, mode: int) -> np.ndarray:
+    """Bosonic lowering operator on one mode, as a real d x d array.
 
     Exact on the truncated span; only the conjugate raising direction loses
     the transition out of the cutoff level.
     """
-    basis._check_mode(mode)
-    occ = basis.occupations()
-    n = occ[:, mode]
-    matrix = np.zeros((basis.dimension, basis.dimension), dtype=np.complex128)
-    sources = np.nonzero(n > 0)[0]
-    targets = sources - basis.mode_stride(mode)
-    matrix[targets, sources] = np.sqrt(n[sources].astype(np.float64))
-    return Operator(basis, matrix=matrix)
-
-
-def creation(basis: FockBasis, mode: int) -> Operator:
-    return annihilation(basis, mode).dagger()
+    return basis.on_mode(mode, ladder(basis.cutoff))
 
 
 def number_operator(basis: FockBasis, mode: int) -> HermitianOperator:

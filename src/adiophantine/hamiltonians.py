@@ -12,6 +12,7 @@ the absence of level crossings.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -22,9 +23,9 @@ from .fock import (
     FockBasis,
     HermitianOperator,
     StateVector,
-    annihilation,
     as_mode_alphas,
     coherent_state,
+    ladder,
     number_operator,
 )
 
@@ -37,7 +38,6 @@ __all__ = [
     "linear_schedule",
     "smoothstep_schedule",
     "AdiabaticFamily",
-    "interpolate",
     "SpectralProfile",
     "spectral_profile",
 ]
@@ -100,12 +100,13 @@ def build_initial_hamiltonian(
         for mode in range(basis.num_modes):
             diag += number_operator(basis, mode).diagonal
         return HermitianOperator(basis, diagonal=diag), ground
+    # Kronecker sum of the single-mode (a - alpha)^† (a - alpha)
     dim = basis.dimension
     total = np.zeros((dim, dim), dtype=np.complex128)
-    eye = np.eye(dim, dtype=np.complex128)
+    eye = np.eye(basis.cutoff + 1, dtype=np.complex128)
     for mode, alpha in enumerate(alpha_list):
-        shifted = annihilation(basis, mode).to_matrix() - alpha * eye
-        total += shifted.conj().T @ shifted
+        shifted = ladder(basis.cutoff) - alpha * eye
+        total += basis.on_mode(mode, shifted.conj().T @ shifted)
     total = 0.5 * (total + total.conj().T)
     return HermitianOperator(basis, matrix=total), ground
 
@@ -156,21 +157,42 @@ class AdiabaticFamily:
     def weights(self, s: float) -> tuple[float, float]:
         if not 0.0 <= s <= 1.0:
             raise ValueError(f"interpolation parameter {s} outside [0, 1]")
-        return self.schedule(s)
+        w_initial, w_problem = self.schedule(s)
+        if not (math.isfinite(w_initial) and math.isfinite(w_problem)):
+            raise ValueError(
+                f"schedule weights ({w_initial}, {w_problem}) at s={s} are not finite"
+            )
+        return w_initial, w_problem
+
+    def path_arrays(self) -> Callable[[float], np.ndarray]:
+        """H(s) on plain arrays, for loops that visit many values of s.
+
+        The start and problem arrays are read out of the family once.  Each
+        call returns the real diagonal of H(s) when the start operator is
+        diagonal, else a fresh dense complex matrix.  Nothing is
+        re-validated: both operators were validated when built, and
+        ``weights`` rejects a non-finite schedule.
+        """
+        problem = self.problem.diagonal
+        if self.initial.is_diagonal:
+            initial, on_diagonal = self.initial.diagonal, ...
+        else:
+            indices = np.arange(self.dimension)
+            initial, on_diagonal = self.initial.to_matrix(), (indices, indices)
+
+        def at(s: float) -> np.ndarray:
+            w_initial, w_problem = self.weights(s)
+            h = w_initial * initial
+            h[on_diagonal] += w_problem * problem
+            return h
+
+        return at
 
     def hamiltonian(self, s: float) -> HermitianOperator:
-        w_initial, w_problem = self.weights(s)
+        h = self.path_arrays()(s)
         if self.initial.is_diagonal:
-            return HermitianOperator(
-                self.basis,
-                diagonal=w_initial * self.initial.diagonal
-                + w_problem * self.problem.diagonal,
-            )
-        return HermitianOperator(
-            self.basis,
-            matrix=w_initial * self.initial.to_matrix()
-            + w_problem * np.diag(self.problem.diagonal.astype(np.complex128)),
-        )
+            return HermitianOperator(self.basis, diagonal=h)
+        return HermitianOperator(self.basis, matrix=h)
 
     def exact_problem_values(self) -> np.ndarray:
         """Integer problem diagonal; reconstructed from floats if not stored."""
@@ -202,10 +224,6 @@ class AdiabaticFamily:
             initial=initial, problem=problem, schedule=schedule, problem_values=values
         )
         return family, ground
-
-
-def interpolate(family: AdiabaticFamily, s: float) -> HermitianOperator:
-    return family.hamiltonian(s)
 
 
 @dataclass(frozen=True, eq=False)
@@ -267,10 +285,11 @@ def spectral_profile(
     m = min(dim, max(int(levels), 2, degeneracy + 1))
     s_values = np.linspace(0.0, 1.0, grid_size)
     energies = np.empty((grid_size, m), dtype=np.float64)
+    hamiltonian_at = family.path_arrays()
     for i, s in enumerate(s_values):
-        h = family.hamiltonian(float(s))
+        h = hamiltonian_at(float(s))
         try:
-            spectrum = h.eigenvalues()
+            spectrum = np.sort(h) if h.ndim == 1 else np.linalg.eigvalsh(h)
         except np.linalg.LinAlgError as err:
             raise RuntimeError(f"eigensolver failed at s={float(s)}") from err
         energies[i] = spectrum[:m]

@@ -301,7 +301,7 @@ def test_criterion_8_reproducibility(tmp_path):
     with criterion("8", "identical config and seed give byte-identical reports"):
         args = [
             "decide", "x - 1", "--cutoff", "8", "--T0", "10", "--jmax", "3",
-            "--step", "0.05", "--seed", "5", "--reproducible",
+            "--step", "0.05", "--seed", "5",
         ]
         out_a, out_b = tmp_path / "a", tmp_path / "b"
         assert cli_main([*args, "--out", str(out_a)]) == 0

@@ -199,7 +199,7 @@ def test_config_unknown_key_rejected(tmp_path, capsys):
 
 
 def test_reports_are_byte_identical_modulo_sidecar(tmp_path):
-    args = ["decide", "x-1", *FAST, "--seed", "5", "--reproducible"]
+    args = ["decide", "x-1", *FAST, "--seed", "5"]
     out_a, out_b = tmp_path / "a", tmp_path / "b"
     assert main([*args, "--out", str(out_a)]) == EXIT_OK
     assert main([*args, "--out", str(out_b)]) == EXIT_OK
@@ -209,3 +209,14 @@ def test_reports_are_byte_identical_modulo_sidecar(tmp_path):
     data_a.pop("sidecar")
     data_b.pop("sidecar")
     assert json.dumps(data_a, sort_keys=True) == json.dumps(data_b, sort_keys=True)
+
+
+def test_reproducible_knob_is_gone(tmp_path, capsys):
+    # BLAS threads are pinned from the environment, not by a flag
+    with pytest.raises(SystemExit) as exc:
+        main(["decide", "x-1", *FAST, "--reproducible", "--out", str(tmp_path)])
+    assert exc.value.code == EXIT_USAGE
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"equation": "x-1", "reproducible": True}))
+    assert main(["decide", "--config", str(path), "--out", str(tmp_path)]) == EXIT_USAGE
+    assert "unknown config key 'reproducible'" in capsys.readouterr().err

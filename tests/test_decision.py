@@ -143,6 +143,21 @@ def test_decide_diabatic_inconclusive():
     assert report.schedule == (0.01,)
 
 
+@pytest.mark.parametrize(
+    "text, cutoff, class_probability",
+    [
+        ("x - 1", 8, 0.9181706202384153),
+        ("x^2 + 1", 8, 0.9493802868362211),
+        ("x + y + z - 3", 4, 0.88479090891228),
+    ],
+)
+def test_decide_golden_values(text, cutoff, class_probability):
+    report = decide(parse_equation(text), DecideConfig(cutoff=cutoff))
+    assert report.schedule == (10.0,)
+    assert report.successful_time == 10.0
+    assert report.class_probability == pytest.approx(class_probability, abs=1e-12)
+
+
 def test_decide_rejects_constant_equation():
     with pytest.raises(ValueError):
         decide(parse_equation("5"), FAST)

@@ -293,13 +293,14 @@ def test_error_slopes_against_cross_references():
         assert slope == pytest.approx(expected_slope, abs=0.5)
 
 
-def test_propagator_cache_reuse_is_exact():
+@pytest.mark.parametrize("integrator", [RK4, MIDEXP])
+def test_non_finite_schedule_weight_fails_loudly(integrator):
     family, start = _suite_family()
-    cache: dict = {}
-    params = EvolutionParams(2.0, 0.05, record_grid=2)
-    first = evolve(family, start, params, propagator_cache=cache)
-    assert cache
-    second = evolve(family, start, params, propagator_cache=cache)
-    assert np.array_equal(
-        first.final_state.amplitudes, second.final_state.amplitudes
+    broken = AdiabaticFamily(
+        family.initial,
+        family.problem,
+        schedule=lambda s: (1.0 - s, s if s < 0.5 else float("nan")),
     )
+    params = EvolutionParams(1.0, 0.1, integrator=integrator, record_grid=2)
+    with pytest.raises(ValueError, match="not finite"):
+        evolve(broken, start, params)

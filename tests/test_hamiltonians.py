@@ -4,13 +4,18 @@ import numpy as np
 import pytest
 
 from adiophantine.diophantine import min_over_box, parse_equation
-from adiophantine.fock import FockBasis, HermitianOperator, TruncationWarning
+from adiophantine.fock import (
+    FockBasis,
+    HermitianOperator,
+    TruncationWarning,
+    annihilation,
+)
 from adiophantine.hamiltonians import (
+    DEFAULT_ALPHA,
     AdiabaticFamily,
     ProblemScaleError,
     build_initial_hamiltonian,
     build_problem_hamiltonian,
-    interpolate,
     linear_schedule,
     problem_diagonal,
     smoothstep_schedule,
@@ -92,6 +97,20 @@ def test_initial_hamiltonian_default_alpha_rayleigh():
     assert 0 <= rayleigh < 1e-6
 
 
+@pytest.mark.filterwarnings("ignore::adiophantine.fock.TruncationWarning")
+@pytest.mark.parametrize("k, cutoff", [(1, 8), (2, 5), (3, 4)])
+def test_initial_hamiltonian_is_exact_kronecker_sum(k, cutoff):
+    # reference: d x d products of the full-space ladder matrices
+    basis = FockBasis(k, cutoff)
+    eye = np.eye(basis.dimension)
+    expected = np.zeros((basis.dimension, basis.dimension), dtype=np.complex128)
+    for mode in range(k):
+        shifted = annihilation(basis, mode) - DEFAULT_ALPHA * eye
+        expected += shifted.conj().T @ shifted
+    h, _ = build_initial_hamiltonian(basis)
+    assert np.array_equal(h.to_matrix(), expected)
+
+
 # -- interpolation -------------------------------------------------------------
 
 
@@ -102,9 +121,6 @@ def test_endpoints_exact():
     )
     assert np.array_equal(
         family.hamiltonian(1.0).to_matrix(), family.problem.to_matrix()
-    )
-    assert np.array_equal(
-        interpolate(family, 1.0).to_matrix(), family.problem.to_matrix()
     )
 
 
@@ -146,6 +162,22 @@ def test_smoothstep_schedule_monotone_and_endpoint_exact():
     assert np.array_equal(
         stepped.hamiltonian(1.0).to_matrix(), family.problem.to_matrix()
     )
+
+
+def _nan_after_half(s):
+    return (1.0 - s, s if s < 0.5 else float("nan"))
+
+
+def test_non_finite_schedule_weight_raises():
+    family, _ = _family("x - 1", 4)
+    broken = AdiabaticFamily(
+        family.initial, family.problem, schedule=_nan_after_half
+    )
+    assert broken.weights(0.25) == (0.75, 0.25)
+    with pytest.raises(ValueError, match="not finite"):
+        broken.hamiltonian(0.75)
+    with pytest.raises(ValueError, match="not finite"):
+        spectral_profile(broken, grid_size=5)
 
 
 # -- spectra ---------------------------------------------------------------------
