@@ -5,10 +5,16 @@ other:
 
 * ``RK4``: classic 4th-order Runge-Kutta on the linear flow.  Not unitary;
   the norm drift is reported as a diagnostic and large drift aborts the run
-  with a step-size advisory.  No renormalization is applied.
+  with a step-size advisory.  No renormalization is applied.  A step outside
+  RK4's stability interval on the imaginary axis is refused before the run.
 * ``MIDPOINT_EXPONENTIAL``: per step applies exp(-i h H(s_mid)) through a
   dense eigendecomposition of the midpoint operator, so every step is
   exactly unitary and the global error is second order in the step.
+
+H(s) is real symmetric on every family that ``AdiabaticFamily.from_polynomial``
+builds, so its eigensolves run in real arithmetic.  The state stays complex;
+a real matrix multiplies it through its (d, 2) real view, because numpy would
+otherwise cast the whole matrix to complex on every product.
 
 The step size is fixed (no adaptive control) so that extrapolating the
 recorded observable to zero step size stays well defined: runs at step
@@ -41,6 +47,9 @@ __all__ = [
 ]
 
 NORM_TOLERANCE = 1e-10  # required closeness of the initial state to unit norm
+
+# RK4's stability interval on the imaginary axis: |h * lambda| <= 2 sqrt(2)
+RK4_STABILITY_LIMIT = 2.0 * math.sqrt(2.0)
 
 
 class Integrator(Enum):
@@ -127,23 +136,62 @@ class EvolutionTrace:
         }
 
 
-def _matvec_for(family: AdiabaticFamily) -> Callable[[float, np.ndarray], np.ndarray]:
+def _times(matrix: np.ndarray, psi: np.ndarray) -> np.ndarray:
+    """``matrix @ psi`` for a contiguous complex vector ``psi``; a real
+    ``matrix`` multiplies the (d, 2) real view of ``psi``, in real arithmetic."""
+    if matrix.dtype.kind == "c":
+        return matrix.dot(psi)
+    d = psi.shape[0]
+    pairs = matrix.dot(np.ndarray((d, 2), np.float64, psi))
+    return np.ndarray((d,), np.complex128, pairs)
+
+
+def _derivative_for(
+    family: AdiabaticFamily,
+) -> Callable[[list[float], np.ndarray], np.ndarray]:
+    """d(psi)/dt = -i H psi for the schedule weights (w_I, w_P) of one stage."""
     problem_diag = family.problem.diagonal
     if family.initial.is_diagonal:
         initial_diag = family.initial.diagonal
 
-        def apply(s: float, psi: np.ndarray) -> np.ndarray:
-            wi, wp = family.weights(s)
-            return (wi * initial_diag + wp * problem_diag) * psi
+        def apply(weights: list[float], psi: np.ndarray) -> np.ndarray:
+            wi, wp = weights
+            return (-1j * (wi * initial_diag + wp * problem_diag)) * psi
 
     else:
         initial_matrix = family.initial.to_matrix()
 
-        def apply(s: float, psi: np.ndarray) -> np.ndarray:
-            wi, wp = family.weights(s)
-            return wi * (initial_matrix @ psi) + wp * (problem_diag * psi)
+        def apply(weights: list[float], psi: np.ndarray) -> np.ndarray:
+            wi, wp = weights
+            problem_part = ((-1j * wp) * problem_diag) * psi
+            return (-1j * wi) * _times(initial_matrix, psi) + problem_part
 
     return apply
+
+
+def _check_rk4_stable(
+    family: AdiabaticFamily, step: float, stage_weights: np.ndarray
+) -> None:
+    """Refuse an RK4 run whose step leaves the stability interval of H(s).
+
+    ||H(s)|| <= |w_I(s)| ||H_I|| + |w_P(s)| max H_P at each stage point of
+    the run, with ||H_I|| bounded by its largest absolute row sum; for a
+    convex schedule this is max(||H_I||, max H_P).
+    """
+    initial = family.initial
+    if initial.is_diagonal:
+        initial_norm = float(np.abs(initial.diagonal).max())
+    else:
+        initial_norm = float(np.abs(initial.to_matrix()).sum(axis=1).max())
+    problem_norm = float(np.abs(family.problem.diagonal).max())
+    scale = float((np.abs(stage_weights) @ (initial_norm, problem_norm)).max())
+    if step * scale > RK4_STABILITY_LIMIT:
+        raise EvolutionAborted(
+            f"RK4 step {step} times the operator norm bound {scale:.6g} "
+            f"exceeds the stability limit 2*sqrt(2); retry with a smaller step "
+            f"(stability alone needs at most {RK4_STABILITY_LIMIT / scale:.6g}) "
+            f"or with the midpoint exponential"
+        )
 
 
 def evolve(
@@ -151,7 +199,8 @@ def evolve(
 ) -> EvolutionTrace:
     """Integrate from t = 0 to t = total_time with s = t / total_time.
 
-    ``init`` must be normalized.
+    ``init`` must be normalized.  An RK4 step outside the stability interval
+    of H(s) raises :class:`EvolutionAborted` before the first step.
     """
     if init.basis != family.basis:
         raise ValueError("initial state does not live on the family's basis")
@@ -168,6 +217,24 @@ def evolve(
     def s_of(t: float) -> float:
         return min(max(t / total_time, 0.0), 1.0)
 
+    use_rk4 = params.integrator is Integrator.RK4
+    if use_rk4:
+        # schedule weights at each step's start, midpoint and end, computed
+        # (and checked finite) once, before the first step
+        stage_weights = np.fromiter(
+            (
+                w
+                for t, h in zip(starts, sizes)
+                for stage in (t, t + 0.5 * h, t + h)
+                for w in family.weights(s_of(stage))
+            ),
+            dtype=np.float64,
+            count=6 * n_steps,
+        ).reshape(n_steps, 3, 2)
+        _check_rk4_stable(family, params.step, stage_weights)
+    derivative = _derivative_for(family) if use_rk4 else None
+    hamiltonian_at = None if use_rk4 else family.path_arrays()
+
     psi = init.amplitudes.copy()
     times: list[float] = []
     probabilities: list[np.ndarray] = []
@@ -181,22 +248,16 @@ def evolve(
     if 0 in record_after:
         snapshot(0.0)
 
-    use_rk4 = params.integrator is Integrator.RK4
-    matvec = _matvec_for(family) if use_rk4 else None
-    hamiltonian_at = None if use_rk4 else family.path_arrays()
-
     for j in range(n_steps):
         t = starts[j]
         h = sizes[j]
         t_end = total_time if j == n_steps - 1 else t + h
         if use_rk4:
-            s0 = s_of(t)
-            sm = s_of(t + 0.5 * h)
-            s1 = s_of(t + h)
-            k1 = -1j * matvec(s0, psi)
-            k2 = -1j * matvec(sm, psi + (0.5 * h) * k1)
-            k3 = -1j * matvec(sm, psi + (0.5 * h) * k2)
-            k4 = -1j * matvec(s1, psi + h * k3)
+            w0, wm, w1 = stage_weights[j].tolist()
+            k1 = derivative(w0, psi)
+            k2 = derivative(wm, psi + (0.5 * h) * k1)
+            k3 = derivative(wm, psi + (0.5 * h) * k2)
+            k4 = derivative(w1, psi + h * k3)
             psi = psi + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         else:
             generator = hamiltonian_at(s_of(t + 0.5 * h))
@@ -205,7 +266,7 @@ def evolve(
             else:
                 energies, vectors = np.linalg.eigh(generator)
                 phases = np.exp(-1j * h * energies)
-                psi = vectors @ (phases * (vectors.conj().T @ psi))
+                psi = _times(vectors, phases * _times(vectors.conj().T, psi))
 
         norm = float(np.linalg.norm(psi))
         if not np.isfinite(norm) or not np.all(np.isfinite(psi)):

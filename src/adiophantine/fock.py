@@ -2,9 +2,9 @@
 
 Provides basis indexing for occupation tuples with a per-mode cutoff,
 state vectors, ladder and number operators, coherent states, and a
-validated Hermitian operator with a real-diagonal fast path next to dense
-complex storage.  Dimensions are desk scale (hundreds to a few thousand);
-there is no sparse backend.
+validated Hermitian operator stored as a real diagonal or as a dense
+matrix that stays real when its input is real.  Dimensions are desk scale
+(hundreds to a few thousand); there is no sparse backend.
 """
 
 from __future__ import annotations
@@ -145,8 +145,10 @@ class HermitianOperator:
 
     Validated once, at construction: diagonal storage is real by type, and
     dense storage must be finite and conjugate symmetric within
-    ``HERMITICITY_TOL``.  The stored array is read-only.  ``eigensystem``
-    returns the full ascending spectrum (exactly, for diagonal storage).
+    ``HERMITICITY_TOL``.  Real dense input is kept as float64 (so its
+    eigensolves run in real arithmetic), complex input as complex128.  The
+    stored array is read-only.  ``eigensystem`` returns the full ascending
+    spectrum (exactly, for diagonal storage).
     """
 
     __slots__ = ("basis", "_diagonal", "_matrix")
@@ -162,7 +164,8 @@ class HermitianOperator:
             if stored.shape != (dim,):
                 raise ValueError("diagonal length does not match basis dimension")
         else:
-            stored = np.array(matrix, dtype=np.complex128)
+            dtype = np.complex128 if np.iscomplexobj(matrix) else np.float64
+            stored = np.array(matrix, dtype=dtype)
             if stored.shape != (dim, dim):
                 raise ValueError("matrix shape does not match basis dimension")
         if not np.all(np.isfinite(stored)):
@@ -190,7 +193,7 @@ class HermitianOperator:
 
     def to_matrix(self) -> np.ndarray:
         if self._diagonal is not None:
-            return np.diag(self._diagonal.astype(np.complex128))
+            return np.diag(self._diagonal)
         return self._matrix.copy()
 
     def apply(self, state: StateVector) -> StateVector:
@@ -214,7 +217,7 @@ class HermitianOperator:
         """Ascending eigenvalues and matching eigenvector columns."""
         if self._diagonal is not None:
             order = np.argsort(self._diagonal, kind="stable")
-            vectors = np.eye(self.basis.dimension, dtype=np.complex128)[:, order]
+            vectors = np.eye(self.basis.dimension)[:, order]
             return self._diagonal[order].copy(), vectors
         return np.linalg.eigh(self._matrix)
 

@@ -8,6 +8,12 @@ and its ground level over the truncated box equals the classical
 coherent state as its easily prepared ground state.  The two are joined by
 a convex interpolation whose spectrum is scanned on an s-grid to witness
 the absence of level crossings.
+
+The whole path is real symmetric.  A displacement alpha = |alpha| e^{i phi}
+enters only through the diagonal gauge U = e^{i phi N}: the start operator
+and coherent state for alpha are U applied to those for |alpha|, and U
+commutes with the diagonal problem operator.  So the path is built for
+|alpha|, and no probability, spectrum or verdict depends on phi.
 """
 
 from __future__ import annotations
@@ -84,30 +90,31 @@ def build_problem_hamiltonian(p: Polynomial, basis: FockBasis) -> HermitianOpera
 def build_initial_hamiltonian(
     basis: FockBasis, alphas=DEFAULT_ALPHA
 ) -> tuple[HermitianOperator, StateVector]:
-    """Start Hamiltonian plus its nominal ground state.
+    """Real start Hamiltonian plus its nominal ground state.
 
-    Returns ``sum_i (a_i^† - conj(alpha_i)) (a_i - alpha_i)`` and the
-    truncated coherent state.  With all displacements zero this reduces to
-    the diagonal sum of number operators with exact ground state |0..0>.
-    The coherent state is the exact ground state only up to truncation; its
-    energy expectation is tiny whenever the truncation-weight warning stays
-    quiet.
+    Returns ``sum_i (a_i - |alpha_i|)^T (a_i - |alpha_i|)`` and the truncated
+    coherent state for the magnitudes ``|alpha_i|``, both real.  The phase of
+    each displacement is a gauge that no result depends on (see the module
+    docstring).  With all displacements zero this reduces to the diagonal
+    sum of number operators with exact ground state |0..0>.  The coherent
+    state is the exact ground state only up to truncation; its energy
+    expectation is tiny whenever the truncation-weight warning stays quiet.
     """
-    alpha_list = as_mode_alphas(alphas, basis.num_modes)
-    ground = coherent_state(basis, alpha_list)
-    if all(a == 0 for a in alpha_list):
+    magnitudes = tuple(abs(a) for a in as_mode_alphas(alphas, basis.num_modes))
+    ground = coherent_state(basis, magnitudes)
+    if not any(magnitudes):
         diag = np.zeros(basis.dimension, dtype=np.float64)
         for mode in range(basis.num_modes):
             diag += number_operator(basis, mode).diagonal
         return HermitianOperator(basis, diagonal=diag), ground
-    # Kronecker sum of the single-mode (a - alpha)^† (a - alpha)
+    # Kronecker sum of the single-mode (a - |alpha|)^T (a - |alpha|)
     dim = basis.dimension
-    total = np.zeros((dim, dim), dtype=np.complex128)
-    eye = np.eye(basis.cutoff + 1, dtype=np.complex128)
-    for mode, alpha in enumerate(alpha_list):
-        shifted = ladder(basis.cutoff) - alpha * eye
-        total += basis.on_mode(mode, shifted.conj().T @ shifted)
-    total = 0.5 * (total + total.conj().T)
+    total = np.zeros((dim, dim), dtype=np.float64)
+    eye = np.eye(basis.cutoff + 1)
+    for mode, magnitude in enumerate(magnitudes):
+        shifted = ladder(basis.cutoff) - magnitude * eye
+        total += basis.on_mode(mode, shifted.T @ shifted)
+    total = 0.5 * (total + total.T)
     return HermitianOperator(basis, matrix=total), ground
 
 
@@ -169,7 +176,8 @@ class AdiabaticFamily:
 
         The start and problem arrays are read out of the family once.  Each
         call returns the real diagonal of H(s) when the start operator is
-        diagonal, else a fresh dense complex matrix.  Nothing is
+        diagonal, else a fresh dense matrix of the start operator's dtype
+        (float64 for every family built by ``from_polynomial``).  Nothing is
         re-validated: both operators were validated when built, and
         ``weights`` rejects a non-finite schedule.
         """

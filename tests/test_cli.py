@@ -130,6 +130,15 @@ def test_decide_runtime_error_exit_one(tmp_path, capsys):
     assert code == EXIT_RUNTIME
 
 
+def test_decide_unstable_rk4_exit_one(tmp_path, capsys):
+    code = main(
+        ["decide", "x - 20", "--cutoff", "8", "--integrator", "rk4",
+         "--out", str(tmp_path)]
+    )
+    assert code == EXIT_RUNTIME
+    assert "smaller step" in capsys.readouterr().err
+
+
 # -- sample ------------------------------------------------------------------------
 
 

@@ -143,12 +143,23 @@ def test_decide_diabatic_inconclusive():
     assert report.schedule == (0.01,)
 
 
+GOLDEN_CLASS_VALUES = {
+    "x - 1": 0,
+    "x^2 + 1": 1,
+    "x + y + z - 3": 0,
+    "x + y - 5": 0,
+    "x*y*z - 8": 64,
+}
+
+
 @pytest.mark.parametrize(
     "text, cutoff, class_probability",
     [
         ("x - 1", 8, 0.9181706202384153),
         ("x^2 + 1", 8, 0.9493802868362211),
         ("x + y + z - 3", 4, 0.88479090891228),
+        ("x + y - 5", 8, 0.520703920407835),
+        ("x*y*z - 8", 4, 0.5645261939782158),
     ],
 )
 def test_decide_golden_values(text, cutoff, class_probability):
@@ -156,6 +167,8 @@ def test_decide_golden_values(text, cutoff, class_probability):
     assert report.schedule == (10.0,)
     assert report.successful_time == 10.0
     assert report.class_probability == pytest.approx(class_probability, abs=1e-12)
+    # x*y*z - 8 settles on the wrong class (1*2*4 = 8 lies in the box)
+    assert report.class_value == GOLDEN_CLASS_VALUES[text]
 
 
 def test_decide_rejects_constant_equation():

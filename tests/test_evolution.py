@@ -154,6 +154,22 @@ def test_rk4_norm_drift_aborts_with_advisory():
         evolve(family, init, EvolutionParams(10.0, 0.1, integrator=RK4))
 
 
+def test_rk4_unstable_step_refused_before_the_run():
+    # x - 20 at cutoff 8: max H_P = 400, so h = 0.02 gives h * 400 = 8 > 2 sqrt(2)
+    p = parse_equation("x - 20")
+    family, start = AdiabaticFamily.from_polynomial(p, FockBasis(1, 8))
+    with pytest.raises(
+        EvolutionAborted, match=r"stability limit.*smaller step.* at most 0\.00707107"
+    ):
+        evolve(family, start, EvolutionParams(10.0, 0.02, integrator=RK4))
+    # the guard accepts the step it names; near the limit RK4 damps the top
+    # levels, so the drift check needs a loose limit here
+    loose = dict(integrator=RK4, record_grid=2, norm_drift_limit=1.0)
+    evolve(family, start, EvolutionParams(0.1, 0.00707, **loose))
+    with pytest.raises(EvolutionAborted, match="stability limit"):
+        evolve(family, start, EvolutionParams(0.1, 0.00708, **loose))
+
+
 # -- cross-integrator agreement ------------------------------------------------------
 
 

@@ -227,6 +227,24 @@ def test_hermitian_validation():
         HermitianOperator(basis)
 
 
+def test_real_input_stays_real():
+    basis = FockBasis(1, 1)
+    real = HermitianOperator(basis, matrix=np.array([[0.0, 1.0], [1.0, 2.0]]))
+    assert real.to_matrix().dtype == np.float64
+    assert real.eigensystem()[1].dtype == np.float64
+    diagonal = HermitianOperator(basis, diagonal=np.array([1.0, 0.0]))
+    assert diagonal.to_matrix().dtype == np.float64
+    assert diagonal.eigensystem()[1].dtype == np.float64
+    # complex input keeps its phases: the same spectrum, complex vectors
+    unitary = np.diag([1.0, 1j])
+    rotated = HermitianOperator(
+        basis, matrix=unitary @ real.to_matrix() @ unitary.conj().T
+    )
+    assert rotated.to_matrix().dtype == np.complex128
+    assert rotated.eigensystem()[1].dtype == np.complex128
+    assert np.allclose(rotated.eigenvalues(), real.eigenvalues(), atol=1e-14)
+
+
 def test_diagonal_eigensystem_exact():
     basis = FockBasis(1, 3)
     h = HermitianOperator(basis, diagonal=np.array([4.0, 0.0, 1.0, 1.0]))

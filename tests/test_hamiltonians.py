@@ -4,11 +4,13 @@ import numpy as np
 import pytest
 
 from adiophantine.diophantine import min_over_box, parse_equation
+from adiophantine.evolution import EvolutionParams, evolve
 from adiophantine.fock import (
     FockBasis,
     HermitianOperator,
     TruncationWarning,
     annihilation,
+    coherent_state,
 )
 from adiophantine.hamiltonians import (
     DEFAULT_ALPHA,
@@ -109,6 +111,48 @@ def test_initial_hamiltonian_is_exact_kronecker_sum(k, cutoff):
         expected += shifted.conj().T @ shifted
     h, _ = build_initial_hamiltonian(basis)
     assert np.array_equal(h.to_matrix(), expected)
+
+
+def _complex_start_family(text, cutoff, alphas):
+    """The path with the complex start operator sum_i (A_i - alpha_i)^† (A_i -
+    alpha_i), built from d x d products, and its complex coherent state."""
+    p = parse_equation(text)
+    basis = FockBasis(p.num_vars, cutoff)
+    eye = np.eye(basis.dimension)
+    start = np.zeros((basis.dimension, basis.dimension), dtype=np.complex128)
+    for mode, alpha in enumerate(alphas):
+        shifted = annihilation(basis, mode) - alpha * eye
+        start += shifted.conj().T @ shifted
+    values = problem_diagonal(p, basis)
+    family = AdiabaticFamily(
+        initial=HermitianOperator(basis, matrix=start),
+        problem=build_problem_hamiltonian(p, basis),
+        problem_values=values,
+    )
+    return family, coherent_state(basis, alphas)
+
+
+def test_displacement_phase_is_a_gauge():
+    # the real production path for |alpha| against the complex path for alpha
+    alphas = (0.3 + 0.4j, -0.2j)
+    reference, reference_start = _complex_start_family("x*y - 6", 5, alphas)
+    assert np.iscomplexobj(reference.path_arrays()(0.5))
+    family, start = _family("x*y - 6", 5, alphas=alphas)
+    params = EvolutionParams(10.0, 0.02, record_grid=2)
+    expected = evolve(reference, reference_start, params).final_probabilities()
+    got = evolve(family, start, params).final_probabilities()
+    assert np.max(np.abs(got - expected)) <= 1e-12
+    expected = spectral_profile(reference, grid_size=21).energies
+    got = spectral_profile(family, grid_size=21).energies
+    assert np.max(np.abs(got - expected)) <= 1e-12
+
+
+@pytest.mark.parametrize("alphas", [DEFAULT_ALPHA, (0.3 + 0.4j, -0.2j), 0.0])
+def test_path_is_real(alphas):
+    family, start = _family("x*y - 6", 4, alphas=alphas)
+    assert family.path_arrays()(0.5).dtype == np.float64
+    assert family.initial.to_matrix().dtype == np.float64
+    assert not np.any(start.amplitudes.imag)
 
 
 # -- interpolation -------------------------------------------------------------
