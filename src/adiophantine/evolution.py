@@ -13,8 +13,16 @@ other:
 
 H(s) is real symmetric on every family that ``AdiabaticFamily.from_polynomial``
 builds, so its eigensolves run in real arithmetic.  The state stays complex;
-a real matrix multiplies it through its (d, 2) real view, because numpy would
-otherwise cast the whole matrix to complex on every product.
+a real matrix multiplies it through its (d, 2) real view (``fock.matvec``),
+because numpy would otherwise cast the whole matrix to complex on every
+product.
+
+Both integrators run in the family's symmetric sector when the start state
+lies in it: the mode permutations that fix the problem diagonal and the
+start operator commute with every H(s), so the state stays in the subspace
+they fix, and each step works on its m x m orbit-basis arrays instead of
+the d x d ones.  Otherwise they run on the full space, the trivial sector.
+Recorded probabilities and the final state are always on the full basis.
 
 The step size is fixed (no adaptive control) so that extrapolating the
 recorded observable to zero step size stays well defined: runs at step
@@ -25,14 +33,15 @@ estimates the observed convergence order.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .fock import StateVector
-from .hamiltonians import AdiabaticFamily
+from .fock import StateVector, matvec
+from .hamiltonians import AdiabaticFamily, SymmetricSector
 
 __all__ = [
     "Integrator",
@@ -136,35 +145,37 @@ class EvolutionTrace:
         }
 
 
-def _times(matrix: np.ndarray, psi: np.ndarray) -> np.ndarray:
-    """``matrix @ psi`` for a contiguous complex vector ``psi``; a real
-    ``matrix`` multiplies the (d, 2) real view of ``psi``, in real arithmetic."""
-    if matrix.dtype.kind == "c":
-        return matrix.dot(psi)
-    d = psi.shape[0]
-    pairs = matrix.dot(np.ndarray((d, 2), np.float64, psi))
-    return np.ndarray((d,), np.complex128, pairs)
+def _debug(message: str, *args) -> None:
+    """Log at DEBUG level on the ``adiophantine.evolution`` logger.
+
+    A DEBUG record reaches no handler unless the application configured
+    one, which it cannot do without importing ``logging``; so a process
+    that never imports it logs nothing here and does not pay the module's
+    resident memory (about 0.4 MB).
+    """
+    logging = sys.modules.get("logging")
+    if logging is not None:
+        logging.getLogger(__name__).debug(message, *args)
 
 
 def _derivative_for(
-    family: AdiabaticFamily,
+    sector: SymmetricSector,
 ) -> Callable[[list[float], np.ndarray], np.ndarray]:
-    """d(psi)/dt = -i H psi for the schedule weights (w_I, w_P) of one stage."""
-    problem_diag = family.problem.diagonal
-    if family.initial.is_diagonal:
-        initial_diag = family.initial.diagonal
+    """d(psi)/dt = -i H psi in ``sector``, for the schedule weights (w_I, w_P)
+    of one stage."""
+    initial, problem_diag = sector.initial, sector.problem
+    if initial.ndim == 1:
 
         def apply(weights: list[float], psi: np.ndarray) -> np.ndarray:
             wi, wp = weights
-            return (-1j * (wi * initial_diag + wp * problem_diag)) * psi
+            return (-1j * (wi * initial + wp * problem_diag)) * psi
 
     else:
-        initial_matrix = family.initial.to_matrix()
 
         def apply(weights: list[float], psi: np.ndarray) -> np.ndarray:
             wi, wp = weights
             problem_part = ((-1j * wp) * problem_diag) * psi
-            return (-1j * wi) * _times(initial_matrix, psi) + problem_part
+            return (-1j * wi) * matvec(initial, psi) + problem_part
 
     return apply
 
@@ -178,11 +189,11 @@ def _check_rk4_stable(
     the run, with ||H_I|| bounded by its largest absolute row sum; for a
     convex schedule this is max(||H_I||, max H_P).
     """
-    initial = family.initial
-    if initial.is_diagonal:
-        initial_norm = float(np.abs(initial.diagonal).max())
+    initial = family.initial.array
+    if initial.ndim == 1:
+        initial_norm = float(np.abs(initial).max())
     else:
-        initial_norm = float(np.abs(initial.to_matrix()).sum(axis=1).max())
+        initial_norm = float(np.abs(initial).sum(axis=1).max())
     problem_norm = float(np.abs(family.problem.diagonal).max())
     scale = float((np.abs(stage_weights) @ (initial_norm, problem_norm)).max())
     if step * scale > RK4_STABILITY_LIMIT:
@@ -199,8 +210,15 @@ def evolve(
 ) -> EvolutionTrace:
     """Integrate from t = 0 to t = total_time with s = t / total_time.
 
-    ``init`` must be normalized.  An RK4 step outside the stability interval
-    of H(s) raises :class:`EvolutionAborted` before the first step.
+    ``init`` must be normalized.  The run steps in ``family.sector`` when
+    ``init`` lies in it (amplitudes equal within each orbit), else on the
+    full space; either way the recorded probabilities and the final state
+    are on the full basis, and orbit-mates carry equal amplitudes.  Norm
+    drift and finiteness are checked on the state that is stepped, whose
+    norm is that of the full state.  An RK4 step outside the stability
+    interval of the full H(s), which bounds the sector's, raises
+    :class:`EvolutionAborted` before the first step.  Logs the basis and
+    sector dimensions and the group order at DEBUG level.
     """
     if init.basis != family.basis:
         raise ValueError("initial state does not live on the family's basis")
@@ -232,17 +250,25 @@ def evolve(
             count=6 * n_steps,
         ).reshape(n_steps, 3, 2)
         _check_rk4_stable(family, params.step, stage_weights)
-    derivative = _derivative_for(family) if use_rk4 else None
-    hamiltonian_at = None if use_rk4 else family.path_arrays()
+    sector = family.sector_for(init)
+    _debug(
+        "evolve: basis dimension %d, sector dimension %d, group order %d",
+        family.dimension,
+        sector.dimension,
+        sector.group_order,
+    )
+    derivative = _derivative_for(sector) if use_rk4 else None
+    hamiltonian_at = None if use_rk4 else family.path_arrays(sector)
 
-    psi = init.amplitudes.copy()
+    psi = sector.reduce(init.amplitudes)
     times: list[float] = []
     probabilities: list[np.ndarray] = []
     norm_errors: list[float] = []
 
     def snapshot(t: float) -> None:
+        full = sector.expand(psi)
         times.append(t)
-        probabilities.append(psi.real**2 + psi.imag**2)
+        probabilities.append(full.real**2 + full.imag**2)
         norm_errors.append(abs(float(np.linalg.norm(psi)) - 1.0))
 
     if 0 in record_after:
@@ -266,7 +292,7 @@ def evolve(
             else:
                 energies, vectors = np.linalg.eigh(generator)
                 phases = np.exp(-1j * h * energies)
-                psi = _times(vectors, phases * _times(vectors.conj().T, psi))
+                psi = matvec(vectors, phases * matvec(vectors.conj().T, psi))
 
         norm = float(np.linalg.norm(psi))
         if not np.isfinite(norm) or not np.all(np.isfinite(psi)):
@@ -287,7 +313,7 @@ def evolve(
         times=np.array(times),
         probabilities=np.array(probabilities),
         norm_errors=np.array(norm_errors),
-        final_state=StateVector(family.basis, psi),
+        final_state=StateVector(family.basis, sector.expand(psi)),
         params=params,
     )
 

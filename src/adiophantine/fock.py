@@ -26,6 +26,7 @@ __all__ = [
     "number_operator",
     "coherent_state",
     "as_mode_alphas",
+    "matvec",
 ]
 
 HERMITICITY_TOL = 1e-12
@@ -191,6 +192,11 @@ class HermitianOperator:
             raise ValueError("operator is stored dense, not diagonal")
         return self._diagonal
 
+    @property
+    def array(self) -> np.ndarray:
+        """The stored read-only array: the diagonal (1-D) or the matrix (2-D)."""
+        return self._matrix if self._diagonal is None else self._diagonal
+
     def to_matrix(self) -> np.ndarray:
         if self._diagonal is not None:
             return np.diag(self._diagonal)
@@ -201,7 +207,7 @@ class HermitianOperator:
             raise BasisMismatchError(f"basis mismatch: {self.basis} vs {state.basis}")
         if self._diagonal is not None:
             return StateVector(self.basis, self._diagonal * state.amplitudes)
-        return StateVector(self.basis, self._matrix @ state.amplitudes)
+        return StateVector(self.basis, matvec(self._matrix, state.amplitudes))
 
     def hermiticity_defect(self) -> float:
         if self._diagonal is not None:
@@ -220,6 +226,20 @@ class HermitianOperator:
             vectors = np.eye(self.basis.dimension)[:, order]
             return self._diagonal[order].copy(), vectors
         return np.linalg.eigh(self._matrix)
+
+
+def matvec(matrix: np.ndarray, psi: np.ndarray) -> np.ndarray:
+    """``matrix @ psi`` for a C-contiguous complex128 vector ``psi``.
+
+    A real ``matrix`` multiplies the (n, 2) float64 view of ``psi``, in real
+    arithmetic: numpy's ``real @ complex`` would copy the whole matrix to
+    complex on every call.
+    """
+    if matrix.dtype.kind == "c":
+        return matrix.dot(psi)
+    n = psi.shape[0]
+    pairs = matrix.dot(np.ndarray((n, 2), np.float64, psi))
+    return np.ndarray((n,), np.complex128, pairs)
 
 
 def ladder(cutoff: int) -> np.ndarray:

@@ -14,18 +14,28 @@ enters only through the diagonal gauge U = e^{i phi N}: the start operator
 and coherent state for alpha are U applied to those for |alpha|, and U
 commutes with the diagonal problem operator.  So the path is built for
 |alpha|, and no probability, spectrum or verdict depends on phi.
+
+A permutation of the modes that fixes the problem diagonal and the start
+operator commutes with every H(s), so a start state it fixes stays in the
+subspace of states that the whole group fixes.  ``AdiabaticFamily.sector``
+finds that group once, on the arrays themselves, and gives the path
+restricted to the orbit basis of the subspace (``SymmetricSector``); the
+full space is the trivial sector.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
 
 from .diophantine import Polynomial, evaluate
 from .fock import (
+    HERMITICITY_TOL,
     FockBasis,
     HermitianOperator,
     StateVector,
@@ -44,6 +54,7 @@ __all__ = [
     "linear_schedule",
     "smoothstep_schedule",
     "AdiabaticFamily",
+    "SymmetricSector",
     "SpectralProfile",
     "spectral_profile",
 ]
@@ -53,6 +64,13 @@ __all__ = [
 DEFAULT_ALPHA = complex(2**-0.5)
 
 DEFAULT_GAP_TOL = 1e-9
+
+# largest amplitude difference within an orbit for a state to count as fixed
+# by the symmetry group; well above rounding, well below any reported digit
+STATE_SYMMETRY_TOL = 1e-14
+
+# rows compared at a time when testing a dense start operator for a symmetry
+_ROW_BLOCK = 256
 
 Schedule = Callable[[float], tuple[float, float]]
 
@@ -171,22 +189,26 @@ class AdiabaticFamily:
             )
         return w_initial, w_problem
 
-    def path_arrays(self) -> Callable[[float], np.ndarray]:
+    def path_arrays(
+        self, sector: "SymmetricSector | None" = None
+    ) -> Callable[[float], np.ndarray]:
         """H(s) on plain arrays, for loops that visit many values of s.
 
-        The start and problem arrays are read out of the family once.  Each
-        call returns the real diagonal of H(s) when the start operator is
-        diagonal, else a fresh dense matrix of the start operator's dtype
-        (float64 for every family built by ``from_polynomial``).  Nothing is
-        re-validated: both operators were validated when built, and
-        ``weights`` rejects a non-finite schedule.
+        On the full space by default, or restricted to ``sector`` (one of
+        this family's sectors) in its orbit basis.  Each call returns the
+        real diagonal of H(s) when the start operator is diagonal, else a
+        fresh dense matrix of the start operator's dtype (float64 for every
+        family built by ``from_polynomial``).  Nothing is re-validated: both
+        operators were validated when built, and ``weights`` rejects a
+        non-finite schedule.
         """
-        problem = self.problem.diagonal
-        if self.initial.is_diagonal:
-            initial, on_diagonal = self.initial.diagonal, ...
+        sector = self.full_space if sector is None else sector
+        initial, problem = sector.initial, sector.problem
+        if initial.ndim == 1:
+            on_diagonal = ...
         else:
-            indices = np.arange(self.dimension)
-            initial, on_diagonal = self.initial.to_matrix(), (indices, indices)
+            indices = np.arange(sector.dimension)
+            on_diagonal = (indices, indices)
 
         def at(s: float) -> np.ndarray:
             w_initial, w_problem = self.weights(s)
@@ -195,6 +217,77 @@ class AdiabaticFamily:
             return h
 
         return at
+
+    @cached_property
+    def full_space(self) -> "SymmetricSector":
+        """The trivial sector: the identity group on the whole basis."""
+        index = np.arange(self.dimension)
+        return SymmetricSector(
+            group=(tuple(range(self.basis.num_modes)),),
+            representatives=index,
+            orbit=index,
+            sizes=np.ones(self.dimension, dtype=np.int64),
+            initial=self.initial.array,
+            problem=self.problem.diagonal,
+        )
+
+    @cached_property
+    def sector(self) -> "SymmetricSector":
+        """Orbits of the mode permutations that fix both operators.
+
+        A permutation belongs to the group when it maps the problem diagonal
+        exactly onto itself (the exact integers ``problem_values`` when
+        stored) and the start operator onto itself within
+        ``HERMITICITY_TOL``.  Found on the arrays, so the group is never
+        larger than the symmetry of the path; ``full_space`` when it is
+        trivial.  Computed on first use and kept.
+        """
+        basis = self.basis
+        values = (
+            self.problem.diagonal
+            if self.problem_values is None
+            else self.exact_problem_values()
+        )
+        initial = self.initial.array
+        occupations = basis.occupations()
+        d = self.dimension
+        identity = tuple(range(basis.num_modes))
+        group, moved = [identity], [np.arange(d)]
+        # permutations() yields the identity first
+        for perm in itertools.islice(itertools.permutations(identity), 1, None):
+            image = np.ravel_multi_index(occupations[:, perm].T, basis.shape)
+            if (values[image] == values).all() and _fixes(initial, image):
+                group.append(perm)
+                moved.append(image)
+        if len(group) == 1:
+            return self.full_space
+        # an orbit is named by its smallest basis index
+        smallest = np.min(moved, axis=0)
+        named = smallest == np.arange(d)
+        representatives = np.flatnonzero(named)
+        orbit = (np.cumsum(named) - 1)[smallest]
+        sizes = np.bincount(orbit)
+        if initial.ndim == 1:
+            reduced = initial[representatives]
+        else:
+            # V^T H_I V for the orbit basis V, column a = sum_{i in a} |i> / sqrt|a|
+            v = np.zeros((d, len(representatives)))
+            v[np.arange(d), orbit] = 1.0 / np.sqrt(sizes[orbit])
+            reduced = v.T @ initial @ v
+            reduced = 0.5 * (reduced + reduced.conj().T)
+        return SymmetricSector(
+            group=tuple(group),
+            representatives=representatives,
+            orbit=orbit,
+            sizes=sizes,
+            initial=reduced,
+            problem=self.problem.diagonal[representatives],
+        )
+
+    def sector_for(self, state: StateVector) -> "SymmetricSector":
+        """``sector`` when it holds ``state``, else ``full_space``."""
+        sector = self.sector
+        return sector if sector.holds(state.amplitudes) else self.full_space
 
     def hamiltonian(self, s: float) -> HermitianOperator:
         h = self.path_arrays()(s)
@@ -232,6 +325,74 @@ class AdiabaticFamily:
             initial=initial, problem=problem, schedule=schedule, problem_values=values
         )
         return family, ground
+
+
+def _fixes(initial: np.ndarray, image: np.ndarray) -> bool:
+    """Whether the basis permutation ``image`` maps the start operator onto
+    itself within ``HERMITICITY_TOL``, compared a block of rows at a time."""
+    if initial.ndim == 1:
+        return bool(np.abs(initial[image] - initial).max() <= HERMITICITY_TOL)
+    for start in range(0, len(image), _ROW_BLOCK):
+        rows = slice(start, start + _ROW_BLOCK)
+        moved = initial[np.ix_(image[rows], image)]
+        if np.abs(moved - initial[rows]).max() > HERMITICITY_TOL:
+            return False
+    return True
+
+
+@dataclass(frozen=True, eq=False)
+class SymmetricSector:
+    """The states fixed by a group of mode permutations, in their orbit basis.
+
+    Orbit a of the group on the basis has the orthonormal vector
+    e_a = sum_{i in a} |i> / sqrt(|a|).  ``representatives`` holds the
+    smallest basis index of each orbit (ascending), ``orbit`` the orbit of
+    every basis index and ``sizes`` the orbit sizes; ``initial`` and
+    ``problem`` are the start operator (diagonal or dense) and the problem
+    diagonal in the orbit basis.  A fixed state psi has coordinates
+    c_a = sqrt(|a|) psi_rep(a), and psi_i = c_a / sqrt(|a|) for i in a, so
+    orbit-mates keep equal amplitudes.  The trivial group gives the full
+    space, on which ``reduce`` and ``expand`` do nothing.
+    """
+
+    group: tuple[tuple[int, ...], ...]
+    representatives: np.ndarray
+    orbit: np.ndarray
+    sizes: np.ndarray
+    initial: np.ndarray
+    problem: np.ndarray
+
+    @property
+    def dimension(self) -> int:
+        return len(self.representatives)
+
+    @property
+    def group_order(self) -> int:
+        return len(self.group)
+
+    @property
+    def is_trivial(self) -> bool:
+        return self.group_order == 1
+
+    def holds(self, amplitudes: np.ndarray) -> bool:
+        """Whether ``amplitudes`` agree within each orbit, to
+        ``STATE_SYMMETRY_TOL``."""
+        if self.is_trivial:
+            return True
+        spread = amplitudes - amplitudes[self.representatives][self.orbit]
+        return bool(np.abs(spread).max() <= STATE_SYMMETRY_TOL)
+
+    def reduce(self, amplitudes: np.ndarray) -> np.ndarray:
+        """Orbit-basis coordinates of a state the group fixes (a fresh array)."""
+        if self.is_trivial:
+            return amplitudes.copy()
+        return np.sqrt(self.sizes) * amplitudes[self.representatives]
+
+    def expand(self, coordinates: np.ndarray) -> np.ndarray:
+        """Full-basis amplitudes of orbit-basis ``coordinates``."""
+        if self.is_trivial:
+            return coordinates
+        return (coordinates / np.sqrt(self.sizes))[self.orbit]
 
 
 @dataclass(frozen=True, eq=False)

@@ -149,6 +149,20 @@ GOLDEN_CLASS_VALUES = {
     "x + y + z - 3": 0,
     "x + y - 5": 0,
     "x*y*z - 8": 64,
+    "x*y - z": 0,
+    "x^2 + y^2 - z^2": 0,
+}
+
+# orbit-mates under a variable symmetry carry equal probability, and the
+# tie goes to the smallest basis index
+GOLDEN_TOP_OCCUPATIONS = {
+    "x - 1": (1,),
+    "x^2 + 1": (0,),
+    "x + y + z - 3": (1, 1, 1),
+    "x + y - 5": (2, 3),
+    "x*y*z - 8": (0, 0, 0),
+    "x*y - z": (0, 0, 0),
+    "x^2 + y^2 - z^2": (0, 0, 0),
 }
 
 
@@ -160,6 +174,9 @@ GOLDEN_CLASS_VALUES = {
         ("x + y + z - 3", 4, 0.88479090891228),
         ("x + y - 5", 8, 0.520703920407835),
         ("x*y*z - 8", 4, 0.5645261939782158),
+        # symmetric under the exchange of x and y only
+        ("x*y - z", 4, 0.9837075877694744),
+        ("x^2 + y^2 - z^2", 4, 0.9226219965959574),
     ],
 )
 def test_decide_golden_values(text, cutoff, class_probability):
@@ -169,6 +186,7 @@ def test_decide_golden_values(text, cutoff, class_probability):
     assert report.class_probability == pytest.approx(class_probability, abs=1e-12)
     # x*y*z - 8 settles on the wrong class (1*2*4 = 8 lies in the box)
     assert report.class_value == GOLDEN_CLASS_VALUES[text]
+    assert report.top_occupation == GOLDEN_TOP_OCCUPATIONS[text]
 
 
 def test_decide_rejects_constant_equation():

@@ -1,3 +1,4 @@
+import logging
 import warnings
 
 import numpy as np
@@ -19,7 +20,7 @@ from adiophantine.fock import (
     StateVector,
     TruncationWarning,
 )
-from adiophantine.hamiltonians import AdiabaticFamily
+from adiophantine.hamiltonians import DEFAULT_ALPHA, AdiabaticFamily
 
 RK4 = Integrator.RK4
 MIDEXP = Integrator.MIDPOINT_EXPONENTIAL
@@ -194,6 +195,78 @@ def test_suite_instance_cross_integrator_agreement_slow():
         family, start, EvolutionParams(100.0, 1e-3, record_grid=2)
     ).final_probabilities()
     assert np.max(np.abs(p_rk - p_me)) < 1e-6
+
+
+# -- symmetric sector --------------------------------------------------------------
+
+
+def _full_space_reference(family, init, params):
+    """Reference: the integrator's step on the dense d x d path."""
+    h_initial = family.initial.to_matrix()
+    h_problem = np.diag(family.problem.diagonal)
+
+    def hamiltonian(t):
+        w_initial, w_problem = family.weights(min(t / params.total_time, 1.0))
+        return w_initial * h_initial + w_problem * h_problem
+
+    psi = init.amplitudes.copy()
+    for t, h in zip(*params.step_starts_and_sizes()):
+        if params.integrator is RK4:
+            k1 = -1j * hamiltonian(t) @ psi
+            k2 = -1j * hamiltonian(t + 0.5 * h) @ (psi + 0.5 * h * k1)
+            k3 = -1j * hamiltonian(t + 0.5 * h) @ (psi + 0.5 * h * k2)
+            k4 = -1j * hamiltonian(t + h) @ (psi + h * k3)
+            psi = psi + h / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
+        else:
+            energies, vectors = np.linalg.eigh(hamiltonian(t + 0.5 * h))
+            psi = vectors @ (np.exp(-1j * h * energies) * (vectors.T @ psi))
+    return psi
+
+
+def _sector_case(text, cutoff, alphas=DEFAULT_ALPHA, occupation=None):
+    p = parse_equation(text)
+    basis = FockBasis(p.num_vars, cutoff)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", TruncationWarning)
+        family, start = AdiabaticFamily.from_polynomial(p, basis, alphas=alphas)
+    if occupation is not None:
+        start = StateVector.basis_state(basis, occupation)
+    return family, start
+
+
+@pytest.mark.parametrize(
+    "case, sector_dimension, params",
+    [
+        (("x + y - 5", 8), 45, EvolutionParams(10.0, 0.02, record_grid=2)),
+        (("x*y - z", 4), 75, EvolutionParams(10.0, 0.02, record_grid=2)),
+        (("x*y*z - 8", 4), 35, EvolutionParams(10.0, 0.02, record_grid=2)),
+        # start state not symmetric
+        (("x + y - 5", 4, DEFAULT_ALPHA, (1, 0)), 25, EvolutionParams(10.0, 0.02)),
+        # trivial group
+        (("x + y - 5", 4, (0.7, 0.5)), 25, EvolutionParams(10.0, 0.02)),
+        (("x + y - 5", 8), 45, EvolutionParams(2.0, 0.01, integrator=RK4)),
+    ],
+    ids=["x+y-5@8", "xy-z@4", "xyz-8@4", "not-symmetric", "trivial-group", "rk4"],
+)
+def test_sector_evolution_matches_full_space(case, sector_dimension, params):
+    family, start = _sector_case(*case)
+    assert family.sector_for(start).dimension == sector_dimension
+    trace = evolve(family, start, params)
+    expected = _full_space_reference(family, start, params)
+    got = trace.final_state.amplitudes
+    assert np.max(np.abs(got - expected)) <= 1e-12
+    expected_probabilities = expected.real**2 + expected.imag**2
+    assert np.max(np.abs(trace.probabilities[-1] - expected_probabilities)) <= 1e-12
+
+
+def test_sector_is_logged(caplog):
+    family, start = _sector_case("x*y*z - 8", 4)
+    with caplog.at_level(logging.DEBUG, logger="adiophantine.evolution"):
+        evolve(family, start, EvolutionParams(0.1, 0.02, record_grid=2))
+    messages = [r.getMessage() for r in caplog.records if r.name == "adiophantine.evolution"]
+    assert messages == [
+        "evolve: basis dimension 125, sector dimension 35, group order 6"
+    ]
 
 
 # -- trace output ----------------------------------------------------------------

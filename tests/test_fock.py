@@ -196,6 +196,17 @@ def test_linearity_of_sum():
     assert np.max(np.abs(lhs.amplitudes - rhs)) < 1e-12
 
 
+def test_real_dense_apply_matches_complex_reference():
+    basis = FockBasis(2, 3)
+    a = annihilation(basis, 0)
+    real = HermitianOperator(basis, matrix=a + a.T)
+    v = _random_state(basis, seed=5)
+    got = real.apply(v).amplitudes
+    assert got.dtype == np.complex128
+    expected = real.to_matrix().astype(np.complex128) @ v.amplitudes
+    assert np.max(np.abs(got - expected)) <= 1e-15
+
+
 def test_number_operator_scales_basis_states():
     basis = FockBasis(1, 5)
     n_op = number_operator(basis, 0)

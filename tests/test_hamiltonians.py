@@ -1,3 +1,4 @@
+import itertools
 import warnings
 
 import numpy as np
@@ -8,6 +9,7 @@ from adiophantine.evolution import EvolutionParams, evolve
 from adiophantine.fock import (
     FockBasis,
     HermitianOperator,
+    StateVector,
     TruncationWarning,
     annihilation,
     coherent_state,
@@ -222,6 +224,70 @@ def test_non_finite_schedule_weight_raises():
         broken.hamiltonian(0.75)
     with pytest.raises(ValueError, match="not finite"):
         spectral_profile(broken, grid_size=5)
+
+
+# -- symmetric sector -----------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "text, cutoff, alphas, dimension, group_order",
+    [
+        ("x + y - 5", 8, DEFAULT_ALPHA, 45, 2),
+        ("x*y - z", 4, DEFAULT_ALPHA, 75, 2),
+        ("x*y*z - 8", 4, DEFAULT_ALPHA, 35, 6),
+        ("x - y", 4, DEFAULT_ALPHA, 15, 2),  # p is antisymmetric, p^2 symmetric
+        ("x + 2*y", 4, DEFAULT_ALPHA, 25, 1),
+        ("x + y - 5", 4, (0.7, 0.5), 25, 1),
+        ("x + y + z - 3", 4, (0.7, 0.5j, 0.5), 75, 2),  # only |alpha| counts
+        ("x + y - 5", 4, 0.0, 15, 2),  # diagonal start operator
+    ],
+)
+def test_sector_dimension(text, cutoff, alphas, dimension, group_order):
+    family, start = _family(text, cutoff, alphas=alphas)
+    sector = family.sector
+    assert (sector.dimension, sector.group_order) == (dimension, group_order)
+    assert sector.holds(start.amplitudes)
+    assert int(sector.sizes.sum()) == family.dimension
+    # each orbit is named by its smallest basis index
+    assert np.array_equal(sector.orbit[sector.representatives], np.arange(dimension))
+    assert np.all(sector.representatives[sector.orbit] <= np.arange(family.dimension))
+
+
+@pytest.mark.parametrize("text, alphas", [("x*y*z - 8", DEFAULT_ALPHA), ("x - y", 0.0)])
+def test_sector_arrays_are_the_restricted_path(text, alphas):
+    # both equations are fixed by every permutation of their variables
+    family, start = _family(text, 3, alphas=alphas)
+    sector = family.sector
+    basis = family.basis
+    orbits = sorted(
+        {
+            tuple(sorted({basis.index(q) for q in itertools.permutations(n)}))
+            for n in map(basis.occupation, range(family.dimension))
+        }
+    )
+    assert sector.representatives.tolist() == [orbit[0] for orbit in orbits]
+    v = np.zeros((family.dimension, len(orbits)))
+    for a, orbit in enumerate(orbits):
+        v[list(orbit), a] = 1.0 / np.sqrt(len(orbit))
+
+    def dense(h):
+        return np.diag(h) if h.ndim == 1 else h
+
+    for s in (0.0, 0.3, 1.0):
+        full = dense(family.path_arrays()(s))
+        reduced = dense(family.path_arrays(sector)(s))
+        assert np.max(np.abs(reduced - v.T @ full @ v)) <= 1e-12
+    coordinates = sector.reduce(start.amplitudes)
+    assert np.max(np.abs(coordinates - v.T @ start.amplitudes)) <= 1e-15
+    assert np.max(np.abs(sector.expand(coordinates) - start.amplitudes)) <= 1e-15
+
+
+def test_state_outside_the_sector_uses_the_full_space():
+    family, _ = _family("x + y - 5", 4)
+    state = StateVector.basis_state(family.basis, (1, 0))
+    assert not family.sector.holds(state.amplitudes)
+    assert family.sector_for(state) is family.full_space
+    assert family.full_space.dimension == family.dimension
 
 
 # -- spectra ---------------------------------------------------------------------
