@@ -9,7 +9,13 @@ other:
   RK4's stability interval on the imaginary axis is refused before the run.
 * ``MIDPOINT_EXPONENTIAL``: per step applies exp(-i h H(s_mid)) through a
   dense eigendecomposition of the midpoint operator, so every step is
-  exactly unitary and the global error is second order in the step.
+  exactly unitary and the global error is second order in the step.  The
+  midpoint operators are diagonalized a block of steps at a time, in one
+  ``eigh`` call on a stack of up to 64 KiB of matrices
+  (``hamiltonians.STACK_BYTES``), because a lone eigensolve of a small
+  matrix costs mostly numpy's fixed per-call overhead; the state is still
+  propagated and checked step by step, and each step's result is bitwise
+  that of an eigensolve of its own.
 
 H(s) is real symmetric on every family that ``AdiabaticFamily.from_polynomial``
 builds, so its eigensolves run in real arithmetic.  The state stays complex;
@@ -36,12 +42,12 @@ import math
 import sys
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
 from .fock import StateVector, matvec
-from .hamiltonians import AdiabaticFamily, SymmetricSector
+from .hamiltonians import AdiabaticFamily, SymmetricSector, stack_length
 
 __all__ = [
     "Integrator",
@@ -180,6 +186,38 @@ def _derivative_for(
     return apply
 
 
+def _midpoint_propagators(
+    family: AdiabaticFamily,
+    sector: SymmetricSector,
+    starts: list[float],
+    sizes: list[float],
+    s_of: Callable[[float], float],
+    block: int,
+) -> Iterator[tuple[np.ndarray, np.ndarray | None]]:
+    """exp(-i h H(s_mid)) in ``sector`` for each step in turn, as its phases
+    and eigenvectors (``None`` when H is diagonal).
+
+    The midpoint operators are built and diagonalized ``block`` steps at a
+    time: one stack of H(s), one ``eigh`` call and one ``exp`` call per
+    block.  numpy runs the same LAPACK routine on every matrix of a stack,
+    so each step's factors are bitwise those of an eigensolve of its own.
+    A block's weights are read when its first step is due, so a non-finite
+    schedule weight raises ``ValueError`` from there.
+    """
+    for first in range(0, len(sizes), block):
+        rows = slice(first, first + block)
+        midpoints = zip(starts[rows], sizes[rows])
+        weights = np.array([family.weights(s_of(t + 0.5 * h)) for t, h in midpoints])
+        steps = (-1j * np.array(sizes[rows]))[:, None]
+        if sector.initial.ndim == 1:
+            for phases in np.exp(steps * family.path_arrays(weights, sector)):
+                yield phases, None
+        else:
+            # the stack of H(s) is not kept past its eigensolve
+            energies, vectors = np.linalg.eigh(family.path_arrays(weights, sector))
+            yield from zip(np.exp(steps * energies), vectors)
+
+
 def _check_rk4_stable(
     family: AdiabaticFamily, step: float, stage_weights: np.ndarray
 ) -> None:
@@ -214,11 +252,15 @@ def evolve(
     ``init`` lies in it (amplitudes equal within each orbit), else on the
     full space; either way the recorded probabilities and the final state
     are on the full basis, and orbit-mates carry equal amplitudes.  Norm
-    drift and finiteness are checked on the state that is stepped, whose
-    norm is that of the full state.  An RK4 step outside the stability
-    interval of the full H(s), which bounds the sector's, raises
-    :class:`EvolutionAborted` before the first step.  Logs the basis and
-    sector dimensions and the group order at DEBUG level.
+    drift and finiteness are checked after every step on the state that is
+    stepped, whose norm is that of the full state.  The midpoint exponential
+    diagonalizes H(s_mid) for ``stack_length(m)`` steps at a time (m the
+    sector dimension) and then applies those steps one by one, so a run
+    aborts at the same step as with one eigensolve per step.  An RK4 step
+    outside the stability interval of the full H(s), which bounds the
+    sector's, raises :class:`EvolutionAborted` before the first step.  Logs
+    the basis and sector dimensions, the group order and the block length
+    (1 for RK4) at DEBUG level.
     """
     if init.basis != family.basis:
         raise ValueError("initial state does not live on the family's basis")
@@ -251,14 +293,19 @@ def evolve(
         ).reshape(n_steps, 3, 2)
         _check_rk4_stable(family, params.step, stage_weights)
     sector = family.sector_for(init)
+    block = 1 if use_rk4 else stack_length(sector.dimension)
     _debug(
-        "evolve: basis dimension %d, sector dimension %d, group order %d",
+        "evolve: basis dimension %d, sector dimension %d, group order %d, "
+        "block length %d",
         family.dimension,
         sector.dimension,
         sector.group_order,
+        block,
     )
-    derivative = _derivative_for(sector) if use_rk4 else None
-    hamiltonian_at = None if use_rk4 else family.path_arrays(sector)
+    if use_rk4:
+        derivative = _derivative_for(sector)
+    else:
+        propagators = _midpoint_propagators(family, sector, starts, sizes, s_of, block)
 
     psi = sector.reduce(init.amplitudes)
     times: list[float] = []
@@ -286,16 +333,15 @@ def evolve(
             k4 = derivative(w1, psi + h * k3)
             psi = psi + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         else:
-            generator = hamiltonian_at(s_of(t + 0.5 * h))
-            if generator.ndim == 1:
-                psi = np.exp(-1j * h * generator) * psi
+            phases, vectors = next(propagators)
+            if vectors is None:
+                psi = phases * psi
             else:
-                energies, vectors = np.linalg.eigh(generator)
-                phases = np.exp(-1j * h * energies)
                 psi = matvec(vectors, phases * matvec(vectors.conj().T, psi))
 
+        # a NaN or infinite amplitude always makes the norm non-finite
         norm = float(np.linalg.norm(psi))
-        if not np.isfinite(norm) or not np.all(np.isfinite(psi)):
+        if not np.isfinite(norm):
             raise EvolutionAborted(
                 f"non-finite amplitudes at t={t_end}; reduce the step size "
                 f"(currently {params.step})"

@@ -57,6 +57,7 @@ __all__ = [
     "SymmetricSector",
     "SpectralProfile",
     "spectral_profile",
+    "stack_length",
 ]
 
 # Nonzero displacement keeps the start ground state nondegenerate and
@@ -72,11 +73,23 @@ STATE_SYMMETRY_TOL = 1e-14
 # rows compared at a time when testing a dense start operator for a symmetry
 _ROW_BLOCK = 256
 
+# bytes of one stack of dense m x m float64 matrices handed to a single
+# eigensolver call, which spreads numpy's fixed cost per call over the
+# stack; evolve's time per step was the same at 32 to 128 KiB for m = 9, 21
+# and 45, while peak memory grows with the stack
+STACK_BYTES = 1 << 16
+
 Schedule = Callable[[float], tuple[float, float]]
 
 
 class ProblemScaleError(OverflowError):
     """Squared equation values exceed the signed 64-bit range on the box."""
+
+
+def stack_length(dimension: int) -> int:
+    """How many m x m matrices, m = ``dimension``, fill one stacked
+    eigensolve of ``STACK_BYTES``; at least one."""
+    return max(1, STACK_BYTES // (8 * dimension * dimension))
 
 
 def problem_diagonal(p: Polynomial, basis: FockBasis) -> tuple[int, ...]:
@@ -190,33 +203,32 @@ class AdiabaticFamily:
         return w_initial, w_problem
 
     def path_arrays(
-        self, sector: "SymmetricSector | None" = None
-    ) -> Callable[[float], np.ndarray]:
-        """H(s) on plain arrays, for loops that visit many values of s.
+        self, weights: np.ndarray, sector: "SymmetricSector | None" = None
+    ) -> np.ndarray:
+        """H(s) on plain arrays, for a stack of schedule weights at once.
 
-        On the full space by default, or restricted to ``sector`` (one of
-        this family's sectors) in its orbit basis.  Each call returns the
-        real diagonal of H(s) when the start operator is diagonal, else a
-        fresh dense matrix of the start operator's dtype (float64 for every
-        family built by ``from_polynomial``).  Nothing is re-validated: both
-        operators were validated when built, and ``weights`` rejects a
-        non-finite schedule.
+        ``weights`` is a (b, 2) array of (w_I, w_P) rows, each as
+        :meth:`weights` gives it (that rejects a non-finite schedule).  Returns
+        the (b, m, m) stack of w_I H_I + w_P H_P, or the (b, m) stack of its
+        diagonals when the start operator is diagonal; on the full space by
+        default, or restricted to ``sector`` (one of this family's sectors)
+        in its orbit basis.  Entries are computed exactly as for a single
+        s, ``w_I * H_I`` and then ``+= w_P * H_P`` on the diagonal, in the
+        start operator's dtype (float64 for every family built by
+        ``from_polynomial``).  Nothing is re-validated: both operators were
+        validated when built.
         """
         sector = self.full_space if sector is None else sector
         initial, problem = sector.initial, sector.problem
+        w_initial, w_problem = weights[:, :1], weights[:, 1:]
         if initial.ndim == 1:
-            on_diagonal = ...
-        else:
-            indices = np.arange(sector.dimension)
-            on_diagonal = (indices, indices)
-
-        def at(s: float) -> np.ndarray:
-            w_initial, w_problem = self.weights(s)
             h = w_initial * initial
-            h[on_diagonal] += w_problem * problem
-            return h
-
-        return at
+            h += w_problem * problem
+        else:
+            h = w_initial[:, :, None] * initial
+            indices = np.arange(sector.dimension)
+            h[:, indices, indices] += w_problem * problem
+        return h
 
     @cached_property
     def full_space(self) -> "SymmetricSector":
@@ -290,7 +302,7 @@ class AdiabaticFamily:
         return sector if sector.holds(state.amplitudes) else self.full_space
 
     def hamiltonian(self, s: float) -> HermitianOperator:
-        h = self.path_arrays()(s)
+        h = self.path_arrays(np.array([self.weights(s)]))[0]
         if self.initial.is_diagonal:
             return HermitianOperator(self.basis, diagonal=h)
         return HermitianOperator(self.basis, matrix=h)
@@ -446,7 +458,12 @@ def spectral_profile(
     levels: int = 6,
     gap_tol: float = DEFAULT_GAP_TOL,
 ) -> SpectralProfile:
-    """Dense eigensolve of the interpolated operator on a uniform s-grid."""
+    """Dense eigensolve of the interpolated operator on a uniform s-grid.
+
+    The grid is solved ``stack_length(d)`` points at a time, one stacked
+    ``eigvalsh`` call each; numpy runs the same LAPACK routine on every
+    matrix of a stack, so the energies are those of one call per point.
+    """
     if grid_size < 2:
         raise ValueError("grid_size must be at least 2")
     dim = family.dimension
@@ -454,14 +471,17 @@ def spectral_profile(
     m = min(dim, max(int(levels), 2, degeneracy + 1))
     s_values = np.linspace(0.0, 1.0, grid_size)
     energies = np.empty((grid_size, m), dtype=np.float64)
-    hamiltonian_at = family.path_arrays()
-    for i, s in enumerate(s_values):
-        h = hamiltonian_at(float(s))
+    weights = np.array([family.weights(float(s)) for s in s_values])
+    block = stack_length(dim)
+    for first in range(0, grid_size, block):
+        rows = slice(first, first + block)
+        h = family.path_arrays(weights[rows])
         try:
-            spectrum = np.sort(h) if h.ndim == 1 else np.linalg.eigvalsh(h)
+            spectrum = np.sort(h) if h.ndim == 2 else np.linalg.eigvalsh(h)
         except np.linalg.LinAlgError as err:
-            raise RuntimeError(f"eigensolver failed at s={float(s)}") from err
-        energies[i] = spectrum[:m]
+            lo, hi = s_values[rows][[0, -1]].tolist()
+            raise RuntimeError(f"eigensolver failed for s in [{lo}, {hi}]") from err
+        energies[rows] = spectrum[:, :m]
     gaps = energies[:, 1] - energies[:, 0]
     if degeneracy < dim:
         class_gaps = energies[:, degeneracy] - energies[:, 0]

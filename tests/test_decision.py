@@ -145,6 +145,7 @@ def test_decide_diabatic_inconclusive():
 
 GOLDEN_CLASS_VALUES = {
     "x - 1": 0,
+    "x - 20": 144,
     "x^2 + 1": 1,
     "x + y + z - 3": 0,
     "x + y - 5": 0,
@@ -157,6 +158,7 @@ GOLDEN_CLASS_VALUES = {
 # tie goes to the smallest basis index
 GOLDEN_TOP_OCCUPATIONS = {
     "x - 1": (1,),
+    "x - 20": (8,),
     "x^2 + 1": (0,),
     "x + y + z - 3": (1, 1, 1),
     "x + y - 5": (2, 3),
@@ -165,11 +167,16 @@ GOLDEN_TOP_OCCUPATIONS = {
     "x^2 + y^2 - z^2": (0, 0, 0),
 }
 
+# every other golden equation identifies on the first rung
+GOLDEN_SCHEDULES = {"x - 20": (10.0, 20.0, 40.0, 80.0, 160.0, 320.0)}
+
 
 @pytest.mark.parametrize(
     "text, cutoff, class_probability",
     [
         ("x - 1", 8, 0.9181706202384153),
+        # escalates through six rungs, 31 500 midpoint steps
+        ("x - 20", 8, 0.8029873154345071),
         ("x^2 + 1", 8, 0.9493802868362211),
         ("x + y + z - 3", 4, 0.88479090891228),
         ("x + y - 5", 8, 0.520703920407835),
@@ -181,8 +188,8 @@ GOLDEN_TOP_OCCUPATIONS = {
 )
 def test_decide_golden_values(text, cutoff, class_probability):
     report = decide(parse_equation(text), DecideConfig(cutoff=cutoff))
-    assert report.schedule == (10.0,)
-    assert report.successful_time == 10.0
+    assert report.schedule == GOLDEN_SCHEDULES.get(text, (10.0,))
+    assert report.successful_time == report.schedule[-1]
     assert report.class_probability == pytest.approx(class_probability, abs=1e-12)
     # x*y*z - 8 settles on the wrong class (1*2*4 = 8 lies in the box)
     assert report.class_value == GOLDEN_CLASS_VALUES[text]

@@ -19,6 +19,7 @@ from adiophantine.fock import (
     HermitianOperator,
     StateVector,
     TruncationWarning,
+    matvec,
 )
 from adiophantine.hamiltonians import DEFAULT_ALPHA, AdiabaticFamily
 
@@ -259,13 +260,69 @@ def test_sector_evolution_matches_full_space(case, sector_dimension, params):
     assert np.max(np.abs(trace.probabilities[-1] - expected_probabilities)) <= 1e-12
 
 
+def _stepwise_midpoint(family, init, params):
+    """Reference: one eigh per midpoint step on the sector arrays, in the
+    arithmetic of ``evolve``; returns the final state and the probabilities
+    recorded on ``evolve``'s grid."""
+    sector = family.sector_for(init)
+    indices = np.arange(sector.dimension)
+    starts, sizes = params.step_starts_and_sizes()
+    record_after = {round(x) for x in np.linspace(0, len(sizes), params.record_grid)}
+    psi = sector.reduce(init.amplitudes)
+    recorded = []
+
+    def record():
+        full = sector.expand(psi)
+        recorded.append(full.real**2 + full.imag**2)
+
+    record()  # the grid starts at step 0 and ends at the last step
+    for j, (t, h) in enumerate(zip(starts, sizes), start=1):
+        mid = min(max((t + 0.5 * h) / params.total_time, 0.0), 1.0)
+        w_initial, w_problem = family.weights(mid)
+        generator = w_initial * sector.initial
+        if generator.ndim == 1:
+            generator += w_problem * sector.problem
+            psi = np.exp(-1j * h * generator) * psi
+        else:
+            generator[indices, indices] += w_problem * sector.problem
+            energies, vectors = np.linalg.eigh(generator)
+            phases = np.exp(-1j * h * energies)
+            psi = matvec(vectors, phases * matvec(vectors.T, psi))
+        if j in record_after:
+            record()
+    return sector.expand(psi), np.array(recorded)
+
+
+@pytest.mark.parametrize(
+    "case, total_time",
+    [
+        # many eigensolve blocks and a partial final step
+        (("x - 20", 8), 40.01),
+        (("x^2 + y^2 - 25", 5), 20.0),
+        (("x*y*z - 8", 4), 10.0),
+        # diagonal start operator
+        (("x - 1", 4, 0.0), 10.0),
+    ],
+    ids=["x-20@8", "x2+y2-25@5", "xyz-8@4", "diagonal"],
+)
+def test_midpoint_is_bitwise_the_stepwise_eigensolve(case, total_time):
+    family, start = _sector_case(*case)
+    params = EvolutionParams(total_time, 0.02)
+    trace = evolve(family, start, params)
+    final, recorded = _stepwise_midpoint(family, start, params)
+    assert np.array_equal(trace.final_state.amplitudes, final)
+    assert np.array_equal(trace.probabilities, recorded)
+
+
 def test_sector_is_logged(caplog):
     family, start = _sector_case("x*y*z - 8", 4)
     with caplog.at_level(logging.DEBUG, logger="adiophantine.evolution"):
         evolve(family, start, EvolutionParams(0.1, 0.02, record_grid=2))
     messages = [r.getMessage() for r in caplog.records if r.name == "adiophantine.evolution"]
+    # 6 = 64 KiB // (8 * 35**2) midpoint steps per stacked eigensolve
     assert messages == [
-        "evolve: basis dimension 125, sector dimension 35, group order 6"
+        "evolve: basis dimension 125, sector dimension 35, group order 6, "
+        "block length 6"
     ]
 
 
@@ -393,3 +450,17 @@ def test_non_finite_schedule_weight_fails_loudly(integrator):
     params = EvolutionParams(1.0, 0.1, integrator=integrator, record_grid=2)
     with pytest.raises(ValueError, match="not finite"):
         evolve(broken, start, params)
+
+
+@pytest.mark.parametrize("scale, t_abort", [(1e306, 0.5), (1e308, 0.1)])
+def test_overflowing_generator_aborts_at_its_step(scale, t_abort):
+    # max H_P is 400, so the problem weight overflows at the first midpoint s
+    # with scale * s * 400 > 1.8e308: s = 0.45 and s = 0.05
+    family, start = _sector_case("x - 20", 8)
+    broken = AdiabaticFamily(
+        family.initial, family.problem, schedule=lambda s: (1.0 - s, scale * s)
+    )
+    message = f"non-finite amplitudes at t={t_abort};"
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(EvolutionAborted, match=message):
+            evolve(broken, start, EvolutionParams(1.0, 0.1))

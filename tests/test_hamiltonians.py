@@ -138,7 +138,7 @@ def test_displacement_phase_is_a_gauge():
     # the real production path for |alpha| against the complex path for alpha
     alphas = (0.3 + 0.4j, -0.2j)
     reference, reference_start = _complex_start_family("x*y - 6", 5, alphas)
-    assert np.iscomplexobj(reference.path_arrays()(0.5))
+    assert np.iscomplexobj(reference.path_arrays(np.array([reference.weights(0.5)])))
     family, start = _family("x*y - 6", 5, alphas=alphas)
     params = EvolutionParams(10.0, 0.02, record_grid=2)
     expected = evolve(reference, reference_start, params).final_probabilities()
@@ -152,7 +152,7 @@ def test_displacement_phase_is_a_gauge():
 @pytest.mark.parametrize("alphas", [DEFAULT_ALPHA, (0.3 + 0.4j, -0.2j), 0.0])
 def test_path_is_real(alphas):
     family, start = _family("x*y - 6", 4, alphas=alphas)
-    assert family.path_arrays()(0.5).dtype == np.float64
+    assert family.path_arrays(np.array([family.weights(0.5)])).dtype == np.float64
     assert family.initial.to_matrix().dtype == np.float64
     assert not np.any(start.amplitudes.imag)
 
@@ -274,8 +274,9 @@ def test_sector_arrays_are_the_restricted_path(text, alphas):
         return np.diag(h) if h.ndim == 1 else h
 
     for s in (0.0, 0.3, 1.0):
-        full = dense(family.path_arrays()(s))
-        reduced = dense(family.path_arrays(sector)(s))
+        weights = np.array([family.weights(s)])
+        full = dense(family.path_arrays(weights)[0])
+        reduced = dense(family.path_arrays(weights, sector)[0])
         assert np.max(np.abs(reduced - v.T @ full @ v)) <= 1e-12
     coordinates = sector.reduce(start.amplitudes)
     assert np.max(np.abs(coordinates - v.T @ start.amplitudes)) <= 1e-15
@@ -291,6 +292,18 @@ def test_state_outside_the_sector_uses_the_full_space():
 
 
 # -- spectra ---------------------------------------------------------------------
+
+
+def test_eigensolver_failure_names_the_s_values(monkeypatch):
+    # d = 36: six grid points per stacked eigensolve, so the first block fails
+    family, _ = _family("x*y - 6", 5)
+
+    def fail(h):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", fail)
+    with pytest.raises(RuntimeError, match=r"eigensolver failed for s in \[0\.0, 0\.5\]"):
+        spectral_profile(family, grid_size=11)
 
 
 def test_spectrum_at_endpoints():
