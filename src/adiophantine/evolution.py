@@ -10,18 +10,21 @@ other:
 * ``MIDPOINT_EXPONENTIAL``: per step applies exp(-i h H(s_mid)) through a
   dense eigendecomposition of the midpoint operator, so every step is
   exactly unitary and the global error is second order in the step.  The
-  midpoint operators are diagonalized a block of steps at a time, in one
-  ``eigh`` call on a stack of up to 64 KiB of matrices
+  run goes a block of steps at a time: the schedule is evaluated once per
+  block, on the array of its midpoints, and the midpoint operators are
+  diagonalized in one ``eigh`` call on a stack of up to 64 KiB of matrices
   (``hamiltonians.STACK_BYTES``), because a lone eigensolve of a small
-  matrix costs mostly numpy's fixed per-call overhead; the state is still
+  matrix costs mostly numpy's fixed per-call overhead.  The state is still
   propagated and checked step by step, and each step's result is bitwise
   that of an eigensolve of its own.
 
 H(s) is real symmetric on every family that ``AdiabaticFamily.from_polynomial``
-builds, so its eigensolves run in real arithmetic.  The state stays complex;
-a real matrix multiplies it through its (d, 2) real view (``fock.matvec``),
+builds, so its eigensolves run in real arithmetic.  The state stays complex,
+in one buffer that a midpoint step updates in place: a real matrix
+multiplies it through its (m, 2) real view (as ``fock.matvec`` does),
 because numpy would otherwise cast the whole matrix to complex on every
-product.
+product, and the per-step norm check is one dot product of its 2m floats.
+Schedules follow the array contract of ``hamiltonians.Schedule``.
 
 Both integrators run in the family's symmetric sector when the start state
 lies in it: the mode permutations that fix the problem diagonal and the
@@ -38,11 +41,12 @@ estimates the observed convergence order.
 
 from __future__ import annotations
 
+import itertools
 import math
 import sys
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -186,38 +190,6 @@ def _derivative_for(
     return apply
 
 
-def _midpoint_propagators(
-    family: AdiabaticFamily,
-    sector: SymmetricSector,
-    starts: list[float],
-    sizes: list[float],
-    s_of: Callable[[float], float],
-    block: int,
-) -> Iterator[tuple[np.ndarray, np.ndarray | None]]:
-    """exp(-i h H(s_mid)) in ``sector`` for each step in turn, as its phases
-    and eigenvectors (``None`` when H is diagonal).
-
-    The midpoint operators are built and diagonalized ``block`` steps at a
-    time: one stack of H(s), one ``eigh`` call and one ``exp`` call per
-    block.  numpy runs the same LAPACK routine on every matrix of a stack,
-    so each step's factors are bitwise those of an eigensolve of its own.
-    A block's weights are read when its first step is due, so a non-finite
-    schedule weight raises ``ValueError`` from there.
-    """
-    for first in range(0, len(sizes), block):
-        rows = slice(first, first + block)
-        midpoints = zip(starts[rows], sizes[rows])
-        weights = np.array([family.weights(s_of(t + 0.5 * h)) for t, h in midpoints])
-        steps = (-1j * np.array(sizes[rows]))[:, None]
-        if sector.initial.ndim == 1:
-            for phases in np.exp(steps * family.path_arrays(weights, sector)):
-                yield phases, None
-        else:
-            # the stack of H(s) is not kept past its eigensolve
-            energies, vectors = np.linalg.eigh(family.path_arrays(weights, sector))
-            yield from zip(np.exp(steps * energies), vectors)
-
-
 def _check_rk4_stable(
     family: AdiabaticFamily, step: float, stage_weights: np.ndarray
 ) -> None:
@@ -254,13 +226,15 @@ def evolve(
     are on the full basis, and orbit-mates carry equal amplitudes.  Norm
     drift and finiteness are checked after every step on the state that is
     stepped, whose norm is that of the full state.  The midpoint exponential
-    diagonalizes H(s_mid) for ``stack_length(m)`` steps at a time (m the
-    sector dimension) and then applies those steps one by one, so a run
-    aborts at the same step as with one eigensolve per step.  An RK4 step
-    outside the stability interval of the full H(s), which bounds the
-    sector's, raises :class:`EvolutionAborted` before the first step.  Logs
-    the basis and sector dimensions, the group order and the block length
-    (1 for RK4) at DEBUG level.
+    runs in blocks of ``stack_length(m)`` steps (m the sector dimension):
+    one ``weights`` call on the block's midpoints, one stacked ``eigh`` and
+    one ``exp``, after which the block's steps are applied and checked one
+    by one, so a run aborts at the same step as with one eigensolve per
+    step, and a non-finite schedule weight raises ``ValueError`` when its
+    block is due.  An RK4 step outside the stability interval of the full
+    H(s), which bounds the sector's, raises :class:`EvolutionAborted`
+    before the first step.  Logs the basis and sector dimensions, the group
+    order and the block length (1 for RK4) at DEBUG level.
     """
     if init.basis != family.basis:
         raise ValueError("initial state does not live on the family's basis")
@@ -270,44 +244,51 @@ def evolve(
     starts, sizes = params.step_starts_and_sizes()
     n_steps = len(sizes)
     total_time = params.total_time
+    drift_limit = params.norm_drift_limit
     record_after = set(
         int(round(x)) for x in np.linspace(0, n_steps, params.record_grid)
     )
 
-    def s_of(t: float) -> float:
-        return min(max(t / total_time, 0.0), 1.0)
+    def time_after(j: int) -> float:
+        return total_time if j == n_steps - 1 else starts[j] + sizes[j]
 
     use_rk4 = params.integrator is Integrator.RK4
     if use_rk4:
         # schedule weights at each step's start, midpoint and end, computed
         # (and checked finite) once, before the first step
-        stage_weights = np.fromiter(
-            (
-                w
-                for t, h in zip(starts, sizes)
+        t, h = np.array(starts), np.array(sizes)
+        stage_weights = np.stack(
+            [
+                family.weights(np.clip(stage / total_time, 0.0, 1.0))
                 for stage in (t, t + 0.5 * h, t + h)
-                for w in family.weights(s_of(stage))
-            ),
-            dtype=np.float64,
-            count=6 * n_steps,
-        ).reshape(n_steps, 3, 2)
+            ],
+            axis=1,
+        )
         _check_rk4_stable(family, params.step, stage_weights)
     sector = family.sector_for(init)
-    block = 1 if use_rk4 else stack_length(sector.dimension)
+    m = sector.dimension
+    block = 1 if use_rk4 else stack_length(m)
     _debug(
         "evolve: basis dimension %d, sector dimension %d, group order %d, "
         "block length %d",
         family.dimension,
-        sector.dimension,
+        m,
         sector.group_order,
         block,
     )
     if use_rk4:
         derivative = _derivative_for(sector)
-    else:
-        propagators = _midpoint_propagators(family, sector, starts, sizes, s_of, block)
 
-    psi = sector.reduce(init.amplitudes)
+    # The state is one buffer of 2m floats, stepped in place: ``psi`` is its
+    # complex view and ``pairs`` its (m, 2) real view, which a real matrix
+    # multiplies in real arithmetic (as ``fock.matvec`` does).  ``rotated``
+    # holds the state in the eigenbasis of one step's H(s_mid).
+    state = sector.reduce(init.amplitudes).view(np.float64)
+    psi = state.view(np.complex128)
+    pairs = state.reshape(m, 2)
+    rotated = np.empty((m, 2))
+    rotated_psi = rotated.view(np.complex128).reshape(m)
+    no_vectors = itertools.repeat(None)
     times: list[float] = []
     probabilities: list[np.ndarray] = []
     norm_errors: list[float] = []
@@ -321,39 +302,64 @@ def evolve(
     if 0 in record_after:
         snapshot(0.0)
 
-    for j in range(n_steps):
-        t = starts[j]
-        h = sizes[j]
-        t_end = total_time if j == n_steps - 1 else t + h
-        if use_rk4:
-            w0, wm, w1 = stage_weights[j].tolist()
-            k1 = derivative(w0, psi)
-            k2 = derivative(wm, psi + (0.5 * h) * k1)
-            k3 = derivative(wm, psi + (0.5 * h) * k2)
-            k4 = derivative(w1, psi + h * k3)
-            psi = psi + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        else:
-            phases, vectors = next(propagators)
-            if vectors is None:
-                psi = phases * psi
+    for first in range(0, n_steps, block):
+        stop = min(first + block, n_steps)
+        phases = vectors = adjoints = no_vectors
+        if not use_rk4:
+            h = np.array(sizes[first:stop])
+            midpoints = (np.array(starts[first:stop]) + 0.5 * h) / total_time
+            # s = t / T clamped to [0, 1], as for the RK4 stages; no start is
+            # negative, so the upper clamp alone gives the same bits and costs
+            # a third of np.clip, once per block
+            weights = family.weights(np.minimum(midpoints, 1.0))
+            exponents = (-1j * h)[:, None]
+            if sector.initial.ndim == 1:
+                phases = np.exp(exponents * family.path_arrays(weights, sector))
             else:
-                psi = matvec(vectors, phases * matvec(vectors.conj().T, psi))
+                # the stack of H(s) is not kept past its eigensolve
+                energies, vectors = np.linalg.eigh(family.path_arrays(weights, sector))
+                phases = np.exp(exponents * energies)
+                # complex only for a hand-built family with a complex start
+                # operator; its state is multiplied as a complex vector
+                if vectors.dtype.kind == "c":
+                    adjoints, operand, work = vectors.conj(), psi, rotated_psi
+                else:
+                    adjoints, operand, work = vectors, pairs, rotated
 
-        # a NaN or infinite amplitude always makes the norm non-finite
-        norm = float(np.linalg.norm(psi))
-        if not np.isfinite(norm):
-            raise EvolutionAborted(
-                f"non-finite amplitudes at t={t_end}; reduce the step size "
-                f"(currently {params.step})"
-            )
-        if abs(norm - 1.0) > params.norm_drift_limit:
-            raise EvolutionAborted(
-                f"norm drift {abs(norm - 1.0):.3e} at t={t_end} exceeds "
-                f"{params.norm_drift_limit}; retry with a smaller step, e.g. "
-                f"{params.step / 2}"
-            )
-        if (j + 1) in record_after:
-            snapshot(t_end)
+        for j, phase, vector, adjoint in zip(
+            range(first, stop), phases, vectors, adjoints
+        ):
+            if use_rk4:
+                h = sizes[j]
+                w0, wm, w1 = stage_weights[j].tolist()
+                k1 = derivative(w0, psi)
+                k2 = derivative(wm, psi + (0.5 * h) * k1)
+                k3 = derivative(wm, psi + (0.5 * h) * k2)
+                k4 = derivative(w1, psi + h * k3)
+                psi[:] = psi + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            elif vector is None:
+                np.multiply(phase, psi, psi)
+            else:
+                adjoint.T.dot(operand, out=work)
+                np.multiply(phase, rotated_psi, rotated_psi)
+                vector.dot(work, out=operand)
+
+            # the norm from the dot product of the 2m floats with themselves;
+            # a NaN or infinite amplitude always makes it non-finite
+            norm = math.sqrt(state.dot(state))
+            if not abs(norm - 1.0) <= drift_limit:
+                if not math.isfinite(norm):
+                    raise EvolutionAborted(
+                        f"non-finite amplitudes at t={time_after(j)}; reduce the "
+                        f"step size (currently {params.step})"
+                    )
+                raise EvolutionAborted(
+                    f"norm drift {abs(norm - 1.0):.3e} at t={time_after(j)} "
+                    f"exceeds {drift_limit}; retry with a smaller step, e.g. "
+                    f"{params.step / 2}"
+                )
+            if j + 1 in record_after:
+                snapshot(time_after(j))
 
     return EvolutionTrace(
         times=np.array(times),

@@ -26,7 +26,6 @@ full space is the trivial sector.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable
@@ -79,7 +78,9 @@ _ROW_BLOCK = 256
 # and 45, while peak memory grows with the stack
 STACK_BYTES = 1 << 16
 
-Schedule = Callable[[float], tuple[float, float]]
+# (w_I, w_P) = schedule(s); called on a float64 array of s, and must work
+# elementwise on it (numpy arithmetic, ``np.where`` rather than ``if``)
+Schedule = Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]
 
 
 class ProblemScaleError(OverflowError):
@@ -149,11 +150,11 @@ def build_initial_hamiltonian(
     return HermitianOperator(basis, matrix=total), ground
 
 
-def linear_schedule(s: float) -> tuple[float, float]:
+def linear_schedule(s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return (1.0 - s, s)
 
 
-def smoothstep_schedule(s: float) -> tuple[float, float]:
+def smoothstep_schedule(s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Monotone smooth-step deformation; endpoints match the linear path."""
     sigma = s * s * (3.0 - 2.0 * s)
     return (1.0 - sigma, sigma)
@@ -192,23 +193,41 @@ class AdiabaticFamily:
     def dimension(self) -> int:
         return self.basis.dimension
 
-    def weights(self, s: float) -> tuple[float, float]:
-        if not 0.0 <= s <= 1.0:
-            raise ValueError(f"interpolation parameter {s} outside [0, 1]")
-        w_initial, w_problem = self.schedule(s)
-        if not (math.isfinite(w_initial) and math.isfinite(w_problem)):
+    def weights(self, s: float | np.ndarray) -> tuple[float, float] | np.ndarray:
+        """Schedule weights (w_I, w_P) at s.
+
+        A float s gives a tuple of floats; an (n,) array of s gives the (n, 2)
+        float64 array of (w_I, w_P) rows, from one schedule call on the
+        whole array.  Raises ``ValueError`` for any s outside [0, 1] (NaN
+        included) and for any non-finite weight.
+        """
+        if not isinstance(s, np.ndarray):
+            w_initial, w_problem = self.weights(np.array([s], dtype=np.float64))[0]
+            return float(w_initial), float(w_problem)
+        # the cheap whole-array tests first: this runs once per evolve block
+        if len(s) and not (s.min() >= 0.0 and s.max() <= 1.0):
+            outside = s[~((s >= 0.0) & (s <= 1.0))]
             raise ValueError(
-                f"schedule weights ({w_initial}, {w_problem}) at s={s} are not finite"
+                f"interpolation parameter {float(outside[0])} outside [0, 1]"
             )
-        return w_initial, w_problem
+        weights = np.empty((len(s), 2))
+        weights[:, 0], weights[:, 1] = self.schedule(s)
+        if not np.isfinite(weights).all():
+            first = int(np.argmin(np.isfinite(weights).all(axis=1)))
+            w_initial, w_problem = weights[first].tolist()
+            raise ValueError(
+                f"schedule weights ({w_initial}, {w_problem}) at s={float(s[first])} "
+                f"are not finite"
+            )
+        return weights
 
     def path_arrays(
         self, weights: np.ndarray, sector: "SymmetricSector | None" = None
     ) -> np.ndarray:
         """H(s) on plain arrays, for a stack of schedule weights at once.
 
-        ``weights`` is a (b, 2) array of (w_I, w_P) rows, each as
-        :meth:`weights` gives it (that rejects a non-finite schedule).  Returns
+        ``weights`` is a (b, 2) array of (w_I, w_P) rows, as :meth:`weights`
+        gives it (that rejects a non-finite schedule).  Returns
         the (b, m, m) stack of w_I H_I + w_P H_P, or the (b, m) stack of its
         diagonals when the start operator is diagonal; on the full space by
         default, or restricted to ``sector`` (one of this family's sectors)
@@ -302,7 +321,7 @@ class AdiabaticFamily:
         return sector if sector.holds(state.amplitudes) else self.full_space
 
     def hamiltonian(self, s: float) -> HermitianOperator:
-        h = self.path_arrays(np.array([self.weights(s)]))[0]
+        h = self.path_arrays(self.weights(np.array([s], dtype=np.float64)))[0]
         if self.initial.is_diagonal:
             return HermitianOperator(self.basis, diagonal=h)
         return HermitianOperator(self.basis, matrix=h)
@@ -460,6 +479,7 @@ def spectral_profile(
 ) -> SpectralProfile:
     """Dense eigensolve of the interpolated operator on a uniform s-grid.
 
+    The schedule weights of the whole grid come from one ``weights`` call.
     The grid is solved ``stack_length(d)`` points at a time, one stacked
     ``eigvalsh`` call each; numpy runs the same LAPACK routine on every
     matrix of a stack, so the energies are those of one call per point.
@@ -471,7 +491,7 @@ def spectral_profile(
     m = min(dim, max(int(levels), 2, degeneracy + 1))
     s_values = np.linspace(0.0, 1.0, grid_size)
     energies = np.empty((grid_size, m), dtype=np.float64)
-    weights = np.array([family.weights(float(s)) for s in s_values])
+    weights = family.weights(s_values)
     block = stack_length(dim)
     for first in range(0, grid_size, block):
         rows = slice(first, first + block)

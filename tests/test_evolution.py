@@ -21,7 +21,7 @@ from adiophantine.fock import (
     TruncationWarning,
     matvec,
 )
-from adiophantine.hamiltonians import DEFAULT_ALPHA, AdiabaticFamily
+from adiophantine.hamiltonians import DEFAULT_ALPHA, AdiabaticFamily, stack_length
 
 RK4 = Integrator.RK4
 MIDEXP = Integrator.MIDPOINT_EXPONENTIAL
@@ -314,6 +314,52 @@ def test_midpoint_is_bitwise_the_stepwise_eigensolve(case, total_time):
     assert np.array_equal(trace.probabilities, recorded)
 
 
+def _stagewise_rk4(family, init, params):
+    """Reference: one RK4 step at a time on the sector arrays, with scalar
+    ``family.weights`` at each stage, in the arithmetic of ``evolve``;
+    returns the final state and the probabilities recorded on ``evolve``'s
+    grid."""
+    sector = family.sector_for(init)
+    starts, sizes = params.step_starts_and_sizes()
+    record_after = {round(x) for x in np.linspace(0, len(sizes), params.record_grid)}
+    psi = sector.reduce(init.amplitudes)
+    recorded = []
+
+    def record():
+        full = sector.expand(psi)
+        recorded.append(full.real**2 + full.imag**2)
+
+    def derivative(t, psi):
+        wi, wp = family.weights(min(max(t / params.total_time, 0.0), 1.0))
+        if sector.initial.ndim == 1:
+            return (-1j * (wi * sector.initial + wp * sector.problem)) * psi
+        problem_part = ((-1j * wp) * sector.problem) * psi
+        return (-1j * wi) * matvec(sector.initial, psi) + problem_part
+
+    record()  # the grid starts at step 0 and ends at the last step
+    for j, (t, h) in enumerate(zip(starts, sizes), start=1):
+        k1 = derivative(t, psi)
+        k2 = derivative(t + 0.5 * h, psi + (0.5 * h) * k1)
+        k3 = derivative(t + 0.5 * h, psi + (0.5 * h) * k2)
+        k4 = derivative(t + h, psi + h * k3)
+        psi = psi + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        if j in record_after:
+            record()
+    return sector.expand(psi), np.array(recorded)
+
+
+@pytest.mark.parametrize(
+    "case", [("x + y - 5", 8), ("x - 1", 8)], ids=["x+y-5@8", "x-1@8"]
+)
+def test_rk4_is_bitwise_the_stagewise_reference(case):
+    family, start = _sector_case(*case)
+    params = EvolutionParams(2.0, 0.01, integrator=RK4)
+    trace = evolve(family, start, params)
+    final, recorded = _stagewise_rk4(family, start, params)
+    assert np.array_equal(trace.final_state.amplitudes, final)
+    assert np.array_equal(trace.probabilities, recorded)
+
+
 def test_sector_is_logged(caplog):
     family, start = _sector_case("x*y*z - 8", 4)
     with caplog.at_level(logging.DEBUG, logger="adiophantine.evolution"):
@@ -445,7 +491,7 @@ def test_non_finite_schedule_weight_fails_loudly(integrator):
     broken = AdiabaticFamily(
         family.initial,
         family.problem,
-        schedule=lambda s: (1.0 - s, s if s < 0.5 else float("nan")),
+        schedule=lambda s: (1.0 - s, np.where(s < 0.5, s, np.nan)),
     )
     params = EvolutionParams(1.0, 0.1, integrator=integrator, record_grid=2)
     with pytest.raises(ValueError, match="not finite"):
@@ -459,6 +505,32 @@ def test_overflowing_generator_aborts_at_its_step(scale, t_abort):
     family, start = _sector_case("x - 20", 8)
     broken = AdiabaticFamily(
         family.initial, family.problem, schedule=lambda s: (1.0 - s, scale * s)
+    )
+    message = f"non-finite amplitudes at t={t_abort};"
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(EvolutionAborted, match=message):
+            evolve(broken, start, EvolutionParams(1.0, 0.1))
+
+
+@pytest.mark.parametrize(
+    "case, sector_dimension, t_abort",
+    [
+        # max H_P is 625: the problem weight overflows at s = 0.35, the
+        # fourth of the 10 steps, all in one block of 18
+        (("x^2 + y^2 - 25", 5), 21, 0.4),
+        # diagonal start operator, max H_P 400: overflows at s = 0.45, the
+        # fifth of the 10 steps, in one block of 101
+        (("x - 20", 8, 0.0), 9, 0.5),
+    ],
+    ids=["dense", "diagonal"],
+)
+def test_mid_block_abort_step(case, sector_dimension, t_abort):
+    family, start = _sector_case(*case)
+    sector = family.sector_for(start)
+    assert sector.dimension == sector_dimension
+    assert stack_length(sector_dimension) > 10
+    broken = AdiabaticFamily(
+        family.initial, family.problem, schedule=lambda s: (1.0 - s, 1e306 * s)
     )
     message = f"non-finite amplitudes at t={t_abort};"
     with np.errstate(over="ignore", invalid="ignore"):

@@ -3,6 +3,9 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from adiophantine.diophantine import min_over_box, parse_equation
 from adiophantine.evolution import EvolutionParams, evolve
@@ -211,7 +214,7 @@ def test_smoothstep_schedule_monotone_and_endpoint_exact():
 
 
 def _nan_after_half(s):
-    return (1.0 - s, s if s < 0.5 else float("nan"))
+    return (1.0 - s, np.where(s < 0.5, s, np.nan))
 
 
 def test_non_finite_schedule_weight_raises():
@@ -224,6 +227,61 @@ def test_non_finite_schedule_weight_raises():
         broken.hamiltonian(0.75)
     with pytest.raises(ValueError, match="not finite"):
         spectral_profile(broken, grid_size=5)
+
+
+# s grids: 0, 1, the smallest subnormal and normal numbers, and up to 40
+# more points in [0, 1], subnormals included
+_EDGES = np.array([0.0, 1.0, 5e-324, 2.2250738585072014e-308])
+_unit_grids = arrays(
+    np.float64, st.integers(0, 40), elements=st.floats(0.0, 1.0)
+).map(lambda grid: np.concatenate([_EDGES, grid]))
+
+
+def _bits(values):
+    return np.asarray(values, dtype=np.float64).view(np.int64)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_unit_grids)
+def test_schedules_on_arrays_are_bitwise_their_scalar_calls(grid):
+    family, _ = _family("x - 1", 2)
+    for schedule in (linear_schedule, smoothstep_schedule):
+        on_array = np.stack(schedule(grid), axis=1)
+        on_floats = [schedule(float(s)) for s in grid]
+        assert np.array_equal(_bits(on_array), _bits(on_floats))
+        stepped = AdiabaticFamily(family.initial, family.problem, schedule=schedule)
+        scalar_weights = [stepped.weights(float(s)) for s in grid]
+        assert np.array_equal(_bits(stepped.weights(grid)), _bits(scalar_weights))
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    _unit_grids,
+    st.just(np.nan) | st.floats().filter(lambda s: not 0.0 <= s <= 1.0),
+    st.data(),
+)
+def test_weights_array_rejects_any_s_outside_unit_interval(grid, bad, data):
+    family, _ = _family("x - 1", 2)
+    s = np.insert(grid, data.draw(st.integers(0, len(grid))), bad)
+    with pytest.raises(ValueError, match=r"outside \[0, 1\]"):
+        family.weights(s)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_unit_grids, st.sampled_from([np.nan, np.inf, -np.inf]), st.data())
+def test_weights_array_rejects_any_non_finite_weight(grid, bad, data):
+    family, _ = _family("x - 1", 2)
+    at = grid[data.draw(st.integers(0, len(grid) - 1))]
+    column = data.draw(st.integers(0, 1))
+
+    def schedule(s):
+        pair = [1.0 - s, s]
+        pair[column] = np.where(s == at, bad, pair[column])
+        return tuple(pair)
+
+    broken = AdiabaticFamily(family.initial, family.problem, schedule=schedule)
+    with pytest.raises(ValueError, match="not finite"):
+        broken.weights(grid)
 
 
 # -- symmetric sector -----------------------------------------------------------
