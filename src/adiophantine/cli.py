@@ -72,7 +72,7 @@ class RunConfig:
     cutoff: int = 8
     cutoffs: list[int] | None = None
     alphas: list[list[float]] | float | None = None
-    integrator: str = "midexp"
+    integrator: str = "split"
     step: float = 0.02
     t0: float = 10.0
     j_max: int = 6

@@ -155,7 +155,7 @@ class DecideConfig:
     cutoff: int = 8
     semantics: VariableSemantics = VariableSemantics.NON_NEGATIVE
     alphas: complex | tuple[complex, ...] = DEFAULT_ALPHA
-    integrator: Integrator = Integrator.MIDPOINT_EXPONENTIAL
+    integrator: Integrator = Integrator.SPLIT
     step: float = 0.02
     t0: float = 10.0
     j_max: int = 6
@@ -251,13 +251,17 @@ def decide(p: Polynomial, config: DecideConfig = DecideConfig()) -> DecisionRepo
 
     extrapolation = None
     if candidate is not None and config.extrapolation_steps:
+        # a split run has no fixed order; its fallback has order 2
+        integrator = config.integrator
+        if integrator is Integrator.SPLIT:
+            integrator = Integrator.MIDPOINT_EXPONENTIAL
         extrapolation = extrapolate_to_zero_step(
             family,
             start_state,
             successful_time,
             config.extrapolation_steps,
             observable=candidate.top_index,
-            integrator=config.integrator,
+            integrator=integrator,
         )
 
     criterion = "single_state" if config.strict_criterion else "class_aggregate"

@@ -405,6 +405,12 @@ class SymmetricSector:
     def is_trivial(self) -> bool:
         return self.group_order == 1
 
+    @cached_property
+    def start_eigensystem(self) -> tuple[np.ndarray, np.ndarray]:
+        """``(energies, W)`` with ``initial = W diag(energies) W^T``, for a
+        dense start operator; solved on first use and kept."""
+        return np.linalg.eigh(self.initial)
+
     def holds(self, amplitudes: np.ndarray) -> bool:
         """Whether ``amplitudes`` agree within each orbit, to
         ``STATE_SYMMETRY_TOL``."""

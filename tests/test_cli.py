@@ -109,6 +109,19 @@ def test_decide_solution_exists(tmp_path, capsys):
     assert "solution_exists" in out
 
 
+def test_decide_defaults_to_split_and_midexp_keeps_its_golden(tmp_path):
+    out_split, out_midexp = tmp_path / "split", tmp_path / "midexp"
+    assert main(["decide", "x - 1", "--out", str(out_split)]) == EXIT_OK
+    data = json.loads((out_split / "decision.json").read_text())
+    assert data["config"]["integrator"] == "split"
+    code = main(["decide", "x - 1", "--integrator", "midexp", "--out", str(out_midexp)])
+    assert code == EXIT_OK
+    data = json.loads((out_midexp / "decision.json").read_text())
+    assert data["config"]["integrator"] == "midexp"
+    # the x - 1 golden of the decision tests, default cutoff 8
+    assert data["class_probability"] == pytest.approx(0.9181706202384153, abs=1e-12)
+
+
 def test_decide_inconclusive_exit_three(tmp_path):
     code = main(
         ["decide", "x+y-5", "--cutoff", "5", "--T0", "0.01", "--jmax", "0",

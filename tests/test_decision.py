@@ -23,7 +23,12 @@ from adiophantine.diophantine import (
     min_over_box,
     parse_equation,
 )
-from adiophantine.evolution import EvolutionParams, EvolutionTrace
+from adiophantine.evolution import (
+    SPLIT_TOLERANCE,
+    EvolutionParams,
+    EvolutionTrace,
+    Integrator,
+)
 from adiophantine.fock import FockBasis, StateVector, coherent_state
 from adiophantine.hamiltonians import AdiabaticFamily
 
@@ -187,13 +192,86 @@ GOLDEN_SCHEDULES = {"x - 20": (10.0, 20.0, 40.0, 80.0, 160.0, 320.0)}
     ],
 )
 def test_decide_golden_values(text, cutoff, class_probability):
-    report = decide(parse_equation(text), DecideConfig(cutoff=cutoff))
+    config = DecideConfig(cutoff=cutoff, integrator=Integrator.MIDPOINT_EXPONENTIAL)
+    report = decide(parse_equation(text), config)
     assert report.schedule == GOLDEN_SCHEDULES.get(text, (10.0,))
     assert report.successful_time == report.schedule[-1]
     assert report.class_probability == pytest.approx(class_probability, abs=1e-12)
     # x*y*z - 8 settles on the wrong class (1*2*4 = 8 lies in the box)
     assert report.class_value == GOLDEN_CLASS_VALUES[text]
     assert report.top_occupation == GOLDEN_TOP_OCCUPATIONS[text]
+
+
+# the bench's decide-dense corpus: (midexp report, split class probability).
+# A midexp report is (schedule, verdict, witness, top occupation, class
+# value, class probability); the split values are frozen from the default
+# config, which runs the Strang step on every rung of these equations.
+SOLVED = Verdict.SOLUTION_EXISTS
+NO_SOLUTION = Verdict.NO_SOLUTION_WITHIN_CUTOFF
+DENSE_GOLDENS = {
+    ("x + y - 5", 8): (
+        ((10.0,), SOLVED, (2, 3), (2, 3), 0, 0.5207039204078586),
+        0.5206981706635109,
+    ),
+    ("x*y - 6", 8): (
+        ((10.0, 20.0, 40.0, 80.0), SOLVED, (2, 3), (2, 3), 0, 0.8746177652823595),
+        0.8746160631588564,
+    ),
+    ("x + y + 1", 8): (
+        ((10.0,), NO_SOLUTION, None, (0, 0), 1, 0.9238012249887233),
+        0.9237962633303188,
+    ),
+    ("x^2 + y^2 - 25", 5): (
+        (
+            (10.0, 20.0, 40.0, 80.0, 160.0, 320.0, 640.0),
+            SOLVED,
+            (0, 5),
+            (0, 5),
+            0,
+            0.6459766043003,
+        ),
+        0.6459415205455503,
+    ),
+    ("x + y + z - 3", 4): (
+        ((10.0,), SOLVED, (1, 1, 1), (1, 1, 1), 0, 0.8847909089122971),
+        0.8847855124694397,
+    ),
+    ("x*y - z", 4): (
+        ((10.0,), SOLVED, (0, 0, 0), (0, 0, 0), 0, 0.9837075877694743),
+        0.9837066184929196,
+    ),
+    ("x^2 + y^2 - z^2", 4): (
+        ((10.0,), SOLVED, (0, 0, 0), (0, 0, 0), 0, 0.9226219965959574),
+        0.9226140989732862,
+    ),
+    # a false certificate, as with midexp: 1*2*4 = 8 lies in the box
+    ("x*y*z - 8", 4): (
+        ((10.0,), NO_SOLUTION, None, (0, 0, 0), 64, 0.564526193978199),
+        0.564538977794663,
+    ),
+}
+
+
+@pytest.mark.parametrize("text, cutoff", list(DENSE_GOLDENS), ids=str)
+def test_decide_split_matches_midexp(text, cutoff):
+    midexp, split_probability = DENSE_GOLDENS[text, cutoff]
+    schedule, verdict, witness, occupation, class_value, midexp_probability = midexp
+    report = decide(parse_equation(text), DecideConfig(cutoff=cutoff))
+    assert report.config.integrator is Integrator.SPLIT
+    assert report.schedule == schedule
+    assert report.verdict is verdict
+    assert report.witness == witness
+    assert report.top_occupation == occupation
+    assert report.class_value == class_value
+    assert abs(report.class_probability - midexp_probability) <= SPLIT_TOLERANCE
+    assert report.class_probability == pytest.approx(split_probability, abs=1e-12)
+
+
+def test_decide_extrapolates_split_rungs_with_midexp():
+    config = DecideConfig(cutoff=8, extrapolation_steps=(0.04, 0.02, 0.01))
+    report = decide(parse_equation("x + y - 5"), config)
+    assert report.successful_time == 10.0
+    assert report.extrapolation.observed_order == pytest.approx(2.0, abs=0.5)
 
 
 def test_decide_rejects_constant_equation():

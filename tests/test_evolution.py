@@ -1,11 +1,19 @@
 import logging
 import warnings
+from dataclasses import replace
+from functools import partial
+
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from adiophantine.diophantine import parse_equation
 from adiophantine.evolution import (
+    SPLIT_MIN_DIMENSION,
+    SPLIT_TOLERANCE,
     EvolutionAborted,
     EvolutionParams,
     ExtrapolationError,
@@ -19,12 +27,21 @@ from adiophantine.fock import (
     HermitianOperator,
     StateVector,
     TruncationWarning,
+    annihilation,
+    coherent_state,
     matvec,
 )
-from adiophantine.hamiltonians import DEFAULT_ALPHA, AdiabaticFamily, stack_length
+from adiophantine.hamiltonians import (
+    DEFAULT_ALPHA,
+    AdiabaticFamily,
+    build_problem_hamiltonian,
+    problem_diagonal,
+    stack_length,
+)
 
 RK4 = Integrator.RK4
 MIDEXP = Integrator.MIDPOINT_EXPONENTIAL
+SPLIT = Integrator.SPLIT
 
 
 def _diagonal_family(energies):
@@ -83,6 +100,47 @@ def test_integer_step_count_has_no_spurious_partial_step():
     params = EvolutionParams(total_time=1.0, step=1.0 / 3.0)
     starts, sizes = params.step_starts_and_sizes()
     assert len(sizes) == 3
+
+
+def _listed_step_grid(total_time, step):
+    """Reference: the step grid as Python lists, one step at a time."""
+    full = int(math.floor(total_time / step + 1e-9))
+    remainder = max(total_time - full * step, 0.0)
+    starts = [j * step for j in range(full)]
+    sizes = [step] * full
+    if remainder > 1e-9 * step:
+        starts.append(full * step)
+        sizes.append(remainder)
+    return starts, sizes
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    total_time=st.floats(0.01, 700.0),
+    steps_per_run=st.floats(1.0, 3000.0),
+    block=st.integers(1, 500),
+)
+def test_step_grid_blocks_are_bitwise_the_listed_grid(
+    total_time, steps_per_run, block
+):
+    params = EvolutionParams(total_time, total_time / steps_per_run)
+    starts, sizes = _listed_step_grid(params.total_time, params.step)
+    assert params.step_count() == len(sizes)
+    assert params.step_starts_and_sizes() == (starts, sizes)
+    n = params.step_count()
+    for first in range(0, n, block):
+        stop = min(first + block, n)
+        block_starts, block_sizes = params.step_grid(first, stop)
+        assert block_starts.tolist() == starts[first:stop]
+        assert block_sizes.tolist() == sizes[first:stop]
+
+
+@pytest.mark.parametrize("total_time, step", [(1.0, 0.3), (40.01, 0.02), (0.5, 0.5)])
+def test_step_grid_keeps_the_partial_final_step(total_time, step):
+    params = EvolutionParams(total_time, step)
+    starts, sizes = params.step_grid(0, params.step_count())
+    assert (starts.tolist(), sizes.tolist()) == _listed_step_grid(total_time, step)
+    assert starts[-1] + sizes[-1] == pytest.approx(total_time, abs=1e-12)
 
 
 # -- basic behavior --------------------------------------------------------------
@@ -536,3 +594,171 @@ def test_mid_block_abort_step(case, sector_dimension, t_abort):
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(EvolutionAborted, match=message):
             evolve(broken, start, EvolutionParams(1.0, 0.1))
+
+
+# -- checked split-operator propagation ----------------------------------------------
+
+
+def _class_probabilities(family, trace):
+    classes = np.unique(family.exact_problem_values(), return_inverse=True)[1]
+    return np.bincount(classes, weights=trace.final_probabilities())
+
+
+def _assert_bitwise_equal(trace, reference):
+    assert trace.params == reference.params
+    assert np.array_equal(trace.final_state.amplitudes, reference.final_state.amplitudes)
+    assert np.array_equal(trace.times, reference.times)
+    assert np.array_equal(trace.probabilities, reference.probabilities)
+    assert np.array_equal(trace.norm_errors, reference.norm_errors)
+
+
+def _complex_start_case():
+    """x - 3 at cutoff 12 with the complex start operator (A - alpha)^†(A -
+    alpha) and its complex coherent state, as a hand-built family."""
+    p = parse_equation("x - 3")
+    basis = FockBasis(1, 12)
+    alpha = 0.3 + 0.4j
+    shifted = annihilation(basis, 0) - alpha * np.eye(basis.dimension)
+    family = AdiabaticFamily(
+        initial=HermitianOperator(basis, matrix=shifted.conj().T @ shifted),
+        problem=build_problem_hamiltonian(p, basis),
+        problem_values=problem_diagonal(p, basis),
+    )
+    return family, coherent_state(basis, alpha)
+
+
+@pytest.mark.parametrize(
+    "build, total_time, disagreement",
+    [
+        # m = 13 and 45 >= SPLIT_MIN_DIMENSION, but the Strang runs at h and
+        # h/2 disagree on a class probability
+        (partial(_sector_case, "(x-7)*(x-8)", 12), 10.0, 8.3e-2),
+        (partial(_sector_case, "x^2 - 64", 12), 20.0, 3.8e-2),
+        (partial(_sector_case, "x^2 + y^2 - 25", 8), 160.0, 1.6e-2),
+        # no split run: m = 9 < SPLIT_MIN_DIMENSION, a diagonal start
+        # operator, a complex one (m = 13)
+        (partial(_sector_case, "x - 1", 8), 10.0, None),
+        (partial(_sector_case, "x - 3", 12, 0.0), 10.0, None),
+        (_complex_start_case, 10.0, None),
+    ],
+    ids=["(x-7)(x-8)@12", "x2-64@12", "x2+y2-25@8", "x-1@8", "diagonal", "complex"],
+)
+def test_split_falls_back_to_the_bitwise_midpoint_run(
+    caplog, build, total_time, disagreement
+):
+    family, start = build()
+    params = EvolutionParams(total_time, 0.02)
+    with caplog.at_level(logging.DEBUG, logger="adiophantine.evolution"):
+        trace = evolve(family, start, replace(params, integrator=SPLIT))
+    lines = [r.getMessage() for r in caplog.records if r.name == "adiophantine.evolution"]
+    checks = [line for line in lines if line.startswith("evolve split")]
+    if disagreement is None:
+        assert checks == []
+    else:
+        (check,) = checks
+        logged = float(check.split("class disagreement ")[1].split()[0])
+        assert logged == pytest.approx(disagreement, rel=0.05)
+        assert check.endswith("returning the midpoint run")
+    _assert_bitwise_equal(trace, evolve(family, start, params))
+
+
+def _stepwise_strang(family, init, params):
+    """Reference: one unmerged Strang step at a time on the sector arrays,
+    e^{-i(h/2) w_P H_P} e^{-i h w_I H_I} e^{-i(h/2) w_P H_P} with the
+    weights at the step midpoint and e^{-i h w_I H_I} from a fresh eigh of
+    H_I; returns the final state and the probabilities recorded on
+    ``evolve``'s grid."""
+    sector = family.sector_for(init)
+    energies, vectors = np.linalg.eigh(sector.initial)
+    starts, sizes = params.step_starts_and_sizes()
+    record_after = {round(x) for x in np.linspace(0, len(sizes), params.record_grid)}
+    psi = sector.reduce(init.amplitudes)
+    recorded = []
+
+    def record():
+        full = sector.expand(psi)
+        recorded.append(full.real**2 + full.imag**2)
+
+    record()
+    for j, (t, h) in enumerate(zip(starts, sizes), start=1):
+        w_initial, w_problem = family.weights(min((t + 0.5 * h) / params.total_time, 1.0))
+        half = np.exp(-0.5j * h * w_problem * sector.problem)
+        psi = half * psi
+        psi = vectors @ (np.exp(-1j * h * w_initial * energies) * (vectors.T @ psi))
+        psi = half * psi
+        if j in record_after:
+            record()
+    return sector.expand(psi), np.array(recorded)
+
+
+def test_split_runs_where_it_pays_and_agrees():
+    family, start = _sector_case("x - 3", 12)
+    assert family.sector_for(start).dimension == 13
+    trace = evolve(family, start, EvolutionParams(20.0, 0.02, integrator=SPLIT))
+    assert trace.params == EvolutionParams(20.0, 0.01, integrator=SPLIT)
+    assert len(trace.times) == 101
+    midpoint = evolve(family, start, EvolutionParams(20.0, 0.02))
+    assert np.max(np.abs(trace.final_probabilities() - midpoint.final_probabilities())) <= 1e-5
+    assert trace.norm_errors.max() <= 1e-12
+
+
+@pytest.mark.parametrize(
+    "case, total_time",
+    [(("x^2 + y^2 - 25", 5), 10.0), (("x*y*z - 8", 4), 10.0), (("x - 20", 12), 10.01)],
+    ids=["x2+y2-25@5", "xyz-8@4", "x-20@12-partial-step"],
+)
+def test_strang_run_is_the_stepwise_strang(case, total_time):
+    # the merged half phases and per-block phases are the Strang step
+    family, start = _sector_case(*case)
+    params = EvolutionParams(total_time, 0.01, integrator=SPLIT, record_grid=11)
+    trace = evolve(family, start, replace(params, step=0.02))
+    assert trace.params == params
+    final, recorded = _stepwise_strang(family, start, params)
+    assert np.max(np.abs(trace.final_state.amplitudes - final)) <= 1e-12
+    assert np.max(np.abs(trace.probabilities - recorded)) <= 1e-12
+    split_p = _class_probabilities(family, trace)
+    midpoint_p = _class_probabilities(family, evolve(family, start, EvolutionParams(total_time, 0.02)))
+    assert np.max(np.abs(split_p - midpoint_p)) <= SPLIT_TOLERANCE
+
+
+@pytest.mark.parametrize(
+    "case, t_abort",
+    [(("x^2 + y^2 - 25", 5), 0.4), (("x - 20", 12), 0.5)],
+    ids=["x2+y2-25@5", "x-20@12"],
+)
+def test_split_overflow_aborts_as_the_midpoint_run(case, t_abort):
+    # the split phases take h/2 of an overflowing weight and stay unit
+    # modulus, so the abort arrives through the midpoint fallback
+    family, start = _sector_case(*case)
+    assert family.sector_for(start).dimension >= SPLIT_MIN_DIMENSION
+    broken = AdiabaticFamily(
+        family.initial, family.problem, schedule=lambda s: (1.0 - s, 1e306 * s)
+    )
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(EvolutionAborted) as midpoint:
+            evolve(broken, start, EvolutionParams(1.0, 0.1))
+        with pytest.raises(EvolutionAborted) as split:
+            evolve(broken, start, EvolutionParams(1.0, 0.1, integrator=SPLIT))
+    assert f"non-finite amplitudes at t={t_abort};" in str(midpoint.value)
+    assert str(split.value) == str(midpoint.value)
+
+
+def test_split_check_is_logged(caplog):
+    family, start = _sector_case("x - 3", 12)
+    with caplog.at_level(logging.DEBUG, logger="adiophantine.evolution"):
+        evolve(family, start, EvolutionParams(1.0, 0.02, integrator=SPLIT))
+    messages = [r.getMessage() for r in caplog.records if r.name == "adiophantine.evolution"]
+    assert len(messages) == 3  # the runs at h and h/2, then the check
+    assert messages[-1].startswith("evolve split: class disagreement ")
+    assert messages[-1].endswith(
+        "between steps 0.02 and 0.01, tolerance 0.001; "
+        "returning the Strang run at the half step"
+    )
+
+
+def test_split_has_no_extrapolation_order():
+    family, start = _sector_case("x - 3", 12)
+    with pytest.raises(ExtrapolationError, match="no fixed order"):
+        extrapolate_to_zero_step(
+            family, start, 1.0, (0.04, 0.02, 0.01), observable=3, integrator=SPLIT
+        )
