@@ -115,23 +115,26 @@ class RunConfig:
             ) from None
 
     def decide_config(self) -> DecideConfig:
-        return DecideConfig(
-            cutoff=self.cutoff,
-            semantics=self.semantics_enum(),
-            alphas=self.alphas_value(),
-            integrator=self.integrator_enum(),
-            step=self.step,
-            t0=self.t0,
-            j_max=self.j_max,
-            strict_criterion=self.strict_criterion,
-            tie_tol=self.tie_tol,
-            record_grid=self.record_grid,
-            extrapolation_steps=(
-                tuple(self.extrapolation_steps)
-                if self.extrapolation_steps
-                else None
-            ),
-        )
+        try:
+            return DecideConfig(
+                cutoff=self.cutoff,
+                semantics=self.semantics_enum(),
+                alphas=self.alphas_value(),
+                integrator=self.integrator_enum(),
+                step=self.step,
+                t0=self.t0,
+                j_max=self.j_max,
+                strict_criterion=self.strict_criterion,
+                tie_tol=self.tie_tol,
+                record_grid=self.record_grid,
+                extrapolation_steps=(
+                    tuple(self.extrapolation_steps)
+                    if self.extrapolation_steps
+                    else None
+                ),
+            )
+        except ValueError as err:
+            raise ConfigError(str(err)) from None
 
 
 def load_config(path: str | None, overrides: dict) -> RunConfig:

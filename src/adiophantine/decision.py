@@ -164,6 +164,10 @@ class DecideConfig:
     record_grid: int = 101
     extrapolation_steps: tuple[float, ...] | None = None
 
+    def __post_init__(self):
+        if self.j_max < 0:
+            raise ValueError(f"j_max must be at least 0, got {self.j_max}")
+
     def time_schedule(self) -> tuple[float, ...]:
         return tuple(self.t0 * 2.0**j for j in range(self.j_max + 1))
 

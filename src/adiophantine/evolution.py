@@ -39,23 +39,21 @@ midpoint exponential:
   (stiff rungs of ``x^2 + y^2 - 25``) by at least 2.9e-3; no checked rung's
   top class came within 2e-2 of the 1/2 bar, and the returned class
   probabilities stayed within 3.5e-5 of the midpoint exponential's.  Split
-  runs only where it pays: on a dense real start operator with sector
-  dimension m >= ``SPLIT_MIN_DIMENSION`` = 12.  Per step h, one stacked
-  midpoint step took 14.9, 18.6 and 20.7 us at m = 9, 11 and 12, and the
-  checked split's two Strang runs 18.8 us at each (one BLAS thread).  A
-  diagonal or complex start operator and smaller sectors get the midpoint
-  exponential, bitwise.  Not in zero-step extrapolation: a scheme that
-  picks its propagator per run has no fixed order.
+  runs only where it pays: at sector dimension m >=
+  ``SPLIT_MIN_DIMENSION`` = 12.  Per step h, one stacked midpoint step took
+  14.9, 18.6 and 20.7 us at m = 9, 11 and 12, and the checked split's two
+  Strang runs 18.8 us at each (one BLAS thread).  Smaller sectors get the
+  midpoint exponential, bitwise.  Not in zero-step extrapolation: a scheme
+  that picks its propagator per run has no fixed order.
 
-H(s) is real symmetric on every family that ``AdiabaticFamily.from_polynomial``
-builds, so its eigensolves run in real arithmetic.  The state stays complex,
-in one buffer that a step updates in place: a real matrix multiplies it
-through its (m, 2) real view (as ``fock.matvec`` does), because numpy would
-otherwise cast the whole matrix to complex on every product, and the
-per-step norm check is one dot product of its 2m floats.  Schedules follow
-the array contract of ``hamiltonians.Schedule``.  Step grids are built per
-block from the step index (``EvolutionParams.step_grid``), never for a
-whole run.
+H(s) is real symmetric, so its eigensolves run in real arithmetic.  The
+state stays complex, in one buffer that a step updates in place: a real
+matrix multiplies it through its (m, 2) real view (as ``fock.matvec``
+does), because numpy would otherwise cast the whole matrix to complex on
+every product, and the per-step norm check is one dot product of its 2m
+floats.  Schedules follow the array contract of ``hamiltonians.Schedule``.
+Step grids are built per block from the step index
+(``EvolutionParams.step_grid``), never for a whole run.
 
 All integrators run in the family's symmetric sector when the start state
 lies in it: the mode permutations that fix the problem diagonal and the
@@ -243,18 +241,11 @@ def _derivative_for(
     """d(psi)/dt = -i H psi in ``sector``, for the schedule weights (w_I, w_P)
     of one stage."""
     initial, problem_diag = sector.initial, sector.problem
-    if initial.ndim == 1:
 
-        def apply(weights: list[float], psi: np.ndarray) -> np.ndarray:
-            wi, wp = weights
-            return (-1j * (wi * initial + wp * problem_diag)) * psi
-
-    else:
-
-        def apply(weights: list[float], psi: np.ndarray) -> np.ndarray:
-            wi, wp = weights
-            problem_part = ((-1j * wp) * problem_diag) * psi
-            return (-1j * wi) * matvec(initial, psi) + problem_part
+    def apply(weights: list[float], psi: np.ndarray) -> np.ndarray:
+        wi, wp = weights
+        problem_part = ((-1j * wp) * problem_diag) * psi
+        return (-1j * wi) * matvec(initial, psi) + problem_part
 
     return apply
 
@@ -279,11 +270,7 @@ def _check_rk4_stable(
     the run, with ||H_I|| bounded by its largest absolute row sum; for a
     convex schedule this is max(||H_I||, max H_P).
     """
-    initial = family.initial.array
-    if initial.ndim == 1:
-        initial_norm = float(np.abs(initial).max())
-    else:
-        initial_norm = float(np.abs(initial).sum(axis=1).max())
+    initial_norm = float(np.abs(family.initial.array).sum(axis=1).max())
     problem_norm = float(np.abs(family.problem.diagonal).max())
     scale = float((np.abs(stage_weights) @ (initial_norm, problem_norm)).max())
     if step * scale > RK4_STABILITY_LIMIT:
@@ -332,12 +319,7 @@ def evolve(
         return _run(family, init, sector, params)
 
     midpoint = replace(params, integrator=Integrator.MIDPOINT_EXPONENTIAL)
-    initial = sector.initial
-    if not (
-        initial.ndim == 2
-        and initial.dtype.kind == "f"
-        and sector.dimension >= SPLIT_MIN_DIMENSION
-    ):
+    if sector.dimension < SPLIT_MIN_DIMENSION:
         return _run(family, init, sector, midpoint)
     try:
         coarse = _run(family, init, sector, replace(params, record_grid=2))
@@ -448,7 +430,7 @@ def _run(
         ends = starts + sizes
         if stop == n_steps:
             ends[-1] = total_time
-        diagonals = phases = vectors = adjoints = no_rows
+        diagonals = phases = vectors = no_rows
         if not use_rk4:
             midpoints = (starts + 0.5 * sizes) / total_time
             # s = t / T clamped to [0, 1], as for the RK4 stages; no start is
@@ -468,25 +450,14 @@ def _run(
             phases = _unit_phases(
                 np.multiply.outer(-sizes * weights[:, 0], start_energies)
             )
-            vectors = adjoints = itertools.repeat(start_vectors)
-            operand, work = pairs, rotated
+            vectors = itertools.repeat(start_vectors)
         elif not use_rk4:
-            exponents = (-1j * sizes)[:, None]
-            if sector.initial.ndim == 1:
-                phases = np.exp(exponents * family.path_arrays(weights, sector))
-            else:
-                # the stack of H(s) is not kept past its eigensolve
-                energies, vectors = np.linalg.eigh(family.path_arrays(weights, sector))
-                phases = np.exp(exponents * energies)
-                # complex only for a hand-built family with a complex start
-                # operator; its state is multiplied as a complex vector
-                if vectors.dtype.kind == "c":
-                    adjoints, operand, work = vectors.conj(), psi, rotated_psi
-                else:
-                    adjoints, operand, work = vectors, pairs, rotated
+            # the stack of H(s) is not kept past its eigensolve
+            energies, vectors = np.linalg.eigh(family.path_arrays(weights, sector))
+            phases = np.exp((-1j * sizes)[:, None] * energies)
 
-        for j, end, diagonal, phase, vector, adjoint in zip(
-            range(first, stop), ends.tolist(), diagonals, phases, vectors, adjoints
+        for j, end, diagonal, phase, vector in zip(
+            range(first, stop), ends.tolist(), diagonals, phases, vectors
         ):
             if use_rk4:
                 h = float(sizes[j - first])
@@ -496,14 +467,12 @@ def _run(
                 k3 = derivative(wm, psi + (0.5 * h) * k2)
                 k4 = derivative(w1, psi + h * k3)
                 psi[:] = psi + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            elif vector is None:
-                np.multiply(phase, psi, psi)
             else:
                 if diagonal is not None:
                     np.multiply(diagonal, psi, psi)
-                adjoint.T.dot(operand, out=work)
+                vector.T.dot(pairs, out=rotated)
                 np.multiply(phase, rotated_psi, rotated_psi)
-                vector.dot(work, out=operand)
+                vector.dot(rotated, out=pairs)
 
             # the norm from the dot product of the 2m floats with themselves;
             # a NaN or infinite amplitude always makes it non-finite

@@ -2,9 +2,9 @@
 
 Provides basis indexing for occupation tuples with a per-mode cutoff,
 state vectors, ladder and number operators, coherent states, and a
-validated Hermitian operator stored as a real diagonal or as a dense
-matrix that stays real when its input is real.  Dimensions are desk scale
-(hundreds to a few thousand); there is no sparse backend.
+validated real symmetric operator stored as a diagonal or as a dense
+matrix.  Dimensions are desk scale (hundreds to a few thousand); there is
+no sparse backend.
 """
 
 from __future__ import annotations
@@ -18,7 +18,6 @@ import numpy as np
 
 __all__ = [
     "TruncationWarning",
-    "BasisMismatchError",
     "FockBasis",
     "StateVector",
     "HermitianOperator",
@@ -34,10 +33,6 @@ HERMITICITY_TOL = 1e-12
 
 class TruncationWarning(UserWarning):
     """A construction lost more probability weight to the cutoff than advertised."""
-
-
-class BasisMismatchError(ValueError):
-    """Operands live on different bases."""
 
 
 @dataclass(frozen=True)
@@ -142,14 +137,12 @@ class StateVector:
 
 
 class HermitianOperator:
-    """Hermitian operator over a FockBasis, stored dense or as a real diagonal.
+    """Real symmetric operator over a FockBasis, stored as a diagonal (the
+    problem operator) or as a dense matrix (the start operator).
 
-    Validated once, at construction: diagonal storage is real by type, and
-    dense storage must be finite and conjugate symmetric within
-    ``HERMITICITY_TOL``.  Real dense input is kept as float64 (so its
-    eigensolves run in real arithmetic), complex input as complex128.  The
-    stored array is read-only.  ``eigensystem`` returns the full ascending
-    spectrum (exactly, for diagonal storage).
+    Validated once, at construction: entries must be finite, and a dense
+    matrix real (complex input is refused) and symmetric within
+    ``HERMITICITY_TOL``.  The stored float64 array is read-only.
     """
 
     __slots__ = ("basis", "_diagonal", "_matrix")
@@ -165,8 +158,9 @@ class HermitianOperator:
             if stored.shape != (dim,):
                 raise ValueError("diagonal length does not match basis dimension")
         else:
-            dtype = np.complex128 if np.iscomplexobj(matrix) else np.float64
-            stored = np.array(matrix, dtype=dtype)
+            if np.iscomplexobj(matrix):
+                raise ValueError("matrix must be real")
+            stored = np.array(matrix, dtype=np.float64)
             if stored.shape != (dim, dim):
                 raise ValueError("matrix shape does not match basis dimension")
         if not np.all(np.isfinite(stored)):
@@ -179,7 +173,7 @@ class HermitianOperator:
         defect = self.hermiticity_defect()
         if defect > HERMITICITY_TOL:
             raise ValueError(
-                f"matrix is not Hermitian (defect {defect:.3e} > {HERMITICITY_TOL})"
+                f"matrix is not symmetric (defect {defect:.3e} > {HERMITICITY_TOL})"
             )
 
     @property
@@ -202,41 +196,25 @@ class HermitianOperator:
             return np.diag(self._diagonal)
         return self._matrix.copy()
 
-    def apply(self, state: StateVector) -> StateVector:
-        if self.basis != state.basis:
-            raise BasisMismatchError(f"basis mismatch: {self.basis} vs {state.basis}")
-        if self._diagonal is not None:
-            return StateVector(self.basis, self._diagonal * state.amplitudes)
-        return StateVector(self.basis, matvec(self._matrix, state.amplitudes))
-
     def hermiticity_defect(self) -> float:
         if self._diagonal is not None:
             return 0.0
-        return float(np.max(np.abs(self._matrix - self._matrix.conj().T)))
+        return float(np.max(np.abs(self._matrix - self._matrix.T)))
 
     def eigenvalues(self) -> np.ndarray:
         if self._diagonal is not None:
             return np.sort(self._diagonal)
         return np.linalg.eigvalsh(self._matrix)
 
-    def eigensystem(self) -> tuple[np.ndarray, np.ndarray]:
-        """Ascending eigenvalues and matching eigenvector columns."""
-        if self._diagonal is not None:
-            order = np.argsort(self._diagonal, kind="stable")
-            vectors = np.eye(self.basis.dimension)[:, order]
-            return self._diagonal[order].copy(), vectors
-        return np.linalg.eigh(self._matrix)
-
 
 def matvec(matrix: np.ndarray, psi: np.ndarray) -> np.ndarray:
-    """``matrix @ psi`` for a C-contiguous complex128 vector ``psi``.
+    """``matrix @ psi`` for a real ``matrix`` and a C-contiguous complex128
+    vector ``psi``.
 
-    A real ``matrix`` multiplies the (n, 2) float64 view of ``psi``, in real
+    The matrix multiplies the (n, 2) float64 view of ``psi``, in real
     arithmetic: numpy's ``real @ complex`` would copy the whole matrix to
     complex on every call.
     """
-    if matrix.dtype.kind == "c":
-        return matrix.dot(psi)
     n = psi.shape[0]
     pairs = matrix.dot(np.ndarray((n, 2), np.float64, psi))
     return np.ndarray((n,), np.complex128, pairs)

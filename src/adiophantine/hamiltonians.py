@@ -51,7 +51,6 @@ __all__ = [
     "build_problem_hamiltonian",
     "build_initial_hamiltonian",
     "linear_schedule",
-    "smoothstep_schedule",
     "AdiabaticFamily",
     "SymmetricSector",
     "SpectralProfile",
@@ -127,10 +126,11 @@ def build_initial_hamiltonian(
     Returns ``sum_i (a_i - |alpha_i|)^T (a_i - |alpha_i|)`` and the truncated
     coherent state for the magnitudes ``|alpha_i|``, both real.  The phase of
     each displacement is a gauge that no result depends on (see the module
-    docstring).  With all displacements zero this reduces to the diagonal
-    sum of number operators with exact ground state |0..0>.  The coherent
-    state is the exact ground state only up to truncation; its energy
-    expectation is tiny whenever the truncation-weight warning stays quiet.
+    docstring).  With all displacements zero this is the exact sum of
+    number operators, stored dense, with exact ground state |0..0>.  The
+    coherent state is the exact ground state only up to truncation; its
+    energy expectation is tiny whenever the truncation-weight warning stays
+    quiet.
     """
     magnitudes = tuple(abs(a) for a in as_mode_alphas(alphas, basis.num_modes))
     ground = coherent_state(basis, magnitudes)
@@ -138,7 +138,7 @@ def build_initial_hamiltonian(
         diag = np.zeros(basis.dimension, dtype=np.float64)
         for mode in range(basis.num_modes):
             diag += number_operator(basis, mode).diagonal
-        return HermitianOperator(basis, diagonal=diag), ground
+        return HermitianOperator(basis, matrix=np.diag(diag)), ground
     # Kronecker sum of the single-mode (a - |alpha|)^T (a - |alpha|)
     dim = basis.dimension
     total = np.zeros((dim, dim), dtype=np.float64)
@@ -154,19 +154,14 @@ def linear_schedule(s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return (1.0 - s, s)
 
 
-def smoothstep_schedule(s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Monotone smooth-step deformation; endpoints match the linear path."""
-    sigma = s * s * (3.0 - 2.0 * s)
-    return (1.0 - sigma, sigma)
-
-
 @dataclass(frozen=True, eq=False)
 class AdiabaticFamily:
     """Convex path from the start operator to the diagonal problem operator.
 
     ``hamiltonian(0)`` is the start operator and ``hamiltonian(1)`` the
     problem operator exactly.  ``problem_values`` optionally carries the
-    exact integer diagonal for downstream degeneracy grouping.
+    exact integer diagonal for downstream degeneracy grouping.  The start
+    operator must be stored dense and the problem operator as a diagonal.
     """
 
     initial: HermitianOperator
@@ -179,6 +174,8 @@ class AdiabaticFamily:
             raise ValueError("start and problem operators live on different bases")
         if not self.problem.is_diagonal:
             raise ValueError("problem operator must be diagonal")
+        if self.initial.is_diagonal:
+            raise ValueError("start operator must be a dense matrix")
         if (
             self.problem_values is not None
             and len(self.problem_values) != self.problem.basis.dimension
@@ -228,25 +225,17 @@ class AdiabaticFamily:
 
         ``weights`` is a (b, 2) array of (w_I, w_P) rows, as :meth:`weights`
         gives it (that rejects a non-finite schedule).  Returns
-        the (b, m, m) stack of w_I H_I + w_P H_P, or the (b, m) stack of its
-        diagonals when the start operator is diagonal; on the full space by
-        default, or restricted to ``sector`` (one of this family's sectors)
-        in its orbit basis.  Entries are computed exactly as for a single
-        s, ``w_I * H_I`` and then ``+= w_P * H_P`` on the diagonal, in the
-        start operator's dtype (float64 for every family built by
-        ``from_polynomial``).  Nothing is re-validated: both operators were
-        validated when built.
+        the (b, m, m) float64 stack of w_I H_I + w_P H_P; on the full space
+        by default, or restricted to ``sector`` (one of this family's
+        sectors) in its orbit basis.  Entries are computed exactly as for a
+        single s, ``w_I * H_I`` and then ``+= w_P * H_P`` on the diagonal.
+        Nothing is re-validated: both operators were validated when built.
         """
         sector = self.full_space if sector is None else sector
-        initial, problem = sector.initial, sector.problem
-        w_initial, w_problem = weights[:, :1], weights[:, 1:]
-        if initial.ndim == 1:
-            h = w_initial * initial
-            h += w_problem * problem
-        else:
-            h = w_initial[:, :, None] * initial
-            indices = np.arange(sector.dimension)
-            h[:, indices, indices] += w_problem * problem
+        w_initial, w_problem = weights[:, :1, None], weights[:, 1:]
+        h = w_initial * sector.initial
+        indices = np.arange(sector.dimension)
+        h[:, indices, indices] += w_problem * sector.problem
         return h
 
     @cached_property
@@ -298,14 +287,11 @@ class AdiabaticFamily:
         representatives = np.flatnonzero(named)
         orbit = (np.cumsum(named) - 1)[smallest]
         sizes = np.bincount(orbit)
-        if initial.ndim == 1:
-            reduced = initial[representatives]
-        else:
-            # V^T H_I V for the orbit basis V, column a = sum_{i in a} |i> / sqrt|a|
-            v = np.zeros((d, len(representatives)))
-            v[np.arange(d), orbit] = 1.0 / np.sqrt(sizes[orbit])
-            reduced = v.T @ initial @ v
-            reduced = 0.5 * (reduced + reduced.conj().T)
+        # V^T H_I V for the orbit basis V, column a = sum_{i in a} |i> / sqrt|a|
+        v = np.zeros((d, len(representatives)))
+        v[np.arange(d), orbit] = 1.0 / np.sqrt(sizes[orbit])
+        reduced = v.T @ initial @ v
+        reduced = 0.5 * (reduced + reduced.T)
         return SymmetricSector(
             group=tuple(group),
             representatives=representatives,
@@ -322,8 +308,6 @@ class AdiabaticFamily:
 
     def hamiltonian(self, s: float) -> HermitianOperator:
         h = self.path_arrays(self.weights(np.array([s], dtype=np.float64)))[0]
-        if self.initial.is_diagonal:
-            return HermitianOperator(self.basis, diagonal=h)
         return HermitianOperator(self.basis, matrix=h)
 
     def exact_problem_values(self) -> np.ndarray:
@@ -361,8 +345,6 @@ class AdiabaticFamily:
 def _fixes(initial: np.ndarray, image: np.ndarray) -> bool:
     """Whether the basis permutation ``image`` maps the start operator onto
     itself within ``HERMITICITY_TOL``, compared a block of rows at a time."""
-    if initial.ndim == 1:
-        return bool(np.abs(initial[image] - initial).max() <= HERMITICITY_TOL)
     for start in range(0, len(image), _ROW_BLOCK):
         rows = slice(start, start + _ROW_BLOCK)
         moved = initial[np.ix_(image[rows], image)]
@@ -379,8 +361,8 @@ class SymmetricSector:
     e_a = sum_{i in a} |i> / sqrt(|a|).  ``representatives`` holds the
     smallest basis index of each orbit (ascending), ``orbit`` the orbit of
     every basis index and ``sizes`` the orbit sizes; ``initial`` and
-    ``problem`` are the start operator (diagonal or dense) and the problem
-    diagonal in the orbit basis.  A fixed state psi has coordinates
+    ``problem`` are the dense start operator and the problem diagonal in
+    the orbit basis.  A fixed state psi has coordinates
     c_a = sqrt(|a|) psi_rep(a), and psi_i = c_a / sqrt(|a|) for i in a, so
     orbit-mates keep equal amplitudes.  The trivial group gives the full
     space, on which ``reduce`` and ``expand`` do nothing.
@@ -407,8 +389,8 @@ class SymmetricSector:
 
     @cached_property
     def start_eigensystem(self) -> tuple[np.ndarray, np.ndarray]:
-        """``(energies, W)`` with ``initial = W diag(energies) W^T``, for a
-        dense start operator; solved on first use and kept."""
+        """``(energies, W)`` with ``initial = W diag(energies) W^T``; solved
+        on first use and kept."""
         return np.linalg.eigh(self.initial)
 
     def holds(self, amplitudes: np.ndarray) -> bool:
@@ -503,7 +485,7 @@ def spectral_profile(
         rows = slice(first, first + block)
         h = family.path_arrays(weights[rows])
         try:
-            spectrum = np.sort(h) if h.ndim == 2 else np.linalg.eigvalsh(h)
+            spectrum = np.linalg.eigvalsh(h)
         except np.linalg.LinAlgError as err:
             lo, hi = s_values[rows][[0, -1]].tolist()
             raise RuntimeError(f"eigensolver failed for s in [{lo}, {hi}]") from err

@@ -119,7 +119,7 @@ def _two_level_family():
     problem = HermitianOperator(basis, diagonal=np.array([1.0, 0.0]))
     initial, _ = build_initial_hamiltonian(basis, 0.5)
     family = AdiabaticFamily(initial, problem, problem_values=(1, 0))
-    _, vectors = initial.eigensystem()
+    _, vectors = np.linalg.eigh(initial.to_matrix())
     return family, StateVector(basis, vectors[:, 0])
 
 

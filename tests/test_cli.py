@@ -132,6 +132,13 @@ def test_decide_inconclusive_exit_three(tmp_path):
     assert data["verdict"] == "inconclusive"
 
 
+def test_decide_negative_jmax_is_a_config_error(tmp_path, capsys):
+    code = main(["decide", "x - 1", "--jmax", "-1", "--out", str(tmp_path)])
+    assert code == EXIT_USAGE
+    assert "config error: j_max must be at least 0" in capsys.readouterr().err
+    assert not (tmp_path / "decision.json").exists()
+
+
 def test_decide_requires_equation(capsys):
     assert main(["decide"]) == EXIT_USAGE
     assert "equation" in capsys.readouterr().err

@@ -148,6 +148,12 @@ def test_decide_diabatic_inconclusive():
     assert report.schedule == (0.01,)
 
 
+def test_negative_j_max_is_refused():
+    # j_max = -1 would give an empty schedule, which no report may carry
+    with pytest.raises(ValueError, match="j_max must be at least 0"):
+        DecideConfig(j_max=-1)
+
+
 GOLDEN_CLASS_VALUES = {
     "x - 1": 0,
     "x - 20": 144,

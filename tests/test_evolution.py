@@ -27,15 +27,11 @@ from adiophantine.fock import (
     HermitianOperator,
     StateVector,
     TruncationWarning,
-    annihilation,
-    coherent_state,
     matvec,
 )
 from adiophantine.hamiltonians import (
     DEFAULT_ALPHA,
     AdiabaticFamily,
-    build_problem_hamiltonian,
-    problem_diagonal,
     stack_length,
 )
 
@@ -46,8 +42,9 @@ SPLIT = Integrator.SPLIT
 
 def _diagonal_family(energies):
     basis = FockBasis(1, len(energies) - 1)
-    h = HermitianOperator(basis, diagonal=np.array(energies, dtype=float))
-    return AdiabaticFamily(h, h), basis
+    diagonal = np.array(energies, dtype=float)
+    initial = HermitianOperator(basis, matrix=np.diag(diagonal))
+    return AdiabaticFamily(initial, HermitianOperator(basis, diagonal=diagonal)), basis
 
 
 def _two_level():
@@ -62,7 +59,7 @@ def _two_level():
 
         initial, _ = build_initial_hamiltonian(basis, 0.5)
     family = AdiabaticFamily(initial, problem, problem_values=(1, 0))
-    _, vectors = initial.eigensystem()
+    _, vectors = np.linalg.eigh(initial.to_matrix())
     return family, StateVector(basis, vectors[:, 0])
 
 
@@ -338,14 +335,10 @@ def _stepwise_midpoint(family, init, params):
         mid = min(max((t + 0.5 * h) / params.total_time, 0.0), 1.0)
         w_initial, w_problem = family.weights(mid)
         generator = w_initial * sector.initial
-        if generator.ndim == 1:
-            generator += w_problem * sector.problem
-            psi = np.exp(-1j * h * generator) * psi
-        else:
-            generator[indices, indices] += w_problem * sector.problem
-            energies, vectors = np.linalg.eigh(generator)
-            phases = np.exp(-1j * h * energies)
-            psi = matvec(vectors, phases * matvec(vectors.T, psi))
+        generator[indices, indices] += w_problem * sector.problem
+        energies, vectors = np.linalg.eigh(generator)
+        phases = np.exp(-1j * h * energies)
+        psi = matvec(vectors, phases * matvec(vectors.T, psi))
         if j in record_after:
             record()
     return sector.expand(psi), np.array(recorded)
@@ -358,7 +351,7 @@ def _stepwise_midpoint(family, init, params):
         (("x - 20", 8), 40.01),
         (("x^2 + y^2 - 25", 5), 20.0),
         (("x*y*z - 8", 4), 10.0),
-        # diagonal start operator
+        # zero displacement: a diagonal start operator, stored dense
         (("x - 1", 4, 0.0), 10.0),
     ],
     ids=["x-20@8", "x2+y2-25@5", "xyz-8@4", "diagonal"],
@@ -389,8 +382,6 @@ def _stagewise_rk4(family, init, params):
 
     def derivative(t, psi):
         wi, wp = family.weights(min(max(t / params.total_time, 0.0), 1.0))
-        if sector.initial.ndim == 1:
-            return (-1j * (wi * sector.initial + wp * sector.problem)) * psi
         problem_part = ((-1j * wp) * sector.problem) * psi
         return (-1j * wi) * matvec(sector.initial, psi) + problem_part
 
@@ -576,8 +567,8 @@ def test_overflowing_generator_aborts_at_its_step(scale, t_abort):
         # max H_P is 625: the problem weight overflows at s = 0.35, the
         # fourth of the 10 steps, all in one block of 18
         (("x^2 + y^2 - 25", 5), 21, 0.4),
-        # diagonal start operator, max H_P 400: overflows at s = 0.45, the
-        # fifth of the 10 steps, in one block of 101
+        # zero displacement, max H_P 400: overflows at s = 0.45, the fifth
+        # of the 10 steps, in one block of 101
         (("x - 20", 8, 0.0), 9, 0.5),
     ],
     ids=["dense", "diagonal"],
@@ -612,21 +603,6 @@ def _assert_bitwise_equal(trace, reference):
     assert np.array_equal(trace.norm_errors, reference.norm_errors)
 
 
-def _complex_start_case():
-    """x - 3 at cutoff 12 with the complex start operator (A - alpha)^†(A -
-    alpha) and its complex coherent state, as a hand-built family."""
-    p = parse_equation("x - 3")
-    basis = FockBasis(1, 12)
-    alpha = 0.3 + 0.4j
-    shifted = annihilation(basis, 0) - alpha * np.eye(basis.dimension)
-    family = AdiabaticFamily(
-        initial=HermitianOperator(basis, matrix=shifted.conj().T @ shifted),
-        problem=build_problem_hamiltonian(p, basis),
-        problem_values=problem_diagonal(p, basis),
-    )
-    return family, coherent_state(basis, alpha)
-
-
 @pytest.mark.parametrize(
     "build, total_time, disagreement",
     [
@@ -635,13 +611,10 @@ def _complex_start_case():
         (partial(_sector_case, "(x-7)*(x-8)", 12), 10.0, 8.3e-2),
         (partial(_sector_case, "x^2 - 64", 12), 20.0, 3.8e-2),
         (partial(_sector_case, "x^2 + y^2 - 25", 8), 160.0, 1.6e-2),
-        # no split run: m = 9 < SPLIT_MIN_DIMENSION, a diagonal start
-        # operator, a complex one (m = 13)
+        # no split run: m = 9 < SPLIT_MIN_DIMENSION
         (partial(_sector_case, "x - 1", 8), 10.0, None),
-        (partial(_sector_case, "x - 3", 12, 0.0), 10.0, None),
-        (_complex_start_case, 10.0, None),
     ],
-    ids=["(x-7)(x-8)@12", "x2-64@12", "x2+y2-25@8", "x-1@8", "diagonal", "complex"],
+    ids=["(x-7)(x-8)@12", "x2-64@12", "x2+y2-25@8", "x-1@8"],
 )
 def test_split_falls_back_to_the_bitwise_midpoint_run(
     caplog, build, total_time, disagreement
@@ -660,6 +633,21 @@ def test_split_falls_back_to_the_bitwise_midpoint_run(
         assert logged == pytest.approx(disagreement, rel=0.05)
         assert check.endswith("returning the midpoint run")
     _assert_bitwise_equal(trace, evolve(family, start, params))
+
+
+def test_split_is_exact_on_a_diagonal_path():
+    # zero displacement: H_I and H_P are diagonal and commute, so the Strang
+    # step is exact, and its h/2 run returns the exact diagonal phases
+    family, _ = _sector_case("x - 3", 12, 0.0)
+    rng = np.random.default_rng(3)
+    amplitudes = rng.normal(size=13) + 1j * rng.normal(size=13)
+    start = StateVector(family.basis, amplitudes / np.linalg.norm(amplitudes))
+    trace = evolve(family, start, EvolutionParams(10.0, 0.02, integrator=SPLIT))
+    assert trace.params == EvolutionParams(10.0, 0.01, integrator=SPLIT)
+    # integral of w_I H_I + w_P H_P over t in [0, T] for the linear schedule
+    energies = 5.0 * (np.diag(family.initial.array) + family.problem.diagonal)
+    expected = np.exp(-1j * energies) * start.amplitudes
+    assert np.max(np.abs(trace.final_state.amplitudes - expected)) <= 1e-12
 
 
 def _stepwise_strang(family, init, params):

@@ -16,6 +16,7 @@ from adiophantine.fock import (
     TruncationWarning,
     annihilation,
     coherent_state,
+    matvec,
 )
 from adiophantine.hamiltonians import (
     DEFAULT_ALPHA,
@@ -25,7 +26,6 @@ from adiophantine.hamiltonians import (
     build_problem_hamiltonian,
     linear_schedule,
     problem_diagonal,
-    smoothstep_schedule,
     spectral_profile,
 )
 
@@ -81,26 +81,26 @@ def test_problem_scale_guard():
 def test_initial_hamiltonian_zero_displacement():
     basis = FockBasis(1, 3)
     h, ground = build_initial_hamiltonian(basis, 0.0)
-    assert h.is_diagonal
-    assert h.diagonal.tolist() == [0.0, 1.0, 2.0, 3.0]
+    assert not h.is_diagonal
+    assert np.array_equal(h.array, np.diag([0.0, 1.0, 2.0, 3.0]))
     assert np.allclose(ground.amplitudes, [1, 0, 0, 0])
 
 
 def test_initial_hamiltonian_displaced_ground_state():
     basis = FockBasis(1, 16)
     h, nominal = build_initial_hamiltonian(basis, 0.5)
-    evals, evecs = h.eigensystem()
+    evals, evecs = np.linalg.eigh(h.to_matrix())
     assert evals[0] < 1e-8
     overlap = abs(np.vdot(evecs[:, 0], nominal.amplitudes))
     assert overlap > 1 - 1e-6
-    rayleigh = np.vdot(nominal.amplitudes, h.apply(nominal).amplitudes).real
+    rayleigh = np.vdot(nominal.amplitudes, matvec(h.array, nominal.amplitudes)).real
     assert rayleigh < 1e-6
 
 
 def test_initial_hamiltonian_default_alpha_rayleigh():
     basis = FockBasis(2, 8)
     h, nominal = build_initial_hamiltonian(basis)
-    rayleigh = np.vdot(nominal.amplitudes, h.apply(nominal).amplitudes).real
+    rayleigh = np.vdot(nominal.amplitudes, matvec(h.array, nominal.amplitudes)).real
     assert 0 <= rayleigh < 1e-6
 
 
@@ -118,36 +118,35 @@ def test_initial_hamiltonian_is_exact_kronecker_sum(k, cutoff):
     assert np.array_equal(h.to_matrix(), expected)
 
 
-def _complex_start_family(text, cutoff, alphas):
-    """The path with the complex start operator sum_i (A_i - alpha_i)^† (A_i -
-    alpha_i), built from d x d products, and its complex coherent state."""
-    p = parse_equation(text)
-    basis = FockBasis(p.num_vars, cutoff)
+def test_displacement_phase_is_a_gauge():
+    # the real production path for |alpha| against the complex path for
+    # alpha: H_I = sum_i (A_i - alpha_i)^† (A_i - alpha_i) from d x d
+    # products, its complex coherent state, a midpoint-exponential loop and
+    # an eigvalsh grid in complex arithmetic
+    alphas = (0.3 + 0.4j, -0.2j)
+    family, start = _family("x*y - 6", 5, alphas=alphas)
+    basis = family.basis
     eye = np.eye(basis.dimension)
-    start = np.zeros((basis.dimension, basis.dimension), dtype=np.complex128)
+    h_initial = np.zeros((basis.dimension, basis.dimension), dtype=np.complex128)
     for mode, alpha in enumerate(alphas):
         shifted = annihilation(basis, mode) - alpha * eye
-        start += shifted.conj().T @ shifted
-    values = problem_diagonal(p, basis)
-    family = AdiabaticFamily(
-        initial=HermitianOperator(basis, matrix=start),
-        problem=build_problem_hamiltonian(p, basis),
-        problem_values=values,
-    )
-    return family, coherent_state(basis, alphas)
+        h_initial += shifted.conj().T @ shifted
+    h_problem = np.diag(family.problem.diagonal)
 
+    def hamiltonian(s):
+        return (1.0 - s) * h_initial + s * h_problem
 
-def test_displacement_phase_is_a_gauge():
-    # the real production path for |alpha| against the complex path for alpha
-    alphas = (0.3 + 0.4j, -0.2j)
-    reference, reference_start = _complex_start_family("x*y - 6", 5, alphas)
-    assert np.iscomplexobj(reference.path_arrays(np.array([reference.weights(0.5)])))
-    family, start = _family("x*y - 6", 5, alphas=alphas)
     params = EvolutionParams(10.0, 0.02, record_grid=2)
-    expected = evolve(reference, reference_start, params).final_probabilities()
+    psi = coherent_state(basis, alphas).amplitudes
+    for t, h in zip(*params.step_starts_and_sizes()):
+        midpoint = (t + 0.5 * h) / params.total_time
+        energies, vectors = np.linalg.eigh(hamiltonian(midpoint))
+        psi = vectors @ (np.exp(-1j * h * energies) * (vectors.conj().T @ psi))
+    expected = np.abs(psi) ** 2 / np.sum(np.abs(psi) ** 2)
     got = evolve(family, start, params).final_probabilities()
     assert np.max(np.abs(got - expected)) <= 1e-12
-    expected = spectral_profile(reference, grid_size=21).energies
+    s_values = np.linspace(0.0, 1.0, 21)
+    expected = np.array([np.linalg.eigvalsh(hamiltonian(s))[:6] for s in s_values])
     got = spectral_profile(family, grid_size=21).energies
     assert np.max(np.abs(got - expected)) <= 1e-12
 
@@ -173,6 +172,13 @@ def test_endpoints_exact():
     )
 
 
+def test_start_operator_stored_as_a_diagonal_is_refused():
+    family, _ = _family("x - 1", 4)
+    diagonal = HermitianOperator(family.basis, diagonal=np.arange(5.0))
+    with pytest.raises(ValueError, match="start operator must be a dense matrix"):
+        AdiabaticFamily(diagonal, family.problem)
+
+
 def test_interpolation_range_check():
     family, _ = _family("x - 1", 4)
     with pytest.raises(ValueError):
@@ -196,21 +202,9 @@ def test_midpoint_weyl_bounds():
     assert mid[-1] <= 0.5 * (lo[-1] + hi[-1]) + 1e-10
 
 
-def test_smoothstep_schedule_monotone_and_endpoint_exact():
-    assert smoothstep_schedule(0.0) == (1.0, 0.0)
-    assert smoothstep_schedule(1.0) == (0.0, 1.0)
-    weights = [smoothstep_schedule(s)[1] for s in np.linspace(0, 1, 50)]
-    assert all(b >= a for a, b in zip(weights, weights[1:]))
-    family, _ = _family("x - 1", 4)
-    stepped = AdiabaticFamily(
-        family.initial,
-        family.problem,
-        schedule=smoothstep_schedule,
-        problem_values=family.problem_values,
-    )
-    assert np.array_equal(
-        stepped.hamiltonian(1.0).to_matrix(), family.problem.to_matrix()
-    )
+def _smoothstep(s):
+    sigma = s * s * (3.0 - 2.0 * s)
+    return (1.0 - sigma, sigma)
 
 
 def _nan_after_half(s):
@@ -245,7 +239,7 @@ def _bits(values):
 @given(_unit_grids)
 def test_schedules_on_arrays_are_bitwise_their_scalar_calls(grid):
     family, _ = _family("x - 1", 2)
-    for schedule in (linear_schedule, smoothstep_schedule):
+    for schedule in (linear_schedule, _smoothstep):
         on_array = np.stack(schedule(grid), axis=1)
         on_floats = [schedule(float(s)) for s in grid]
         assert np.array_equal(_bits(on_array), _bits(on_floats))
@@ -297,7 +291,7 @@ def test_weights_array_rejects_any_non_finite_weight(grid, bad, data):
         ("x + 2*y", 4, DEFAULT_ALPHA, 25, 1),
         ("x + y - 5", 4, (0.7, 0.5), 25, 1),
         ("x + y + z - 3", 4, (0.7, 0.5j, 0.5), 75, 2),  # only |alpha| counts
-        ("x + y - 5", 4, 0.0, 15, 2),  # diagonal start operator
+        ("x + y - 5", 4, 0.0, 15, 2),  # a diagonal start operator, stored dense
     ],
 )
 def test_sector_dimension(text, cutoff, alphas, dimension, group_order):
@@ -328,13 +322,10 @@ def test_sector_arrays_are_the_restricted_path(text, alphas):
     for a, orbit in enumerate(orbits):
         v[list(orbit), a] = 1.0 / np.sqrt(len(orbit))
 
-    def dense(h):
-        return np.diag(h) if h.ndim == 1 else h
-
     for s in (0.0, 0.3, 1.0):
         weights = np.array([family.weights(s)])
-        full = dense(family.path_arrays(weights)[0])
-        reduced = dense(family.path_arrays(weights, sector)[0])
+        full = family.path_arrays(weights)[0]
+        reduced = family.path_arrays(weights, sector)[0]
         assert np.max(np.abs(reduced - v.T @ full @ v)) <= 1e-12
     coordinates = sector.reduce(start.amplitudes)
     assert np.max(np.abs(coordinates - v.T @ start.amplitudes)) <= 1e-15
