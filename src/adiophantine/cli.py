@@ -224,6 +224,8 @@ def cmd_oracle(config: RunConfig) -> int:
     p = parse_equation(_require_equation(config))
     shifted = substitute_shift(p, config.semantics_enum())
     bound = config.bound if config.bound is not None else config.cutoff
+    if bound < 0:
+        raise ConfigError(f"bound must be non-negative, got {bound}")
     witness = brute_force_search(shifted, bound)
     if witness is None:
         print(f"none within bound {bound}")

@@ -20,6 +20,7 @@ by exact integer evaluation, independently of the quantum pipeline.  A
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, replace
 from enum import Enum
@@ -165,6 +166,12 @@ class DecideConfig:
     extrapolation_steps: tuple[float, ...] | None = None
 
     def __post_init__(self):
+        if self.cutoff < 1:
+            raise ValueError(f"cutoff must be at least 1, got {self.cutoff}")
+        for name in ("step", "t0"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise ValueError(f"{name} must be positive and finite, got {value}")
         if self.j_max < 0:
             raise ValueError(f"j_max must be at least 0, got {self.j_max}")
 

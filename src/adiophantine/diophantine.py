@@ -7,8 +7,13 @@ term are dropped during canonicalization, so ``parse_equation(to_text(p))``
 reproduces ``p`` exactly, including for the zero polynomial.
 
 Arithmetic is exact.  Canonical coefficients must fit the signed 64-bit
-range and evaluation intermediates the signed 128-bit range; violations
-raise instead of wrapping.
+range, and every term value and partial sum of an evaluation must stay
+below 2^127 in magnitude; violations raise instead of wrapping.
+``evaluate`` computes one point with Python ints.  The box searches
+(``min_over_box``, ``brute_force_search``) and the problem diagonal
+evaluate whole slabs of the box at once with ``box_slabs``: in int64 when
+sum |c| * bound^deg proves that nothing can reach 2^63, otherwise in Python
+ints under the same 2^127 guard.
 
 Equation grammar::
 
@@ -24,9 +29,12 @@ input is normalized to ``LHS - RHS``.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
+
+import numpy as np
 
 __all__ = [
     "COEFFICIENT_LIMIT",
@@ -44,6 +52,7 @@ __all__ = [
     "to_text",
     "substitute_shift",
     "evaluate",
+    "box_slabs",
     "brute_force_search",
     "min_over_box",
 ]
@@ -437,25 +446,103 @@ def evaluate(p: Polynomial, point: Sequence[int]) -> int:
     return total
 
 
-def _capped_compositions(total: int, slots: int, bound: int) -> Iterator[tuple[int, ...]]:
-    if slots == 1:
-        if total <= bound:
-            yield (total,)
-        return
-    first_min = max(0, total - (slots - 1) * bound)
-    first_max = min(bound, total)
-    for first in range(first_min, first_max + 1):
-        for rest in _capped_compositions(total - first, slots - 1, bound):
-            yield (first,) + rest
+# points per slab of the box evaluator: an int64 slab plus the term being
+# built take about 1 MB
+SLAB_POINTS = 1 << 16
 
 
-def graded_points(num_vars: int, bound: int) -> Iterator[tuple[int, ...]]:
-    """All points of [0, bound]^k in graded-lexicographic order."""
-    if num_vars == 0:
-        yield ()
+def _check_range(values, what: str) -> None:
+    values = np.asarray(values, dtype=object)
+    over = np.abs(values) >= EVALUATION_LIMIT
+    if np.any(over):
+        raise EvaluationRangeError(
+            f"{what} {values.flat[np.argmax(over)]} exceeds the signed 128-bit range"
+        )
+
+
+def box_slabs(p: Polynomial, bound: int) -> Iterator[tuple[int, np.ndarray]]:
+    """Exact values of ``p`` over [0, bound]^k in C order (the first variable
+    varies slowest), as ``(offset, values)`` slabs of at most about
+    ``SLAB_POINTS`` points; ``offset`` is the C-order index of a slab's
+    first point.
+
+    A slab is a run of values of one variable times the whole box of the
+    variables after it, with the variables before it held fixed.  Each term
+    is a broadcast product of per-variable power tables.  The slabs are
+    int64 when sum |c| * bound^deg over the terms is below 2^63, which
+    bounds every power, partial product and partial sum; otherwise the same
+    code runs on Python ints and raises :class:`EvaluationRangeError` where
+    :func:`evaluate` would.
+    """
+    if bound < 0:
+        raise ValueError("bound must be non-negative")
+    k = p.num_vars
+    side = bound + 1
+    wide = sum(abs(c) * bound ** sum(e) for e, c in p.terms) >= 2**63
+    dtype = object if wide else np.int64
+    if k == 0:
+        yield 0, np.array([sum(c for _, c in p.terms)], dtype=dtype)
         return
-    for total in range(num_vars * bound + 1):
-        yield from _capped_compositions(total, num_vars, bound)
+    tables: dict[int, np.ndarray] = {}
+
+    def powers(e: int) -> np.ndarray:
+        if e not in tables:
+            tables[e] = np.arange(side, dtype=np.int64).astype(dtype) ** e
+        return tables[e]
+
+    tail = 0  # trailing variables that every slab covers whole
+    while tail < k - 1 and side ** (tail + 1) <= SLAB_POINTS:
+        tail += 1
+    lead = k - 1 - tail
+    chunk = max(1, SLAB_POINTS // side**tail)
+    offset = 0
+    for prefix in itertools.product(range(side), repeat=lead):
+        for start in range(0, side, chunk):
+            rows = slice(start, min(start + chunk, side))
+            total = np.zeros((rows.stop - start,) + (side,) * tail, dtype=dtype)
+            for exponents, coefficient in p.terms:
+                term = coefficient  # a Python int until it meets an array
+                for v, e in zip(prefix, exponents):
+                    term *= int(powers(e)[v])
+                for axis, e in enumerate(exponents[lead:]):
+                    if e:
+                        table = powers(e)[rows] if axis == 0 else powers(e)
+                        term = term * table.reshape((-1,) + (1,) * (tail - axis))
+                if wide:
+                    _check_range(term, "term value")
+                total += term
+                if wide:
+                    _check_range(total, "partial sum")
+            yield offset, total.ravel()
+            offset += total.size
+
+
+def _min_magnitude(p: Polynomial, bound: int) -> tuple[int, tuple[int, ...], int]:
+    """Smallest |p| over [0, bound]^k, its graded-lex first argmin, and how
+    many box points attain it."""
+    shape = (bound + 1,) * p.num_vars
+    best: int | None = None
+    argmin: tuple[int, ...] = ()
+    multiplicity = 0
+    for offset, values in box_slabs(p, bound):
+        magnitudes = np.abs(values)
+        low = int(magnitudes.min())
+        if best is not None and low > best:
+            continue
+        hits = np.flatnonzero(magnitudes == low)
+        point: tuple[int, ...] = ()
+        if shape:
+            # C order is lex order, so the first hit of least sum is the
+            # slab's graded-lex first
+            coordinates = np.stack(np.unravel_index(offset + hits, shape))
+            point = tuple(coordinates[:, np.argmin(coordinates.sum(axis=0))].tolist())
+        if best is None or low < best:
+            best, argmin, multiplicity = low, point, len(hits)
+        else:
+            argmin = min(argmin, point, key=_graded_key)
+            multiplicity += len(hits)
+    assert best is not None
+    return best, argmin, multiplicity
 
 
 def _check_work_cap(num_vars: int, bound: int, work_cap: int) -> None:
@@ -472,14 +559,24 @@ def brute_force_search(
 ) -> tuple[int, ...] | None:
     """Graded-lex smallest zero of ``p`` in [0, bound]^k, or None.
 
-    Deterministic; the enumeration order makes the returned witness the
-    unique graded-lexicographically first zero in the box.
+    Deterministic; the returned witness is the unique graded-lexicographically
+    first zero in the box.  The search evaluates growing cubes [0, b]^k,
+    b = 1, 2, 4, ..., bound, and stops at the first cube whose graded-first
+    zero has coordinate sum at most b: every point of smaller graded key
+    lies in that cube.  A cube is evaluated whole, so the search raises
+    :class:`EvaluationRangeError` when some point of a cube it reaches
+    leaves the range, even if the zero it would return comes earlier in
+    graded order.
     """
     _check_work_cap(p.num_vars, bound, work_cap)
-    for point in graded_points(p.num_vars, bound):
-        if evaluate(p, point) == 0:
-            return point
-    return None
+    cube = min(1, bound)
+    while True:
+        low, argmin, _ = _min_magnitude(p, cube)
+        if low == 0 and (sum(argmin) <= cube or cube == bound):
+            return argmin
+        if cube == bound:
+            return None
+        cube = min(2 * cube, bound)
 
 
 class MinOverBox(NamedTuple):
@@ -498,16 +595,5 @@ def min_over_box(
     level of the squared-equation diagonal on the same box.
     """
     _check_work_cap(p.num_vars, bound, work_cap)
-    best: int | None = None
-    argmin: tuple[int, ...] = ()
-    multiplicity = 0
-    for point in graded_points(p.num_vars, bound):
-        value = evaluate(p, point) ** 2
-        if best is None or value < best:
-            best = value
-            argmin = point
-            multiplicity = 1
-        elif value == best:
-            multiplicity += 1
-    assert best is not None
-    return MinOverBox(best, argmin, multiplicity)
+    low, argmin, multiplicity = _min_magnitude(p, bound)
+    return MinOverBox(low * low, argmin, multiplicity)

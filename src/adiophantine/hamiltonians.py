@@ -26,13 +26,14 @@ full space is the trivial sector.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable
 
 import numpy as np
 
-from .diophantine import Polynomial, evaluate
+from .diophantine import Polynomial, box_slabs
 from .fock import (
     HERMITICITY_TOL,
     FockBasis,
@@ -86,6 +87,10 @@ class ProblemScaleError(OverflowError):
     """Squared equation values exceed the signed 64-bit range on the box."""
 
 
+# largest |D(n)| whose square is below 2^63
+_ROOT_LIMIT = math.isqrt(2**63 - 1)
+
+
 def stack_length(dimension: int) -> int:
     """How many m x m matrices, m = ``dimension``, fill one stacked
     eigensolve of ``STACK_BYTES``; at least one."""
@@ -93,22 +98,27 @@ def stack_length(dimension: int) -> int:
 
 
 def problem_diagonal(p: Polynomial, basis: FockBasis) -> tuple[int, ...]:
-    """Exact integer diagonal D(n)^2 in basis order."""
+    """Exact integer diagonal D(n)^2 in basis order, which is the C order of
+    the box [0, cutoff]^k that ``box_slabs`` evaluates."""
     if p.num_vars != basis.num_modes:
         raise ValueError(
             f"polynomial has {p.num_vars} variables but basis has "
             f"{basis.num_modes} modes"
         )
-    values = []
-    for occupation in basis.occupations().tolist():
-        d = evaluate(p, occupation)
-        squared = d * d
-        if squared >= 2**63:
-            raise ProblemScaleError(
-                f"squared value {squared} at {tuple(occupation)} exceeds 64-bit range"
-            )
-        values.append(squared)
-    return tuple(values)
+    values = np.concatenate([v for _, v in box_slabs(p, basis.cutoff)])
+    over = np.flatnonzero(np.abs(values) > _ROOT_LIMIT)
+    if over.size:
+        index = int(over[0])
+        raise ProblemScaleError(
+            f"squared value {int(values[index]) ** 2} at "
+            f"{basis.occupation(index)} exceeds 64-bit range"
+        )
+    values = values.astype(np.int64, copy=False)
+    # the diagonal is highly degenerate and lives as long as its family:
+    # equal squares share one int object (the first of them), 8 bytes per
+    # entry instead of 36
+    squares = (values * values).tolist()
+    return tuple(map({}.setdefault, squares, squares))
 
 
 def build_problem_hamiltonian(p: Polynomial, basis: FockBasis) -> HermitianOperator:

@@ -66,6 +66,11 @@ def test_oracle_positive_semantics(capsys):
     assert "(2)" in capsys.readouterr().out
 
 
+def test_oracle_negative_bound_is_a_config_error(capsys):
+    assert main(["oracle", "x - 1", "--bound", "-1"]) == EXIT_USAGE
+    assert "config error: bound must be non-negative" in capsys.readouterr().err
+
+
 # -- spectrum / evolve -----------------------------------------------------------
 
 
@@ -136,6 +141,22 @@ def test_decide_negative_jmax_is_a_config_error(tmp_path, capsys):
     code = main(["decide", "x - 1", "--jmax", "-1", "--out", str(tmp_path)])
     assert code == EXIT_USAGE
     assert "config error: j_max must be at least 0" in capsys.readouterr().err
+    assert not (tmp_path / "decision.json").exists()
+
+
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["--cutoff", "0"], "cutoff must be at least 1"),
+        (["--step", "0"], "step must be positive and finite"),
+        (["--step", "nan"], "step must be positive and finite"),
+        (["--T0", "-1"], "t0 must be positive and finite"),
+    ],
+)
+def test_decide_out_of_range_settings_are_config_errors(tmp_path, capsys, flags, message):
+    code = main(["decide", "x - 1", *flags, "--out", str(tmp_path)])
+    assert code == EXIT_USAGE
+    assert f"config error: {message}" in capsys.readouterr().err
     assert not (tmp_path / "decision.json").exists()
 
 

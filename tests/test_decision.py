@@ -154,6 +154,23 @@ def test_negative_j_max_is_refused():
         DecideConfig(j_max=-1)
 
 
+@pytest.mark.parametrize(
+    "setting, message",
+    [
+        ({"cutoff": 0}, "cutoff must be at least 1"),
+        ({"step": 0.0}, "step must be positive and finite"),
+        ({"step": -0.02}, "step must be positive and finite"),
+        ({"step": float("nan")}, "step must be positive and finite"),
+        ({"step": float("inf")}, "step must be positive and finite"),
+        ({"t0": -1.0}, "t0 must be positive and finite"),
+        ({"t0": float("nan")}, "t0 must be positive and finite"),
+    ],
+)
+def test_out_of_range_settings_are_refused(setting, message):
+    with pytest.raises(ValueError, match=message):
+        DecideConfig(**setting)
+
+
 GOLDEN_CLASS_VALUES = {
     "x - 1": 0,
     "x - 20": 144,

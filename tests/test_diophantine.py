@@ -1,10 +1,13 @@
 import itertools
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from adiophantine.diophantine import (
+    EVALUATION_LIMIT,
+    SLAB_POINTS,
     CoefficientRangeError,
     EvaluationRangeError,
     MinOverBox,
@@ -12,6 +15,7 @@ from adiophantine.diophantine import (
     Polynomial,
     VariableSemantics,
     WorkCapExceeded,
+    box_slabs,
     brute_force_search,
     evaluate,
     min_over_box,
@@ -133,6 +137,24 @@ def polynomials(draw, names=None):
         e = tuple(draw(st.integers(0, 3)) for _ in range(k))
         c = draw(st.integers(-50, 50))
         terms[e] = c
+    return Polynomial.from_terms(terms, names)
+
+
+@st.composite
+def wide_polynomials(draw):
+    """One or two terms with coefficients near 2^62 and exponents up to 40,
+    plus small terms that can cancel to zeros.  At bound >= 2 the box bound
+    sum |c| * bound^deg reaches 2^63, so boxes are evaluated in Python ints,
+    and high-degree terms reach the 2^127 evaluation limit."""
+    names = draw(st.lists(st.sampled_from(["x", "y"]), min_size=1, max_size=2, unique=True))
+    terms = {(0,) * len(names): draw(st.integers(-4, 4))}
+    for _ in range(draw(st.integers(0, 2))):
+        e = tuple(draw(st.integers(0, 2)) for _ in names)
+        terms[e] = terms.get(e, 0) + draw(st.sampled_from([-2, -1, 1, 2]))
+    for _ in range(draw(st.integers(1, 2))):
+        e = tuple(draw(st.sampled_from([0, 1, 20, 33, 40])) for _ in names)
+        sign = draw(st.sampled_from([-1, 1]))
+        terms[e] = sign * draw(st.integers(2**62 - 2**20, 2**62))
     return Polynomial.from_terms(terms, names)
 
 
@@ -272,3 +294,151 @@ def test_min_zero_iff_witness(p, bound):
         assert witness is not None and witness == result.argmin
     else:
         assert witness is None
+
+
+# -- box evaluator against the scalar reference --------------------------------
+
+
+def _graded_box(p, bound):
+    return sorted(
+        itertools.product(range(bound + 1), repeat=p.num_vars),
+        key=lambda t: (sum(t), t),
+    )
+
+
+def _reference_values(p, bound):
+    """(point, value) in graded order, value None where ``evaluate`` raises."""
+    out = []
+    for point in _graded_box(p, bound):
+        try:
+            out.append((point, evaluate(p, point)))
+        except EvaluationRangeError:
+            out.append((point, None))
+    return out
+
+
+def _check_against_reference(p, bound):
+    values = _reference_values(p, bound)
+    if all(v is not None for _, v in values):
+        squares = [(v * v, point) for point, v in values]
+        best = min(s for s, _ in squares)
+        argmin = next(point for s, point in squares if s == best)
+        count = sum(1 for s, _ in squares if s == best)
+        assert min_over_box(p, bound) == MinOverBox(best, argmin, count)
+        zero = next((point for point, v in values if v == 0), None)
+        assert brute_force_search(p, bound) == zero
+        return
+    with pytest.raises(EvaluationRangeError):
+        min_over_box(p, bound)
+    # the graded scan meets a zero or an out-of-range point first; a zero
+    # may be returned, since the growing cube that proves it first need not
+    # reach the later out-of-range points
+    first = next((point, v) for point, v in values if v is None or v == 0)
+    if first[1] is None:
+        with pytest.raises(EvaluationRangeError):
+            brute_force_search(p, bound)
+    else:
+        try:
+            assert brute_force_search(p, bound) == first[0]
+        except EvaluationRangeError:
+            pass
+
+
+@settings(max_examples=200, deadline=None)
+@given(polynomials(), st.integers(0, 5))
+def test_box_evaluator_matches_scalar_reference(p, bound):
+    _check_against_reference(p, bound)
+
+
+@settings(max_examples=100, deadline=None)
+@given(wide_polynomials(), st.integers(1, 3))
+def test_box_evaluator_matches_scalar_reference_on_wide_integers(p, bound):
+    _check_against_reference(p, bound)
+
+
+@st.composite
+def products_of_linear_factors(draw):
+    """Polynomials with many zeros of different coordinate sums, where the
+    lexicographically and the graded-lexicographically first zero differ."""
+    names = st.sampled_from(["x", "y", "z"])
+    p = Polynomial.constant(1)
+    for _ in range(draw(st.integers(1, 3))):
+        factor = Polynomial.constant(-draw(st.integers(0, 6)))
+        for name in draw(st.lists(names, min_size=1, max_size=2, unique=True)):
+            factor = factor + draw(st.integers(1, 2)) * Polynomial.variable(name)
+        p = p * factor
+    return p
+
+
+@settings(max_examples=300, deadline=None)
+@given(products_of_linear_factors(), st.integers(0, 7))
+def test_box_evaluator_matches_scalar_reference_on_many_zeros(p, bound):
+    _check_against_reference(p, bound)
+
+
+def test_box_evaluator_picks_the_graded_first_point():
+    # C order meets the zero (0, 5) first; the graded-lex first is (1, 0)
+    p = parse_equation("(x - 1)*(y - 5)")
+    assert min_over_box(p, 6) == MinOverBox(0, (1, 0), 13)
+    assert brute_force_search(p, 6) == (1, 0)
+
+
+@pytest.mark.parametrize("text", ["0", "7", "-3", "x - x"])
+@pytest.mark.parametrize("bound", [0, 3])
+def test_box_evaluator_on_constants(text, bound):
+    p = parse_equation(text)
+    assert p.num_vars == 0
+    _check_against_reference(p, bound)
+
+
+def test_box_slabs_cover_the_box_in_c_order():
+    # 41^3 points: more than one slab, each a run of whole x-planes
+    p = parse_equation("x^3 - 2*x*y + z^2 - 5")
+    offsets, values = zip(*box_slabs(p, 40))
+    assert len(values) > 1 and max(v.size for v in values) <= SLAB_POINTS
+    assert list(offsets) == [0, *itertools.accumulate(v.size for v in values[:-1])]
+    box = itertools.product(range(41), repeat=3)
+    assert np.concatenate(values).tolist() == [evaluate(p, t) for t in box]
+    # 101^4 points: a slab fixes x and takes a run of y-planes
+    q = parse_equation("a + b - c*d")
+    offset, first = next(box_slabs(q, 100))
+    assert offset == 0 and first.size <= SLAB_POINTS and first.dtype == np.int64
+    head = itertools.islice(itertools.product(range(101), repeat=4), first.size)
+    assert first.tolist() == [evaluate(q, t) for t in head]
+
+
+def test_box_slabs_choose_the_integer_width_from_the_bound():
+    def dtype(p, bound):
+        return next(box_slabs(p, bound))[1].dtype
+
+    # sum |c| * bound^deg: 2^62 * 1 + 2^62 < 2^63 is int64; one more is not
+    assert dtype(parse_equation(f"{2**62}*x + {2**62 - 1}"), 1) == np.int64
+    assert dtype(parse_equation(f"{2**62}*x + {2**62}"), 1) == object
+    assert dtype(parse_equation("x^62"), 2) == np.int64
+    assert dtype(parse_equation("x^63"), 2) == object
+    wide = parse_equation("x^63 - 2*x^62")
+    assert dtype(wide, 2) == object
+    assert min_over_box(wide, 2) == MinOverBox(0, (0,), 2)
+
+
+def test_box_range_guard():
+    p = Polynomial.from_terms({(65,): 2**62}, ("x",))
+    assert 2**62 * 2**65 == EVALUATION_LIMIT
+    with pytest.raises(EvaluationRangeError):
+        min_over_box(p, 2)
+    with pytest.raises(EvaluationRangeError):
+        brute_force_search(p + 1, 2)
+    # a zero at x = 0 is proved by the first cube, before x = 2 is reached
+    assert brute_force_search(p, 2) == (0,)
+
+
+def test_search_raises_on_a_cube_beyond_its_zero():
+    # graded order reaches the zero (0, 2) before (2, 0), where the term
+    # 2^62 * x^65 reaches 2^127; the cube [0, 2]^2 that proves the zero
+    # holds both, so the search raises where a point-by-point scan would not
+    p = Polynomial.from_terms({(65, 0): 2**62, (0, 1): 1, (0, 0): -2}, ("x", "y"))
+    assert evaluate(p, (0, 2)) == 0
+    with pytest.raises(EvaluationRangeError):
+        evaluate(p, (2, 0))
+    with pytest.raises(EvaluationRangeError):
+        brute_force_search(p, 2)

@@ -3,11 +3,16 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from adiophantine.diophantine import min_over_box, parse_equation
+from adiophantine.diophantine import (
+    EvaluationRangeError,
+    evaluate,
+    min_over_box,
+    parse_equation,
+)
 from adiophantine.evolution import EvolutionParams, evolve
 from adiophantine.fock import (
     FockBasis,
@@ -28,6 +33,7 @@ from adiophantine.hamiltonians import (
     problem_diagonal,
     spectral_profile,
 )
+from test_diophantine import polynomials, wide_polynomials
 
 
 def _family(text, cutoff, alphas=0.5):
@@ -73,6 +79,54 @@ def test_problem_arity_mismatch():
 def test_problem_scale_guard():
     with pytest.raises(ProblemScaleError):
         build_problem_hamiltonian(parse_equation("3000000000*x"), FockBasis(1, 8))
+
+
+def _check_diagonal_against_reference(p, cutoff):
+    # basis order is itertools.product order: the first mode varies slowest
+    basis = FockBasis(p.num_vars, cutoff)
+    try:
+        reference = [
+            evaluate(p, t) ** 2
+            for t in itertools.product(range(cutoff + 1), repeat=p.num_vars)
+        ]
+    except EvaluationRangeError:
+        with pytest.raises(EvaluationRangeError):
+            problem_diagonal(p, basis)
+        return
+    if max(reference) >= 2**63:
+        with pytest.raises(ProblemScaleError):
+            problem_diagonal(p, basis)
+        return
+    assert problem_diagonal(p, basis) == tuple(reference)
+
+
+@settings(max_examples=150, deadline=None)
+@given(polynomials(), st.integers(1, 5))
+def test_problem_diagonal_matches_scalar_reference(p, cutoff):
+    assume(p.num_vars > 0)
+    _check_diagonal_against_reference(p, cutoff)
+
+
+@settings(max_examples=100, deadline=None)
+@given(wide_polynomials(), st.integers(1, 3))
+def test_problem_diagonal_matches_scalar_reference_on_wide_integers(p, cutoff):
+    assume(p.num_vars > 0)
+    _check_diagonal_against_reference(p, cutoff)
+
+
+def test_problem_diagonal_shares_equal_entries():
+    # the family keeps the diagonal: one int object per distinct value
+    values = problem_diagonal(parse_equation("x^2 + y^2 - 50"), FockBasis(2, 8))
+    assert values[1 * 9 + 7] == values[5 * 9 + 5] == 0
+    assert len({id(v) for v in values}) == len(set(values)) < len(values)
+
+
+def test_problem_scale_guard_names_the_first_point():
+    # |D| = 3037000499 is the largest whose square is below 2^63
+    basis = FockBasis(1, 1)
+    assert problem_diagonal(parse_equation("3037000499*x"), basis) == (0, 3037000499**2)
+    with pytest.raises(ProblemScaleError, match=r"at \(1,\)"):
+        problem_diagonal(parse_equation("3037000500*x"), basis)
 
 
 # -- start Hamiltonian ---------------------------------------------------------
