@@ -30,6 +30,7 @@ from .decision import (
     decide,
     report_to_json_dict,
     sample_measurements,
+    sweep_configs,
     sweep_to_json_dict,
     truncation_sweep,
 )
@@ -199,10 +200,7 @@ def _build_family(config: RunConfig):
         raise ConfigError("equation has no variables to solve for")
     shifted = substitute_shift(p, config.semantics_enum())
     basis = FockBasis(shifted.num_vars, config.cutoff)
-    family, start_state = AdiabaticFamily.from_polynomial(
-        shifted, basis, alphas=config.alphas_value()
-    )
-    return p, shifted, family, start_state
+    return AdiabaticFamily.from_polynomial(shifted, basis, alphas=config.alphas_value())
 
 
 CUTOFF_NOTE = "no statement about solutions beyond the cutoff"
@@ -237,7 +235,7 @@ def cmd_oracle(config: RunConfig) -> int:
 
 
 def cmd_spectrum(config: RunConfig) -> int:
-    _, _, family, _ = _build_family(config)
+    family, _ = _build_family(config)
     profile = spectral_profile(
         family,
         grid_size=config.grid_size,
@@ -258,8 +256,9 @@ def cmd_spectrum(config: RunConfig) -> int:
     return EXIT_OK
 
 
-def cmd_evolve(config: RunConfig) -> int:
-    _, _, family, start_state = _build_family(config)
+def _evolve_once(config: RunConfig):
+    """One run for --T (default --T0) on the configured family."""
+    family, start_state = _build_family(config)
     total_time = config.total_time if config.total_time is not None else config.t0
     params = EvolutionParams(
         total_time=total_time,
@@ -267,7 +266,11 @@ def cmd_evolve(config: RunConfig) -> int:
         integrator=config.integrator_enum(),
         record_grid=config.record_grid,
     )
-    trace = evolve(family, start_state, params)
+    return family, evolve(family, start_state, params)
+
+
+def cmd_evolve(config: RunConfig) -> int:
+    family, trace = _evolve_once(config)
     out = Path(config.out_dir) / "trace.csv"
     _write_atomic(out, trace.to_csv())
     print(f"wrote {out}")
@@ -278,7 +281,7 @@ def cmd_evolve(config: RunConfig) -> int:
     probs = trace.final_probabilities()
     top = int(np.argmax(probs))
     print(
-        f"T={total_time}: top state {family.basis.occupation(top)} "
+        f"T={trace.params.total_time}: top state {family.basis.occupation(top)} "
         f"with probability {float(probs[top]):.6f}"
     )
     return EXIT_OK
@@ -309,15 +312,7 @@ def cmd_decide(config: RunConfig) -> int:
 
 
 def cmd_sample(config: RunConfig) -> int:
-    _, _, family, start_state = _build_family(config)
-    total_time = config.total_time if config.total_time is not None else config.t0
-    params = EvolutionParams(
-        total_time=total_time,
-        step=min(config.step, total_time),
-        integrator=config.integrator_enum(),
-        record_grid=config.record_grid,
-    )
-    trace = evolve(family, start_state, params)
+    family, trace = _evolve_once(config)
     run = sample_measurements(trace.final_state, config.shots, config.seed)
     out = Path(config.out_dir) / "measurements.csv"
     _write_atomic(out, run.to_csv())
@@ -335,7 +330,12 @@ def cmd_sweep(config: RunConfig) -> int:
     p = parse_equation(_require_equation(config))
     if not config.cutoffs:
         raise ConfigError("sweep requires --cutoffs, e.g. --cutoffs 3,5,7")
-    result = truncation_sweep(p, config.cutoffs, config.decide_config())
+    decide_config = config.decide_config()
+    try:
+        sweep_configs(config.cutoffs, decide_config)
+    except ValueError as err:
+        raise ConfigError(str(err)) from None
+    result = truncation_sweep(p, config.cutoffs, decide_config)
     out = Path(config.out_dir) / "sweep.json"
     _write_atomic(out, _dump_json(sweep_to_json_dict(result, created_utc=_now_utc())))
     print(f"wrote {out}")

@@ -37,10 +37,12 @@ from .diophantine import (
 from .evolution import (
     EvolutionParams,
     EvolutionTrace,
+    ExtrapolationError,
     ExtrapolationResult,
     Integrator,
     extrapolate_to_zero_step,
     evolve,
+    geometric_step_sizes,
 )
 from .fock import FockBasis, StateVector
 from .hamiltonians import DEFAULT_ALPHA, AdiabaticFamily
@@ -55,6 +57,7 @@ __all__ = [
     "DecisionReport",
     "decide",
     "SweepResult",
+    "sweep_configs",
     "truncation_sweep",
     "MeasurementRun",
     "sample_measurements",
@@ -112,7 +115,7 @@ def classify_final_state(
     """
     probs = trace.final_probabilities()
     top = int(np.nonzero(probs >= probs.max() - tie_tol)[0][0])
-    values = family.exact_problem_values()
+    values = family.problem_values
     class_indices = tuple(int(i) for i in np.nonzero(values == values[top])[0])
     class_probability = float(probs[list(class_indices)].sum())
     return GroundStateCandidate(
@@ -174,6 +177,13 @@ class DecideConfig:
                 raise ValueError(f"{name} must be positive and finite, got {value}")
         if self.j_max < 0:
             raise ValueError(f"j_max must be at least 0, got {self.j_max}")
+        if self.record_grid < 2:
+            raise ValueError(f"record_grid must be at least 2, got {self.record_grid}")
+        if self.extrapolation_steps is not None:
+            try:
+                geometric_step_sizes(self.extrapolation_steps)
+            except ExtrapolationError as err:
+                raise ValueError(f"extrapolation_steps: {err}") from None
 
     def time_schedule(self) -> tuple[float, ...]:
         return tuple(self.t0 * 2.0**j for j in range(self.j_max + 1))
@@ -322,21 +332,30 @@ class SweepResult:
     caveat: str = CUTOFF_CAVEAT
 
 
-def truncation_sweep(
-    p: Polynomial, cutoffs: list[int] | tuple[int, ...], config: DecideConfig = DecideConfig()
-) -> SweepResult:
-    """Decide at each cutoff; flag stability when the last two runs agree.
-
-    The cutoff stands in for the unknown decisive bound, so agreement of
-    the final two verdicts and witnesses is a stopping heuristic only; see
-    ``CUTOFF_CAVEAT``.
-    """
+def sweep_configs(
+    cutoffs: list[int] | tuple[int, ...], config: DecideConfig
+) -> tuple[DecideConfig, ...]:
+    """``config`` at each cutoff.  Raises ``ValueError`` for an empty or not
+    strictly ascending list and for any cutoff ``DecideConfig`` refuses."""
     cuts = [int(c) for c in cutoffs]
     if not cuts:
         raise ValueError("cutoff list must not be empty")
     if any(b <= a for a, b in zip(cuts, cuts[1:])):
         raise ValueError("cutoffs must be strictly ascending")
-    reports = tuple(decide(p, replace(config, cutoff=c)) for c in cuts)
+    return tuple(replace(config, cutoff=c) for c in cuts)
+
+
+def truncation_sweep(
+    p: Polynomial, cutoffs: list[int] | tuple[int, ...], config: DecideConfig = DecideConfig()
+) -> SweepResult:
+    """Decide at each cutoff; flag stability when the last two runs agree.
+
+    The whole cutoff list is checked (``sweep_configs``) before the first
+    run.  The cutoff stands in for the unknown decisive bound, so agreement
+    of the final two verdicts and witnesses is a stopping heuristic only;
+    see ``CUTOFF_CAVEAT``.
+    """
+    reports = tuple(decide(p, c) for c in sweep_configs(cutoffs, config))
     stable = len(reports) >= 2 and (
         reports[-1].verdict == reports[-2].verdict
         and reports[-1].witness == reports[-2].witness

@@ -304,10 +304,9 @@ def _tokenize(source: str) -> list[_Token]:
 
 
 class _Parser:
-    def __init__(self, tokens: list[_Token], max_variables: int):
+    def __init__(self, tokens: list[_Token]):
         self.tokens = tokens
         self.pos = 0
-        self.max_variables = max_variables
         self.seen: set[str] = set()
 
     def peek(self) -> _Token:
@@ -362,10 +361,8 @@ class _Parser:
             return Polynomial.constant(int(text))
         if kind == "ident":
             if text not in self.seen:
-                if len(self.seen) >= self.max_variables:
-                    raise ParseError(
-                        f"more than {self.max_variables} variables", position
-                    )
+                if len(self.seen) >= MAX_VARIABLES:
+                    raise ParseError(f"more than {MAX_VARIABLES} variables", position)
                 self.seen.add(text)
             return Polynomial.variable(text)
         if kind == "(":
@@ -377,15 +374,16 @@ class _Parser:
         raise ParseError(f"expected a number, variable or '(', got {text!r}", position)
 
 
-def parse_equation(source: str, *, max_variables: int = MAX_VARIABLES) -> Polynomial:
+def parse_equation(source: str) -> Polynomial:
     """Parse equation text into a canonical polynomial.
 
     ``LHS = RHS`` is normalized to ``LHS - RHS``.  Raises :class:`ParseError`
-    with a source position on malformed input, and
+    with a source position on malformed input or on more than
+    ``MAX_VARIABLES`` distinct variables, and
     :class:`CoefficientRangeError` if expansion leaves the 64-bit
     coefficient range.
     """
-    parser = _Parser(_tokenize(source), max_variables)
+    parser = _Parser(_tokenize(source))
     result = parser.expr()
     if parser.peek()[0] == "=":
         parser.advance()

@@ -93,6 +93,7 @@ __all__ = [
     "evolve",
     "richardson_from_values",
     "ExtrapolationResult",
+    "geometric_step_sizes",
     "extrapolate_to_zero_step",
 ]
 
@@ -271,7 +272,7 @@ def _check_rk4_stable(
     convex schedule this is max(||H_I||, max H_P).
     """
     initial_norm = float(np.abs(family.initial.array).sum(axis=1).max())
-    problem_norm = float(np.abs(family.problem.diagonal).max())
+    problem_norm = float(np.abs(family.problem).max())
     scale = float((np.abs(stage_weights) @ (initial_norm, problem_norm)).max())
     if step * scale > RK4_STABILITY_LIMIT:
         raise EvolutionAborted(
@@ -328,7 +329,7 @@ def evolve(
         # the midpoint run below raises its own error, at its own step
         outcome, disagreement = f"split failed ({err})", math.inf
     else:
-        classes = np.unique(family.exact_problem_values(), return_inverse=True)[1]
+        classes = np.unique(family.problem_values, return_inverse=True)[1]
         disagreement = float(
             np.abs(
                 np.bincount(classes, weights=coarse.final_probabilities())
@@ -551,6 +552,26 @@ class ExtrapolationResult:
     observable: int
 
 
+def geometric_step_sizes(steps: Sequence[float]) -> tuple[list[float], float]:
+    """The step sizes of a zero-step extrapolation as floats, and their ratio.
+
+    Raises :class:`ExtrapolationError` unless there are at least three, all
+    positive and finite, strictly decreasing in a fixed geometric ratio (for
+    example h, h/2, h/4)."""
+    sizes = [float(h) for h in steps]
+    if len(sizes) < 3:
+        raise ExtrapolationError("need at least three step sizes")
+    pairs = list(zip(sizes, sizes[1:]))
+    if not all(0 < h < math.inf for h in sizes):
+        raise ExtrapolationError(f"step sizes must be positive and finite: {sizes}")
+    if any(b >= a for a, b in pairs):
+        raise ExtrapolationError("step sizes must be strictly decreasing")
+    ratio = sizes[1] / sizes[0]
+    if any(abs(b / a - ratio) > 1e-9 for a, b in pairs):
+        raise ExtrapolationError(f"step sizes must form a geometric sequence: {sizes}")
+    return sizes, ratio
+
+
 def extrapolate_to_zero_step(
     family: AdiabaticFamily,
     init: StateVector,
@@ -561,8 +582,7 @@ def extrapolate_to_zero_step(
 ) -> ExtrapolationResult:
     """Run at each step size and Richardson-extrapolate one basis probability.
 
-    ``steps`` must hold at least three sizes in a fixed geometric ratio,
-    largest first (for example h, h/2, h/4).  The tracked observable is the
+    ``steps`` must pass :func:`geometric_step_sizes`.  The tracked observable is the
     normalized probability of one basis index in the final state.
     ``Integrator.SPLIT`` is refused: it picks its propagator per run, so its
     results have no fixed order in the step.
@@ -572,17 +592,7 @@ def extrapolate_to_zero_step(
             "the split integrator picks its propagator per run and has no "
             "fixed order; extrapolate with rk4 or midexp"
         )
-    sizes = [float(h) for h in steps]
-    if len(sizes) < 3:
-        raise ExtrapolationError("need at least three step sizes")
-    if any(b >= a for a, b in zip(sizes, sizes[1:])):
-        raise ExtrapolationError("step sizes must be strictly decreasing")
-    ratio = sizes[1] / sizes[0]
-    for a, b in zip(sizes, sizes[1:]):
-        if abs(b / a - ratio) > 1e-9:
-            raise ExtrapolationError(
-                f"step sizes must form a geometric sequence, got {sizes}"
-            )
+    sizes, ratio = geometric_step_sizes(steps)
     if not 0 <= observable < family.dimension:
         raise ValueError(f"observable index {observable} outside the basis")
 

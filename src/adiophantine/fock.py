@@ -1,10 +1,9 @@
 """Truncated multimode bosonic state space.
 
 Provides basis indexing for occupation tuples with a per-mode cutoff,
-state vectors, ladder and number operators, coherent states, and a
-validated real symmetric operator stored as a diagonal or as a dense
-matrix.  Dimensions are desk scale (hundreds to a few thousand); there is
-no sparse backend.
+state vectors, the ladder operator, coherent states, and a validated real
+symmetric operator stored as a dense matrix.  Dimensions are desk scale
+(hundreds to a few thousand); there is no sparse backend.
 """
 
 from __future__ import annotations
@@ -22,13 +21,16 @@ __all__ = [
     "StateVector",
     "HermitianOperator",
     "annihilation",
-    "number_operator",
     "coherent_state",
     "as_mode_alphas",
     "matvec",
 ]
 
 HERMITICITY_TOL = 1e-12
+
+# largest probability weight a coherent state may lose to the cutoff, before
+# renormalization, without a TruncationWarning
+TRUNCATION_WARN = 1e-6
 
 
 class TruncationWarning(UserWarning):
@@ -64,36 +66,26 @@ class FockBasis:
         occ = tuple(int(n) for n in occupation)
         if len(occ) != self.num_modes:
             raise ValueError(f"expected {self.num_modes} occupations, got {len(occ)}")
-        i = 0
         for n in occ:
             if not 0 <= n <= self.cutoff:
                 raise ValueError(f"occupation {n} outside [0, {self.cutoff}]")
-            i = i * (self.cutoff + 1) + n
-        return i
+        return int(np.ravel_multi_index(occ, self.shape))
 
     def occupation(self, index: int) -> tuple[int, ...]:
         if not 0 <= index < self.dimension:
             raise ValueError(f"index {index} outside [0, {self.dimension})")
-        digits = []
-        i = int(index)
-        for _ in range(self.num_modes):
-            i, n = divmod(i, self.cutoff + 1)
-            digits.append(n)
-        return tuple(reversed(digits))
+        return tuple(int(n) for n in np.unravel_index(index, self.shape))
 
     def occupations(self) -> np.ndarray:
         """All occupation tuples as an int array of shape (dimension, num_modes)."""
         grids = np.unravel_index(np.arange(self.dimension), self.shape)
         return np.stack(grids, axis=1).astype(np.int64)
 
-    def _check_mode(self, mode: int) -> None:
-        if not 0 <= mode < self.num_modes:
-            raise ValueError(f"mode {mode} outside [0, {self.num_modes})")
-
     def on_mode(self, mode: int, single: np.ndarray) -> np.ndarray:
         """Dense d x d array acting as the (cutoff+1)^2 ``single`` on one
         mode and as the identity on the others (a Kronecker product)."""
-        self._check_mode(mode)
+        if not 0 <= mode < self.num_modes:
+            raise ValueError(f"mode {mode} outside [0, {self.num_modes})")
         levels = self.cutoff + 1
         before = np.eye(levels**mode)
         after = np.eye(levels ** (self.num_modes - 1 - mode))
@@ -137,74 +129,38 @@ class StateVector:
 
 
 class HermitianOperator:
-    """Real symmetric operator over a FockBasis, stored as a diagonal (the
-    problem operator) or as a dense matrix (the start operator).
+    """Real symmetric operator over a FockBasis, stored as a dense matrix.
 
-    Validated once, at construction: entries must be finite, and a dense
-    matrix real (complex input is refused) and symmetric within
-    ``HERMITICITY_TOL``.  The stored float64 array is read-only.
+    Validated once, at construction: entries must be finite and real
+    (complex input is refused), and the matrix symmetric within
+    ``HERMITICITY_TOL``.  The stored float64 matrix, ``array``, is read-only.
     """
 
-    __slots__ = ("basis", "_diagonal", "_matrix")
+    __slots__ = ("basis", "array")
 
-    def __init__(self, basis: FockBasis, *, diagonal=None, matrix=None):
-        if (diagonal is None) == (matrix is None):
-            raise ValueError("provide exactly one of diagonal or matrix")
-        self.basis = basis
-        self._diagonal = self._matrix = None
+    def __init__(self, basis: FockBasis, matrix):
+        if np.iscomplexobj(matrix):
+            raise ValueError("matrix must be real")
+        stored = np.array(matrix, dtype=np.float64)
         dim = basis.dimension
-        if diagonal is not None:
-            stored = np.array(diagonal, dtype=np.float64)
-            if stored.shape != (dim,):
-                raise ValueError("diagonal length does not match basis dimension")
-        else:
-            if np.iscomplexobj(matrix):
-                raise ValueError("matrix must be real")
-            stored = np.array(matrix, dtype=np.float64)
-            if stored.shape != (dim, dim):
-                raise ValueError("matrix shape does not match basis dimension")
+        if stored.shape != (dim, dim):
+            raise ValueError("matrix shape does not match basis dimension")
         if not np.all(np.isfinite(stored)):
             raise ValueError("operator entries must be finite")
-        stored.setflags(write=False)
-        if diagonal is not None:
-            self._diagonal = stored
-            return
-        self._matrix = stored
-        defect = self.hermiticity_defect()
+        defect = float(np.max(np.abs(stored - stored.T)))
         if defect > HERMITICITY_TOL:
             raise ValueError(
                 f"matrix is not symmetric (defect {defect:.3e} > {HERMITICITY_TOL})"
             )
-
-    @property
-    def is_diagonal(self) -> bool:
-        return self._diagonal is not None
-
-    @property
-    def diagonal(self) -> np.ndarray:
-        if self._diagonal is None:
-            raise ValueError("operator is stored dense, not diagonal")
-        return self._diagonal
-
-    @property
-    def array(self) -> np.ndarray:
-        """The stored read-only array: the diagonal (1-D) or the matrix (2-D)."""
-        return self._matrix if self._diagonal is None else self._diagonal
+        stored.setflags(write=False)
+        self.basis = basis
+        self.array = stored
 
     def to_matrix(self) -> np.ndarray:
-        if self._diagonal is not None:
-            return np.diag(self._diagonal)
-        return self._matrix.copy()
-
-    def hermiticity_defect(self) -> float:
-        if self._diagonal is not None:
-            return 0.0
-        return float(np.max(np.abs(self._matrix - self._matrix.T)))
+        return self.array.copy()
 
     def eigenvalues(self) -> np.ndarray:
-        if self._diagonal is not None:
-            return np.sort(self._diagonal)
-        return np.linalg.eigvalsh(self._matrix)
+        return np.linalg.eigvalsh(self.array)
 
 
 def matvec(matrix: np.ndarray, psi: np.ndarray) -> np.ndarray:
@@ -234,13 +190,6 @@ def annihilation(basis: FockBasis, mode: int) -> np.ndarray:
     return basis.on_mode(mode, ladder(basis.cutoff))
 
 
-def number_operator(basis: FockBasis, mode: int) -> HermitianOperator:
-    """Diagonal occupation-count operator for one mode."""
-    basis._check_mode(mode)
-    occ = basis.occupations()
-    return HermitianOperator(basis, diagonal=occ[:, mode].astype(np.float64))
-
-
 def as_mode_alphas(alphas, num_modes: int) -> tuple[complex, ...]:
     """Broadcast a scalar displacement to every mode, or validate a sequence."""
     if isinstance(alphas, (int, float, complex)):
@@ -251,14 +200,12 @@ def as_mode_alphas(alphas, num_modes: int) -> tuple[complex, ...]:
     return values
 
 
-def coherent_state(
-    basis: FockBasis, alphas, *, truncation_warn: float = 1e-6
-) -> StateVector:
+def coherent_state(basis: FockBasis, alphas) -> StateVector:
     """Truncated coherent state with amplitudes ~ prod alpha_i^n_i / sqrt(n_i!).
 
     Renormalized to unit norm on the truncated space.  Emits a
     :class:`TruncationWarning` when the probability weight lost to the
-    cutoff exceeds ``truncation_warn`` before renormalization.
+    cutoff exceeds ``TRUNCATION_WARN`` before renormalization.
     """
     alpha_list = as_mode_alphas(alphas, basis.num_modes)
     amplitudes = np.ones(1, dtype=np.complex128)
@@ -273,10 +220,10 @@ def coherent_state(
             float(np.sum(np.abs(c) ** 2)) / math.exp(abs(alpha) ** 2), 1.0
         )
     truncated_weight = 1.0 - kept_weight
-    if truncated_weight > truncation_warn:
+    if truncated_weight > TRUNCATION_WARN:
         warnings.warn(
             f"coherent state loses weight {truncated_weight:.3e} to the cutoff "
-            f"{basis.cutoff} (limit {truncation_warn:.1e})",
+            f"{basis.cutoff} (limit {TRUNCATION_WARN:.1e})",
             TruncationWarning,
             stacklevel=2,
         )

@@ -3,11 +3,13 @@
 The problem Hamiltonian is diagonal: its entry at occupation tuple n is the
 squared equation value D(n)^2, so it is non-negative (bounded from below)
 and its ground level over the truncated box equals the classical
-``min_over_box`` oracle exactly.  The start Hamiltonian
+``min_over_box`` oracle exactly.  It is held as that exact integer
+diagonal, never as a matrix.  The start Hamiltonian
 ``sum_i (a_i^† - conj(alpha_i)) (a_i - alpha_i)`` has the (truncated)
-coherent state as its easily prepared ground state.  The two are joined by
-a convex interpolation whose spectrum is scanned on an s-grid to witness
-the absence of level crossings.
+coherent state as its easily prepared ground state; it is a dense real
+symmetric matrix, a Kronecker sum of single-mode matrices.  The two are
+joined by a convex interpolation whose spectrum is scanned on an s-grid to
+witness the absence of level crossings.
 
 The whole path is real symmetric.  A displacement alpha = |alpha| e^{i phi}
 enters only through the diagonal gauge U = e^{i phi N}: the start operator
@@ -27,7 +29,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable
 
@@ -42,14 +44,12 @@ from .fock import (
     as_mode_alphas,
     coherent_state,
     ladder,
-    number_operator,
 )
 
 __all__ = [
     "DEFAULT_ALPHA",
     "ProblemScaleError",
     "problem_diagonal",
-    "build_problem_hamiltonian",
     "build_initial_hamiltonian",
     "linear_schedule",
     "AdiabaticFamily",
@@ -121,13 +121,6 @@ def problem_diagonal(p: Polynomial, basis: FockBasis) -> tuple[int, ...]:
     return tuple(map({}.setdefault, squares, squares))
 
 
-def build_problem_hamiltonian(p: Polynomial, basis: FockBasis) -> HermitianOperator:
-    """Diagonal operator with entry D(n)^2 at occupation tuple n."""
-    return HermitianOperator(
-        basis, diagonal=np.array(problem_diagonal(p, basis), dtype=np.float64)
-    )
-
-
 def build_initial_hamiltonian(
     basis: FockBasis, alphas=DEFAULT_ALPHA
 ) -> tuple[HermitianOperator, StateVector]:
@@ -136,19 +129,17 @@ def build_initial_hamiltonian(
     Returns ``sum_i (a_i - |alpha_i|)^T (a_i - |alpha_i|)`` and the truncated
     coherent state for the magnitudes ``|alpha_i|``, both real.  The phase of
     each displacement is a gauge that no result depends on (see the module
-    docstring).  With all displacements zero this is the exact sum of
-    number operators, stored dense, with exact ground state |0..0>.  The
-    coherent state is the exact ground state only up to truncation; its
+    docstring).  With all displacements zero this is the exact sum of the
+    number operators, diag(n_1 + .. + n_k), with exact ground state |0..0>.
+    The coherent state is the exact ground state only up to truncation; its
     energy expectation is tiny whenever the truncation-weight warning stays
     quiet.
     """
     magnitudes = tuple(abs(a) for a in as_mode_alphas(alphas, basis.num_modes))
     ground = coherent_state(basis, magnitudes)
     if not any(magnitudes):
-        diag = np.zeros(basis.dimension, dtype=np.float64)
-        for mode in range(basis.num_modes):
-            diag += number_operator(basis, mode).diagonal
-        return HermitianOperator(basis, matrix=np.diag(diag)), ground
+        total_number = np.diag(basis.occupations().sum(axis=1))
+        return HermitianOperator(basis, total_number), ground
     # Kronecker sum of the single-mode (a - |alpha|)^T (a - |alpha|)
     dim = basis.dimension
     total = np.zeros((dim, dim), dtype=np.float64)
@@ -157,7 +148,7 @@ def build_initial_hamiltonian(
         shifted = ladder(basis.cutoff) - magnitude * eye
         total += basis.on_mode(mode, shifted.T @ shifted)
     total = 0.5 * (total + total.T)
-    return HermitianOperator(basis, matrix=total), ground
+    return HermitianOperator(basis, total), ground
 
 
 def linear_schedule(s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -168,29 +159,31 @@ def linear_schedule(s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 class AdiabaticFamily:
     """Convex path from the start operator to the diagonal problem operator.
 
+    ``problem_values`` is the exact integer problem diagonal in basis order,
+    stored as a read-only int64 array; ``problem`` is its read-only float64
+    copy, the diagonal of H_P.  Entries that are not integers of a type
+    that casts safely to int64, and a wrong length, are refused.
     ``hamiltonian(0)`` is the start operator and ``hamiltonian(1)`` the
-    problem operator exactly.  ``problem_values`` optionally carries the
-    exact integer diagonal for downstream degeneracy grouping.  The start
-    operator must be stored dense and the problem operator as a diagonal.
+    problem operator exactly.
     """
 
     initial: HermitianOperator
-    problem: HermitianOperator
+    problem_values: np.ndarray
     schedule: Schedule = linear_schedule
-    problem_values: tuple[int, ...] | None = None
+    problem: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        if self.initial.basis != self.problem.basis:
-            raise ValueError("start and problem operators live on different bases")
-        if not self.problem.is_diagonal:
-            raise ValueError("problem operator must be diagonal")
-        if self.initial.is_diagonal:
-            raise ValueError("start operator must be a dense matrix")
-        if (
-            self.problem_values is not None
-            and len(self.problem_values) != self.problem.basis.dimension
-        ):
+        values = np.array(self.problem_values)
+        if values.dtype.kind not in "iu" or not np.can_cast(values.dtype, np.int64):
+            raise ValueError(f"problem_values must be int64 integers, got {values.dtype}")
+        if values.shape != (self.initial.basis.dimension,):
             raise ValueError("problem_values length does not match the basis")
+        values = values.astype(np.int64, copy=False)
+        problem = values.astype(np.float64)
+        values.setflags(write=False)
+        problem.setflags(write=False)
+        object.__setattr__(self, "problem_values", values)
+        object.__setattr__(self, "problem", problem)
 
     @property
     def basis(self) -> FockBasis:
@@ -258,27 +251,21 @@ class AdiabaticFamily:
             orbit=index,
             sizes=np.ones(self.dimension, dtype=np.int64),
             initial=self.initial.array,
-            problem=self.problem.diagonal,
+            problem=self.problem,
         )
 
     @cached_property
     def sector(self) -> "SymmetricSector":
         """Orbits of the mode permutations that fix both operators.
 
-        A permutation belongs to the group when it maps the problem diagonal
-        exactly onto itself (the exact integers ``problem_values`` when
-        stored) and the start operator onto itself within
+        A permutation belongs to the group when it maps the exact integers
+        ``problem_values`` onto themselves and the start operator onto itself within
         ``HERMITICITY_TOL``.  Found on the arrays, so the group is never
         larger than the symmetry of the path; ``full_space`` when it is
         trivial.  Computed on first use and kept.
         """
         basis = self.basis
-        values = (
-            self.problem.diagonal
-            if self.problem_values is None
-            else self.exact_problem_values()
-        )
-        initial = self.initial.array
+        values, initial = self.problem_values, self.initial.array
         occupations = basis.occupations()
         d = self.dimension
         identity = tuple(range(basis.num_modes))
@@ -308,7 +295,7 @@ class AdiabaticFamily:
             orbit=orbit,
             sizes=sizes,
             initial=reduced,
-            problem=self.problem.diagonal[representatives],
+            problem=self.problem[representatives],
         )
 
     def sector_for(self, state: StateVector) -> "SymmetricSector":
@@ -318,17 +305,11 @@ class AdiabaticFamily:
 
     def hamiltonian(self, s: float) -> HermitianOperator:
         h = self.path_arrays(self.weights(np.array([s], dtype=np.float64)))[0]
-        return HermitianOperator(self.basis, matrix=h)
-
-    def exact_problem_values(self) -> np.ndarray:
-        """Integer problem diagonal; reconstructed from floats if not stored."""
-        if self.problem_values is not None:
-            return np.array(self.problem_values, dtype=np.int64)
-        return np.rint(self.problem.diagonal).astype(np.int64)
+        return HermitianOperator(self.basis, h)
 
     def ground_class_indices(self) -> tuple[int, ...]:
         """Basis indices attaining the minimal problem value."""
-        values = self.exact_problem_values()
+        values = self.problem_values
         return tuple(int(i) for i in np.nonzero(values == values.min())[0])
 
     def ground_degeneracy(self) -> int:
@@ -343,12 +324,8 @@ class AdiabaticFamily:
         schedule: Schedule = linear_schedule,
     ) -> tuple["AdiabaticFamily", StateVector]:
         """Build the full path for an equation; also returns the start state."""
-        values = problem_diagonal(p, basis)
-        problem = HermitianOperator(basis, diagonal=np.array(values, dtype=np.float64))
         initial, ground = build_initial_hamiltonian(basis, alphas)
-        family = cls(
-            initial=initial, problem=problem, schedule=schedule, problem_values=values
-        )
+        family = cls(initial, problem_diagonal(p, basis), schedule)
         return family, ground
 
 
@@ -454,18 +431,10 @@ class SpectralProfile:
         return self.energies.shape[1]
 
     def to_csv(self) -> str:
-        header = (
-            ["s"]
-            + [f"E_{j}" for j in range(self.levels)]
-            + ["gap", "ground_class_gap"]
-        )
-        lines = [",".join(header)]
-        for i, s in enumerate(self.s_values):
-            row = [repr(float(s))]
-            row += [repr(float(e)) for e in self.energies[i]]
-            row.append(repr(float(self.gaps[i])))
-            row.append(repr(float(self.class_gaps[i])))
-            lines.append(",".join(row))
+        levels = [f"E_{j}" for j in range(self.levels)]
+        lines = [",".join(["s", *levels, "gap", "ground_class_gap"])]
+        columns = (self.s_values, self.energies, self.gaps, self.class_gaps)
+        lines += [",".join(map(repr, row)) for row in np.column_stack(columns).tolist()]
         return "\n".join(lines) + "\n"
 
 

@@ -38,7 +38,6 @@ from adiophantine.evolution import (
 )
 from adiophantine.fock import (
     FockBasis,
-    HermitianOperator,
     StateVector,
     TruncationWarning,
     coherent_state,
@@ -116,9 +115,8 @@ def _family_for(text: str, cutoff: int = CUTOFF, alphas=None):
 
 def _two_level_family():
     basis = FockBasis(1, 1)
-    problem = HermitianOperator(basis, diagonal=np.array([1.0, 0.0]))
     initial, _ = build_initial_hamiltonian(basis, 0.5)
-    family = AdiabaticFamily(initial, problem, problem_values=(1, 0))
+    family = AdiabaticFamily(initial, (1, 0))
     _, vectors = np.linalg.eigh(initial.to_matrix())
     return family, StateVector(basis, vectors[:, 0])
 

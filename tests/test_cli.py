@@ -151,12 +151,35 @@ def test_decide_negative_jmax_is_a_config_error(tmp_path, capsys):
         (["--step", "0"], "step must be positive and finite"),
         (["--step", "nan"], "step must be positive and finite"),
         (["--T0", "-1"], "t0 must be positive and finite"),
+        (
+            ["--extrapolation-steps", "0.02,0.01"],
+            "extrapolation_steps: need at least three step sizes",
+        ),
+        (
+            ["--extrapolation-steps=1,0,-1"],
+            "extrapolation_steps: step sizes must be positive and finite",
+        ),
+        # an inconclusive run checks its extrapolation steps too
+        (
+            ["--cutoff", "5", "--T0", "0.01", "--jmax", "0", "--step", "0.05",
+             "--extrapolation-steps", "0.02,0.01"],
+            "extrapolation_steps: need at least three step sizes",
+        ),
     ],
 )
 def test_decide_out_of_range_settings_are_config_errors(tmp_path, capsys, flags, message):
     code = main(["decide", "x - 1", *flags, "--out", str(tmp_path)])
     assert code == EXIT_USAGE
     assert f"config error: {message}" in capsys.readouterr().err
+    assert not (tmp_path / "decision.json").exists()
+
+
+def test_decide_record_grid_from_a_config_file_is_a_config_error(tmp_path, capsys):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"record_grid": 1}))
+    code = main(["decide", "x - 1", "--config", str(path), "--out", str(tmp_path)])
+    assert code == EXIT_USAGE
+    assert "config error: record_grid must be at least 2" in capsys.readouterr().err
     assert not (tmp_path / "decision.json").exists()
 
 
@@ -210,6 +233,20 @@ def test_sweep_stable(tmp_path, capsys):
 
 def test_sweep_requires_cutoffs(tmp_path, capsys):
     assert main(["sweep", "x-1", "--out", str(tmp_path)]) == EXIT_USAGE
+
+
+@pytest.mark.parametrize(
+    "cutoffs, message",
+    [
+        ("0", "cutoff must be at least 1, got 0"),
+        ("3,2", "cutoffs must be strictly ascending"),
+    ],
+)
+def test_sweep_bad_cutoffs_are_config_errors(tmp_path, capsys, cutoffs, message):
+    code = main(["sweep", "x - 1", "--cutoffs", cutoffs, "--out", str(tmp_path)])
+    assert code == EXIT_USAGE
+    assert f"config error: {message}" in capsys.readouterr().err
+    assert not (tmp_path / "sweep.json").exists()
 
 
 # -- config files and overrides -------------------------------------------------------

@@ -164,6 +164,16 @@ def test_negative_j_max_is_refused():
         ({"step": float("inf")}, "step must be positive and finite"),
         ({"t0": -1.0}, "t0 must be positive and finite"),
         ({"t0": float("nan")}, "t0 must be positive and finite"),
+        ({"record_grid": 1}, "record_grid must be at least 2"),
+        ({"extrapolation_steps": ()}, "need at least three step sizes"),
+        ({"extrapolation_steps": (0.02, 0.01)}, "need at least three step sizes"),
+        ({"extrapolation_steps": (1.0, 0.0, -1.0)}, "must be positive and finite"),
+        (
+            {"extrapolation_steps": (float("inf"), 0.02, 0.01)},
+            "must be positive and finite",
+        ),
+        ({"extrapolation_steps": (0.04, 0.02, 0.02)}, "strictly decreasing"),
+        ({"extrapolation_steps": (0.04, 0.02, 0.015)}, "geometric sequence"),
     ],
 )
 def test_out_of_range_settings_are_refused(setting, message):

@@ -42,9 +42,8 @@ SPLIT = Integrator.SPLIT
 
 def _diagonal_family(energies):
     basis = FockBasis(1, len(energies) - 1)
-    diagonal = np.array(energies, dtype=float)
-    initial = HermitianOperator(basis, matrix=np.diag(diagonal))
-    return AdiabaticFamily(initial, HermitianOperator(basis, diagonal=diagonal)), basis
+    initial = HermitianOperator(basis, np.diag(energies))
+    return AdiabaticFamily(initial, energies), basis
 
 
 def _two_level():
@@ -52,13 +51,12 @@ def _two_level():
     truncation warning the displaced coherent state would raise here."""
     p = parse_equation("x - 1")
     basis = FockBasis(1, 1)
-    problem = HermitianOperator(basis, diagonal=np.array([1.0, 0.0]))
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", TruncationWarning)
         from adiophantine.hamiltonians import build_initial_hamiltonian
 
         initial, _ = build_initial_hamiltonian(basis, 0.5)
-    family = AdiabaticFamily(initial, problem, problem_values=(1, 0))
+    family = AdiabaticFamily(initial, (1, 0))
     _, vectors = np.linalg.eigh(initial.to_matrix())
     return family, StateVector(basis, vectors[:, 0])
 
@@ -83,7 +81,7 @@ def test_params_validation():
 
 
 def test_partial_final_step_lands_exactly_on_total_time():
-    family, basis = _diagonal_family([0.0, 1.0, 2.0])
+    family, basis = _diagonal_family([0, 1, 2])
     init = StateVector(basis, np.ones(3) / np.sqrt(3))
     params = EvolutionParams(total_time=1.0, step=0.3, record_grid=2)
     trace = evolve(family, init, params)
@@ -145,7 +143,7 @@ def test_step_grid_keeps_the_partial_final_step(total_time, step):
 
 @pytest.mark.parametrize("integrator", [RK4, MIDEXP])
 def test_diagonal_generator_leaves_probabilities_invariant(integrator):
-    family, basis = _diagonal_family([0.0, 1.0, 3.0])
+    family, basis = _diagonal_family([0, 1, 3])
     rng = np.random.default_rng(2)
     amps = rng.normal(size=3) + 1j * rng.normal(size=3)
     init = StateVector(basis, amps / np.linalg.norm(amps))
@@ -155,7 +153,7 @@ def test_diagonal_generator_leaves_probabilities_invariant(integrator):
 
 
 def test_one_step_generator_bound():
-    family, basis = _diagonal_family([0.0, 3.0])
+    family, basis = _diagonal_family([0, 3])
     init = StateVector(basis, np.array([1.0, 1.0]) / np.sqrt(2))
     for h in (0.1, 0.01):
         trace = evolve(family, init, EvolutionParams(h, h, record_grid=2))
@@ -174,7 +172,7 @@ def test_global_phase_covariance():
 
 
 def test_initial_state_must_be_normalized():
-    family, basis = _diagonal_family([0.0, 1.0])
+    family, basis = _diagonal_family([0, 1])
     bad = StateVector(basis, np.array([1.0, 1.0]))
     with pytest.raises(ValueError):
         evolve(family, bad, EvolutionParams(1.0, 0.1))
@@ -205,7 +203,7 @@ def test_rk4_drift_shrinks_by_about_sixteen_per_halving():
 
 
 def test_rk4_norm_drift_aborts_with_advisory():
-    family, basis = _diagonal_family([0.0, 50.0])
+    family, basis = _diagonal_family([0, 50])
     init = StateVector(basis, np.array([1.0, 1.0]) / np.sqrt(2))
     with pytest.raises(EvolutionAborted, match="smaller step"):
         evolve(family, init, EvolutionParams(10.0, 0.1, integrator=RK4))
@@ -259,7 +257,7 @@ def test_suite_instance_cross_integrator_agreement_slow():
 def _full_space_reference(family, init, params):
     """Reference: the integrator's step on the dense d x d path."""
     h_initial = family.initial.to_matrix()
-    h_problem = np.diag(family.problem.diagonal)
+    h_problem = np.diag(family.problem)
 
     def hamiltonian(t):
         w_initial, w_problem = family.weights(min(t / params.total_time, 1.0))
@@ -539,7 +537,7 @@ def test_non_finite_schedule_weight_fails_loudly(integrator):
     family, start = _suite_family()
     broken = AdiabaticFamily(
         family.initial,
-        family.problem,
+        family.problem_values,
         schedule=lambda s: (1.0 - s, np.where(s < 0.5, s, np.nan)),
     )
     params = EvolutionParams(1.0, 0.1, integrator=integrator, record_grid=2)
@@ -553,7 +551,7 @@ def test_overflowing_generator_aborts_at_its_step(scale, t_abort):
     # with scale * s * 400 > 1.8e308: s = 0.45 and s = 0.05
     family, start = _sector_case("x - 20", 8)
     broken = AdiabaticFamily(
-        family.initial, family.problem, schedule=lambda s: (1.0 - s, scale * s)
+        family.initial, family.problem_values, schedule=lambda s: (1.0 - s, scale * s)
     )
     message = f"non-finite amplitudes at t={t_abort};"
     with np.errstate(over="ignore", invalid="ignore"):
@@ -579,7 +577,7 @@ def test_mid_block_abort_step(case, sector_dimension, t_abort):
     assert sector.dimension == sector_dimension
     assert stack_length(sector_dimension) > 10
     broken = AdiabaticFamily(
-        family.initial, family.problem, schedule=lambda s: (1.0 - s, 1e306 * s)
+        family.initial, family.problem_values, schedule=lambda s: (1.0 - s, 1e306 * s)
     )
     message = f"non-finite amplitudes at t={t_abort};"
     with np.errstate(over="ignore", invalid="ignore"):
@@ -591,7 +589,7 @@ def test_mid_block_abort_step(case, sector_dimension, t_abort):
 
 
 def _class_probabilities(family, trace):
-    classes = np.unique(family.exact_problem_values(), return_inverse=True)[1]
+    classes = np.unique(family.problem_values, return_inverse=True)[1]
     return np.bincount(classes, weights=trace.final_probabilities())
 
 
@@ -645,7 +643,7 @@ def test_split_is_exact_on_a_diagonal_path():
     trace = evolve(family, start, EvolutionParams(10.0, 0.02, integrator=SPLIT))
     assert trace.params == EvolutionParams(10.0, 0.01, integrator=SPLIT)
     # integral of w_I H_I + w_P H_P over t in [0, T] for the linear schedule
-    energies = 5.0 * (np.diag(family.initial.array) + family.problem.diagonal)
+    energies = 5.0 * (np.diag(family.initial.array) + family.problem)
     expected = np.exp(-1j * energies) * start.amplitudes
     assert np.max(np.abs(trace.final_state.amplitudes - expected)) <= 1e-12
 
@@ -720,7 +718,7 @@ def test_split_overflow_aborts_as_the_midpoint_run(case, t_abort):
     family, start = _sector_case(*case)
     assert family.sector_for(start).dimension >= SPLIT_MIN_DIMENSION
     broken = AdiabaticFamily(
-        family.initial, family.problem, schedule=lambda s: (1.0 - s, 1e306 * s)
+        family.initial, family.problem_values, schedule=lambda s: (1.0 - s, 1e306 * s)
     )
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(EvolutionAborted) as midpoint:

@@ -12,8 +12,8 @@ from adiophantine.fock import (
     annihilation,
     coherent_state,
     matvec,
-    number_operator,
 )
+from adiophantine.hamiltonians import build_initial_hamiltonian
 
 
 # -- basis indexing ----------------------------------------------------------
@@ -52,6 +52,8 @@ def test_basis_validation():
 
 
 # -- ladder and number operators ----------------------------------------------
+# the number operator of a mode is diagonal, with the mode's column of
+# basis.occupations() on the diagonal
 
 
 def test_annihilation_matrix_elements():
@@ -72,14 +74,14 @@ def test_annihilation_kills_vacuum():
 
 def test_number_operator_diagonals():
     basis = FockBasis(2, 1)
-    assert number_operator(basis, 0).diagonal.tolist() == [0, 0, 1, 1]
-    assert number_operator(basis, 1).diagonal.tolist() == [0, 1, 0, 1]
+    assert basis.occupations()[:, 0].tolist() == [0, 0, 1, 1]
+    assert basis.occupations()[:, 1].tolist() == [0, 1, 0, 1]
 
 
 def test_number_operator_trace():
     basis = FockBasis(2, 3)
     for mode in range(2):
-        trace = number_operator(basis, mode).diagonal.sum()
+        trace = basis.occupations()[:, mode].sum()
         assert trace == basis.dimension * basis.cutoff / 2
 
 
@@ -88,7 +90,7 @@ def test_adagger_a_equals_number_everywhere():
     for mode in range(2):
         a = annihilation(basis, mode)
         n = a.conj().T @ a
-        expected = number_operator(basis, mode).to_matrix()
+        expected = np.diag(basis.occupations()[:, mode])
         assert np.max(np.abs(n - expected)) < 1e-12
 
 
@@ -110,7 +112,7 @@ def test_mode_out_of_range():
     with pytest.raises(ValueError):
         annihilation(basis, 2)
     with pytest.raises(ValueError):
-        number_operator(basis, -1)
+        annihilation(basis, -1)
 
 
 # -- coherent states -----------------------------------------------------------
@@ -186,8 +188,8 @@ def test_identity_apply():
 def test_linearity_of_sum():
     basis = FockBasis(2, 2)
     a = annihilation(basis, 0)
-    n = np.diag(number_operator(basis, 1).diagonal)
-    h = HermitianOperator(basis, matrix=a + a.T + n)
+    n = np.diag(basis.occupations()[:, 1])
+    h = HermitianOperator(basis, a + a.T + n)
     v = _random_state(basis, seed=3)
     w = _random_state(basis, seed=4)
     lhs = matvec(h.array, 2.0 * v.amplitudes - 1j * w.amplitudes)
@@ -208,34 +210,41 @@ def test_real_dense_apply_matches_complex_reference():
 
 def test_number_operator_scales_basis_states():
     basis = FockBasis(1, 5)
-    n_op = number_operator(basis, 0)
+    counts = basis.occupations()[:, 0]
     for n in range(6):
         state = StateVector.basis_state(basis, (n,))
-        assert np.array_equal(n_op.diagonal * state.amplitudes, n * state.amplitudes)
+        assert np.array_equal(counts * state.amplitudes, n * state.amplitudes)
 
 
 def test_hermitian_validation():
     basis = FockBasis(1, 1)
-    with pytest.raises(ValueError):
-        HermitianOperator(basis, matrix=np.array([[0.0, 1.0], [0.0, 0.0]]))
-    h = HermitianOperator(basis, matrix=np.array([[0.0, 1.0], [1.0, 2.0]]))
-    assert h.hermiticity_defect() == 0.0
-    with pytest.raises(ValueError):
-        HermitianOperator(basis, diagonal=np.array([1.0, np.nan]))
-    with pytest.raises(ValueError):
-        HermitianOperator(basis, matrix=np.full((2, 2), np.inf))
-    with pytest.raises(ValueError):
-        HermitianOperator(basis, diagonal=np.ones(3))
-    with pytest.raises(ValueError):
-        HermitianOperator(basis)
+    with pytest.raises(ValueError, match="not symmetric"):
+        HermitianOperator(basis, np.array([[0.0, 1.0], [0.0, 0.0]]))
+    # an asymmetry within HERMITICITY_TOL is accepted and stored as given
+    nearly = np.array([[0.0, 1.0], [1.0 + 1e-13, 2.0]])
+    assert np.array_equal(HermitianOperator(basis, nearly).array, nearly)
+    with pytest.raises(ValueError, match="not symmetric"):
+        HermitianOperator(basis, np.array([[0.0, 1.0], [1.0 + 1e-11, 2.0]]))
+    with pytest.raises(ValueError, match="finite"):
+        HermitianOperator(basis, np.diag([1.0, np.nan]))
+    with pytest.raises(ValueError, match="finite"):
+        HermitianOperator(basis, np.full((2, 2), np.inf))
+    with pytest.raises(ValueError, match="shape"):
+        HermitianOperator(basis, np.eye(3))
+    with pytest.raises(ValueError, match="shape"):
+        HermitianOperator(basis, np.ones(2))
+    h = HermitianOperator(basis, np.array([[0.0, 1.0], [1.0, 2.0]]))
+    with pytest.raises(ValueError, match="read-only"):
+        h.array[0, 0] = 1.0
 
 
 def test_real_input_stays_real():
     basis = FockBasis(1, 1)
     real = HermitianOperator(basis, matrix=np.array([[0.0, 1.0], [1.0, 2.0]]))
     assert real.to_matrix().dtype == np.float64
-    diagonal = HermitianOperator(basis, diagonal=np.array([1.0, 0.0]))
-    assert diagonal.to_matrix().dtype == np.float64
+    # integer input is stored as float64
+    integer = HermitianOperator(basis, np.diag([1, 0]))
+    assert integer.array.dtype == np.float64
 
 
 def test_complex_matrix_is_refused():
@@ -248,13 +257,16 @@ def test_complex_matrix_is_refused():
 
 
 def test_diagonal_eigensystem_exact():
-    # the zero-displacement start operator is a diagonal stored dense, and
-    # its eigensolves must stay exact
-    basis = FockBasis(1, 3)
-    h = HermitianOperator(basis, diagonal=np.array([4.0, 0.0, 1.0, 1.0]))
-    assert h.eigenvalues().tolist() == [0.0, 1.0, 1.0, 4.0]
+    # the zero-displacement start operator is a diagonal stored dense, here
+    # unsorted and degenerate (1 + 0 = 0 + 1), and its eigensolves must stay
+    # exact
+    basis = FockBasis(2, 2)
+    h, _ = build_initial_hamiltonian(basis, 0.0)
+    assert np.diag(h.array).tolist() == [0, 1, 2, 1, 2, 3, 2, 3, 4]
+    spectrum = [0.0, 1.0, 1.0, 2.0, 2.0, 2.0, 3.0, 3.0, 4.0]
+    assert h.eigenvalues().tolist() == spectrum
     evals, evecs = np.linalg.eigh(h.to_matrix())
-    assert evals.tolist() == [0.0, 1.0, 1.0, 4.0]
+    assert evals.tolist() == spectrum
     assert np.array_equal(np.abs(evecs), np.abs(evecs).round())
     assert np.array_equal(h.to_matrix() @ evecs, evecs * evals)
 

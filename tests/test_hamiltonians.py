@@ -15,8 +15,8 @@ from adiophantine.diophantine import (
 )
 from adiophantine.evolution import EvolutionParams, evolve
 from adiophantine.fock import (
+    HERMITICITY_TOL,
     FockBasis,
-    HermitianOperator,
     StateVector,
     TruncationWarning,
     annihilation,
@@ -28,7 +28,6 @@ from adiophantine.hamiltonians import (
     AdiabaticFamily,
     ProblemScaleError,
     build_initial_hamiltonian,
-    build_problem_hamiltonian,
     linear_schedule,
     problem_diagonal,
     spectral_profile,
@@ -54,10 +53,17 @@ def test_problem_diagonal_examples():
 
 
 def test_problem_hamiltonian_is_diagonal_and_nonnegative():
-    basis = FockBasis(2, 4)
-    h = build_problem_hamiltonian(parse_equation("x*y - 6"), basis)
-    assert h.is_diagonal
-    assert np.all(h.diagonal >= 0)
+    family, _ = _family("x*y - 6", 4)
+    values = family.problem_values
+    assert values.dtype == np.int64 and np.all(values >= 0)
+    expected = problem_diagonal(parse_equation("x*y - 6"), family.basis)
+    assert values.tolist() == list(expected)
+    assert family.problem.dtype == np.float64
+    assert np.array_equal(family.problem, values)
+    assert np.array_equal(family.hamiltonian(1.0).array, np.diag(family.problem))
+    for stored in (values, family.problem):
+        with pytest.raises(ValueError, match="read-only"):
+            stored[0] = 1
 
 
 def test_ground_level_matches_box_oracle():
@@ -73,12 +79,12 @@ def test_ground_level_matches_box_oracle():
 
 def test_problem_arity_mismatch():
     with pytest.raises(ValueError):
-        build_problem_hamiltonian(parse_equation("x + y"), FockBasis(1, 3))
+        problem_diagonal(parse_equation("x + y"), FockBasis(1, 3))
 
 
 def test_problem_scale_guard():
     with pytest.raises(ProblemScaleError):
-        build_problem_hamiltonian(parse_equation("3000000000*x"), FockBasis(1, 8))
+        problem_diagonal(parse_equation("3000000000*x"), FockBasis(1, 8))
 
 
 def _check_diagonal_against_reference(p, cutoff):
@@ -132,12 +138,15 @@ def test_problem_scale_guard_names_the_first_point():
 # -- start Hamiltonian ---------------------------------------------------------
 
 
-def test_initial_hamiltonian_zero_displacement():
-    basis = FockBasis(1, 3)
+@pytest.mark.parametrize("k, cutoff", [(1, 3), (2, 3), (3, 2)])
+def test_initial_hamiltonian_zero_displacement(k, cutoff):
+    # the sum of the modes' number operators, stored dense
+    basis = FockBasis(k, cutoff)
     h, ground = build_initial_hamiltonian(basis, 0.0)
-    assert not h.is_diagonal
-    assert np.array_equal(h.array, np.diag([0.0, 1.0, 2.0, 3.0]))
-    assert np.allclose(ground.amplitudes, [1, 0, 0, 0])
+    expected = np.diag(basis.occupations().sum(axis=1).astype(np.float64))
+    assert h.array.dtype == np.float64
+    assert _bits(h.array).tolist() == _bits(expected).tolist()
+    assert ground.amplitudes.tolist() == [1.0] + [0.0] * (basis.dimension - 1)
 
 
 def test_initial_hamiltonian_displaced_ground_state():
@@ -185,7 +194,7 @@ def test_displacement_phase_is_a_gauge():
     for mode, alpha in enumerate(alphas):
         shifted = annihilation(basis, mode) - alpha * eye
         h_initial += shifted.conj().T @ shifted
-    h_problem = np.diag(family.problem.diagonal)
+    h_problem = np.diag(family.problem)
 
     def hamiltonian(s):
         return (1.0 - s) * h_initial + s * h_problem
@@ -222,15 +231,41 @@ def test_endpoints_exact():
         family.hamiltonian(0.0).to_matrix(), family.initial.to_matrix()
     )
     assert np.array_equal(
-        family.hamiltonian(1.0).to_matrix(), family.problem.to_matrix()
+        family.hamiltonian(1.0).to_matrix(), np.diag(family.problem)
     )
 
 
-def test_start_operator_stored_as_a_diagonal_is_refused():
+@pytest.mark.parametrize(
+    "values, message",
+    [
+        (np.arange(5.0), "must be int64 integers, got float64"),
+        ((0, 1, 2, 3, 4.5), "must be int64 integers, got float64"),
+        (np.arange(5, dtype=np.uint64), "must be int64 integers, got uint64"),
+        ((0, 1, 2, 3, 2**64), "must be int64 integers, got object"),
+        (np.ones(5, dtype=bool), "must be int64 integers, got bool"),
+        ((0, 1, 2, 3), "length does not match"),
+        ((0, 1, 2, 3, 4, 5), "length does not match"),
+        (np.zeros((5, 1), dtype=np.int64), "length does not match"),
+    ],
+    ids=[
+        "float-array", "float-entry", "uint64", "beyond-int64", "bool",
+        "short", "long", "2-d",
+    ],
+)
+def test_family_refuses_non_integer_or_misfit_problem_values(values, message):
     family, _ = _family("x - 1", 4)
-    diagonal = HermitianOperator(family.basis, diagonal=np.arange(5.0))
-    with pytest.raises(ValueError, match="start operator must be a dense matrix"):
-        AdiabaticFamily(diagonal, family.problem)
+    with pytest.raises(ValueError, match=message):
+        AdiabaticFamily(family.initial, values)
+
+
+def test_family_copies_its_problem_values():
+    family, _ = _family("x - 1", 4)
+    values = np.array([1, 0, 1, 4, 9], dtype=np.int32)
+    copied = AdiabaticFamily(family.initial, values)
+    values[0] = 7
+    assert copied.problem_values.dtype == np.int64
+    assert copied.problem_values.tolist() == [1, 0, 1, 4, 9]
+    assert copied.problem.tolist() == [1.0, 0.0, 1.0, 4.0, 9.0]
 
 
 def test_interpolation_range_check():
@@ -244,14 +279,15 @@ def test_interpolation_range_check():
 def test_hermiticity_along_path():
     family, _ = _family("x + y - 5", 3)
     for s in np.random.default_rng(5).uniform(0, 1, 10):
-        assert family.hamiltonian(float(s)).hermiticity_defect() <= 1e-12
+        h = family.hamiltonian(float(s)).array
+        assert np.abs(h - h.T).max() <= HERMITICITY_TOL
 
 
 def test_midpoint_weyl_bounds():
     family, _ = _family("x - 1", 8)
     mid = family.hamiltonian(0.5).eigenvalues()
     lo = family.initial.eigenvalues()
-    hi = family.problem.eigenvalues()
+    hi = np.sort(family.problem)
     assert mid[0] >= 0.5 * (lo[0] + hi[0]) - 1e-10
     assert mid[-1] <= 0.5 * (lo[-1] + hi[-1]) + 1e-10
 
@@ -268,7 +304,7 @@ def _nan_after_half(s):
 def test_non_finite_schedule_weight_raises():
     family, _ = _family("x - 1", 4)
     broken = AdiabaticFamily(
-        family.initial, family.problem, schedule=_nan_after_half
+        family.initial, family.problem_values, schedule=_nan_after_half
     )
     assert broken.weights(0.25) == (0.75, 0.25)
     with pytest.raises(ValueError, match="not finite"):
@@ -297,7 +333,7 @@ def test_schedules_on_arrays_are_bitwise_their_scalar_calls(grid):
         on_array = np.stack(schedule(grid), axis=1)
         on_floats = [schedule(float(s)) for s in grid]
         assert np.array_equal(_bits(on_array), _bits(on_floats))
-        stepped = AdiabaticFamily(family.initial, family.problem, schedule=schedule)
+        stepped = AdiabaticFamily(family.initial, family.problem_values, schedule=schedule)
         scalar_weights = [stepped.weights(float(s)) for s in grid]
         assert np.array_equal(_bits(stepped.weights(grid)), _bits(scalar_weights))
 
@@ -327,7 +363,7 @@ def test_weights_array_rejects_any_non_finite_weight(grid, bad, data):
         pair[column] = np.where(s == at, bad, pair[column])
         return tuple(pair)
 
-    broken = AdiabaticFamily(family.initial, family.problem, schedule=schedule)
+    broken = AdiabaticFamily(family.initial, family.problem_values, schedule=schedule)
     with pytest.raises(ValueError, match="not finite"):
         broken.weights(grid)
 
