@@ -1,8 +1,12 @@
 """Command-line front end.
 
 Subcommands: check, oracle, spectrum, evolve, decide, sample, sweep.
-Settings come from an optional JSON config file (--config) with individual
-flags taking precedence.  Reports are JSON, curves are CSV, and every file
+``SETTINGS`` lists the settings each subcommand reads.  Its parser has a
+flag for each of them that has one, and its optional JSON config file
+(--config) may hold only those keys and ``equation``; flags take
+precedence.  Only the settings given are passed on, so the defaults and
+range checks are those of ``DecideConfig``, ``EvolutionParams`` and
+``spectral_profile``.  Reports are JSON, curves are CSV, and every file
 is written atomically (temp file + rename).
 
 Exit codes: 0 decided/ok, 1 runtime error, 2 usage or parse error,
@@ -13,12 +17,11 @@ from __future__ import annotations
 
 import argparse
 import datetime
-import hashlib
 import json
 import os
 import sys
 import tempfile
-from dataclasses import dataclass, fields
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -45,7 +48,7 @@ from .diophantine import (
 )
 from .evolution import EvolutionAborted, EvolutionParams, Integrator, evolve
 from .fock import FockBasis
-from .hamiltonians import DEFAULT_ALPHA, AdiabaticFamily, spectral_profile
+from .hamiltonians import AdiabaticFamily, spectral_profile
 
 EXIT_OK = 0
 EXIT_RUNTIME = 1
@@ -58,105 +61,84 @@ _SEMANTICS = {
     "positive": VariableSemantics.POSITIVE,
 }
 
+# DecideConfig's fields: those every run reads, and those of the decide loop
+_RUN = ("cutoff", "semantics", "alphas", "integrator", "step", "t0", "record_grid")
+_DECIDE = ("j_max", "strict_criterion", "tie_tol", "extrapolation_steps")
+
+SETTINGS = {
+    "check": (),
+    "oracle": ("cutoff", "semantics", "bound"),
+    "spectrum": (
+        "cutoff", "semantics", "alphas", "grid_size", "levels", "gap_tol", "out_dir"
+    ),
+    "evolve": (*_RUN, "total_time", "dump_probabilities", "out_dir"),
+    "decide": (*_RUN, *_DECIDE, "out_dir"),
+    "sample": (*_RUN, "total_time", "shots", "seed", "out_dir"),
+    "sweep": (*_RUN[1:], *_DECIDE, "cutoffs", "out_dir"),  # cutoffs replace cutoff
+}
+
 
 class ConfigError(Exception):
     """Invalid configuration (exit code 2)."""
 
 
-@dataclass
-class RunConfig:
-    """Complete run description; the exact values used are embedded in
-    every emitted report."""
-
-    equation: str | None = None
-    semantics: str = "nonneg"
-    cutoff: int = 8
-    cutoffs: list[int] | None = None
-    alphas: list[list[float]] | float | None = None
-    integrator: str = "split"
-    step: float = 0.02
-    t0: float = 10.0
-    j_max: int = 6
-    total_time: float | None = None
-    grid_size: int = 101
-    levels: int = 6
-    record_grid: int = 101
-    gap_tol: float = 1e-9
-    seed: int = 0
-    shots: int = 10000
-    strict_criterion: bool = False
-    tie_tol: float = 1e-9
-    extrapolation_steps: list[float] | None = None
-    bound: int | None = None
-    out_dir: str = "."
-    dump_probabilities: bool = False
-
-    def semantics_enum(self) -> VariableSemantics:
-        try:
-            return _SEMANTICS[self.semantics]
-        except KeyError:
-            raise ConfigError(f"unknown semantics {self.semantics!r}") from None
-
-    def integrator_enum(self) -> Integrator:
-        try:
-            return Integrator(self.integrator)
-        except ValueError:
-            raise ConfigError(f"unknown integrator {self.integrator!r}") from None
-
-    def alphas_value(self):
-        if self.alphas is None:
-            return DEFAULT_ALPHA
-        if isinstance(self.alphas, (int, float)):
-            return complex(self.alphas)
-        try:
-            return tuple(complex(re, im) for re, im in self.alphas)
-        except (TypeError, ValueError):
-            raise ConfigError(
-                "alphas must be a number or a list of [re, im] pairs"
-            ) from None
-
-    def decide_config(self) -> DecideConfig:
-        try:
-            return DecideConfig(
-                cutoff=self.cutoff,
-                semantics=self.semantics_enum(),
-                alphas=self.alphas_value(),
-                integrator=self.integrator_enum(),
-                step=self.step,
-                t0=self.t0,
-                j_max=self.j_max,
-                strict_criterion=self.strict_criterion,
-                tie_tol=self.tie_tol,
-                record_grid=self.record_grid,
-                extrapolation_steps=(
-                    tuple(self.extrapolation_steps)
-                    if self.extrapolation_steps
-                    else None
-                ),
-            )
-        except ValueError as err:
-            raise ConfigError(str(err)) from None
+@contextmanager
+def _config_errors():
+    """Report a library's refusal of a setting as a config error."""
+    try:
+        yield
+    except (TypeError, ValueError) as err:
+        raise ConfigError(str(err)) from None
 
 
-def load_config(path: str | None, overrides: dict) -> RunConfig:
-    """Start from defaults, apply the JSON file, then non-None flags."""
-    config = RunConfig()
-    known = {f.name for f in fields(RunConfig)}
+def _alphas(value):
+    if isinstance(value, (int, float)):
+        return complex(value)
+    return tuple(complex(re, im) for re, im in value)
+
+
+_CONVERT = {
+    "semantics": _SEMANTICS.__getitem__,
+    "integrator": Integrator,
+    "alphas": _alphas,
+    "cutoffs": tuple,
+    "extrapolation_steps": tuple,
+}
+
+
+def load_settings(command: str, path: str | None, flags: dict) -> dict:
+    """The settings given for ``command``: the JSON file's, then the flags
+    that are set, converted to the library's types.  A null is not given."""
+    given = {}
     if path is not None:
         try:
-            data = json.loads(Path(path).read_text(encoding="utf-8"))
+            given = json.loads(Path(path).read_text(encoding="utf-8"))
         except (OSError, json.JSONDecodeError) as err:
             raise ConfigError(f"cannot read config {path}: {err}") from err
-        if not isinstance(data, dict):
+        if not isinstance(given, dict):
             raise ConfigError(f"config {path} must hold a JSON object")
-        for key, value in data.items():
-            if key not in known:
+        for key in given:
+            if key != "equation" and key not in SETTINGS[command]:
                 raise ConfigError(f"unknown config key {key!r} in {path}")
-            setattr(config, key, value)
-    for key, value in overrides.items():
-        if value is not None and key in known:
-            setattr(config, key, value)
-    return config
+    given.update((key, value) for key, value in flags.items() if value is not None)
+    settings = {}
+    for key, value in given.items():
+        if value is None:
+            continue
+        try:
+            settings[key] = _CONVERT.get(key, lambda v: v)(value)
+        except (KeyError, TypeError, ValueError):
+            raise ConfigError(f"invalid {key} {value!r}") from None
+    return settings
+
+
+def _pick(settings: dict, names) -> dict:
+    return {name: settings[name] for name in names if name in settings}
+
+
+def _run_config(settings: dict) -> DecideConfig:
+    with _config_errors():
+        return DecideConfig(**_pick(settings, (*_RUN, *_DECIDE)))
 
 
 def _write_atomic(path: Path, text: str) -> None:
@@ -177,30 +159,27 @@ def _dump_json(data: dict) -> str:
     return json.dumps(data, indent=2, sort_keys=True) + "\n"
 
 
-def report_comparison_hash(report_dict: dict) -> str:
-    """Hash of a report with the timing sidecar excluded."""
-    trimmed = {k: v for k, v in report_dict.items() if k != "sidecar"}
-    canonical = json.dumps(trimmed, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
-
-
 def _now_utc() -> str:
     return datetime.datetime.now(datetime.timezone.utc).isoformat()
 
 
-def _require_equation(config: RunConfig) -> str:
-    if not config.equation:
+def _require_equation(settings: dict) -> str:
+    if not settings.get("equation"):
         raise ConfigError("an equation is required (positional argument or config)")
-    return config.equation
+    return settings["equation"]
 
 
-def _build_family(config: RunConfig):
-    p = parse_equation(_require_equation(config))
+def _build_family(settings: dict, config: DecideConfig):
+    p = parse_equation(_require_equation(settings))
     if p.num_vars == 0:
         raise ConfigError("equation has no variables to solve for")
-    shifted = substitute_shift(p, config.semantics_enum())
+    shifted = substitute_shift(p, config.semantics)
     basis = FockBasis(shifted.num_vars, config.cutoff)
-    return AdiabaticFamily.from_polynomial(shifted, basis, alphas=config.alphas_value())
+    return AdiabaticFamily.from_polynomial(shifted, basis, alphas=config.alphas)
+
+
+def _out_path(settings: dict, name: str) -> Path:
+    return Path(settings.get("out_dir", ".")) / name
 
 
 CUTOFF_NOTE = "no statement about solutions beyond the cutoff"
@@ -209,8 +188,9 @@ CUTOFF_NOTE = "no statement about solutions beyond the cutoff"
 # -- subcommands -------------------------------------------------------------
 
 
-def cmd_check(config: RunConfig) -> int:
-    p = parse_equation(_require_equation(config))
+def cmd_check(settings: dict) -> int:
+    """parse and echo the canonical form"""
+    p = parse_equation(_require_equation(settings))
     print(f"canonical: {to_text(p)}")
     print(f"variables: {', '.join(p.variable_names) if p.variable_names else '(none)'}")
     print(f"num_vars: {p.num_vars}")
@@ -218,31 +198,32 @@ def cmd_check(config: RunConfig) -> int:
     return EXIT_OK
 
 
-def cmd_oracle(config: RunConfig) -> int:
-    p = parse_equation(_require_equation(config))
-    shifted = substitute_shift(p, config.semantics_enum())
-    bound = config.bound if config.bound is not None else config.cutoff
+def cmd_oracle(settings: dict) -> int:
+    """brute-force search on the box"""
+    config = _run_config(settings)
+    bound = settings.get("bound", config.cutoff)
     if bound < 0:
         raise ConfigError(f"bound must be non-negative, got {bound}")
-    witness = brute_force_search(shifted, bound)
+    p = parse_equation(_require_equation(settings))
+    witness = brute_force_search(substitute_shift(p, config.semantics), bound)
     if witness is None:
         print(f"none within bound {bound}")
         return EXIT_OK
-    if config.semantics_enum() is VariableSemantics.POSITIVE:
+    if config.semantics is VariableSemantics.POSITIVE:
         witness = tuple(n + 1 for n in witness)
     print(f"({', '.join(str(n) for n in witness)})")
     return EXIT_OK
 
 
-def cmd_spectrum(config: RunConfig) -> int:
-    family, _ = _build_family(config)
-    profile = spectral_profile(
-        family,
-        grid_size=config.grid_size,
-        levels=config.levels,
-        gap_tol=config.gap_tol,
-    )
-    out = Path(config.out_dir) / "spectrum.csv"
+def cmd_spectrum(settings: dict) -> int:
+    """write the level curves as CSV"""
+    config = _run_config(settings)
+    family, _ = _build_family(settings, config)
+    with _config_errors():
+        profile = spectral_profile(
+            family, **_pick(settings, ("grid_size", "levels", "gap_tol"))
+        )
+    out = _out_path(settings, "spectrum.csv")
     _write_atomic(out, profile.to_csv())
     print(f"wrote {out}")
     print(
@@ -256,26 +237,29 @@ def cmd_spectrum(config: RunConfig) -> int:
     return EXIT_OK
 
 
-def _evolve_once(config: RunConfig):
-    """One run for --T (default --T0) on the configured family."""
-    family, start_state = _build_family(config)
-    total_time = config.total_time if config.total_time is not None else config.t0
-    params = EvolutionParams(
-        total_time=total_time,
-        step=min(config.step, total_time),
-        integrator=config.integrator_enum(),
-        record_grid=config.record_grid,
-    )
-    return family, evolve(family, start_state, params)
+def _evolution_params(settings: dict) -> tuple[DecideConfig, EvolutionParams]:
+    """The run settings and one run of --T (default --T0)."""
+    config = _run_config(settings)
+    total_time = settings.get("total_time", config.t0)
+    with _config_errors():
+        return config, EvolutionParams(
+            total_time=total_time,
+            step=min(config.step, total_time),
+            integrator=config.integrator,
+            record_grid=config.record_grid,
+        )
 
 
-def cmd_evolve(config: RunConfig) -> int:
-    family, trace = _evolve_once(config)
-    out = Path(config.out_dir) / "trace.csv"
+def cmd_evolve(settings: dict) -> int:
+    """run one evolution, write trace CSV"""
+    config, params = _evolution_params(settings)
+    family, start_state = _build_family(settings, config)
+    trace = evolve(family, start_state, params)
+    out = _out_path(settings, "trace.csv")
     _write_atomic(out, trace.to_csv())
     print(f"wrote {out}")
-    if config.dump_probabilities:
-        dump = Path(config.out_dir) / "probabilities.json"
+    if settings.get("dump_probabilities"):
+        dump = _out_path(settings, "probabilities.json")
         _write_atomic(dump, _dump_json(trace.probabilities_json_dict()))
         print(f"wrote {dump}")
     probs = trace.final_probabilities()
@@ -287,10 +271,11 @@ def cmd_evolve(config: RunConfig) -> int:
     return EXIT_OK
 
 
-def cmd_decide(config: RunConfig) -> int:
-    p = parse_equation(_require_equation(config))
-    report = decide(p, config.decide_config())
-    out = Path(config.out_dir) / "decision.json"
+def cmd_decide(settings: dict) -> int:
+    """escalating-time decision, JSON report"""
+    config = _run_config(settings)
+    report = decide(parse_equation(_require_equation(settings)), config)
+    out = _out_path(settings, "decision.json")
     report_dict = report_to_json_dict(report, created_utc=_now_utc())
     _write_atomic(out, _dump_json(report_dict))
     print(f"wrote {out}")
@@ -311,10 +296,16 @@ def cmd_decide(config: RunConfig) -> int:
     return EXIT_OK if report.verdict is not Verdict.INCONCLUSIVE else EXIT_INCONCLUSIVE
 
 
-def cmd_sample(config: RunConfig) -> int:
-    family, trace = _evolve_once(config)
-    run = sample_measurements(trace.final_state, config.shots, config.seed)
-    out = Path(config.out_dir) / "measurements.csv"
+def cmd_sample(settings: dict) -> int:
+    """measure the evolved state repeatedly"""
+    config, params = _evolution_params(settings)
+    shots, seed = settings.get("shots", 10000), settings.get("seed", 0)
+    family, start_state = _build_family(settings, config)
+    with _config_errors():  # shots and seed are checked before the run
+        sample_measurements(start_state, shots, seed)
+    trace = evolve(family, start_state, params)
+    run = sample_measurements(trace.final_state, shots, seed)
+    out = _out_path(settings, "measurements.csv")
     _write_atomic(out, run.to_csv())
     print(f"wrote {out}")
     top = max(range(len(run.counts)), key=lambda i: run.counts[i])
@@ -326,17 +317,16 @@ def cmd_sample(config: RunConfig) -> int:
     return EXIT_OK
 
 
-def cmd_sweep(config: RunConfig) -> int:
-    p = parse_equation(_require_equation(config))
-    if not config.cutoffs:
+def cmd_sweep(settings: dict) -> int:
+    """decide across an ascending cutoff list"""
+    config = _run_config(settings)
+    if "cutoffs" not in settings:
         raise ConfigError("sweep requires --cutoffs, e.g. --cutoffs 3,5,7")
-    decide_config = config.decide_config()
-    try:
-        sweep_configs(config.cutoffs, decide_config)
-    except ValueError as err:
-        raise ConfigError(str(err)) from None
-    result = truncation_sweep(p, config.cutoffs, decide_config)
-    out = Path(config.out_dir) / "sweep.json"
+    with _config_errors():
+        sweep_configs(settings["cutoffs"], config)
+    p = parse_equation(_require_equation(settings))
+    result = truncation_sweep(p, settings["cutoffs"], config)
+    out = _out_path(settings, "sweep.json")
     _write_atomic(out, _dump_json(sweep_to_json_dict(result, created_utc=_now_utc())))
     print(f"wrote {out}")
     for report in result.reports:
@@ -347,98 +337,6 @@ def cmd_sweep(config: RunConfig) -> int:
     return (
         EXIT_OK if last.verdict is not Verdict.INCONCLUSIVE else EXIT_INCONCLUSIVE
     )
-
-
-# -- argument parsing --------------------------------------------------------
-
-
-def _int_list(text: str) -> list[int]:
-    return [int(x) for x in text.split(",") if x.strip()]
-
-
-def _float_list(text: str) -> list[float]:
-    return [float(x) for x in text.split(",") if x.strip()]
-
-
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="adiophantine",
-        description="Adiabatic ground-state search for Diophantine solvability",
-    )
-    parser.add_argument("--version", action="version", version=__version__)
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_common(p: argparse.ArgumentParser, with_equation: bool = True):
-        if with_equation:
-            p.add_argument("equation", nargs="?", help="equation text, e.g. 'x^2 - 4'")
-        p.add_argument("--config", help="JSON config file; flags override it")
-        p.add_argument("--out", dest="out_dir", help="output directory")
-        p.add_argument("--seed", type=int, help="random seed for sampling")
-        p.add_argument("--cutoff", type=int, help="per-mode occupation cutoff")
-        p.add_argument("--T0", dest="t0", type=float, help="first run time")
-        p.add_argument("--jmax", dest="j_max", type=int, help="number of doublings")
-        p.add_argument("--T", dest="total_time", type=float, help="single run time")
-        p.add_argument("--step", type=float, help="integrator step size")
-        p.add_argument(
-            "--integrator", choices=[i.value for i in Integrator], help="scheme"
-        )
-        p.add_argument(
-            "--semantics",
-            choices=["nonneg", "positive"],
-            help="variable domain",
-        )
-        p.add_argument(
-            "--strict-criterion",
-            dest="strict_criterion",
-            action="store_const",
-            const=True,
-            help="apply the >1/2 bar to the single top state, not its class",
-        )
-
-    p_check = sub.add_parser("check", help="parse and echo the canonical form")
-    add_common(p_check)
-
-    p_oracle = sub.add_parser("oracle", help="brute-force search on the box")
-    add_common(p_oracle)
-    p_oracle.add_argument("--bound", type=int, help="box bound (defaults to cutoff)")
-
-    p_spectrum = sub.add_parser("spectrum", help="write the level curves as CSV")
-    add_common(p_spectrum)
-    p_spectrum.add_argument("--grid", dest="grid_size", type=int, help="s-grid points")
-    p_spectrum.add_argument("--levels", type=int, help="levels to record")
-    p_spectrum.add_argument("--gap-tol", dest="gap_tol", type=float)
-
-    p_evolve = sub.add_parser("evolve", help="run one evolution, write trace CSV")
-    add_common(p_evolve)
-    p_evolve.add_argument("--record-grid", dest="record_grid", type=int)
-    p_evolve.add_argument(
-        "--dump-probabilities",
-        dest="dump_probabilities",
-        action="store_const",
-        const=True,
-        help="also write the full probability history as JSON",
-    )
-
-    p_decide = sub.add_parser("decide", help="escalating-time decision, JSON report")
-    add_common(p_decide)
-    p_decide.add_argument(
-        "--extrapolation-steps",
-        dest="extrapolation_steps",
-        type=_float_list,
-        help="comma-separated step sizes for zero-step refinement",
-    )
-
-    p_sample = sub.add_parser("sample", help="measure the evolved state repeatedly")
-    add_common(p_sample)
-    p_sample.add_argument("--shots", type=int, help="number of measurements")
-
-    p_sweep = sub.add_parser("sweep", help="decide across an ascending cutoff list")
-    add_common(p_sweep)
-    p_sweep.add_argument(
-        "--cutoffs", type=_int_list, help="comma-separated cutoffs, e.g. 3,5,7"
-    )
-
-    return parser
 
 
 _HANDLERS = {
@@ -452,14 +350,87 @@ _HANDLERS = {
 }
 
 
+# -- argument parsing --------------------------------------------------------
+
+
+def _int_list(text: str) -> list[int]:
+    return [int(x) for x in text.split(",") if x.strip()]
+
+
+def _float_list(text: str) -> list[float]:
+    return [float(x) for x in text.split(",") if x.strip()]
+
+
+_INT, _FLOAT = {"type": int}, {"type": float}
+_SWITCH = {"action": "store_const", "const": True}
+
+# setting -> (flag, argparse options, help); alphas and tie_tol have no flag
+_FLAGS = {
+    "out_dir": ("--out", {}, "output directory"),
+    "seed": ("--seed", _INT, "random seed for sampling"),
+    "cutoff": ("--cutoff", _INT, "per-mode occupation cutoff"),
+    "cutoffs": (
+        "--cutoffs", {"type": _int_list}, "comma-separated cutoffs, e.g. 3,5,7"
+    ),
+    "bound": ("--bound", _INT, "box bound (defaults to the cutoff)"),
+    "semantics": (
+        "--semantics", {"choices": ["nonneg", "positive"]}, "variable domain"
+    ),
+    "t0": ("--T0", _FLOAT, "first run time"),
+    "j_max": ("--jmax", _INT, "number of doublings"),
+    "total_time": ("--T", _FLOAT, "single run time (defaults to --T0)"),
+    "step": ("--step", _FLOAT, "integrator step size"),
+    "integrator": (
+        "--integrator", {"choices": [i.value for i in Integrator]}, "scheme"
+    ),
+    "strict_criterion": (
+        "--strict-criterion",
+        _SWITCH,
+        "apply the >1/2 bar to the single top state, not its class",
+    ),
+    "extrapolation_steps": (
+        "--extrapolation-steps",
+        {"type": _float_list},
+        "comma-separated step sizes for zero-step refinement",
+    ),
+    "record_grid": ("--record-grid", _INT, "recorded trace points"),
+    "grid_size": ("--grid", _INT, "s-grid points"),
+    "levels": ("--levels", _INT, "levels to record"),
+    "gap_tol": ("--gap-tol", _FLOAT, "class gap under which a crossing is flagged"),
+    "dump_probabilities": (
+        "--dump-probabilities",
+        _SWITCH,
+        "also write the full probability history as JSON",
+    ),
+    "shots": ("--shots", _INT, "number of measurements"),
+}
+
+
+def build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="adiophantine",
+        description="Adiabatic ground-state search for Diophantine solvability",
+        allow_abbrev=False,
+    )
+    parser.add_argument("--version", action="version", version=__version__)
+    sub = parser.add_subparsers(dest="command", required=True)
+    for command, handler in _HANDLERS.items():
+        p = sub.add_parser(command, help=handler.__doc__, allow_abbrev=False)
+        p.add_argument("equation", nargs="?", help="equation text, e.g. 'x^2 - 4'")
+        p.add_argument("--config", help="JSON config file; flags override it")
+        for name in SETTINGS[command]:
+            if name in _FLAGS:
+                flag, options, text = _FLAGS[name]
+                p.add_argument(flag, dest=name, help=text, **options)
+    return parser
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = vars(parser.parse_args(argv))
+    args = vars(build_parser().parse_args(argv))
     command = args.pop("command")
-    config_path = args.pop("config", None)
     try:
-        config = load_config(config_path, args)
-        return _HANDLERS[command](config)
+        settings = load_settings(command, args.pop("config"), args)
+        return _HANDLERS[command](settings)
     except ParseError as err:
         print(f"parse error: {err}", file=sys.stderr)
         return EXIT_USAGE

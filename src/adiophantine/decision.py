@@ -175,6 +175,10 @@ class DecideConfig:
             value = getattr(self, name)
             if not (math.isfinite(value) and value > 0):
                 raise ValueError(f"{name} must be positive and finite, got {value}")
+        if not (math.isfinite(self.tie_tol) and self.tie_tol >= 0):
+            raise ValueError(
+                f"tie_tol must be non-negative and finite, got {self.tie_tol}"
+            )
         if self.j_max < 0:
             raise ValueError(f"j_max must be at least 0, got {self.j_max}")
         if self.record_grid < 2:

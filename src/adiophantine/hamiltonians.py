@@ -453,9 +453,13 @@ def spectral_profile(
     """
     if grid_size < 2:
         raise ValueError("grid_size must be at least 2")
+    if levels < 2:
+        raise ValueError(f"levels must be at least 2, got {levels}")
+    if not (math.isfinite(gap_tol) and gap_tol >= 0):
+        raise ValueError(f"gap_tol must be non-negative and finite, got {gap_tol}")
     dim = family.dimension
     degeneracy = family.ground_degeneracy()
-    m = min(dim, max(int(levels), 2, degeneracy + 1))
+    m = min(dim, max(int(levels), degeneracy + 1))
     s_values = np.linspace(0.0, 1.0, grid_size)
     energies = np.empty((grid_size, m), dtype=np.float64)
     weights = family.weights(s_values)

@@ -17,7 +17,6 @@ import numpy as np
 import pytest
 
 from adiophantine.cli import main as cli_main
-from adiophantine.cli import report_comparison_hash
 from adiophantine.decision import (
     DecideConfig,
     Verdict,
@@ -296,17 +295,16 @@ def test_criterion_7_strict_mode_letter():
 
 
 def test_criterion_8_reproducibility(tmp_path):
-    with criterion("8", "identical config and seed give byte-identical reports"):
+    with criterion("8", "identical configs give byte-identical reports"):
         args = [
             "decide", "x - 1", "--cutoff", "8", "--T0", "10", "--jmax", "3",
-            "--step", "0.05", "--seed", "5",
+            "--step", "0.05",
         ]
         out_a, out_b = tmp_path / "a", tmp_path / "b"
         assert cli_main([*args, "--out", str(out_a)]) == 0
         assert cli_main([*args, "--out", str(out_b)]) == 0
         data_a = json.loads((out_a / "decision.json").read_text())
         data_b = json.loads((out_b / "decision.json").read_text())
-        assert report_comparison_hash(data_a) == report_comparison_hash(data_b)
         data_a.pop("sidecar")
         data_b.pop("sidecar")
         bytes_a = json.dumps(data_a, sort_keys=True).encode()

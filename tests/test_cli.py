@@ -9,16 +9,17 @@ from adiophantine.cli import (
     EXIT_OK,
     EXIT_RUNTIME,
     EXIT_USAGE,
+    SETTINGS,
     main,
-    report_comparison_hash,
 )
-from adiophantine.decision import REPORT_SCHEMA
+from adiophantine.decision import REPORT_SCHEMA, DecideConfig
 
 pytestmark = pytest.mark.filterwarnings(
     "ignore::adiophantine.fock.TruncationWarning"
 )
 
-FAST = ["--cutoff", "7", "--T0", "10", "--jmax", "3", "--step", "0.05"]
+SCHEDULE = ["--T0", "10", "--jmax", "3", "--step", "0.05"]
+FAST = ["--cutoff", "7", *SCHEDULE]
 
 
 # -- check ---------------------------------------------------------------------
@@ -119,6 +120,8 @@ def test_decide_defaults_to_split_and_midexp_keeps_its_golden(tmp_path):
     assert main(["decide", "x - 1", "--out", str(out_split)]) == EXIT_OK
     data = json.loads((out_split / "decision.json").read_text())
     assert data["config"]["integrator"] == "split"
+    # with no flags, every run setting is the library's default
+    assert data["config"] == DecideConfig().to_json_dict()
     code = main(["decide", "x - 1", "--integrator", "midexp", "--out", str(out_midexp)])
     assert code == EXIT_OK
     data = json.loads((out_midexp / "decision.json").read_text())
@@ -165,6 +168,8 @@ def test_decide_negative_jmax_is_a_config_error(tmp_path, capsys):
              "--extrapolation-steps", "0.02,0.01"],
             "extrapolation_steps: need at least three step sizes",
         ),
+        # an empty list is refused, not read as "no extrapolation"
+        (["--extrapolation-steps", ""], "extrapolation_steps: need at least three step sizes"),
     ],
 )
 def test_decide_out_of_range_settings_are_config_errors(tmp_path, capsys, flags, message):
@@ -223,7 +228,7 @@ def test_sample_writes_csv(tmp_path, capsys):
 
 
 def test_sweep_stable(tmp_path, capsys):
-    code = main(["sweep", "x-1", *FAST, "--cutoffs", "3,5", "--out", str(tmp_path)])
+    code = main(["sweep", "x-1", *SCHEDULE, "--cutoffs", "3,5", "--out", str(tmp_path)])
     assert code == EXIT_OK
     data = json.loads((tmp_path / "sweep.json").read_text())
     assert data["stable"] is True
@@ -286,13 +291,12 @@ def test_config_unknown_key_rejected(tmp_path, capsys):
 
 
 def test_reports_are_byte_identical_modulo_sidecar(tmp_path):
-    args = ["decide", "x-1", *FAST, "--seed", "5"]
+    args = ["decide", "x-1", *FAST]
     out_a, out_b = tmp_path / "a", tmp_path / "b"
     assert main([*args, "--out", str(out_a)]) == EXIT_OK
     assert main([*args, "--out", str(out_b)]) == EXIT_OK
     data_a = json.loads((out_a / "decision.json").read_text())
     data_b = json.loads((out_b / "decision.json").read_text())
-    assert report_comparison_hash(data_a) == report_comparison_hash(data_b)
     data_a.pop("sidecar")
     data_b.pop("sidecar")
     assert json.dumps(data_a, sort_keys=True) == json.dumps(data_b, sort_keys=True)
@@ -307,3 +311,100 @@ def test_reproducible_knob_is_gone(tmp_path, capsys):
     path.write_text(json.dumps({"equation": "x-1", "reproducible": True}))
     assert main(["decide", "--config", str(path), "--out", str(tmp_path)]) == EXIT_USAGE
     assert "unknown config key 'reproducible'" in capsys.readouterr().err
+
+
+# -- the option surface -------------------------------------------------------------
+
+REMOVED_FLAGS = {
+    "check": "--out --seed --cutoff --T0 --jmax --T --step --integrator --semantics "
+    "--strict-criterion",
+    "oracle": "--out --seed --T0 --jmax --T --step --integrator --strict-criterion",
+    "spectrum": "--seed --T0 --jmax --T --step --integrator --strict-criterion",
+    "evolve": "--seed --jmax --strict-criterion",
+    "decide": "--seed --T",
+    "sample": "--jmax --strict-criterion",
+    "sweep": "--cutoff --seed --T",
+}
+FLAG_VALUES = {"--integrator": ["rk4"], "--semantics": ["positive"], "--strict-criterion": []}
+
+
+@pytest.mark.parametrize(
+    "command, flag",
+    [(command, flag) for command, flags in REMOVED_FLAGS.items() for flag in flags.split()],
+)
+def test_flags_a_subcommand_does_not_read_are_refused(capsys, command, flag):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "x - 1", flag, *FLAG_VALUES.get(flag, ["1"])])
+    assert exc.value.code == EXIT_USAGE
+    assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["sweep", "x - 1", "--cutoff", "7"],
+        ["decide", "x - 1", "--jm", "0"],
+        ["decide", "x - 1", "--stri"],
+        ["spectrum", "x - 1", "--lev", "3"],
+    ],
+)
+def test_abbreviated_flags_are_refused(args):
+    with pytest.raises(SystemExit) as exc:
+        main(args)
+    assert exc.value.code == EXIT_USAGE
+
+
+@pytest.mark.parametrize(
+    "command, key, value",
+    [
+        ("check", "cutoff", 5),
+        ("oracle", "out_dir", "."),
+        ("spectrum", "seed", 1),
+        ("evolve", "j_max", 2),
+        ("decide", "shots", 100),
+        ("sample", "strict_criterion", True),
+        ("sweep", "cutoff", 7),
+    ],
+)
+def test_config_keys_a_subcommand_does_not_read_are_refused(
+    tmp_path, monkeypatch, capsys, command, key, value
+):
+    assert key not in SETTINGS[command]
+    monkeypatch.chdir(tmp_path)
+    Path("config.json").write_text(json.dumps({"equation": "x - 1", key: value}))
+    assert main([command, "--config", "config.json"]) == EXIT_USAGE
+    assert f"unknown config key {key!r}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "command, flags, config, message",
+    [
+        ("evolve", ["--record-grid", "1"], None, "record_grid must be at least 2"),
+        ("evolve", ["--T", "-1"], None, "total_time must be positive"),
+        ("spectrum", ["--grid", "1"], None, "grid_size must be at least 2"),
+        ("spectrum", ["--levels", "-3"], None, "levels must be at least 2, got -3"),
+        ("sample", ["--shots", "0"], None, "shots must be at least 1"),
+        (
+            "decide",
+            [],
+            {"extrapolation_steps": []},
+            "extrapolation_steps: need at least three step sizes",
+        ),
+        ("decide", [], {"tie_tol": -1}, "tie_tol must be non-negative and finite"),
+        ("spectrum", [], {"gap_tol": -1}, "gap_tol must be non-negative and finite"),
+    ],
+)
+def test_out_of_range_settings_exit_two_and_write_nothing(
+    tmp_path, capsys, command, flags, config, message
+):
+    out = tmp_path / "out"
+    args = [command, "x - 1", "--cutoff", "4", *flags, "--out", str(out)]
+    if config is not None:
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        args += ["--config", str(path)]
+    assert main(args) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert f"config error: {message}" in err
+    assert "Traceback" not in err
+    assert not out.exists()

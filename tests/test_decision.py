@@ -174,6 +174,8 @@ def test_negative_j_max_is_refused():
         ),
         ({"extrapolation_steps": (0.04, 0.02, 0.02)}, "strictly decreasing"),
         ({"extrapolation_steps": (0.04, 0.02, 0.015)}, "geometric sequence"),
+        ({"tie_tol": -1.0}, "tie_tol must be non-negative and finite"),
+        ({"tie_tol": float("nan")}, "tie_tol must be non-negative and finite"),
     ],
 )
 def test_out_of_range_settings_are_refused(setting, message):

@@ -62,3 +62,10 @@ def test_bench_imports_resolve():
     assert len(references) > 20
     missing = [ref for ref in references if not _resolves(*ref[1:])]
     assert missing == []
+
+
+def test_bench_cli_call(tmp_path):
+    # bench/probes.py times this exact call for cli.decide_overhead_s
+    from adiophantine import cli
+
+    assert cli.main(["decide", "x - 1", "--out", str(tmp_path)]) == cli.EXIT_OK

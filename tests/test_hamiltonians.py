@@ -492,6 +492,22 @@ def test_profile_grid_validation():
         spectral_profile(family, grid_size=1)
 
 
+@pytest.mark.parametrize(
+    "setting, message",
+    [
+        ({"levels": 1}, "levels must be at least 2"),
+        ({"levels": -3}, "levels must be at least 2"),
+        ({"gap_tol": -1.0}, "gap_tol must be non-negative and finite"),
+        ({"gap_tol": float("nan")}, "gap_tol must be non-negative and finite"),
+        ({"gap_tol": float("inf")}, "gap_tol must be non-negative and finite"),
+    ],
+)
+def test_profile_settings_are_refused(setting, message):
+    family, _ = _family("x - 1", 4)
+    with pytest.raises(ValueError, match=message):
+        spectral_profile(family, grid_size=3, **setting)
+
+
 def test_family_ground_class():
     family, _ = _family("2*x - 3", 4)
     assert family.ground_class_indices() == (1, 2)
