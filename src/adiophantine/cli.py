@@ -117,9 +117,11 @@ def load_settings(command: str, path: str | None, flags: dict) -> dict:
             raise ConfigError(f"cannot read config {path}: {err}") from err
         if not isinstance(given, dict):
             raise ConfigError(f"config {path} must hold a JSON object")
-        for key in given:
+        for key, value in given.items():
             if key != "equation" and key not in SETTINGS[command]:
                 raise ConfigError(f"unknown config key {key!r} in {path}")
+            if value is not None and not _has_flag_type(key, value):
+                raise ConfigError(f"invalid {key} {value!r} in {path}")
     given.update((key, value) for key, value in flags.items() if value is not None)
     settings = {}
     for key, value in given.items():
@@ -130,6 +132,28 @@ def load_settings(command: str, path: str | None, flags: dict) -> dict:
         except (KeyError, TypeError, ValueError):
             raise ConfigError(f"invalid {key} {value!r}") from None
     return settings
+
+
+def _has_flag_type(key: str, value) -> bool:
+    """Whether a config-file value has the type its flag parses to (the
+    equation a string); a setting with no flag is left to its converter."""
+    if key == "equation":
+        return isinstance(value, str)
+    if key not in _FLAGS:
+        return True
+    options = _FLAGS[key][1]
+    kind = options.get("type", bool if options is _SWITCH else str)
+    item = {_int_list: int, _float_list: float}.get(kind)
+    if item is None:
+        return _is_a(value, kind)
+    return isinstance(value, list) and all(_is_a(v, item) for v in value)
+
+
+def _is_a(value, kind) -> bool:
+    """``isinstance`` for JSON values: a bool is no number, an int is a float."""
+    if isinstance(value, bool):
+        return kind is bool
+    return isinstance(value, (int, float) if kind is float else kind)
 
 
 def _pick(settings: dict, names) -> dict:

@@ -72,7 +72,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import sys
 from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Callable, Sequence
@@ -80,7 +79,13 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .fock import StateVector, matvec
-from .hamiltonians import STACK_BYTES, AdiabaticFamily, SymmetricSector, stack_length
+from .hamiltonians import (
+    STACK_BYTES,
+    AdiabaticFamily,
+    SymmetricSector,
+    _debug,
+    stack_length,
+)
 
 __all__ = [
     "Integrator",
@@ -223,19 +228,6 @@ class EvolutionTrace:
         }
 
 
-def _debug(message: str, *args) -> None:
-    """Log at DEBUG level on the ``adiophantine.evolution`` logger.
-
-    A DEBUG record reaches no handler unless the application configured
-    one, which it cannot do without importing ``logging``; so a process
-    that never imports it logs nothing here and does not pay the module's
-    resident memory (about 0.4 MB).
-    """
-    logging = sys.modules.get("logging")
-    if logging is not None:
-        logging.getLogger(__name__).debug(message, *args)
-
-
 def _derivative_for(
     sector: SymmetricSector,
 ) -> Callable[[list[float], np.ndarray], np.ndarray]:
@@ -339,6 +331,7 @@ def evolve(
         outcome = f"class disagreement {disagreement:.3e}"
     accepted = disagreement <= SPLIT_TOLERANCE
     _debug(
+        __name__,
         "evolve split: %s between steps %r and %r, tolerance %r; %s",
         outcome,
         params.step,
@@ -391,6 +384,7 @@ def _run(
     else:
         block = stack_length(m)
     _debug(
+        __name__,
         "evolve: basis dimension %d, sector dimension %d, group order %d, "
         "block length %d",
         family.dimension,

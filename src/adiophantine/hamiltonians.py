@@ -22,13 +22,16 @@ operator commutes with every H(s), so a start state it fixes stays in the
 subspace of states that the whole group fixes.  ``AdiabaticFamily.sector``
 finds that group once, on the arrays themselves, and gives the path
 restricted to the orbit basis of the subspace (``SymmetricSector``); the
-full space is the trivial sector.
+full space is the trivial sector.  The orthogonal complement of the sector
+(``Complement``) is invariant too, and H_P is still diagonal on it, so
+``spectral_profile`` solves the full spectrum as the two smaller blocks.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import sys
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable
@@ -54,6 +57,7 @@ __all__ = [
     "linear_schedule",
     "AdiabaticFamily",
     "SymmetricSector",
+    "Complement",
     "SpectralProfile",
     "spectral_profile",
     "stack_length",
@@ -89,6 +93,19 @@ class ProblemScaleError(OverflowError):
 
 # largest |D(n)| whose square is below 2^63
 _ROOT_LIMIT = math.isqrt(2**63 - 1)
+
+
+def _debug(name: str, message: str, *args) -> None:
+    """Log at DEBUG level on the logger ``name``.
+
+    A DEBUG record reaches no handler unless the application configured
+    one, which it cannot do without importing ``logging``; so a process
+    that never imports it logs nothing here and does not pay the module's
+    resident memory (about 0.4 MB).
+    """
+    logging = sys.modules.get("logging")
+    if logging is not None:
+        logging.getLogger(name).debug(message, *args)
 
 
 def stack_length(dimension: int) -> int:
@@ -222,7 +239,7 @@ class AdiabaticFamily:
         return weights
 
     def path_arrays(
-        self, weights: np.ndarray, sector: "SymmetricSector | None" = None
+        self, weights: np.ndarray, sector: "SymmetricSector | Complement | None" = None
     ) -> np.ndarray:
         """H(s) on plain arrays, for a stack of schedule weights at once.
 
@@ -230,9 +247,10 @@ class AdiabaticFamily:
         gives it (that rejects a non-finite schedule).  Returns
         the (b, m, m) float64 stack of w_I H_I + w_P H_P; on the full space
         by default, or restricted to ``sector`` (one of this family's
-        sectors) in its orbit basis.  Entries are computed exactly as for a
-        single s, ``w_I * H_I`` and then ``+= w_P * H_P`` on the diagonal.
-        Nothing is re-validated: both operators were validated when built.
+        sectors, or its ``complement``) in its basis.  Entries are computed
+        exactly as for a single s, ``w_I * H_I`` and then ``+= w_P * H_P`` on
+        the diagonal.  Nothing is re-validated: both operators were
+        validated when built.
         """
         sector = self.full_space if sector is None else sector
         w_initial, w_problem = weights[:, :1, None], weights[:, 1:]
@@ -296,6 +314,29 @@ class AdiabaticFamily:
             sizes=sizes,
             initial=reduced,
             problem=self.problem[representatives],
+        )
+
+    @cached_property
+    def complement(self) -> "Complement":
+        """The orthogonal complement of ``sector``; built on first use and
+        kept, never by ``sector`` itself."""
+        sector = self.sector
+        orbit, sizes, d = sector.orbit, sector.sizes, self.dimension
+        # rank of each basis index among its orbit's members, ascending
+        rank = np.empty(d, dtype=np.int64)
+        rank[np.argsort(orbit, kind="stable")] = np.arange(d) - np.repeat(
+            np.cumsum(sizes) - sizes, sizes
+        )
+        last = np.flatnonzero(rank)
+        j = rank[last]
+        norm = np.sqrt(j * (j + 1.0))
+        vectors = ((orbit[:, None] == orbit[last]) & (rank[:, None] < j)) / norm
+        vectors[last, np.arange(len(last))] = -j / norm
+        reduced = vectors.T @ self.initial.array @ vectors
+        return Complement(
+            vectors=vectors,
+            initial=0.5 * (reduced + reduced.T),
+            problem=self.problem[last],
         )
 
     def sector_for(self, state: StateVector) -> "SymmetricSector":
@@ -402,6 +443,26 @@ class SymmetricSector:
 
 
 @dataclass(frozen=True, eq=False)
+class Complement:
+    """The states orthogonal to a sector, in Helmert vectors.
+
+    Column c of ``vectors`` is, for the members i_0 < .. < i_{k-1} of an
+    orbit and 1 <= j < k, (|i_0> + .. + |i_{j-1}> - j |i_j>) / sqrt(j (j+1)).
+    The group fixes both operators, so every H(s) maps these states among
+    themselves; ``initial`` is the dense start operator in this basis and
+    ``problem`` the problem diagonal, the value of each vector's orbit.
+    """
+
+    vectors: np.ndarray
+    initial: np.ndarray
+    problem: np.ndarray
+
+    @property
+    def dimension(self) -> int:
+        return len(self.problem)
+
+
+@dataclass(frozen=True, eq=False)
 class SpectralProfile:
     """Lowest levels of the interpolated operator along an s-grid.
 
@@ -446,10 +507,15 @@ def spectral_profile(
 ) -> SpectralProfile:
     """Dense eigensolve of the interpolated operator on a uniform s-grid.
 
-    The schedule weights of the whole grid come from one ``weights`` call.
-    The grid is solved ``stack_length(d)`` points at a time, one stacked
+    H(s) is solved one invariant block at a time: ``family.sector`` and its
+    ``complement``, or the full space alone when the symmetry group is
+    trivial.  Each point's levels are the sorted union of the lowest of each
+    block, so every field is that of the full space.  The schedule weights
+    of the whole grid come from one ``weights`` call.  A block of dimension
+    m is solved ``stack_length(m)`` points at a time, one stacked
     ``eigvalsh`` call each; numpy runs the same LAPACK routine on every
     matrix of a stack, so the energies are those of one call per point.
+    Logs the basis and block dimensions and the group order at DEBUG level.
     """
     if grid_size < 2:
         raise ValueError("grid_size must be at least 2")
@@ -460,19 +526,32 @@ def spectral_profile(
     dim = family.dimension
     degeneracy = family.ground_degeneracy()
     m = min(dim, max(int(levels), degeneracy + 1))
+    sector = family.sector
+    blocks = (sector,) if sector.is_trivial else (sector, family.complement)
+    _debug(
+        __name__,
+        "spectral_profile: basis dimension %d, block dimensions %s, group order %d",
+        dim,
+        [block.dimension for block in blocks],
+        sector.group_order,
+    )
     s_values = np.linspace(0.0, 1.0, grid_size)
-    energies = np.empty((grid_size, m), dtype=np.float64)
     weights = family.weights(s_values)
-    block = stack_length(dim)
-    for first in range(0, grid_size, block):
-        rows = slice(first, first + block)
-        h = family.path_arrays(weights[rows])
-        try:
-            spectrum = np.linalg.eigvalsh(h)
-        except np.linalg.LinAlgError as err:
-            lo, hi = s_values[rows][[0, -1]].tolist()
-            raise RuntimeError(f"eigensolver failed for s in [{lo}, {hi}]") from err
-        energies[rows] = spectrum[:, :m]
+    lowest = []
+    for block in blocks:
+        part = np.empty((grid_size, min(m, block.dimension)), dtype=np.float64)
+        stack = stack_length(block.dimension)
+        for first in range(0, grid_size, stack):
+            rows = slice(first, first + stack)
+            h = family.path_arrays(weights[rows], block)
+            try:
+                spectrum = np.linalg.eigvalsh(h)
+            except np.linalg.LinAlgError as err:
+                lo, hi = s_values[rows][[0, -1]].tolist()
+                raise RuntimeError(f"eigensolver failed for s in [{lo}, {hi}]") from err
+            part[rows] = spectrum[:, : part.shape[1]]
+        lowest.append(part)
+    energies = np.sort(np.concatenate(lowest, axis=1), axis=1)[:, :m]
     gaps = energies[:, 1] - energies[:, 0]
     if degeneracy < dim:
         class_gaps = energies[:, degeneracy] - energies[:, 0]

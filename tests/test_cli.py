@@ -408,3 +408,32 @@ def test_out_of_range_settings_exit_two_and_write_nothing(
     assert f"config error: {message}" in err
     assert "Traceback" not in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "command, config",
+    [
+        ("decide", {"strict_criterion": "no"}),
+        ("evolve", {"dump_probabilities": "no"}),
+        ("oracle", {"bound": "3"}),
+        ("spectrum", {"cutoff": 2.5}),
+        ("decide", {"cutoff": True}),
+        ("decide", {"t0": "10"}),
+        ("evolve", {"out_dir": 5}),
+        ("sweep", {"cutoffs": [3, "5"]}),
+        ("decide", {"extrapolation_steps": "0.1,0.05,0.025"}),
+        ("decide", {"integrator": 1}),
+        ("spectrum", {"equation": 5}),
+    ],
+)
+def test_config_values_of_the_wrong_type_exit_two_and_write_nothing(
+    tmp_path, monkeypatch, capsys, command, config
+):
+    monkeypatch.chdir(tmp_path)
+    Path("config.json").write_text(json.dumps({"equation": "x - 1", **config}))
+    assert main([command, "--config", "config.json"]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    key, value = next(iter(config.items()))
+    assert f"config error: invalid {key} {value!r}" in err
+    assert "Traceback" not in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]

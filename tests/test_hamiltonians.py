@@ -1,4 +1,5 @@
 import itertools
+import logging
 import warnings
 
 import numpy as np
@@ -25,6 +26,7 @@ from adiophantine.fock import (
 )
 from adiophantine.hamiltonians import (
     DEFAULT_ALPHA,
+    DEFAULT_GAP_TOL,
     AdiabaticFamily,
     ProblemScaleError,
     build_initial_hamiltonian,
@@ -433,16 +435,106 @@ def test_state_outside_the_sector_uses_the_full_space():
 # -- spectra ---------------------------------------------------------------------
 
 
+def _failing_eigvalsh(monkeypatch, dimension=None):
+    """Make ``np.linalg.eigvalsh`` fail on stacks of ``dimension`` (any if
+    None) and solve the others."""
+    eigvalsh = np.linalg.eigvalsh
+
+    def solve(h):
+        if dimension in (None, h.shape[-1]):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+        return eigvalsh(h)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", solve)
+
+
 def test_eigensolver_failure_names_the_s_values(monkeypatch):
-    # d = 36: six grid points per stacked eigensolve, so the first block fails
+    # the sector (m = 21) is solved first, 18 grid points per stacked
+    # eigensolve, so on 65 points its first stack ends at s = 17/64
     family, _ = _family("x*y - 6", 5)
+    _failing_eigvalsh(monkeypatch)
+    with pytest.raises(RuntimeError, match=r"eigensolver failed for s in \[0\.0, 0\.265625\]"):
+        spectral_profile(family, grid_size=65)
 
-    def fail(h):
-        raise np.linalg.LinAlgError("Eigenvalues did not converge")
 
-    monkeypatch.setattr(np.linalg, "eigvalsh", fail)
-    with pytest.raises(RuntimeError, match=r"eigensolver failed for s in \[0\.0, 0\.5\]"):
-        spectral_profile(family, grid_size=11)
+def test_complement_eigensolver_failure_names_its_s_values(monkeypatch):
+    # the complement (m = 15) takes 36 grid points per stack: s = 35/64
+    family, _ = _family("x*y - 6", 5)
+    assert (family.sector.dimension, family.complement.dimension) == (21, 15)
+    _failing_eigvalsh(monkeypatch, dimension=15)
+    with pytest.raises(RuntimeError, match=r"eigensolver failed for s in \[0\.0, 0\.546875\]"):
+        spectral_profile(family, grid_size=65)
+
+
+def _dense_profile(family, grid_size, levels=6):
+    """The profile's fields from one dense full-space eigensolve per s."""
+    s_values = np.linspace(0.0, 1.0, grid_size)
+    degeneracy = family.ground_degeneracy()
+    m = min(family.dimension, max(levels, degeneracy + 1))
+    energies = np.linalg.eigvalsh(family.path_arrays(family.weights(s_values)))[:, :m]
+    gaps = energies[:, 1] - energies[:, 0]
+    class_gaps = energies[:, degeneracy] - energies[:, 0]
+    s_gap, s_class = s_values[np.argmin(gaps)], s_values[np.argmin(class_gaps)]
+    crossing = class_gaps.min() < DEFAULT_GAP_TOL
+    return energies, gaps, class_gaps, s_gap, s_class, crossing
+
+
+@pytest.mark.parametrize(
+    "text, cutoff, alphas, group_order",
+    [
+        ("x*y - 6", 5, 0.5, 2),
+        ("x^2 + y^2 - z^2", 4, 0.5, 2),
+        ("x + y + z - 3", 4, 0.5, 6),
+        ("x*y*z - 8", 4, 0.5, 6),  # 7 zeros: a ground class in both blocks
+        ("x - y", 4, 0.0, 2),  # a diagonal start operator
+        ("x - 1", 8, 0.5, 1),
+    ],
+)
+def test_block_spectrum_is_the_dense_spectrum(text, cutoff, alphas, group_order):
+    family, _ = _family(text, cutoff, alphas=alphas)
+    profile = spectral_profile(family, grid_size=21)
+    energies, gaps, class_gaps, s_gap, s_class, crossing = _dense_profile(family, 21)
+    scale = np.maximum(1.0, np.abs(energies))
+    assert np.all(np.abs(profile.energies - energies) <= 1e-12 * scale)
+    assert np.max(np.abs(profile.gaps - gaps)) <= 1e-11
+    assert np.max(np.abs(profile.class_gaps - class_gaps)) <= 1e-11
+    assert (profile.s_at_min_gap, profile.s_at_min_class_gap) == (s_gap, s_class)
+    assert profile.ground_degeneracy == family.ground_degeneracy()
+    assert profile.crossing_suspected == crossing
+
+    sector = family.sector
+    assert sector.group_order == group_order
+    if sector.is_trivial:
+        # the full space is the only block, solved as one dense eigensolve
+        assert np.array_equal(profile.energies, energies)
+        return
+    d = family.dimension
+    q = family.complement.vectors
+    assert sector.dimension + family.complement.dimension == d
+    v = np.zeros((d, sector.dimension))
+    v[np.arange(d), sector.orbit] = 1.0 / np.sqrt(sector.sizes[sector.orbit])
+    basis = np.hstack([v, q])
+    assert np.max(np.abs(basis.T @ basis - np.eye(d))) <= 1e-14
+    initial = family.initial.array
+    assert np.max(np.abs(v.T @ initial @ q)) <= HERMITICITY_TOL
+    assert np.max(np.abs(family.complement.initial - q.T @ initial @ q)) <= 1e-12
+    # H_P is constant on each orbit, so it stays diagonal on the complement
+    problem = q.T @ (family.problem[:, None] * q)
+    assert np.max(np.abs(problem - np.diag(family.complement.problem))) <= 1e-12 * max(
+        1.0, family.problem.max()
+    )
+
+
+def test_spectral_profile_logs_its_blocks(caplog):
+    family, _ = _family("x^2 + y^2 - z^2", 4)
+    with caplog.at_level(logging.DEBUG, logger="adiophantine.hamiltonians"):
+        spectral_profile(family, grid_size=3)
+    messages = [
+        r.getMessage() for r in caplog.records if r.name == "adiophantine.hamiltonians"
+    ]
+    assert messages == [
+        "spectral_profile: basis dimension 125, block dimensions [75, 50], group order 2"
+    ]
 
 
 def test_spectrum_at_endpoints():
