@@ -537,6 +537,9 @@ def spectral_profile(
     )
     s_values = np.linspace(0.0, 1.0, grid_size)
     weights = family.weights(s_values)
+    # allocated before the blocks' stacks and m levels wide, so a kept
+    # profile neither sits in their freed space nor keeps the 2m-wide merge
+    energies = np.empty((grid_size, m), dtype=np.float64)
     lowest = []
     for block in blocks:
         part = np.empty((grid_size, min(m, block.dimension)), dtype=np.float64)
@@ -551,7 +554,7 @@ def spectral_profile(
                 raise RuntimeError(f"eigensolver failed for s in [{lo}, {hi}]") from err
             part[rows] = spectrum[:, : part.shape[1]]
         lowest.append(part)
-    energies = np.sort(np.concatenate(lowest, axis=1), axis=1)[:, :m]
+    energies[:] = np.sort(np.concatenate(lowest, axis=1), axis=1)[:, :m]
     gaps = energies[:, 1] - energies[:, 0]
     if degeneracy < dim:
         class_gaps = energies[:, degeneracy] - energies[:, 0]

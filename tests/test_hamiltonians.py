@@ -501,6 +501,8 @@ def test_block_spectrum_is_the_dense_spectrum(text, cutoff, alphas, group_order)
     assert (profile.s_at_min_gap, profile.s_at_min_class_gap) == (s_gap, s_class)
     assert profile.ground_degeneracy == family.ground_degeneracy()
     assert profile.crossing_suspected == crossing
+    # the merged levels are their own array, not a view of the 2m-wide merge
+    assert profile.energies.flags.owndata
 
     sector = family.sector
     assert sector.group_order == group_order
