@@ -22,6 +22,7 @@ import os
 import sys
 import tempfile
 from contextlib import contextmanager
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -39,6 +40,7 @@ from .decision import (
 )
 from .diophantine import (
     ParseError,
+    Polynomial,
     VariableSemantics,
     WorkCapExceeded,
     brute_force_search,
@@ -47,7 +49,7 @@ from .diophantine import (
     to_text,
 )
 from .evolution import EvolutionAborted, EvolutionParams, Integrator, evolve
-from .fock import FockBasis
+from .fock import FockBasis, as_mode_alphas
 from .hamiltonians import AdiabaticFamily, spectral_profile
 
 EXIT_OK = 0
@@ -61,8 +63,9 @@ _SEMANTICS = {
     "positive": VariableSemantics.POSITIVE,
 }
 
-# DecideConfig's fields: those every run reads, and those of the decide loop
-_RUN = ("cutoff", "semantics", "alphas", "integrator", "step", "t0", "record_grid")
+# DecideConfig's fields: those every run reads, and those of the decide
+# loop; record_grid, the recorded trace points, is read by all runs but sample
+_RUN = ("cutoff", "semantics", "alphas", "integrator", "step", "t0")
 _DECIDE = ("j_max", "strict_criterion", "tie_tol", "extrapolation_steps")
 
 SETTINGS = {
@@ -71,10 +74,11 @@ SETTINGS = {
     "spectrum": (
         "cutoff", "semantics", "alphas", "grid_size", "levels", "gap_tol", "out_dir"
     ),
-    "evolve": (*_RUN, "total_time", "dump_probabilities", "out_dir"),
-    "decide": (*_RUN, *_DECIDE, "out_dir"),
+    "evolve": (*_RUN, "record_grid", "total_time", "dump_probabilities", "out_dir"),
+    "decide": (*_RUN, "record_grid", *_DECIDE, "out_dir"),
     "sample": (*_RUN, "total_time", "shots", "seed", "out_dir"),
-    "sweep": (*_RUN[1:], *_DECIDE, "cutoffs", "out_dir"),  # cutoffs replace cutoff
+    # cutoffs replace cutoff
+    "sweep": (*_RUN[1:], "record_grid", *_DECIDE, "cutoffs", "out_dir"),
 }
 
 
@@ -162,7 +166,7 @@ def _pick(settings: dict, names) -> dict:
 
 def _run_config(settings: dict) -> DecideConfig:
     with _config_errors():
-        return DecideConfig(**_pick(settings, (*_RUN, *_DECIDE)))
+        return DecideConfig(**_pick(settings, (*_RUN, "record_grid", *_DECIDE)))
 
 
 def _write_atomic(path: Path, text: str) -> None:
@@ -193,11 +197,19 @@ def _require_equation(settings: dict) -> str:
     return settings["equation"]
 
 
-def _build_family(settings: dict, config: DecideConfig):
+def _equation(settings: dict, config: DecideConfig) -> Polynomial:
+    """The parsed equation, refused as a config error when it has no
+    variables or ``config`` has a displacement count that does not match."""
     p = parse_equation(_require_equation(settings))
-    if p.num_vars == 0:
-        raise ConfigError("equation has no variables to solve for")
-    shifted = substitute_shift(p, config.semantics)
+    with _config_errors():
+        if p.num_vars == 0:
+            raise ValueError("equation has no variables to solve for")
+        as_mode_alphas(config.alphas, p.num_vars)
+    return p
+
+
+def _build_family(settings: dict, config: DecideConfig):
+    shifted = substitute_shift(_equation(settings, config), config.semantics)
     basis = FockBasis(shifted.num_vars, config.cutoff)
     return AdiabaticFamily.from_polynomial(shifted, basis, alphas=config.alphas)
 
@@ -298,7 +310,7 @@ def cmd_evolve(settings: dict) -> int:
 def cmd_decide(settings: dict) -> int:
     """escalating-time decision, JSON report"""
     config = _run_config(settings)
-    report = decide(parse_equation(_require_equation(settings)), config)
+    report = decide(_equation(settings, config), config)
     out = _out_path(settings, "decision.json")
     report_dict = report_to_json_dict(report, created_utc=_now_utc())
     _write_atomic(out, _dump_json(report_dict))
@@ -327,7 +339,8 @@ def cmd_sample(settings: dict) -> int:
     family, start_state = _build_family(settings, config)
     with _config_errors():  # shots and seed are checked before the run
         sample_measurements(start_state, shots, seed)
-    trace = evolve(family, start_state, params)
+    # only the final state is read
+    trace = evolve(family, start_state, replace(params, record_grid=2))
     run = sample_measurements(trace.final_state, shots, seed)
     out = _out_path(settings, "measurements.csv")
     _write_atomic(out, run.to_csv())
@@ -348,7 +361,7 @@ def cmd_sweep(settings: dict) -> int:
         raise ConfigError("sweep requires --cutoffs, e.g. --cutoffs 3,5,7")
     with _config_errors():
         sweep_configs(settings["cutoffs"], config)
-    p = parse_equation(_require_equation(settings))
+    p = _equation(settings, config)
     result = truncation_sweep(p, settings["cutoffs"], config)
     out = _out_path(settings, "sweep.json")
     _write_atomic(out, _dump_json(sweep_to_json_dict(result, created_utc=_now_utc())))

@@ -85,14 +85,10 @@ class GroundStateCandidate:
     top_index: int
     top_occupation: tuple[int, ...]
     top_probability: float
-    class_indices: tuple[int, ...]
+    class_size: int
     class_value: int
     class_probability: float
     criterion: str  # "class_aggregate" or "single_state"
-
-    @property
-    def class_size(self) -> int:
-        return len(self.class_indices)
 
     @property
     def score(self) -> float:
@@ -116,15 +112,14 @@ def classify_final_state(
     probs = trace.final_probabilities()
     top = int(np.nonzero(probs >= probs.max() - tie_tol)[0][0])
     values = family.problem_values
-    class_indices = tuple(int(i) for i in np.nonzero(values == values[top])[0])
-    class_probability = float(probs[list(class_indices)].sum())
+    in_class = values == values[top]
     return GroundStateCandidate(
         top_index=top,
         top_occupation=family.basis.occupation(top),
         top_probability=float(probs[top]),
-        class_indices=class_indices,
+        class_size=int(np.count_nonzero(in_class)),
         class_value=int(values[top]),
-        class_probability=class_probability,
+        class_probability=float(probs[in_class].sum()),
         criterion="single_state" if strict else "class_aggregate",
     )
 
@@ -171,6 +166,8 @@ class DecideConfig:
     def __post_init__(self):
         if self.cutoff < 1:
             raise ValueError(f"cutoff must be at least 1, got {self.cutoff}")
+        if not np.isfinite(np.asarray(self.alphas, dtype=np.complex128)).all():
+            raise ValueError(f"alphas must be finite, got {self.alphas}")
         for name in ("step", "t0"):
             value = getattr(self, name)
             if not (math.isfinite(value) and value > 0):

@@ -160,12 +160,6 @@ class Polynomial:
     def num_vars(self) -> int:
         return len(self.variable_names)
 
-    def term_map(self) -> dict[tuple[int, ...], int]:
-        return dict(self.terms)
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
     def _aligned_with(
         self, other: "Polynomial"
     ) -> tuple[tuple[str, ...], dict[tuple[int, ...], int], dict[tuple[int, ...], int]]:

@@ -104,6 +104,9 @@ __all__ = [
 
 NORM_TOLERANCE = 1e-10  # required closeness of the initial state to unit norm
 
+# largest |norm - 1| after any step before the run is aborted
+NORM_DRIFT_LIMIT = 1e-3
+
 # RK4's stability interval on the imaginary axis: |h * lambda| <= 2 sqrt(2)
 RK4_STABILITY_LIMIT = 2.0 * math.sqrt(2.0)
 
@@ -151,7 +154,6 @@ class EvolutionParams:
     step: float
     integrator: Integrator = Integrator.MIDPOINT_EXPONENTIAL
     record_grid: int = 101
-    norm_drift_limit: float = 1e-3
 
     def __post_init__(self):
         if not self.total_time > 0:
@@ -354,7 +356,7 @@ def _run(
     ``init``; ``SPLIT`` here means the Strang step itself, unchecked."""
     n_steps = params.step_count()
     total_time = params.total_time
-    drift_limit = params.norm_drift_limit
+    drift_limit = NORM_DRIFT_LIMIT
     record_after = set(
         int(round(x)) for x in np.linspace(0, n_steps, params.record_grid)
     )

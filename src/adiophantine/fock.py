@@ -156,9 +156,6 @@ class HermitianOperator:
         self.basis = basis
         self.array = stored
 
-    def to_matrix(self) -> np.ndarray:
-        return self.array.copy()
-
     def eigenvalues(self) -> np.ndarray:
         return np.linalg.eigvalsh(self.array)
 

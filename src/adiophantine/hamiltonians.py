@@ -264,7 +264,7 @@ class AdiabaticFamily:
         """The trivial sector: the identity group on the whole basis."""
         index = np.arange(self.dimension)
         return SymmetricSector(
-            group=(tuple(range(self.basis.num_modes)),),
+            group_order=1,
             representatives=index,
             orbit=index,
             sizes=np.ones(self.dimension, dtype=np.int64),
@@ -286,15 +286,14 @@ class AdiabaticFamily:
         values, initial = self.problem_values, self.initial.array
         occupations = basis.occupations()
         d = self.dimension
-        identity = tuple(range(basis.num_modes))
-        group, moved = [identity], [np.arange(d)]
+        moved = [np.arange(d)]
         # permutations() yields the identity first
-        for perm in itertools.islice(itertools.permutations(identity), 1, None):
+        modes = range(basis.num_modes)
+        for perm in itertools.islice(itertools.permutations(modes), 1, None):
             image = np.ravel_multi_index(occupations[:, perm].T, basis.shape)
             if (values[image] == values).all() and _fixes(initial, image):
-                group.append(perm)
                 moved.append(image)
-        if len(group) == 1:
+        if len(moved) == 1:
             return self.full_space
         # an orbit is named by its smallest basis index
         smallest = np.min(moved, axis=0)
@@ -308,7 +307,7 @@ class AdiabaticFamily:
         reduced = v.T @ initial @ v
         reduced = 0.5 * (reduced + reduced.T)
         return SymmetricSector(
-            group=tuple(group),
+            group_order=len(moved),
             representatives=representatives,
             orbit=orbit,
             sizes=sizes,
@@ -362,12 +361,10 @@ class AdiabaticFamily:
         p: Polynomial,
         basis: FockBasis,
         alphas=DEFAULT_ALPHA,
-        schedule: Schedule = linear_schedule,
     ) -> tuple["AdiabaticFamily", StateVector]:
         """Build the full path for an equation; also returns the start state."""
         initial, ground = build_initial_hamiltonian(basis, alphas)
-        family = cls(initial, problem_diagonal(p, basis), schedule)
-        return family, ground
+        return cls(initial, problem_diagonal(p, basis)), ground
 
 
 def _fixes(initial: np.ndarray, image: np.ndarray) -> bool:
@@ -390,13 +387,14 @@ class SymmetricSector:
     smallest basis index of each orbit (ascending), ``orbit`` the orbit of
     every basis index and ``sizes`` the orbit sizes; ``initial`` and
     ``problem`` are the dense start operator and the problem diagonal in
-    the orbit basis.  A fixed state psi has coordinates
-    c_a = sqrt(|a|) psi_rep(a), and psi_i = c_a / sqrt(|a|) for i in a, so
-    orbit-mates keep equal amplitudes.  The trivial group gives the full
-    space, on which ``reduce`` and ``expand`` do nothing.
+    the orbit basis, and ``group_order`` is the number of permutations.  A
+    fixed state psi has coordinates c_a = sqrt(|a|) psi_rep(a), and
+    psi_i = c_a / sqrt(|a|) for i in a, so orbit-mates keep equal
+    amplitudes.  The trivial group gives the full space, on which
+    ``reduce`` and ``expand`` do nothing.
     """
 
-    group: tuple[tuple[int, ...], ...]
+    group_order: int
     representatives: np.ndarray
     orbit: np.ndarray
     sizes: np.ndarray
@@ -406,10 +404,6 @@ class SymmetricSector:
     @property
     def dimension(self) -> int:
         return len(self.representatives)
-
-    @property
-    def group_order(self) -> int:
-        return len(self.group)
 
     @property
     def is_trivial(self) -> bool:
@@ -471,8 +465,10 @@ class SpectralProfile:
     so ``class_gaps`` additionally tracks E_d - E_0 with d the ground
     degeneracy: the separation between the would-be ground class and the
     rest of the spectrum.  Crossing detection uses the class gap; for a
-    nondegenerate ground level the two coincide.  Grid minima are
-    numerical witnesses only, not continuum proofs.
+    nondegenerate ground level the two coincide.  ``s_at_min_gap`` and
+    ``s_at_min_class_gap`` are the first grid s whose gap is within
+    1e-12 max(1, max |E|) of the minimum.  Grid minima are numerical
+    witnesses only, not continuum proofs.
     """
 
     s_values: np.ndarray
@@ -485,7 +481,6 @@ class SpectralProfile:
     min_class_gap: float
     s_at_min_class_gap: float
     crossing_suspected: bool
-    gap_tolerance: float
 
     @property
     def levels(self) -> int:
@@ -560,9 +555,13 @@ def spectral_profile(
         class_gaps = energies[:, degeneracy] - energies[:, 0]
     else:
         class_gaps = np.full(grid_size, np.nan)
-    gap_at = int(np.argmin(gaps))
-    class_at = int(np.nanargmin(class_gaps)) if degeneracy < dim else 0
-    min_class_gap = float(class_gaps[class_at]) if degeneracy < dim else float("nan")
+    min_gap, min_class_gap = float(gaps.min()), float(class_gaps.min())
+    # gaps equal in exact arithmetic (levels that cross exactly) differ by
+    # rounding, which must not pick the reported s: it is the first s whose
+    # gap is within ``tie`` of the minimum (s = 0 for an all-NaN class gap)
+    tie = 1e-12 * max(1.0, float(np.abs(energies).max()))
+    gap_at = int(np.argmax(gaps <= min_gap + tie))
+    class_at = int(np.argmax(class_gaps <= min_class_gap + tie))
     crossing = bool(degeneracy >= dim or min_class_gap < gap_tol)
     return SpectralProfile(
         s_values=s_values,
@@ -570,10 +569,9 @@ def spectral_profile(
         gaps=gaps,
         class_gaps=class_gaps,
         ground_degeneracy=degeneracy,
-        min_gap=float(gaps[gap_at]),
+        min_gap=min_gap,
         s_at_min_gap=float(s_values[gap_at]),
         min_class_gap=min_class_gap,
         s_at_min_class_gap=float(s_values[class_at]),
         crossing_suspected=crossing,
-        gap_tolerance=gap_tol,
     )

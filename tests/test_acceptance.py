@@ -116,7 +116,7 @@ def _two_level_family():
     basis = FockBasis(1, 1)
     initial, _ = build_initial_hamiltonian(basis, 0.5)
     family = AdiabaticFamily(initial, (1, 0))
-    _, vectors = np.linalg.eigh(initial.to_matrix())
+    _, vectors = np.linalg.eigh(initial.array)
     return family, StateVector(basis, vectors[:, 0])
 
 

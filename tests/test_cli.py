@@ -1,4 +1,5 @@
 import json
+import warnings
 from pathlib import Path
 
 import jsonschema
@@ -322,7 +323,7 @@ REMOVED_FLAGS = {
     "spectrum": "--seed --T0 --jmax --T --step --integrator --strict-criterion",
     "evolve": "--seed --jmax --strict-criterion",
     "decide": "--seed --T",
-    "sample": "--jmax --strict-criterion",
+    "sample": "--jmax --strict-criterion --record-grid",
     "sweep": "--cutoff --seed --T",
 }
 FLAG_VALUES = {"--integrator": ["rk4"], "--semantics": ["positive"], "--strict-criterion": []}
@@ -363,6 +364,7 @@ def test_abbreviated_flags_are_refused(args):
         ("evolve", "j_max", 2),
         ("decide", "shots", 100),
         ("sample", "strict_criterion", True),
+        ("sample", "record_grid", 5),
         ("sweep", "cutoff", 7),
     ],
 )
@@ -435,5 +437,33 @@ def test_config_values_of_the_wrong_type_exit_two_and_write_nothing(
     err = capsys.readouterr().err
     key, value = next(iter(config.items()))
     assert f"config error: invalid {key} {value!r}" in err
+    assert "Traceback" not in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
+
+
+@pytest.mark.parametrize("command", ["decide", "sweep", "evolve", "spectrum", "sample"])
+@pytest.mark.parametrize(
+    "equation, config, message",
+    [
+        ("5", "{}", "equation has no variables to solve for"),
+        ("x + y - 1", '{"alphas": [[1, 0]]}', "expected 2 displacements, got 1"),
+        ("x + y - 1", '{"alphas": 1e400}', "alphas must be finite"),
+        ("x + y - 1", '{"alphas": NaN}', "alphas must be finite"),
+    ],
+)
+def test_equation_config_errors_exit_two_and_write_nothing(
+    tmp_path, monkeypatch, capsys, command, equation, config, message
+):
+    # the equation's variable count and the displacements are checked
+    # against each other before any run, by every subcommand that builds a path
+    monkeypatch.chdir(tmp_path)
+    Path("config.json").write_text(config)
+    cutoffs = ["--cutoffs", "2,3"] if command == "sweep" else []
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code = main([command, equation, "--config", "config.json", *cutoffs])
+    assert code == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert f"config error: {message}" in err
     assert "Traceback" not in err
     assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]

@@ -2,6 +2,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import jsonschema
 
@@ -31,6 +33,7 @@ from adiophantine.evolution import (
 )
 from adiophantine.fock import FockBasis, StateVector, coherent_state
 from adiophantine.hamiltonians import AdiabaticFamily
+from test_diophantine import polynomials
 
 # small cutoffs genuinely truncate the start state; that warning is expected here
 pytestmark = pytest.mark.filterwarnings(
@@ -93,7 +96,7 @@ def test_strict_versus_aggregate_on_degenerate_class():
     trace = _trace_of(state)
     aggregate = identify_ground_state(trace, family)
     assert aggregate is not None
-    assert aggregate.class_indices == (1, 2)
+    assert aggregate.class_size == 2
     assert aggregate.class_probability == pytest.approx(0.7)
     assert aggregate.criterion == "class_aggregate"
     strict = identify_ground_state(trace, family, strict=True)
@@ -105,6 +108,34 @@ def test_tie_breaks_toward_smallest_index():
     state = StateVector(family.basis, np.sqrt(np.array([0.3, 0.3, 0.3, 0.1])))
     candidate = classify_final_state(_trace_of(state), family)
     assert candidate.top_index == 0
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.sampled_from([["x"], ["x", "y"]]).flatmap(lambda names: polynomials(names=names)),
+    st.integers(2, 5),
+    st.data(),
+)
+def test_classify_recounts_the_top_class(p, cutoff, data):
+    assume(p.num_vars > 0)
+    family, _ = AdiabaticFamily.from_polynomial(p, FockBasis(p.num_vars, cutoff))
+    d = family.dimension
+    # small integer weights give ties among the probabilities
+    weights = np.array(data.draw(st.lists(st.integers(0, 3), min_size=d, max_size=d)))
+    assume(weights.sum() > 0)
+    trace = _trace_of(StateVector(family.basis, np.sqrt(weights / weights.sum())))
+    probs = trace.final_probabilities()
+    top = min(i for i in range(d) if probs[i] >= probs.max() - 1e-9)
+    values = family.problem_values.tolist()
+    members = [i for i in range(d) if values[i] == values[top]]
+    for strict in (False, True):
+        candidate = classify_final_state(trace, family, strict=strict)
+        assert candidate.top_index == top
+        assert candidate.class_value == values[top]
+        assert candidate.class_size == len(members)
+        # the masked sum in index order, bitwise
+        assert candidate.class_probability == float(probs[members].sum())
+        assert candidate.score == (probs[top] if strict else candidate.class_probability)
 
 
 # -- decide -----------------------------------------------------------------------

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from adiophantine import evolution
 from adiophantine.diophantine import parse_equation
 from adiophantine.evolution import (
     SPLIT_MIN_DIMENSION,
@@ -57,7 +58,7 @@ def _two_level():
 
         initial, _ = build_initial_hamiltonian(basis, 0.5)
     family = AdiabaticFamily(initial, (1, 0))
-    _, vectors = np.linalg.eigh(initial.to_matrix())
+    _, vectors = np.linalg.eigh(initial.array)
     return family, StateVector(basis, vectors[:, 0])
 
 
@@ -209,7 +210,7 @@ def test_rk4_norm_drift_aborts_with_advisory():
         evolve(family, init, EvolutionParams(10.0, 0.1, integrator=RK4))
 
 
-def test_rk4_unstable_step_refused_before_the_run():
+def test_rk4_unstable_step_refused_before_the_run(monkeypatch):
     # x - 20 at cutoff 8: max H_P = 400, so h = 0.02 gives h * 400 = 8 > 2 sqrt(2)
     p = parse_equation("x - 20")
     family, start = AdiabaticFamily.from_polynomial(p, FockBasis(1, 8))
@@ -219,7 +220,8 @@ def test_rk4_unstable_step_refused_before_the_run():
         evolve(family, start, EvolutionParams(10.0, 0.02, integrator=RK4))
     # the guard accepts the step it names; near the limit RK4 damps the top
     # levels, so the drift check needs a loose limit here
-    loose = dict(integrator=RK4, record_grid=2, norm_drift_limit=1.0)
+    monkeypatch.setattr(evolution, "NORM_DRIFT_LIMIT", 1.0)
+    loose = dict(integrator=RK4, record_grid=2)
     evolve(family, start, EvolutionParams(0.1, 0.00707, **loose))
     with pytest.raises(EvolutionAborted, match="stability limit"):
         evolve(family, start, EvolutionParams(0.1, 0.00708, **loose))
@@ -256,7 +258,7 @@ def test_suite_instance_cross_integrator_agreement_slow():
 
 def _full_space_reference(family, init, params):
     """Reference: the integrator's step on the dense d x d path."""
-    h_initial = family.initial.to_matrix()
+    h_initial = family.initial.array
     h_problem = np.diag(family.problem)
 
     def hamiltonian(t):

@@ -1,7 +1,9 @@
 import ast
 import importlib
+import math
 import pkgutil
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -69,3 +71,47 @@ def test_bench_cli_call(tmp_path):
     from adiophantine import cli
 
     assert cli.main(["decide", "x - 1", "--out", str(tmp_path)]) == cli.EXIT_OK
+
+
+# The benchmark's files are frozen between benchmark changes, so the library
+# attributes they read must keep working; the calls below reach each of them.
+
+
+@pytest.fixture
+def bench(monkeypatch):
+    # the benchmark's modules import each other by their plain names
+    monkeypatch.syspath_prepend(str(BENCH))
+    names = ("corpus", "ops", "probes", "tracing")
+    return SimpleNamespace(**{name: importlib.import_module(name) for name in names})
+
+
+@pytest.mark.parametrize("workload", ["decide-1mode", "decide-dense"])
+def test_bench_traced_decide_replays_decide(bench, workload):
+    # the replay reads DecideConfig.record_grid and tie_tol and
+    # EvolutionParams.step_starts_and_sizes
+    op = bench.ops.build(workload)[0]
+    plain = op.run(bench.tracing.NullTracer())
+    tracer = bench.tracing.Tracer()
+    traced = op.run(tracer)
+    assert op.replay_key(traced) == op.replay_key(plain)
+    assert op.check(traced, tracer) == bench.ops.OK
+    assert "evolution.evolve" in {span["name"] for span in tracer.spans}
+
+
+def test_bench_traced_spectral_op(bench):
+    assert ("x + y - 5", 8) in bench.corpus.SPECTRAL
+    op = bench.ops.spectral_op("x + y - 5", 8)
+    tracer = bench.tracing.Tracer()
+    assert op.check(op.run(tracer), tracer) == bench.ops.OK
+
+
+@pytest.mark.filterwarnings("ignore::adiophantine.fock.TruncationWarning")
+def test_bench_probes_run(bench, monkeypatch, tmp_path):
+    # the probes read annihilation and hamiltonian(s).eigenvalues; one call
+    # of each probe is enough here
+    monkeypatch.setattr(bench.probes, "MIN_PROBE_S", 0.0)
+    metrics = bench.probes.run(bench.corpus.equations("decide-1mode"), tmp_path)
+    assert "fock.annihilation_s.d729" in metrics
+    assert "hamiltonians.eigensolve_ms.d729" in metrics
+    assert all(math.isfinite(value) for value in metrics.values())
+    assert list(tmp_path.iterdir()) == []

@@ -204,7 +204,7 @@ def test_real_dense_apply_matches_complex_reference():
     v = _random_state(basis, seed=5)
     got = matvec(real.array, v.amplitudes)
     assert got.dtype == np.complex128
-    expected = real.to_matrix().astype(np.complex128) @ v.amplitudes
+    expected = real.array.astype(np.complex128) @ v.amplitudes
     assert np.max(np.abs(got - expected)) <= 1e-15
 
 
@@ -241,7 +241,7 @@ def test_hermitian_validation():
 def test_real_input_stays_real():
     basis = FockBasis(1, 1)
     real = HermitianOperator(basis, matrix=np.array([[0.0, 1.0], [1.0, 2.0]]))
-    assert real.to_matrix().dtype == np.float64
+    assert real.array.dtype == np.float64
     # integer input is stored as float64
     integer = HermitianOperator(basis, np.diag([1, 0]))
     assert integer.array.dtype == np.float64
@@ -265,8 +265,8 @@ def test_diagonal_eigensystem_exact():
     assert np.diag(h.array).tolist() == [0, 1, 2, 1, 2, 3, 2, 3, 4]
     spectrum = [0.0, 1.0, 1.0, 2.0, 2.0, 2.0, 3.0, 3.0, 4.0]
     assert h.eigenvalues().tolist() == spectrum
-    evals, evecs = np.linalg.eigh(h.to_matrix())
+    evals, evecs = np.linalg.eigh(h.array)
     assert evals.tolist() == spectrum
     assert np.array_equal(np.abs(evecs), np.abs(evecs).round())
-    assert np.array_equal(h.to_matrix() @ evecs, evecs * evals)
+    assert np.array_equal(h.array @ evecs, evecs * evals)
 

@@ -154,7 +154,7 @@ def test_initial_hamiltonian_zero_displacement(k, cutoff):
 def test_initial_hamiltonian_displaced_ground_state():
     basis = FockBasis(1, 16)
     h, nominal = build_initial_hamiltonian(basis, 0.5)
-    evals, evecs = np.linalg.eigh(h.to_matrix())
+    evals, evecs = np.linalg.eigh(h.array)
     assert evals[0] < 1e-8
     overlap = abs(np.vdot(evecs[:, 0], nominal.amplitudes))
     assert overlap > 1 - 1e-6
@@ -180,7 +180,7 @@ def test_initial_hamiltonian_is_exact_kronecker_sum(k, cutoff):
         shifted = annihilation(basis, mode) - DEFAULT_ALPHA * eye
         expected += shifted.conj().T @ shifted
     h, _ = build_initial_hamiltonian(basis)
-    assert np.array_equal(h.to_matrix(), expected)
+    assert np.array_equal(h.array, expected)
 
 
 def test_displacement_phase_is_a_gauge():
@@ -220,7 +220,7 @@ def test_displacement_phase_is_a_gauge():
 def test_path_is_real(alphas):
     family, start = _family("x*y - 6", 4, alphas=alphas)
     assert family.path_arrays(np.array([family.weights(0.5)])).dtype == np.float64
-    assert family.initial.to_matrix().dtype == np.float64
+    assert family.initial.array.dtype == np.float64
     assert not np.any(start.amplitudes.imag)
 
 
@@ -230,10 +230,10 @@ def test_path_is_real(alphas):
 def test_endpoints_exact():
     family, _ = _family("x - 1", 6)
     assert np.array_equal(
-        family.hamiltonian(0.0).to_matrix(), family.initial.to_matrix()
+        family.hamiltonian(0.0).array, family.initial.array
     )
     assert np.array_equal(
-        family.hamiltonian(1.0).to_matrix(), np.diag(family.problem)
+        family.hamiltonian(1.0).array, np.diag(family.problem)
     )
 
 
@@ -474,7 +474,10 @@ def _dense_profile(family, grid_size, levels=6):
     energies = np.linalg.eigvalsh(family.path_arrays(family.weights(s_values)))[:, :m]
     gaps = energies[:, 1] - energies[:, 0]
     class_gaps = energies[:, degeneracy] - energies[:, 0]
-    s_gap, s_class = s_values[np.argmin(gaps)], s_values[np.argmin(class_gaps)]
+    # the first s within rounding of the minimum, as exact crossings tie
+    tie = 1e-12 * max(1.0, np.abs(energies).max())
+    s_gap = next(s for s, g in zip(s_values, gaps) if g <= gaps.min() + tie)
+    s_class = next(s for s, g in zip(s_values, class_gaps) if g <= class_gaps.min() + tie)
     crossing = class_gaps.min() < DEFAULT_GAP_TOL
     return energies, gaps, class_gaps, s_gap, s_class, crossing
 
@@ -525,6 +528,17 @@ def test_block_spectrum_is_the_dense_spectrum(text, cutoff, alphas, group_order)
     assert np.max(np.abs(problem - np.diag(family.complement.problem))) <= 1e-12 * max(
         1.0, family.problem.max()
     )
+
+
+def test_s_at_min_class_gap_is_the_first_exact_tie():
+    # a diagonal path: the class gap of x + y - 5 is 0 in exact arithmetic
+    # for s in [0.25, 0.5], where the level n_x + n_y = 4 holds the lowest
+    # five states, and rounding in the blocks must not move the reported s
+    family, _ = _family("x + y - 5", 4, alphas=0.0)
+    profile = spectral_profile(family)
+    dense = _dense_profile(family, 101)
+    assert profile.s_at_min_class_gap == dense[4] == 0.25
+    assert profile.min_class_gap == pytest.approx(0.0, abs=1e-12)
 
 
 def test_spectral_profile_logs_its_blocks(caplog):
