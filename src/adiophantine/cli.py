@@ -139,18 +139,25 @@ def load_settings(command: str, path: str | None, flags: dict) -> dict:
 
 
 def _has_flag_type(key: str, value) -> bool:
-    """Whether a config-file value has the type its flag parses to (the
-    equation a string); a setting with no flag is left to its converter."""
+    """Whether a config-file value has the type its flag parses to.  Of the
+    keys with no flag, the equation is a string, tie_tol a number, and
+    alphas a number or a list of [re, im] number pairs."""
     if key == "equation":
         return isinstance(value, str)
-    if key not in _FLAGS:
-        return True
+    if key == "tie_tol":
+        return _is_a(value, float)
+    if key == "alphas":
+        return _is_a(value, float) or isinstance(value, list) and all(
+            _is_list_of(pair, float) and len(pair) == 2 for pair in value
+        )
     options = _FLAGS[key][1]
     kind = options.get("type", bool if options is _SWITCH else str)
     item = {_int_list: int, _float_list: float}.get(kind)
-    if item is None:
-        return _is_a(value, kind)
-    return isinstance(value, list) and all(_is_a(v, item) for v in value)
+    return _is_a(value, kind) if item is None else _is_list_of(value, item)
+
+
+def _is_list_of(value, kind) -> bool:
+    return isinstance(value, list) and all(_is_a(v, kind) for v in value)
 
 
 def _is_a(value, kind) -> bool:
@@ -169,7 +176,10 @@ def _run_config(settings: dict) -> DecideConfig:
         return DecideConfig(**_pick(settings, (*_RUN, "record_grid", *_DECIDE)))
 
 
-def _write_atomic(path: Path, text: str) -> None:
+def _write(settings: dict, name: str, text: str) -> None:
+    """Write ``text`` to the file ``name`` in the output directory, through
+    a temp file and a rename, and say so."""
+    path = Path(settings.get("out_dir", ".")) / name
     path.parent.mkdir(parents=True, exist_ok=True)
     handle = tempfile.NamedTemporaryFile(
         "w", dir=path.parent, prefix=path.name + ".", suffix=".tmp", delete=False
@@ -181,6 +191,7 @@ def _write_atomic(path: Path, text: str) -> None:
     except BaseException:
         os.unlink(handle.name)
         raise
+    print(f"wrote {path}")
 
 
 def _dump_json(data: dict) -> str:
@@ -199,12 +210,13 @@ def _require_equation(settings: dict) -> str:
 
 def _equation(settings: dict, config: DecideConfig) -> Polynomial:
     """The parsed equation, refused as a config error when it has no
-    variables or ``config`` has a displacement count that does not match."""
+    variables, or when ``config`` has a displacement count that does not
+    match or displacements whose start state overflows on its modes."""
     p = parse_equation(_require_equation(settings))
     with _config_errors():
         if p.num_vars == 0:
             raise ValueError("equation has no variables to solve for")
-        as_mode_alphas(config.alphas, p.num_vars)
+        replace(config, alphas=as_mode_alphas(config.alphas, p.num_vars))
     return p
 
 
@@ -212,10 +224,6 @@ def _build_family(settings: dict, config: DecideConfig):
     shifted = substitute_shift(_equation(settings, config), config.semantics)
     basis = FockBasis(shifted.num_vars, config.cutoff)
     return AdiabaticFamily.from_polynomial(shifted, basis, alphas=config.alphas)
-
-
-def _out_path(settings: dict, name: str) -> Path:
-    return Path(settings.get("out_dir", ".")) / name
 
 
 CUTOFF_NOTE = "no statement about solutions beyond the cutoff"
@@ -259,9 +267,7 @@ def cmd_spectrum(settings: dict) -> int:
         profile = spectral_profile(
             family, **_pick(settings, ("grid_size", "levels", "gap_tol"))
         )
-    out = _out_path(settings, "spectrum.csv")
-    _write_atomic(out, profile.to_csv())
-    print(f"wrote {out}")
+    _write(settings, "spectrum.csv", profile.to_csv())
     print(
         f"min gap {profile.min_gap:.6g} at s={profile.s_at_min_gap:.4g}; "
         f"ground degeneracy {profile.ground_degeneracy}; "
@@ -291,13 +297,10 @@ def cmd_evolve(settings: dict) -> int:
     config, params = _evolution_params(settings)
     family, start_state = _build_family(settings, config)
     trace = evolve(family, start_state, params)
-    out = _out_path(settings, "trace.csv")
-    _write_atomic(out, trace.to_csv())
-    print(f"wrote {out}")
+    _write(settings, "trace.csv", trace.to_csv())
     if settings.get("dump_probabilities"):
-        dump = _out_path(settings, "probabilities.json")
-        _write_atomic(dump, _dump_json(trace.probabilities_json_dict()))
-        print(f"wrote {dump}")
+        dump = _dump_json(trace.probabilities_json_dict())
+        _write(settings, "probabilities.json", dump)
     probs = trace.final_probabilities()
     top = int(np.argmax(probs))
     print(
@@ -311,10 +314,8 @@ def cmd_decide(settings: dict) -> int:
     """escalating-time decision, JSON report"""
     config = _run_config(settings)
     report = decide(_equation(settings, config), config)
-    out = _out_path(settings, "decision.json")
     report_dict = report_to_json_dict(report, created_utc=_now_utc())
-    _write_atomic(out, _dump_json(report_dict))
-    print(f"wrote {out}")
+    _write(settings, "decision.json", _dump_json(report_dict))
     print(f"equation: {report.equation}")
     print(f"verdict: {report.verdict.value} (criterion: {report.criterion})")
     if report.verdict is Verdict.SOLUTION_EXISTS:
@@ -342,9 +343,7 @@ def cmd_sample(settings: dict) -> int:
     # only the final state is read
     trace = evolve(family, start_state, replace(params, record_grid=2))
     run = sample_measurements(trace.final_state, shots, seed)
-    out = _out_path(settings, "measurements.csv")
-    _write_atomic(out, run.to_csv())
-    print(f"wrote {out}")
+    _write(settings, "measurements.csv", run.to_csv())
     top = max(range(len(run.counts)), key=lambda i: run.counts[i])
     print(
         f"{run.shots} shots, seed {run.seed}: top index {top} "
@@ -356,16 +355,17 @@ def cmd_sample(settings: dict) -> int:
 
 def cmd_sweep(settings: dict) -> int:
     """decide across an ascending cutoff list"""
-    config = _run_config(settings)
+    # the cutoffs replace the cutoff: sweep_configs checks each of them
+    config = _run_config({**settings, "cutoff": 1})
     if "cutoffs" not in settings:
         raise ConfigError("sweep requires --cutoffs, e.g. --cutoffs 3,5,7")
     with _config_errors():
-        sweep_configs(settings["cutoffs"], config)
-    p = _equation(settings, config)
+        configs = sweep_configs(settings["cutoffs"], config)
+    # a start state needs the most room at the largest cutoff
+    p = _equation(settings, configs[-1])
     result = truncation_sweep(p, settings["cutoffs"], config)
-    out = _out_path(settings, "sweep.json")
-    _write_atomic(out, _dump_json(sweep_to_json_dict(result, created_utc=_now_utc())))
-    print(f"wrote {out}")
+    result_dict = sweep_to_json_dict(result, created_utc=_now_utc())
+    _write(settings, "sweep.json", _dump_json(result_dict))
     for report in result.reports:
         extra = f" witness {report.witness}" if report.witness else ""
         print(f"cutoff {report.cutoff}: {report.verdict.value}{extra}")

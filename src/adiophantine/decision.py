@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, is_dataclass, replace
 from enum import Enum
 
 import numpy as np
@@ -44,7 +44,7 @@ from .evolution import (
     evolve,
     geometric_step_sizes,
 )
-from .fock import FockBasis, StateVector
+from .fock import FockBasis, StateVector, _log_norms, as_mode_alphas
 from .hamiltonians import DEFAULT_ALPHA, AdiabaticFamily
 
 __all__ = [
@@ -168,6 +168,8 @@ class DecideConfig:
             raise ValueError(f"cutoff must be at least 1, got {self.cutoff}")
         if not np.isfinite(np.asarray(self.alphas, dtype=np.complex128)).all():
             raise ValueError(f"alphas must be finite, got {self.alphas}")
+        # a shared displacement is checked on one mode, per-mode ones together
+        _log_norms(self._displacements(), self.cutoff)
         for name in ("step", "t0"):
             value = getattr(self, name)
             if not (math.isfinite(value) and value > 0):
@@ -189,27 +191,15 @@ class DecideConfig:
     def time_schedule(self) -> tuple[float, ...]:
         return tuple(self.t0 * 2.0**j for j in range(self.j_max + 1))
 
+    def _displacements(self) -> tuple[complex, ...]:
+        """``alphas`` as a tuple: one shared by every mode, or one per mode."""
+        if isinstance(self.alphas, (int, float, complex)):
+            return (complex(self.alphas),)
+        return tuple(map(complex, self.alphas))
+
     def to_json_dict(self) -> dict:
-        alphas = self.alphas
-        if isinstance(alphas, (int, float, complex)):
-            alphas = (complex(alphas),)
-        return {
-            "cutoff": self.cutoff,
-            "semantics": self.semantics.value,
-            "alphas": [[a.real, a.imag] for a in map(complex, alphas)],
-            "integrator": self.integrator.value,
-            "step": self.step,
-            "t0": self.t0,
-            "j_max": self.j_max,
-            "strict_criterion": self.strict_criterion,
-            "tie_tol": self.tie_tol,
-            "record_grid": self.record_grid,
-            "extrapolation_steps": (
-                list(self.extrapolation_steps)
-                if self.extrapolation_steps is not None
-                else None
-            ),
-        }
+        # [re, im] pairs, also for one displacement shared by every mode
+        return {**_encode(self), "alphas": _encode(self._displacements())}
 
 
 @dataclass(frozen=True)
@@ -248,6 +238,8 @@ def decide(p: Polynomial, config: DecideConfig = DecideConfig()) -> DecisionRepo
         raise ValueError("equation has no variables to solve for")
     shifted = substitute_shift(p, config.semantics)
     basis = FockBasis(shifted.num_vars, config.cutoff)
+    # the report's config names one displacement per mode, so it replays
+    config = replace(config, alphas=as_mode_alphas(config.alphas, basis.num_modes))
     family, start_state = AdiabaticFamily.from_polynomial(
         shifted, basis, alphas=config.alphas
     )
@@ -455,57 +447,37 @@ REPORT_SCHEMA: dict = {
 }
 
 
-def _extrapolation_to_dict(result: ExtrapolationResult | None) -> dict | None:
-    if result is None:
-        return None
-    return {
-        "value": result.value,
-        "error_estimate": result.error_estimate,
-        "observed_order": result.observed_order,
-        "step_sizes": list(result.step_sizes),
-        "observable_values": list(result.observable_values),
-        "observable": result.observable,
-    }
+def _encode(value, created_utc: str | None = None):
+    """The JSON form of a record: a report as ``report_to_json_dict`` writes
+    it, any other dataclass as its fields by name, an enum as its value, a
+    complex number as ``[re, im]`` and a tuple as a list."""
+    if isinstance(value, DecisionReport):
+        return report_to_json_dict(value, created_utc)
+    if is_dataclass(value):
+        return {
+            f.name: _encode(getattr(value, f.name), created_utc) for f in fields(value)
+        }
+    if isinstance(value, Enum):
+        return value.value
+    if isinstance(value, complex):
+        return [value.real, value.imag]
+    if isinstance(value, tuple):
+        return [_encode(v, created_utc) for v in value]
+    return value
 
 
 def report_to_json_dict(report: DecisionReport, created_utc: str | None = None) -> dict:
     """Serializable report; timing lives in the ``sidecar`` field so that
     everything outside it is byte-reproducible for a fixed configuration."""
-    return {
-        "schema": 1,
-        "equation": report.equation,
-        "semantics": report.semantics,
-        "cutoff": report.cutoff,
-        "schedule": list(report.schedule),
-        "verdict": report.verdict.value,
-        "witness": list(report.witness) if report.witness is not None else None,
-        "top_occupation": (
-            list(report.top_occupation) if report.top_occupation is not None else None
-        ),
-        "top_probability": report.top_probability,
-        "class_probability": report.class_probability,
-        "class_size": report.class_size,
-        "class_value": report.class_value,
-        "successful_time": report.successful_time,
-        "criterion": report.criterion,
-        "caveat": (
-            CUTOFF_CAVEAT
-            if report.verdict is Verdict.NO_SOLUTION_WITHIN_CUTOFF
-            else None
-        ),
-        "config": report.config.to_json_dict(),
-        "extrapolation": _extrapolation_to_dict(report.extrapolation),
-        "sidecar": {
-            "wall_clock_seconds": report.wall_clock_seconds,
-            "created_utc": created_utc,
-        },
+    data = {f.name: _encode(getattr(report, f.name)) for f in fields(report)}
+    sidecar = {
+        "wall_clock_seconds": data.pop("wall_clock_seconds"),
+        "created_utc": created_utc,
     }
+    no_solution = report.verdict is Verdict.NO_SOLUTION_WITHIN_CUTOFF
+    caveat = CUTOFF_CAVEAT if no_solution else None
+    return {"schema": 1, **data, "caveat": caveat, "sidecar": sidecar}
 
 
 def sweep_to_json_dict(result: SweepResult, created_utc: str | None = None) -> dict:
-    return {
-        "schema": 1,
-        "stable": result.stable,
-        "caveat": result.caveat,
-        "reports": [report_to_json_dict(r, created_utc) for r in result.reports],
-    }
+    return {"schema": 1, **_encode(result, created_utc)}

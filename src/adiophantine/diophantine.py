@@ -274,9 +274,10 @@ def _tokenize(source: str) -> list[_Token]:
         if ch.isspace():
             i += 1
             continue
-        if ch.isdigit():
+        # the grammar's digits are ASCII: str.isdigit alone takes "²" and "٣"
+        if ch.isascii() and ch.isdigit():
             j = i
-            while j < n and source[j].isdigit():
+            while j < n and source[j].isascii() and source[j].isdigit():
                 j += 1
             tokens.append(("nat", source[i:j], i))
             i = j

@@ -32,6 +32,11 @@ HERMITICITY_TOL = 1e-12
 # renormalization, without a TruncationWarning
 TRUNCATION_WARN = 1e-6
 
+# log of the largest squared norm, 2^1000, that a coherent state's amplitudes
+# may reach before renormalization: then they, their norm and the start
+# operator (entries up to |alpha|^2 + n, doubled when symmetrized) are finite
+_LOG_NORM_LIMIT = 1000 * math.log(2)
+
 
 class TruncationWarning(UserWarning):
     """A construction lost more probability weight to the cutoff than advertised."""
@@ -197,25 +202,44 @@ def as_mode_alphas(alphas, num_modes: int) -> tuple[complex, ...]:
     return values
 
 
+def _log_norms(alphas: tuple[complex, ...], cutoff: int) -> list[float]:
+    """log sum_{n <= cutoff} |alpha|^(2n) / n! for each displacement, the
+    squared norm of its mode's coherent amplitudes before renormalization,
+    computed without overflow.  Raises ``ValueError`` when the product of
+    these norms, that of the whole state, reaches 2^1000."""
+    log_norms = []
+    for alpha in alphas:
+        log_r2 = 2 * math.log(abs(alpha)) if alpha else -math.inf
+        terms = [n * log_r2 - math.lgamma(n + 1) for n in range(1, cutoff + 1)]
+        log_norms.append(float(np.logaddexp.reduce([0.0, *terms])))
+    if not sum(log_norms) < _LOG_NORM_LIMIT:
+        raise ValueError(
+            f"displacements {alphas} overflow the start state at cutoff {cutoff}"
+        )
+    return log_norms
+
+
 def coherent_state(basis: FockBasis, alphas) -> StateVector:
     """Truncated coherent state with amplitudes ~ prod alpha_i^n_i / sqrt(n_i!).
 
     Renormalized to unit norm on the truncated space.  Emits a
     :class:`TruncationWarning` when the probability weight lost to the
-    cutoff exceeds ``TRUNCATION_WARN`` before renormalization.
+    cutoff exceeds ``TRUNCATION_WARN`` before renormalization.  Raises
+    ``ValueError`` when the amplitudes before renormalization would have a
+    squared norm of 2^1000 or more.
     """
     alpha_list = as_mode_alphas(alphas, basis.num_modes)
+    log_norms = _log_norms(alpha_list, basis.cutoff)
     amplitudes = np.ones(1, dtype=np.complex128)
     kept_weight = 1.0
-    for alpha in alpha_list:
+    for alpha, log_norm in zip(alpha_list, log_norms):
         c = np.empty(basis.cutoff + 1, dtype=np.complex128)
         c[0] = 1.0
         for n in range(1, basis.cutoff + 1):
             c[n] = c[n - 1] * alpha / math.sqrt(n)
         amplitudes = np.kron(amplitudes, c)
-        kept_weight *= min(
-            float(np.sum(np.abs(c) ** 2)) / math.exp(abs(alpha) ** 2), 1.0
-        )
+        # the Poisson weight of n <= cutoff, in log space: e^|alpha|^2 overflows
+        kept_weight *= min(math.exp(log_norm - abs(alpha) * abs(alpha)), 1.0)
     truncated_weight = 1.0 - kept_weight
     if truncated_weight > TRUNCATION_WARN:
         warnings.warn(

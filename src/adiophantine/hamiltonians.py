@@ -131,9 +131,9 @@ def problem_diagonal(p: Polynomial, basis: FockBasis) -> tuple[int, ...]:
             f"{basis.occupation(index)} exceeds 64-bit range"
         )
     values = values.astype(np.int64, copy=False)
-    # the diagonal is highly degenerate and lives as long as its family:
-    # equal squares share one int object (the first of them), 8 bytes per
-    # entry instead of 36
+    # the diagonal is highly degenerate: equal squares share one int object
+    # (the first of them), 8 bytes per entry instead of 36 for a caller that
+    # keeps the tuple (AdiabaticFamily keeps an int64 copy instead)
     squares = (values * values).tolist()
     return tuple(map({}.setdefault, squares, squares))
 

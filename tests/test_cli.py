@@ -14,6 +14,7 @@ from adiophantine.cli import (
     main,
 )
 from adiophantine.decision import REPORT_SCHEMA, DecideConfig
+from adiophantine.fock import TruncationWarning
 
 pytestmark = pytest.mark.filterwarnings(
     "ignore::adiophantine.fock.TruncationWarning"
@@ -38,8 +39,9 @@ def test_check_expands(capsys):
     assert "x^3 + 3*x^2 + 3*x - 7" in capsys.readouterr().out
 
 
-def test_check_parse_error_exit_code(capsys):
-    assert main(["check", "x^y"]) == EXIT_USAGE
+@pytest.mark.parametrize("equation", ["x^y", "x^²", "x - ٣"])
+def test_check_parse_error_exit_code(capsys, equation):
+    assert main(["check", equation]) == EXIT_USAGE
     err = capsys.readouterr().err
     assert "parse error" in err
     assert "position" in err
@@ -426,6 +428,9 @@ def test_out_of_range_settings_exit_two_and_write_nothing(
         ("decide", {"extrapolation_steps": "0.1,0.05,0.025"}),
         ("decide", {"integrator": 1}),
         ("spectrum", {"equation": 5}),
+        ("decide", {"tie_tol": True}),
+        ("decide", {"alphas": True}),
+        ("decide", {"alphas": [[True, False]]}),
     ],
 )
 def test_config_values_of_the_wrong_type_exit_two_and_write_nothing(
@@ -449,6 +454,11 @@ def test_config_values_of_the_wrong_type_exit_two_and_write_nothing(
         ("x + y - 1", '{"alphas": [[1, 0]]}', "expected 2 displacements, got 1"),
         ("x + y - 1", '{"alphas": 1e400}', "alphas must be finite"),
         ("x + y - 1", '{"alphas": NaN}', "alphas must be finite"),
+        (
+            "x + y - 1",
+            '{"alphas": [[1e308, 1e308], [0, 0]]}',
+            "displacements ((1e+308+1e+308j), 0j) overflow the start state",
+        ),
     ],
 )
 def test_equation_config_errors_exit_two_and_write_nothing(
@@ -467,3 +477,51 @@ def test_equation_config_errors_exit_two_and_write_nothing(
     assert f"config error: {message}" in err
     assert "Traceback" not in err
     assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
+
+
+def test_large_displacements_run_and_overflowing_ones_are_config_errors(
+    tmp_path, monkeypatch, capsys
+):
+    monkeypatch.chdir(tmp_path)
+    Path("config.json").write_text('{"alphas": 30}')
+    with pytest.warns(TruncationWarning, match="loses weight 1.000e"):
+        code = main(["evolve", "x - 1", "--cutoff", "4", "--config", "config.json"])
+    assert code == EXIT_OK
+    assert Path("trace.csv").exists()
+    Path("trace.csv").unlink()
+    Path("config.json").write_text('{"alphas": [[1e308, 1e308]]}')
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code = main(["evolve", "x - 1", "--cutoff", "4", "--config", "config.json"])
+    assert code == EXIT_USAGE
+    assert "config error: displacements" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
+    # one mode's state is representable at cutoff 2, two modes' are not;
+    # a sweep checks them at its largest cutoff
+    Path("config.json").write_text('{"alphas": 1e50}')
+    for command, flags in (("decide", "--cutoff=2"), ("sweep", "--cutoffs=1,2")):
+        args = [command, "x + y - 1", flags, "--config", "config.json"]
+        assert main(args) == EXIT_USAGE
+        assert "overflow the start state at cutoff 2" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
+
+
+@pytest.mark.parametrize(
+    "equation, flags",
+    [
+        ("x*y - 6", ["--cutoff", "5"]),
+        ("x*y*z - 8", ["--cutoff", "3", "--semantics", "positive"]),
+        ("x - 2", ["--cutoff", "6", "--extrapolation-steps", "0.04,0.02,0.01"]),
+    ],
+)
+def test_a_reports_config_replays_the_report(tmp_path, equation, flags):
+    first, second = tmp_path / "first", tmp_path / "second"
+    assert main(["decide", equation, *flags, "--out", str(first)]) == EXIT_OK
+    report = json.loads((first / "decision.json").read_text())
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"equation": equation, **report["config"]}))
+    assert main(["decide", "--config", str(path), "--out", str(second)]) == EXIT_OK
+    replayed = json.loads((second / "decision.json").read_text())
+    report.pop("sidecar")
+    replayed.pop("sidecar")
+    assert replayed == report

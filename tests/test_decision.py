@@ -1,4 +1,5 @@
 import json
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -32,7 +33,7 @@ from adiophantine.evolution import (
     Integrator,
 )
 from adiophantine.fock import FockBasis, StateVector, coherent_state
-from adiophantine.hamiltonians import AdiabaticFamily
+from adiophantine.hamiltonians import DEFAULT_ALPHA, AdiabaticFamily
 from test_diophantine import polynomials
 
 # small cutoffs genuinely truncate the start state; that warning is expected here
@@ -207,6 +208,9 @@ def test_negative_j_max_is_refused():
         ({"extrapolation_steps": (0.04, 0.02, 0.015)}, "geometric sequence"),
         ({"tie_tol": -1.0}, "tie_tol must be non-negative and finite"),
         ({"tie_tol": float("nan")}, "tie_tol must be non-negative and finite"),
+        ({"alphas": 1e308 + 1e308j, "cutoff": 4}, "overflow the start state"),
+        # one displacement is checked on one mode, a tuple on all its modes
+        ({"alphas": (1e50, 1e50), "cutoff": 2}, "overflow the start state"),
     ],
 )
 def test_out_of_range_settings_are_refused(setting, message):
@@ -486,3 +490,25 @@ def test_sweep_json_shape():
     assert len(data["reports"]) == 2
     for entry in data["reports"]:
         jsonschema.validate(entry, REPORT_SCHEMA)
+
+
+@pytest.mark.parametrize(
+    "text, config",
+    # decided, and inconclusive
+    [("x - 1", FAST), ("x + y - 5", DecideConfig(cutoff=5, t0=0.01, j_max=0))],
+)
+def test_report_keys_are_the_schema_properties(text, config):
+    # the report is written from its record's fields, so a field added to
+    # a record changes the format only together with the schema
+    report = decide(parse_equation(text), config)
+    assert set(report_to_json_dict(report)) == set(REPORT_SCHEMA["properties"])
+    assert len(REPORT_SCHEMA["properties"]) == 18
+    assert set(DecideConfig().to_json_dict()) == {f.name for f in fields(DecideConfig)}
+
+
+def test_report_config_has_one_displacement_per_mode():
+    config = DecideConfig(cutoff=3, t0=10.0, j_max=2, step=0.05)
+    report = decide(parse_equation("x*y - 2"), config)
+    assert report.config.alphas == (DEFAULT_ALPHA, DEFAULT_ALPHA)
+    assert report_to_json_dict(report)["config"]["alphas"] == [[2**-0.5, 0.0]] * 2
+    assert config.to_json_dict()["alphas"] == [[2**-0.5, 0.0]]

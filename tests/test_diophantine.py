@@ -61,10 +61,15 @@ def test_parse_non_literal_exponent_rejected():
     assert err.value.position == 2
 
 
-def test_parse_syntax_error_position():
+@pytest.mark.parametrize(
+    "text, position",
+    # the grammar's digits are ASCII only, though "²" and "٣" pass str.isdigit
+    [("x + * y", 4), ("x^²", 2), ("x - ٣", 4)],
+)
+def test_parse_syntax_error_position(text, position):
     with pytest.raises(ParseError) as err:
-        parse_equation("x + * y")
-    assert err.value.position == 4
+        parse_equation(text)
+    assert err.value.position == position
 
 
 def test_parse_unexpected_character():

@@ -1,5 +1,6 @@
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -168,6 +169,40 @@ def test_coherent_is_approximate_lowering_eigenstate():
 def test_coherent_truncation_warning():
     with pytest.warns(TruncationWarning):
         coherent_state(FockBasis(1, 4), 2.0)
+
+
+def test_coherent_amplitudes_keep_their_bits():
+    # the default displacement 2^-1/2; the kept weight is computed in log
+    # space, the amplitudes as before
+    state = coherent_state(FockBasis(1, 8), 2**-0.5)
+    assert state.amplitudes.real.tolist() == [
+        0.7788007844091861,
+        0.550695315849138,
+        0.275347657924569,
+        0.11241021063093386,
+        0.03974301110587074,
+        0.012567843616791884,
+        0.0036280239476439574,
+        0.0009696301859353406,
+        0.00024240754648383514,
+    ]
+    assert not state.amplitudes.imag.any()
+
+
+def test_coherent_large_displacement_warns_and_overflow_is_refused():
+    # e^(30^2) overflows a float: the kept weight is a Poisson sum in log space
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.warns(TruncationWarning, match="loses weight 1.000e"):
+            state = coherent_state(FockBasis(1, 4), 30.0)
+        assert state.norm() == pytest.approx(1.0)
+        # each mode fits at cutoff 2, the two together would reach 2^1000
+        with pytest.warns(TruncationWarning):
+            coherent_state(FockBasis(1, 2), 1e50)
+        with pytest.raises(ValueError, match="overflow the start state at cutoff 2"):
+            coherent_state(FockBasis(2, 2), 1e50)
+        with pytest.raises(ValueError, match="overflow the start state at cutoff 4"):
+            coherent_state(FockBasis(1, 4), 1e308 + 1e308j)
 
 
 # -- Hermitian operators ----------------------------------------------------------
