@@ -282,14 +282,8 @@ def cmd_spectrum(settings: dict) -> int:
 def _evolution_params(settings: dict) -> tuple[DecideConfig, EvolutionParams]:
     """The run settings and one run of --T (default --T0)."""
     config = _run_config(settings)
-    total_time = settings.get("total_time", config.t0)
     with _config_errors():
-        return config, EvolutionParams(
-            total_time=total_time,
-            step=min(config.step, total_time),
-            integrator=config.integrator,
-            record_grid=config.record_grid,
-        )
+        return config, config.rung(settings.get("total_time", config.t0))
 
 
 def cmd_evolve(settings: dict) -> int:

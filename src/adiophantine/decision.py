@@ -88,20 +88,10 @@ class GroundStateCandidate:
     class_size: int
     class_value: int
     class_probability: float
-    criterion: str  # "class_aggregate" or "single_state"
-
-    @property
-    def score(self) -> float:
-        if self.criterion == "single_state":
-            return self.top_probability
-        return self.class_probability
 
 
 def classify_final_state(
-    trace: EvolutionTrace,
-    family: AdiabaticFamily,
-    tie_tol: float = 1e-9,
-    strict: bool = False,
+    trace: EvolutionTrace, family: AdiabaticFamily, tie_tol: float = 1e-9
 ) -> GroundStateCandidate:
     """Describe the most likely final basis state without applying the bar.
 
@@ -120,7 +110,6 @@ def classify_final_state(
         class_size=int(np.count_nonzero(in_class)),
         class_value=int(values[top]),
         class_probability=float(probs[in_class].sum()),
-        criterion="single_state" if strict else "class_aggregate",
     )
 
 
@@ -132,7 +121,8 @@ def identify_ground_state(
 ) -> GroundStateCandidate | None:
     """Apply the strictly-greater-than-1/2 identification criterion.
 
-    Returns the candidate when its score clears 1/2, else None.  A score of
+    Returns the candidate when the probability of its class (of its top
+    state alone when ``strict``) clears 1/2, else None.  A probability of
     exactly 1/2 does not identify.
 
     The bar is only meaningful once the deformation has had time to act: a
@@ -143,8 +133,9 @@ def identify_ground_state(
     default starting time is comfortably past that regime for desk-scale
     instances.
     """
-    candidate = classify_final_state(trace, family, tie_tol=tie_tol, strict=strict)
-    return candidate if candidate.score > 0.5 else None
+    candidate = classify_final_state(trace, family, tie_tol=tie_tol)
+    probability = candidate.top_probability if strict else candidate.class_probability
+    return candidate if probability > 0.5 else None
 
 
 @dataclass(frozen=True)
@@ -180,8 +171,12 @@ class DecideConfig:
             )
         if self.j_max < 0:
             raise ValueError(f"j_max must be at least 0, got {self.j_max}")
-        if self.record_grid < 2:
-            raise ValueError(f"record_grid must be at least 2, got {self.record_grid}")
+        try:
+            last = math.ldexp(self.t0, self.j_max)
+        except OverflowError:
+            raise ValueError("last run time t0 * 2^j_max overflows") from None
+        # the longest rung has the most steps; every rung has record_grid
+        self.rung(last)
         if self.extrapolation_steps is not None:
             try:
                 geometric_step_sizes(self.extrapolation_steps)
@@ -189,7 +184,13 @@ class DecideConfig:
                 raise ValueError(f"extrapolation_steps: {err}") from None
 
     def time_schedule(self) -> tuple[float, ...]:
-        return tuple(self.t0 * 2.0**j for j in range(self.j_max + 1))
+        return tuple(math.ldexp(self.t0, j) for j in range(self.j_max + 1))
+
+    def rung(self, total_time: float) -> EvolutionParams:
+        """The run of one rung of ``total_time``, at ``step`` or at the whole
+        run time when that is shorter."""
+        step = min(self.step, total_time)
+        return EvolutionParams(total_time, step, self.integrator, self.record_grid)
 
     def _displacements(self) -> tuple[complex, ...]:
         """``alphas`` as a tuple: one shared by every mode, or one per mode."""
@@ -200,6 +201,10 @@ class DecideConfig:
     def to_json_dict(self) -> dict:
         # [re, im] pairs, also for one displacement shared by every mode
         return {**_encode(self), "alphas": _encode(self._displacements())}
+
+
+# the candidate's fields that a report repeats, None when none identified
+_DESCRIBED = [f.name for f in fields(GroundStateCandidate) if f.name != "top_index"]
 
 
 @dataclass(frozen=True)
@@ -249,13 +254,7 @@ def decide(p: Polynomial, config: DecideConfig = DecideConfig()) -> DecisionRepo
     successful_time: float | None = None
     for total_time in config.time_schedule():
         tried.append(total_time)
-        params = EvolutionParams(
-            total_time=total_time,
-            step=min(config.step, total_time),
-            integrator=config.integrator,
-            record_grid=config.record_grid,
-        )
-        trace = evolve(family, start_state, params)
+        trace = evolve(family, start_state, config.rung(total_time))
         candidate = identify_ground_state(
             trace, family, tie_tol=config.tie_tol, strict=config.strict_criterion
         )
@@ -278,25 +277,20 @@ def decide(p: Polynomial, config: DecideConfig = DecideConfig()) -> DecisionRepo
             integrator=integrator,
         )
 
-    criterion = "single_state" if config.strict_criterion else "class_aggregate"
+    witness = None
     if candidate is None:
         verdict = Verdict.INCONCLUSIVE
-        witness = None
+    elif candidate.class_value != 0:
+        verdict = Verdict.NO_SOLUTION_WITHIN_CUTOFF
     else:
-        occupation = candidate.top_occupation
+        verdict = Verdict.SOLUTION_EXISTS
+        witness = candidate.top_occupation
         if config.semantics is VariableSemantics.POSITIVE:
-            witness = tuple(n + 1 for n in occupation)
-        else:
-            witness = occupation
-        if candidate.class_value == 0:
-            verdict = Verdict.SOLUTION_EXISTS
-            if evaluate(p, witness) != 0:
-                raise RuntimeError(
-                    f"internal certificate failure: {witness} does not solve {p}"
-                )
-        else:
-            verdict = Verdict.NO_SOLUTION_WITHIN_CUTOFF
-            witness = None
+            witness = tuple(n + 1 for n in witness)
+        if evaluate(p, witness) != 0:
+            raise RuntimeError(
+                f"internal certificate failure: {witness} does not solve {p}"
+            )
 
     return DecisionReport(
         equation=to_text(p),
@@ -305,13 +299,9 @@ def decide(p: Polynomial, config: DecideConfig = DecideConfig()) -> DecisionRepo
         schedule=tuple(tried),
         verdict=verdict,
         witness=witness,
-        top_occupation=candidate.top_occupation if candidate else None,
-        top_probability=candidate.top_probability if candidate else None,
-        class_probability=candidate.class_probability if candidate else None,
-        class_size=candidate.class_size if candidate else None,
-        class_value=candidate.class_value if candidate else None,
+        **{name: getattr(candidate, name, None) for name in _DESCRIBED},
         successful_time=successful_time,
-        criterion=criterion,
+        criterion="single_state" if config.strict_criterion else "class_aggregate",
         config=config,
         wall_clock_seconds=time.perf_counter() - start,
         extrapolation=extrapolation,

@@ -298,6 +298,15 @@ def _tokenize(source: str) -> list[_Token]:
     return tokens
 
 
+def _natural(text: str, position: int) -> int:
+    """The value of a literal, or :class:`ParseError` at ``position`` when it
+    has more digits than Python converts to an int."""
+    try:
+        return int(text)
+    except ValueError:
+        raise ParseError(f"{len(text)}-digit literal is too long", position) from None
+
+
 class _Parser:
     def __init__(self, tokens: list[_Token]):
         self.tokens = tokens
@@ -347,13 +356,13 @@ class _Parser:
                     "exponent must be a non-negative integer literal", position
                 )
             self.advance()
-            return base ** int(text)
+            return base ** _natural(text, position)
         return base
 
     def base(self) -> Polynomial:
         kind, text, position = self.advance()
         if kind == "nat":
-            return Polynomial.constant(int(text))
+            return Polynomial.constant(_natural(text, position))
         if kind == "ident":
             if text not in self.seen:
                 if len(self.seen) >= MAX_VARIABLES:
@@ -414,7 +423,8 @@ def evaluate(p: Polynomial, point: Sequence[int]) -> int:
     """Exact value of ``p`` at a tuple of non-negative integers.
 
     Raises :class:`EvaluationRangeError` if any term value or partial sum
-    leaves the signed 128-bit range.
+    leaves the signed 128-bit range, before taking the powers of a term
+    that must leave it.
     """
     values = tuple(int(v) for v in point)
     if len(values) != p.num_vars:
@@ -423,6 +433,7 @@ def evaluate(p: Polynomial, point: Sequence[int]) -> int:
         raise ValueError("point components must be non-negative")
     total = 0
     for exponents, coefficient in p.terms:
+        _check_powers(exponents, values)
         term = coefficient
         for v, e in zip(values, exponents):
             if e:
@@ -437,6 +448,25 @@ def evaluate(p: Polynomial, point: Sequence[int]) -> int:
                 f"partial sum {total} exceeds the signed 128-bit range"
             )
     return total
+
+
+def _check_powers(exponents: tuple[int, ...], point: Sequence[int]) -> None:
+    """Raise :class:`EvaluationRangeError` before any power is taken when the
+    term of ``exponents`` reaches 2^127 at ``point``.
+
+    A coordinate v raised to e contributes at least e * (bit_length(v) - 1)
+    factors of 2, and a term with a zero factor is zero.  A term that passes
+    has fewer than 64 + 2 * 127 bits, so every value that a range error
+    prints has few digits; this error prints none, since the count of
+    factors can have more digits than Python converts.
+    """
+    if all(v or not e for v, e in zip(point, exponents)):
+        bits = sum(e * (v.bit_length() - 1) for v, e in zip(point, exponents))
+        if bits >= EVALUATION_LIMIT.bit_length() - 1:
+            raise EvaluationRangeError(
+                "term value exceeds the signed 128-bit range: its powers hold at "
+                "least 127 factors of 2"
+            )
 
 
 # points per slab of the box evaluator: an int64 slab plus the term being
@@ -470,6 +500,8 @@ def box_slabs(p: Polynomial, bound: int) -> Iterator[tuple[int, np.ndarray]]:
     if bound < 0:
         raise ValueError("bound must be non-negative")
     k = p.num_vars
+    for exponents, _ in p.terms:
+        _check_powers(exponents, (bound,) * k)  # at the corner of the box
     side = bound + 1
     wide = sum(abs(c) * bound ** sum(e) for e, c in p.terms) >= 2**63
     dtype = object if wide else np.int64

@@ -148,6 +148,7 @@ class EvolutionParams:
     ``total_time / step`` full steps are taken (rounded down, with a
     floating slack of one part in 1e9) and any remainder is covered by one
     exact final partial step, so the run ends at ``total_time`` exactly.
+    A non-finite ``total_time`` or step count is refused.
     """
 
     total_time: float
@@ -156,12 +157,14 @@ class EvolutionParams:
     record_grid: int = 101
 
     def __post_init__(self):
-        if not self.total_time > 0:
-            raise ValueError("total_time must be positive")
+        if not 0 < self.total_time < math.inf:
+            raise ValueError("total_time must be positive and finite")
         if not self.step > 0:
             raise ValueError("step must be positive")
         if self.step > self.total_time * (1 + 1e-12):
             raise ValueError("step must not exceed total_time")
+        if self.total_time / self.step == math.inf:
+            raise ValueError(f"step count {self.total_time} / {self.step} overflows")
         if self.record_grid < 2:
             raise ValueError("record_grid must be at least 2")
 
@@ -266,7 +269,7 @@ def _check_rk4_stable(
     convex schedule this is max(||H_I||, max H_P).
     """
     initial_norm = float(np.abs(family.initial.array).sum(axis=1).max())
-    problem_norm = float(np.abs(family.problem).max())
+    problem_norm = float(np.abs(family.problem_values).max())
     scale = float((np.abs(stage_weights) @ (initial_norm, problem_norm)).max())
     if step * scale > RK4_STABILITY_LIMIT:
         raise EvolutionAborted(

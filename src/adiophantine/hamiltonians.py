@@ -32,7 +32,7 @@ from __future__ import annotations
 import itertools
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable
 
@@ -177,17 +177,16 @@ class AdiabaticFamily:
     """Convex path from the start operator to the diagonal problem operator.
 
     ``problem_values`` is the exact integer problem diagonal in basis order,
-    stored as a read-only int64 array; ``problem`` is its read-only float64
-    copy, the diagonal of H_P.  Entries that are not integers of a type
-    that casts safely to int64, and a wrong length, are refused.
-    ``hamiltonian(0)`` is the start operator and ``hamiltonian(1)`` the
-    problem operator exactly.
+    the diagonal of H_P, stored once as a read-only int64 array; numpy
+    converts it to float64 where a float is needed, with the bits of
+    ``astype``.  Entries that are not integers of a type that casts safely
+    to int64, and a wrong length, are refused.  ``hamiltonian(0)`` is the
+    start operator and ``hamiltonian(1)`` the problem operator exactly.
     """
 
     initial: HermitianOperator
     problem_values: np.ndarray
     schedule: Schedule = linear_schedule
-    problem: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         values = np.array(self.problem_values)
@@ -196,11 +195,8 @@ class AdiabaticFamily:
         if values.shape != (self.initial.basis.dimension,):
             raise ValueError("problem_values length does not match the basis")
         values = values.astype(np.int64, copy=False)
-        problem = values.astype(np.float64)
         values.setflags(write=False)
-        problem.setflags(write=False)
         object.__setattr__(self, "problem_values", values)
-        object.__setattr__(self, "problem", problem)
 
     @property
     def basis(self) -> FockBasis:
@@ -269,7 +265,7 @@ class AdiabaticFamily:
             orbit=index,
             sizes=np.ones(self.dimension, dtype=np.int64),
             initial=self.initial.array,
-            problem=self.problem,
+            problem=self.problem_values,
         )
 
     @cached_property
@@ -312,7 +308,7 @@ class AdiabaticFamily:
             orbit=orbit,
             sizes=sizes,
             initial=reduced,
-            problem=self.problem[representatives],
+            problem=self.problem_values[representatives],
         )
 
     @cached_property
@@ -335,7 +331,7 @@ class AdiabaticFamily:
         return Complement(
             vectors=vectors,
             initial=0.5 * (reduced + reduced.T),
-            problem=self.problem[last],
+            problem=self.problem_values[last],
         )
 
     def sector_for(self, state: StateVector) -> "SymmetricSector":
@@ -385,13 +381,14 @@ class SymmetricSector:
     Orbit a of the group on the basis has the orthonormal vector
     e_a = sum_{i in a} |i> / sqrt(|a|).  ``representatives`` holds the
     smallest basis index of each orbit (ascending), ``orbit`` the orbit of
-    every basis index and ``sizes`` the orbit sizes; ``initial`` and
-    ``problem`` are the dense start operator and the problem diagonal in
-    the orbit basis, and ``group_order`` is the number of permutations.  A
-    fixed state psi has coordinates c_a = sqrt(|a|) psi_rep(a), and
-    psi_i = c_a / sqrt(|a|) for i in a, so orbit-mates keep equal
-    amplitudes.  The trivial group gives the full space, on which
-    ``reduce`` and ``expand`` do nothing.
+    every basis index and ``sizes`` the orbit sizes; ``initial`` is the
+    dense start operator in the orbit basis, ``problem`` the exact int64
+    problem value of each orbit (a slice of the family's
+    ``problem_values``), and ``group_order`` is the number of
+    permutations.  A fixed state psi has coordinates
+    c_a = sqrt(|a|) psi_rep(a), and psi_i = c_a / sqrt(|a|) for i in a, so
+    orbit-mates keep equal amplitudes.  The trivial group gives the full
+    space, on which ``reduce`` and ``expand`` do nothing.
     """
 
     group_order: int
@@ -444,7 +441,8 @@ class Complement:
     orbit and 1 <= j < k, (|i_0> + .. + |i_{j-1}> - j |i_j>) / sqrt(j (j+1)).
     The group fixes both operators, so every H(s) maps these states among
     themselves; ``initial`` is the dense start operator in this basis and
-    ``problem`` the problem diagonal, the value of each vector's orbit.
+    ``problem`` the problem diagonal, the exact int64 value of each
+    vector's orbit.
     """
 
     vectors: np.ndarray

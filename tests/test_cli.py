@@ -1,4 +1,5 @@
 import json
+import shlex
 import warnings
 from pathlib import Path
 
@@ -15,6 +16,8 @@ from adiophantine.cli import (
 )
 from adiophantine.decision import REPORT_SCHEMA, DecideConfig
 from adiophantine.fock import TruncationWarning
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 pytestmark = pytest.mark.filterwarnings(
     "ignore::adiophantine.fock.TruncationWarning"
@@ -39,7 +42,17 @@ def test_check_expands(capsys):
     assert "x^3 + 3*x^2 + 3*x - 7" in capsys.readouterr().out
 
 
-@pytest.mark.parametrize("equation", ["x^y", "x^²", "x - ٣"])
+@pytest.mark.parametrize(
+    "equation",
+    [
+        "x^y",
+        "x^²",
+        "x - ٣",
+        # more digits than Python converts to an int
+        pytest.param("1" * 5001, id="5001-digit-literal"),
+        pytest.param("x^" + "1" * 5001, id="5001-digit-exponent"),
+    ],
+)
 def test_check_parse_error_exit_code(capsys, equation):
     assert main(["check", equation]) == EXIT_USAGE
     err = capsys.readouterr().err
@@ -257,6 +270,14 @@ def test_sweep_bad_cutoffs_are_config_errors(tmp_path, capsys, cutoffs, message)
     assert not (tmp_path / "sweep.json").exists()
 
 
+def test_sweep_schedule_that_overflows_is_a_config_error(tmp_path, capsys):
+    args = ["sweep", "x - 1", "--cutoffs", "2,3", "--T0", "1e308"]
+    assert main([*args, "--out", str(tmp_path / "out")]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert "config error: last run time t0 * 2^j_max overflows" in err
+    assert not (tmp_path / "out").exists()
+
+
 # -- config files and overrides -------------------------------------------------------
 
 
@@ -385,6 +406,15 @@ def test_config_keys_a_subcommand_does_not_read_are_refused(
     [
         ("evolve", ["--record-grid", "1"], None, "record_grid must be at least 2"),
         ("evolve", ["--T", "-1"], None, "total_time must be positive"),
+        # schedules that cannot be stepped
+        (
+            "evolve",
+            ["--T", "1e300", "--step", "1e-300"],
+            None,
+            "step count 1e+300 / 1e-300 overflows",
+        ),
+        ("decide", ["--T0", "1e308"], None, "last run time t0 * 2^j_max overflows"),
+        ("decide", ["--jmax", "2000"], None, "last run time t0 * 2^j_max overflows"),
         ("spectrum", ["--grid", "1"], None, "grid_size must be at least 2"),
         ("spectrum", ["--levels", "-3"], None, "levels must be at least 2, got -3"),
         ("sample", ["--shots", "0"], None, "shots must be at least 1"),
@@ -525,3 +555,29 @@ def test_a_reports_config_replays_the_report(tmp_path, equation, flags):
     report.pop("sidecar")
     replayed.pop("sidecar")
     assert replayed == report
+
+
+# the file each subcommand writes into --out
+WRITES = {
+    "spectrum": "spectrum.csv",
+    "evolve": "trace.csv",
+    "decide": "decision.json",
+    "sample": "measurements.csv",
+    "sweep": "sweep.json",
+}
+
+
+def test_readme_commands_run(tmp_path, monkeypatch):
+    # the command block under "Command line", one command a line
+    text = README.read_text(encoding="utf-8").split("## Command line", 1)[1]
+    block = text.split("```sh\n", 1)[1].split("```", 1)[0]
+    commands = [shlex.split(line, comments=True) for line in block.splitlines()]
+    assert len(commands) == 7
+    monkeypatch.chdir(tmp_path)
+    for words in commands:
+        assert words[0] == "adiophantine"
+        assert main(words[1:]) == EXIT_OK, words
+        command = words[1]
+        if command in WRITES:
+            out = Path(words[words.index("--out") + 1])
+            assert (out / WRITES[command]).exists(), words

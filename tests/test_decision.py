@@ -99,7 +99,7 @@ def test_strict_versus_aggregate_on_degenerate_class():
     assert aggregate is not None
     assert aggregate.class_size == 2
     assert aggregate.class_probability == pytest.approx(0.7)
-    assert aggregate.criterion == "class_aggregate"
+    assert aggregate.top_probability == pytest.approx(0.35)
     strict = identify_ground_state(trace, family, strict=True)
     assert strict is None  # single state holds only 0.35
 
@@ -129,14 +129,18 @@ def test_classify_recounts_the_top_class(p, cutoff, data):
     top = min(i for i in range(d) if probs[i] >= probs.max() - 1e-9)
     values = family.problem_values.tolist()
     members = [i for i in range(d) if values[i] == values[top]]
+    candidate = classify_final_state(trace, family)
+    assert candidate.top_index == top
+    assert candidate.top_probability == probs[top]
+    assert candidate.class_value == values[top]
+    assert candidate.class_size == len(members)
+    # the masked sum in index order, bitwise
+    assert candidate.class_probability == float(probs[members].sum())
+    # the bar reads the top state alone when strict, else its class
     for strict in (False, True):
-        candidate = classify_final_state(trace, family, strict=strict)
-        assert candidate.top_index == top
-        assert candidate.class_value == values[top]
-        assert candidate.class_size == len(members)
-        # the masked sum in index order, bitwise
-        assert candidate.class_probability == float(probs[members].sum())
-        assert candidate.score == (probs[top] if strict else candidate.class_probability)
+        probability = probs[top] if strict else candidate.class_probability
+        identified = identify_ground_state(trace, family, strict=strict)
+        assert identified == (candidate if probability > 0.5 else None)
 
 
 # -- decide -----------------------------------------------------------------------
@@ -197,6 +201,13 @@ def test_negative_j_max_is_refused():
         ({"t0": -1.0}, "t0 must be positive and finite"),
         ({"t0": float("nan")}, "t0 must be positive and finite"),
         ({"record_grid": 1}, "record_grid must be at least 2"),
+        # the last rung, t0 * 2^j_max, and its step count must be finite
+        ({"t0": 1e308}, r"last run time t0 \* 2\^j_max overflows"),
+        ({"j_max": 2000}, r"last run time t0 \* 2\^j_max overflows"),
+        (
+            {"step": 1e-300, "t0": 1e10},
+            r"step count 640000000000\.0 / 1e-300 overflows",
+        ),
         ({"extrapolation_steps": ()}, "need at least three step sizes"),
         ({"extrapolation_steps": (0.02, 0.01)}, "need at least three step sizes"),
         ({"extrapolation_steps": (1.0, 0.0, -1.0)}, "must be positive and finite"),

@@ -64,7 +64,14 @@ def test_parse_non_literal_exponent_rejected():
 @pytest.mark.parametrize(
     "text, position",
     # the grammar's digits are ASCII only, though "²" and "٣" pass str.isdigit
-    [("x + * y", 4), ("x^²", 2), ("x - ٣", 4)],
+    [
+        ("x + * y", 4),
+        ("x^²", 2),
+        ("x - ٣", 4),
+        # more digits than Python converts to an int
+        pytest.param("1" * 5001, 0, id="5001-digit-literal"),
+        pytest.param("x^" + "1" * 5001, 2, id="5001-digit-exponent"),
+    ],
 )
 def test_parse_syntax_error_position(text, position):
     with pytest.raises(ParseError) as err:
@@ -231,6 +238,16 @@ def test_evaluate_range_guard():
     assert evaluate(p, (2**63,)) == 2**126
     with pytest.raises(EvaluationRangeError):
         evaluate(p, (2**64,))
+    # refused before the power is taken, with no digits of it in the message
+    for text in ("x^100000 - 1", "x^1000000000 - 1"):
+        with pytest.raises(EvaluationRangeError, match="at least 127 factors of 2"):
+            evaluate(parse_equation(text), (2,))
+    # 2 * (10^4300 - 1) factors of 2, a count of 4301 digits
+    huge = parse_equation("x^" + "9" * 4300)
+    with pytest.raises(EvaluationRangeError, match="at least 127 factors of 2"):
+        evaluate(huge, (4,))
+    # a zero factor makes the term zero, however large the others
+    assert evaluate(parse_equation("x^200*y"), (2, 0)) == 0
 
 
 # -- brute-force search ------------------------------------------------------
@@ -435,6 +452,14 @@ def test_box_range_guard():
         brute_force_search(p + 1, 2)
     # a zero at x = 0 is proved by the first cube, before x = 2 is reached
     assert brute_force_search(p, 2) == (0,)
+    # a term that must reach 2^127 is refused before its powers are built
+    for text in ("x^100000 - 1", "x^1000000000 - 1"):
+        with pytest.raises(EvaluationRangeError, match="at least 127 factors of 2"):
+            min_over_box(parse_equation(text), 2)
+    with pytest.raises(EvaluationRangeError, match="at least 127 factors of 2"):
+        brute_force_search(parse_equation("x^100000 + 1"), 2)
+    assert brute_force_search(parse_equation("x^1000000000 - 1"), 1) == (1,)
+    assert brute_force_search(parse_equation("x^1000000000 - 1"), 2) == (1,)
 
 
 def test_search_raises_on_a_cube_beyond_its_zero():

@@ -79,6 +79,13 @@ def test_params_validation():
         EvolutionParams(total_time=1.0, step=2.0)
     with pytest.raises(ValueError):
         EvolutionParams(total_time=1.0, step=0.1, record_grid=1)
+    # a run time or step count that is not finite cannot be stepped
+    with pytest.raises(ValueError, match="total_time must be positive and finite"):
+        EvolutionParams(total_time=math.inf, step=1.0)
+    with pytest.raises(ValueError, match="total_time must be positive and finite"):
+        EvolutionParams(total_time=math.nan, step=1.0)
+    with pytest.raises(ValueError, match=r"count 1e\+308 / 1e-10 overflows"):
+        EvolutionParams(1e308, 1e-10)
 
 
 def test_partial_final_step_lands_exactly_on_total_time():
@@ -253,13 +260,42 @@ def test_suite_instance_cross_integrator_agreement_slow():
     assert np.max(np.abs(p_rk - p_me)) < 1e-6
 
 
+@pytest.mark.parametrize(
+    "equation, cutoff, alphas, params, m",
+    [
+        ("x*y*z - 8", 4, DEFAULT_ALPHA, EvolutionParams(10.0, 0.02, SPLIT), 35),
+        # 344 steps, the last one 0.01 long
+        ("x - 20", 8, DEFAULT_ALPHA, EvolutionParams(10.3, 0.03, MIDEXP), 9),
+        ("x + y - 5", 8, DEFAULT_ALPHA, EvolutionParams(10.0, 0.01, RK4), 45),
+        # unequal displacements: the start state lies in no sector
+        ("x + y - 5", 8, (0.7, 0.5), EvolutionParams(10.0, 0.02, SPLIT), 81),
+    ],
+    ids=["split-sector", "midexp-partial-step", "rk4", "split-full-space"],
+)
+# the coherent state loses 5.2e-4 of its weight to cutoff 4 on three modes
+@pytest.mark.filterwarnings("ignore::adiophantine.fock.TruncationWarning")
+def test_final_state_does_not_depend_on_record_grid(
+    equation, cutoff, alphas, params, m
+):
+    p = parse_equation(equation)
+    family, start = AdiabaticFamily.from_polynomial(
+        p, FockBasis(p.num_vars, cutoff), alphas=alphas
+    )
+    assert family.sector_for(start).dimension == m
+    coarse = evolve(family, start, replace(params, record_grid=2))
+    fine = evolve(family, start, replace(params, record_grid=101))
+    assert np.array_equal(coarse.final_state.amplitudes, fine.final_state.amplitudes)
+    assert replace(coarse.params, record_grid=101) == fine.params
+    assert (len(coarse.times), len(fine.times)) == (2, 101)
+
+
 # -- symmetric sector --------------------------------------------------------------
 
 
 def _full_space_reference(family, init, params):
     """Reference: the integrator's step on the dense d x d path."""
     h_initial = family.initial.array
-    h_problem = np.diag(family.problem)
+    h_problem = np.diag(family.problem_values)
 
     def hamiltonian(t):
         w_initial, w_problem = family.weights(min(t / params.total_time, 1.0))
@@ -645,7 +681,7 @@ def test_split_is_exact_on_a_diagonal_path():
     trace = evolve(family, start, EvolutionParams(10.0, 0.02, integrator=SPLIT))
     assert trace.params == EvolutionParams(10.0, 0.01, integrator=SPLIT)
     # integral of w_I H_I + w_P H_P over t in [0, T] for the linear schedule
-    energies = 5.0 * (np.diag(family.initial.array) + family.problem)
+    energies = 5.0 * (np.diag(family.initial.array) + family.problem_values)
     expected = np.exp(-1j * energies) * start.amplitudes
     assert np.max(np.abs(trace.final_state.amplitudes - expected)) <= 1e-12
 

@@ -60,12 +60,12 @@ def test_problem_hamiltonian_is_diagonal_and_nonnegative():
     assert values.dtype == np.int64 and np.all(values >= 0)
     expected = problem_diagonal(parse_equation("x*y - 6"), family.basis)
     assert values.tolist() == list(expected)
-    assert family.problem.dtype == np.float64
-    assert np.array_equal(family.problem, values)
-    assert np.array_equal(family.hamiltonian(1.0).array, np.diag(family.problem))
-    for stored in (values, family.problem):
-        with pytest.raises(ValueError, match="read-only"):
-            stored[0] = 1
+    assert np.array_equal(family.hamiltonian(1.0).array, np.diag(values))
+    with pytest.raises(ValueError, match="read-only"):
+        values[0] = 1
+    # the blocks hold int64 slices of it, not float copies
+    for block in (family.full_space, family.sector, family.complement):
+        assert block.problem.dtype == np.int64
 
 
 def test_ground_level_matches_box_oracle():
@@ -196,7 +196,7 @@ def test_displacement_phase_is_a_gauge():
     for mode, alpha in enumerate(alphas):
         shifted = annihilation(basis, mode) - alpha * eye
         h_initial += shifted.conj().T @ shifted
-    h_problem = np.diag(family.problem)
+    h_problem = np.diag(family.problem_values)
 
     def hamiltonian(s):
         return (1.0 - s) * h_initial + s * h_problem
@@ -233,7 +233,7 @@ def test_endpoints_exact():
         family.hamiltonian(0.0).array, family.initial.array
     )
     assert np.array_equal(
-        family.hamiltonian(1.0).array, np.diag(family.problem)
+        family.hamiltonian(1.0).array, np.diag(family.problem_values)
     )
 
 
@@ -267,7 +267,8 @@ def test_family_copies_its_problem_values():
     values[0] = 7
     assert copied.problem_values.dtype == np.int64
     assert copied.problem_values.tolist() == [1, 0, 1, 4, 9]
-    assert copied.problem.tolist() == [1.0, 0.0, 1.0, 4.0, 9.0]
+    # stored once: the full space holds the family's array itself
+    assert copied.full_space.problem is copied.problem_values
 
 
 def test_interpolation_range_check():
@@ -289,7 +290,7 @@ def test_midpoint_weyl_bounds():
     family, _ = _family("x - 1", 8)
     mid = family.hamiltonian(0.5).eigenvalues()
     lo = family.initial.eigenvalues()
-    hi = np.sort(family.problem)
+    hi = np.sort(family.problem_values)
     assert mid[0] >= 0.5 * (lo[0] + hi[0]) - 1e-10
     assert mid[-1] <= 0.5 * (lo[-1] + hi[-1]) + 1e-10
 
@@ -524,9 +525,9 @@ def test_block_spectrum_is_the_dense_spectrum(text, cutoff, alphas, group_order)
     assert np.max(np.abs(v.T @ initial @ q)) <= HERMITICITY_TOL
     assert np.max(np.abs(family.complement.initial - q.T @ initial @ q)) <= 1e-12
     # H_P is constant on each orbit, so it stays diagonal on the complement
-    problem = q.T @ (family.problem[:, None] * q)
+    problem = q.T @ (family.problem_values[:, None] * q)
     assert np.max(np.abs(problem - np.diag(family.complement.problem))) <= 1e-12 * max(
-        1.0, family.problem.max()
+        1.0, family.problem_values.max()
     )
 
 
