@@ -66,7 +66,7 @@ _SEMANTICS = {
 # DecideConfig's fields: those every run reads, and those of the decide
 # loop; record_grid, the recorded trace points, is read by all runs but sample
 _RUN = ("cutoff", "semantics", "alphas", "integrator", "step", "t0")
-_DECIDE = ("j_max", "strict_criterion", "tie_tol", "extrapolation_steps")
+_DECIDE = ("j_max", "strict_criterion", "tie_tol")
 
 SETTINGS = {
     "check": (),
@@ -106,7 +106,6 @@ _CONVERT = {
     "integrator": Integrator,
     "alphas": _alphas,
     "cutoffs": tuple,
-    "extrapolation_steps": tuple,
 }
 
 
@@ -152,8 +151,7 @@ def _has_flag_type(key: str, value) -> bool:
         )
     options = _FLAGS[key][1]
     kind = options.get("type", bool if options is _SWITCH else str)
-    item = {_int_list: int, _float_list: float}.get(kind)
-    return _is_a(value, kind) if item is None else _is_list_of(value, item)
+    return _is_list_of(value, int) if kind is _int_list else _is_a(value, kind)
 
 
 def _is_list_of(value, kind) -> bool:
@@ -388,10 +386,6 @@ def _int_list(text: str) -> list[int]:
     return [int(x) for x in text.split(",") if x.strip()]
 
 
-def _float_list(text: str) -> list[float]:
-    return [float(x) for x in text.split(",") if x.strip()]
-
-
 _INT, _FLOAT = {"type": int}, {"type": float}
 _SWITCH = {"action": "store_const", "const": True}
 
@@ -418,11 +412,6 @@ _FLAGS = {
         "--strict-criterion",
         _SWITCH,
         "apply the >1/2 bar to the single top state, not its class",
-    ),
-    "extrapolation_steps": (
-        "--extrapolation-steps",
-        {"type": _float_list},
-        "comma-separated step sizes for zero-step refinement",
     ),
     "record_grid": ("--record-grid", _INT, "recorded trace points"),
     "grid_size": ("--grid", _INT, "s-grid points"),

@@ -34,16 +34,7 @@ from .diophantine import (
     substitute_shift,
     to_text,
 )
-from .evolution import (
-    EvolutionParams,
-    EvolutionTrace,
-    ExtrapolationError,
-    ExtrapolationResult,
-    Integrator,
-    extrapolate_to_zero_step,
-    evolve,
-    geometric_step_sizes,
-)
+from .evolution import EvolutionParams, EvolutionTrace, Integrator, evolve
 from .fock import FockBasis, StateVector, _log_norms, as_mode_alphas
 from .hamiltonians import DEFAULT_ALPHA, AdiabaticFamily
 
@@ -82,7 +73,6 @@ class Verdict(Enum):
 class GroundStateCandidate:
     """Top basis state of a final distribution plus its degeneracy class."""
 
-    top_index: int
     top_occupation: tuple[int, ...]
     top_probability: float
     class_size: int
@@ -104,7 +94,6 @@ def classify_final_state(
     values = family.problem_values
     in_class = values == values[top]
     return GroundStateCandidate(
-        top_index=top,
         top_occupation=family.basis.occupation(top),
         top_probability=float(probs[top]),
         class_size=int(np.count_nonzero(in_class)),
@@ -152,7 +141,6 @@ class DecideConfig:
     strict_criterion: bool = False
     tie_tol: float = 1e-9
     record_grid: int = 101
-    extrapolation_steps: tuple[float, ...] | None = None
 
     def __post_init__(self):
         if self.cutoff < 1:
@@ -177,11 +165,6 @@ class DecideConfig:
             raise ValueError("last run time t0 * 2^j_max overflows") from None
         # the longest rung has the most steps; every rung has record_grid
         self.rung(last)
-        if self.extrapolation_steps is not None:
-            try:
-                geometric_step_sizes(self.extrapolation_steps)
-            except ExtrapolationError as err:
-                raise ValueError(f"extrapolation_steps: {err}") from None
 
     def time_schedule(self) -> tuple[float, ...]:
         return tuple(math.ldexp(self.t0, j) for j in range(self.j_max + 1))
@@ -204,7 +187,7 @@ class DecideConfig:
 
 
 # the candidate's fields that a report repeats, None when none identified
-_DESCRIBED = [f.name for f in fields(GroundStateCandidate) if f.name != "top_index"]
+_DESCRIBED = [f.name for f in fields(GroundStateCandidate)]
 
 
 @dataclass(frozen=True)
@@ -226,7 +209,6 @@ class DecisionReport:
     criterion: str
     config: DecideConfig
     wall_clock_seconds: float
-    extrapolation: ExtrapolationResult | None = None
 
 
 def decide(p: Polynomial, config: DecideConfig = DecideConfig()) -> DecisionReport:
@@ -262,21 +244,6 @@ def decide(p: Polynomial, config: DecideConfig = DecideConfig()) -> DecisionRepo
             successful_time = total_time
             break
 
-    extrapolation = None
-    if candidate is not None and config.extrapolation_steps:
-        # a split run has no fixed order; its fallback has order 2
-        integrator = config.integrator
-        if integrator is Integrator.SPLIT:
-            integrator = Integrator.MIDPOINT_EXPONENTIAL
-        extrapolation = extrapolate_to_zero_step(
-            family,
-            start_state,
-            successful_time,
-            config.extrapolation_steps,
-            observable=candidate.top_index,
-            integrator=integrator,
-        )
-
     witness = None
     if candidate is None:
         verdict = Verdict.INCONCLUSIVE
@@ -304,7 +271,6 @@ def decide(p: Polynomial, config: DecideConfig = DecideConfig()) -> DecisionRepo
         criterion="single_state" if config.strict_criterion else "class_aggregate",
         config=config,
         wall_clock_seconds=time.perf_counter() - start,
-        extrapolation=extrapolation,
     )
 
 
@@ -431,7 +397,6 @@ REPORT_SCHEMA: dict = {
         "criterion": {"enum": ["class_aggregate", "single_state"]},
         "caveat": {"type": ["string", "null"]},
         "config": {"type": "object"},
-        "extrapolation": {"type": ["object", "null"]},
         "sidecar": {"type": "object"},
     },
 }

@@ -6,9 +6,10 @@ ordered variable list.  Zero coefficients and variables that appear in no
 term are dropped during canonicalization, so ``parse_equation(to_text(p))``
 reproduces ``p`` exactly, including for the zero polynomial.
 
-Arithmetic is exact.  Canonical coefficients must fit the signed 64-bit
-range, and every term value and partial sum of an evaluation must stay
-below 2^127 in magnitude; violations raise instead of wrapping.
+Arithmetic is exact.  Canonical coefficients and exponents must fit the
+signed 64-bit range, and every term value and partial sum of an
+evaluation must stay below 2^127 in magnitude; violations raise instead
+of wrapping.
 ``evaluate`` computes one point with Python ints.  The box searches
 (``min_over_box``, ``brute_force_search``) and the problem diagonal
 evaluate whole slabs of the box at once with ``box_slabs``: in int64 when
@@ -30,6 +31,7 @@ input is normalized to ``LHS - RHS``.
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
@@ -43,6 +45,7 @@ __all__ = [
     "DEFAULT_WORK_CAP",
     "ParseError",
     "CoefficientRangeError",
+    "ExponentRangeError",
     "EvaluationRangeError",
     "WorkCapExceeded",
     "VariableSemantics",
@@ -73,6 +76,10 @@ class ParseError(ValueError):
 
 class CoefficientRangeError(OverflowError):
     """A canonical coefficient left the signed 64-bit range."""
+
+
+class ExponentRangeError(OverflowError):
+    """A canonical exponent left the signed 64-bit range."""
 
 
 class EvaluationRangeError(OverflowError):
@@ -115,7 +122,8 @@ class Polynomial:
         variable_names: Sequence[str],
     ) -> "Polynomial":
         """Canonicalize a term collection: accumulate duplicates, drop zeros
-        and unused variables, sort variables lexicographically."""
+        and unused variables, sort variables lexicographically.  Exponents
+        and coefficients must lie below ``COEFFICIENT_LIMIT`` in magnitude."""
         names = tuple(str(n) for n in variable_names)
         if len(set(names)) != len(names):
             raise ValueError(f"duplicate variable names: {names}")
@@ -129,6 +137,12 @@ class Polynomial:
                 )
             if any(x < 0 for x in e):
                 raise ValueError(f"negative exponent in {e}")
+            if max(e, default=0) >= COEFFICIENT_LIMIT:
+                # an exponent's digits can be more than Python converts
+                raise ExponentRangeError(
+                    f"{max(e).bit_length()}-bit exponent exceeds the signed "
+                    "64-bit range"
+                )
             accumulated[e] = accumulated.get(e, 0) + int(coefficient)
         cleaned = {e: c for e, c in accumulated.items() if c != 0}
         # canonical variable order is lexicographic; unused columns dropped
@@ -307,6 +321,15 @@ def _natural(text: str, position: int) -> int:
         raise ParseError(f"{len(text)}-digit literal is too long", position) from None
 
 
+def _at(position: int, operation, *operands) -> Polynomial:
+    """``operation(*operands)``, with an exponent out of range reported as a
+    :class:`ParseError` at ``position``, the token that built it."""
+    try:
+        return operation(*operands)
+    except ExponentRangeError as err:
+        raise ParseError(str(err), position) from None
+
+
 class _Parser:
     def __init__(self, tokens: list[_Token]):
         self.tokens = tokens
@@ -342,8 +365,8 @@ class _Parser:
     def term(self) -> Polynomial:
         result = self.factor()
         while self.peek()[0] == "*":
-            self.advance()
-            result = result * self.factor()
+            _, _, position = self.advance()
+            result = _at(position, operator.mul, result, self.factor())
         return result
 
     def factor(self) -> Polynomial:
@@ -356,7 +379,7 @@ class _Parser:
                     "exponent must be a non-negative integer literal", position
                 )
             self.advance()
-            return base ** _natural(text, position)
+            return _at(position, pow, base, _natural(text, position))
         return base
 
     def base(self) -> Polynomial:
@@ -383,9 +406,9 @@ def parse_equation(source: str) -> Polynomial:
 
     ``LHS = RHS`` is normalized to ``LHS - RHS``.  Raises :class:`ParseError`
     with a source position on malformed input or on more than
-    ``MAX_VARIABLES`` distinct variables, and
-    :class:`CoefficientRangeError` if expansion leaves the 64-bit
-    coefficient range.
+    ``MAX_VARIABLES`` distinct variables or an exponent that leaves the
+    signed 64-bit range, and :class:`CoefficientRangeError` if expansion
+    leaves the 64-bit coefficient range.
     """
     parser = _Parser(_tokenize(source))
     result = parser.expr()
@@ -457,8 +480,7 @@ def _check_powers(exponents: tuple[int, ...], point: Sequence[int]) -> None:
     A coordinate v raised to e contributes at least e * (bit_length(v) - 1)
     factors of 2, and a term with a zero factor is zero.  A term that passes
     has fewer than 64 + 2 * 127 bits, so every value that a range error
-    prints has few digits; this error prints none, since the count of
-    factors can have more digits than Python converts.
+    prints has few digits.
     """
     if all(v or not e for v, e in zip(point, exponents)):
         bits = sum(e * (v.bit_length() - 1) for v, e in zip(point, exponents))

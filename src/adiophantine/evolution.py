@@ -98,7 +98,6 @@ __all__ = [
     "evolve",
     "richardson_from_values",
     "ExtrapolationResult",
-    "geometric_step_sizes",
     "extrapolate_to_zero_step",
 ]
 
@@ -360,9 +359,9 @@ def _run(
     n_steps = params.step_count()
     total_time = params.total_time
     drift_limit = NORM_DRIFT_LIMIT
-    record_after = set(
-        int(round(x)) for x in np.linspace(0, n_steps, params.record_grid)
-    )
+    # more than n_steps + 1 points are spaced under 1 and round to every step
+    grid = np.linspace(0, n_steps, min(params.record_grid, n_steps + 1))
+    record_after = set(int(round(x)) for x in grid)
     use_rk4 = params.integrator is Integrator.RK4
     use_split = params.integrator is Integrator.SPLIT
     m = sector.dimension
@@ -551,12 +550,28 @@ class ExtrapolationResult:
     observable: int
 
 
-def geometric_step_sizes(steps: Sequence[float]) -> tuple[list[float], float]:
-    """The step sizes of a zero-step extrapolation as floats, and their ratio.
+def extrapolate_to_zero_step(
+    family: AdiabaticFamily,
+    init: StateVector,
+    total_time: float,
+    steps: Sequence[float],
+    observable: int,
+    integrator: Integrator = Integrator.MIDPOINT_EXPONENTIAL,
+) -> ExtrapolationResult:
+    """Run at each step size and Richardson-extrapolate one basis probability.
 
-    Raises :class:`ExtrapolationError` unless there are at least three, all
-    positive and finite, strictly decreasing in a fixed geometric ratio (for
-    example h, h/2, h/4)."""
+    ``steps`` must be at least three step sizes, positive and finite and
+    strictly decreasing in a fixed geometric ratio (for example h, h/2,
+    h/4); else :class:`ExtrapolationError` is raised.  The tracked
+    observable is the normalized probability of one basis index in the
+    final state.  ``Integrator.SPLIT`` is refused: it picks its propagator
+    per run, so its results have no fixed order in the step.
+    """
+    if integrator is Integrator.SPLIT:
+        raise ExtrapolationError(
+            "the split integrator picks its propagator per run and has no "
+            "fixed order; extrapolate with rk4 or midexp"
+        )
     sizes = [float(h) for h in steps]
     if len(sizes) < 3:
         raise ExtrapolationError("need at least three step sizes")
@@ -568,30 +583,6 @@ def geometric_step_sizes(steps: Sequence[float]) -> tuple[list[float], float]:
     ratio = sizes[1] / sizes[0]
     if any(abs(b / a - ratio) > 1e-9 for a, b in pairs):
         raise ExtrapolationError(f"step sizes must form a geometric sequence: {sizes}")
-    return sizes, ratio
-
-
-def extrapolate_to_zero_step(
-    family: AdiabaticFamily,
-    init: StateVector,
-    total_time: float,
-    steps: Sequence[float],
-    observable: int,
-    integrator: Integrator = Integrator.MIDPOINT_EXPONENTIAL,
-) -> ExtrapolationResult:
-    """Run at each step size and Richardson-extrapolate one basis probability.
-
-    ``steps`` must pass :func:`geometric_step_sizes`.  The tracked observable is the
-    normalized probability of one basis index in the final state.
-    ``Integrator.SPLIT`` is refused: it picks its propagator per run, so its
-    results have no fixed order in the step.
-    """
-    if integrator is Integrator.SPLIT:
-        raise ExtrapolationError(
-            "the split integrator picks its propagator per run and has no "
-            "fixed order; extrapolate with rk4 or midexp"
-        )
-    sizes, ratio = geometric_step_sizes(steps)
     if not 0 <= observable < family.dimension:
         raise ValueError(f"observable index {observable} outside the basis")
 

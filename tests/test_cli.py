@@ -1,4 +1,6 @@
+import argparse
 import json
+import re
 import shlex
 import warnings
 from pathlib import Path
@@ -12,6 +14,7 @@ from adiophantine.cli import (
     EXIT_RUNTIME,
     EXIT_USAGE,
     SETTINGS,
+    build_parser,
     main,
 )
 from adiophantine.decision import REPORT_SCHEMA, DecideConfig
@@ -58,6 +61,33 @@ def test_check_parse_error_exit_code(capsys, equation):
     err = capsys.readouterr().err
     assert "parse error" in err
     assert "position" in err
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["check", "x^" + "9" * 4300 + "*x^" + "9" * 4300],
+        ["decide", f"x^{2**63} - 1", "--cutoff", "1", "--out", "out"],
+        ["oracle", f"x^{2**63} - 1", "--bound", "1"],
+    ],
+    ids=["check", "decide", "oracle"],
+)
+def test_exponents_past_the_64_bit_range_exit_two_and_write_nothing(
+    tmp_path, monkeypatch, capsys, args
+):
+    monkeypatch.chdir(tmp_path)
+    assert main(args) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "parse error: 64-bit exponent exceeds the signed 64-bit range" in captured.err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_the_largest_exponent_decides(tmp_path, capsys):
+    equation = f"x^{2**63 - 1} - 1"
+    assert main(["decide", equation, "--cutoff", "1", "--out", str(tmp_path)]) == EXIT_OK
+    assert main(["oracle", equation, "--bound", "1"]) == EXIT_OK
+    assert capsys.readouterr().out.endswith("(1)\n")
 
 
 # -- oracle --------------------------------------------------------------------
@@ -170,22 +200,6 @@ def test_decide_negative_jmax_is_a_config_error(tmp_path, capsys):
         (["--step", "0"], "step must be positive and finite"),
         (["--step", "nan"], "step must be positive and finite"),
         (["--T0", "-1"], "t0 must be positive and finite"),
-        (
-            ["--extrapolation-steps", "0.02,0.01"],
-            "extrapolation_steps: need at least three step sizes",
-        ),
-        (
-            ["--extrapolation-steps=1,0,-1"],
-            "extrapolation_steps: step sizes must be positive and finite",
-        ),
-        # an inconclusive run checks its extrapolation steps too
-        (
-            ["--cutoff", "5", "--T0", "0.01", "--jmax", "0", "--step", "0.05",
-             "--extrapolation-steps", "0.02,0.01"],
-            "extrapolation_steps: need at least three step sizes",
-        ),
-        # an empty list is refused, not read as "no extrapolation"
-        (["--extrapolation-steps", ""], "extrapolation_steps: need at least three step sizes"),
     ],
 )
 def test_decide_out_of_range_settings_are_config_errors(tmp_path, capsys, flags, message):
@@ -345,9 +359,9 @@ REMOVED_FLAGS = {
     "oracle": "--out --seed --T0 --jmax --T --step --integrator --strict-criterion",
     "spectrum": "--seed --T0 --jmax --T --step --integrator --strict-criterion",
     "evolve": "--seed --jmax --strict-criterion",
-    "decide": "--seed --T",
+    "decide": "--seed --T --extrapolation-steps",
     "sample": "--jmax --strict-criterion --record-grid",
-    "sweep": "--cutoff --seed --T",
+    "sweep": "--cutoff --seed --T --extrapolation-steps",
 }
 FLAG_VALUES = {"--integrator": ["rk4"], "--semantics": ["positive"], "--strict-criterion": []}
 
@@ -389,6 +403,9 @@ def test_abbreviated_flags_are_refused(args):
         ("sample", "strict_criterion", True),
         ("sample", "record_grid", 5),
         ("sweep", "cutoff", 7),
+        # removed settings are refused, also when null
+        ("decide", "extrapolation_steps", [0.04, 0.02, 0.01]),
+        ("sweep", "extrapolation_steps", None),
     ],
 )
 def test_config_keys_a_subcommand_does_not_read_are_refused(
@@ -418,12 +435,6 @@ def test_config_keys_a_subcommand_does_not_read_are_refused(
         ("spectrum", ["--grid", "1"], None, "grid_size must be at least 2"),
         ("spectrum", ["--levels", "-3"], None, "levels must be at least 2, got -3"),
         ("sample", ["--shots", "0"], None, "shots must be at least 1"),
-        (
-            "decide",
-            [],
-            {"extrapolation_steps": []},
-            "extrapolation_steps: need at least three step sizes",
-        ),
         ("decide", [], {"tie_tol": -1}, "tie_tol must be non-negative and finite"),
         ("spectrum", [], {"gap_tol": -1}, "gap_tol must be non-negative and finite"),
     ],
@@ -455,7 +466,6 @@ def test_out_of_range_settings_exit_two_and_write_nothing(
         ("decide", {"t0": "10"}),
         ("evolve", {"out_dir": 5}),
         ("sweep", {"cutoffs": [3, "5"]}),
-        ("decide", {"extrapolation_steps": "0.1,0.05,0.025"}),
         ("decide", {"integrator": 1}),
         ("spectrum", {"equation": 5}),
         ("decide", {"tie_tol": True}),
@@ -541,7 +551,7 @@ def test_large_displacements_run_and_overflowing_ones_are_config_errors(
     [
         ("x*y - 6", ["--cutoff", "5"]),
         ("x*y*z - 8", ["--cutoff", "3", "--semantics", "positive"]),
-        ("x - 2", ["--cutoff", "6", "--extrapolation-steps", "0.04,0.02,0.01"]),
+        ("x - 2", ["--cutoff", "6", "--integrator", "midexp", "--step", "0.04"]),
     ],
 )
 def test_a_reports_config_replays_the_report(tmp_path, equation, flags):
@@ -581,3 +591,22 @@ def test_readme_commands_run(tmp_path, monkeypatch):
         if command in WRITES:
             out = Path(words[words.index("--out") + 1])
             assert (out / WRITES[command]).exists(), words
+
+
+def test_readme_lists_the_parsers_flags():
+    # every --flag named under "Command line", against every subcommand's
+    section = README.read_text(encoding="utf-8").split("## Command line", 1)[1]
+    named = set(re.findall(r"--[A-Za-z][\w-]*", section.split("\n## ", 1)[0]))
+    (subcommands,) = [
+        action
+        for action in build_parser()._actions
+        if isinstance(action, argparse._SubParsersAction)
+    ]
+    flags = {
+        flag
+        for parser in subcommands.choices.values()
+        for action in parser._actions
+        for flag in action.option_strings
+        if flag.startswith("--") and flag != "--help"
+    }
+    assert named == flags

@@ -108,7 +108,7 @@ def test_tie_breaks_toward_smallest_index():
     family, _ = _family("x - 1", 3)
     state = StateVector(family.basis, np.sqrt(np.array([0.3, 0.3, 0.3, 0.1])))
     candidate = classify_final_state(_trace_of(state), family)
-    assert candidate.top_index == 0
+    assert candidate.top_occupation == family.basis.occupation(0)
 
 
 @settings(max_examples=100, deadline=None)
@@ -130,7 +130,7 @@ def test_classify_recounts_the_top_class(p, cutoff, data):
     values = family.problem_values.tolist()
     members = [i for i in range(d) if values[i] == values[top]]
     candidate = classify_final_state(trace, family)
-    assert candidate.top_index == top
+    assert candidate.top_occupation == family.basis.occupation(top)
     assert candidate.top_probability == probs[top]
     assert candidate.class_value == values[top]
     assert candidate.class_size == len(members)
@@ -208,15 +208,6 @@ def test_negative_j_max_is_refused():
             {"step": 1e-300, "t0": 1e10},
             r"step count 640000000000\.0 / 1e-300 overflows",
         ),
-        ({"extrapolation_steps": ()}, "need at least three step sizes"),
-        ({"extrapolation_steps": (0.02, 0.01)}, "need at least three step sizes"),
-        ({"extrapolation_steps": (1.0, 0.0, -1.0)}, "must be positive and finite"),
-        (
-            {"extrapolation_steps": (float("inf"), 0.02, 0.01)},
-            "must be positive and finite",
-        ),
-        ({"extrapolation_steps": (0.04, 0.02, 0.02)}, "strictly decreasing"),
-        ({"extrapolation_steps": (0.04, 0.02, 0.015)}, "geometric sequence"),
         ({"tie_tol": -1.0}, "tie_tol must be non-negative and finite"),
         ({"tie_tol": float("nan")}, "tie_tol must be non-negative and finite"),
         ({"alphas": 1e308 + 1e308j, "cutoff": 4}, "overflow the start state"),
@@ -227,6 +218,12 @@ def test_negative_j_max_is_refused():
 def test_out_of_range_settings_are_refused(setting, message):
     with pytest.raises(ValueError, match=message):
         DecideConfig(**setting)
+
+
+def test_removed_settings_are_refused():
+    # a report describes only the run that produced its verdict
+    with pytest.raises(TypeError, match="extrapolation_steps"):
+        DecideConfig(extrapolation_steps=(0.04, 0.02, 0.01))
 
 
 GOLDEN_CLASS_VALUES = {
@@ -348,13 +345,6 @@ def test_decide_split_matches_midexp(text, cutoff):
     assert report.class_probability == pytest.approx(split_probability, abs=1e-12)
 
 
-def test_decide_extrapolates_split_rungs_with_midexp():
-    config = DecideConfig(cutoff=8, extrapolation_steps=(0.04, 0.02, 0.01))
-    report = decide(parse_equation("x + y - 5"), config)
-    assert report.successful_time == 10.0
-    assert report.extrapolation.observed_order == pytest.approx(2.0, abs=0.5)
-
-
 def test_decide_rejects_constant_equation():
     with pytest.raises(ValueError):
         decide(parse_equation("5"), FAST)
@@ -381,20 +371,6 @@ def report_comparable(report):
     d = report_to_json_dict(report)
     d.pop("sidecar")
     return json.dumps(d, sort_keys=True)
-
-
-def test_decide_with_extrapolation_metadata():
-    config = DecideConfig(
-        cutoff=7,
-        t0=10.0,
-        j_max=2,
-        step=0.05,
-        extrapolation_steps=(0.08, 0.04, 0.02),
-    )
-    report = decide(parse_equation("x - 1"), config)
-    assert report.extrapolation is not None
-    assert report.extrapolation.error_estimate >= 0
-    assert abs(report.extrapolation.value - report.top_probability) < 1e-2
 
 
 # -- truncation sweep ---------------------------------------------------------------
@@ -513,7 +489,7 @@ def test_report_keys_are_the_schema_properties(text, config):
     # a record changes the format only together with the schema
     report = decide(parse_equation(text), config)
     assert set(report_to_json_dict(report)) == set(REPORT_SCHEMA["properties"])
-    assert len(REPORT_SCHEMA["properties"]) == 18
+    assert len(REPORT_SCHEMA["properties"]) == 17
     assert set(DecideConfig().to_json_dict()) == {f.name for f in fields(DecideConfig)}
 
 

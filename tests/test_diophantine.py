@@ -10,6 +10,7 @@ from adiophantine.diophantine import (
     SLAB_POINTS,
     CoefficientRangeError,
     EvaluationRangeError,
+    ExponentRangeError,
     MinOverBox,
     ParseError,
     Polynomial,
@@ -102,6 +103,31 @@ def test_parse_coefficient_overflow():
     with pytest.raises(CoefficientRangeError):
         parse_equation("(x+1)^100")
     assert dict(parse_equation(str(2**63 - 1)).terms) == {(): 2**63 - 1}
+
+
+@pytest.mark.parametrize(
+    "text, position",
+    [
+        (f"x^{2**63} - 1", 2),
+        # built by a product or a power of exponents that are in range
+        (f"x^{2**62}*x^{2**62}", 21),
+        (f"(x^{2**62})^2", 24),
+        # two 4300-digit exponents, whose product to_text could not print
+        ("x^" + "9" * 4300 + "*x^" + "9" * 4300, 2),
+    ],
+)
+def test_parse_exponent_overflow(text, position):
+    # the message names the exponent's bits, not its digits
+    with pytest.raises(ParseError, match="^64-bit exponent exceeds") as err:
+        parse_equation(text)
+    assert err.value.position == position
+
+
+def test_exponent_range():
+    top = 2**63 - 1
+    assert dict(parse_equation(f"x^{top} - 1").terms) == {(0,): -1, (top,): 1}
+    with pytest.raises(ExponentRangeError, match="^65-bit exponent"):
+        Polynomial.from_terms({(0, 2**64): 1}, ("x", "y"))
 
 
 def test_parse_constant_and_zero():
@@ -242,8 +268,8 @@ def test_evaluate_range_guard():
     for text in ("x^100000 - 1", "x^1000000000 - 1"):
         with pytest.raises(EvaluationRangeError, match="at least 127 factors of 2"):
             evaluate(parse_equation(text), (2,))
-    # 2 * (10^4300 - 1) factors of 2, a count of 4301 digits
-    huge = parse_equation("x^" + "9" * 4300)
+    # the largest exponent: 2 * (2^63 - 1) factors of 2
+    huge = parse_equation(f"x^{2**63 - 1}")
     with pytest.raises(EvaluationRangeError, match="at least 127 factors of 2"):
         evaluate(huge, (4,))
     # a zero factor makes the term zero, however large the others

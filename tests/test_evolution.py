@@ -476,6 +476,19 @@ def test_trace_record_grid_and_csv():
     assert len(dump["probabilities"]) == 11
 
 
+def test_record_grid_beyond_the_step_count_records_every_step():
+    # 500 steps: a grid of more than 501 points rounds to every step as well
+    family, start = _sector_case("x - 1", 8)
+    params = EvolutionParams(10.0, 0.02, MIDEXP, record_grid=501)
+    every = evolve(family, start, params)
+    finer = evolve(family, start, replace(params, record_grid=10**6))
+    assert len(every.times) == 501
+    assert np.array_equal(finer.times, every.times)
+    assert np.array_equal(finer.probabilities, every.probabilities)
+    assert np.array_equal(finer.norm_errors, every.norm_errors)
+    assert np.array_equal(finer.final_state.amplitudes, every.final_state.amplitudes)
+
+
 # -- Richardson extrapolation -----------------------------------------------------
 
 
@@ -505,12 +518,27 @@ def test_richardson_rejects_short_input():
         richardson_from_values([0.1, 0.2], 0.5)
 
 
-def test_extrapolation_step_validation():
+@pytest.mark.parametrize(
+    "steps, message",
+    [
+        ((), "need at least three step sizes"),
+        ((0.1, 0.05), "need at least three step sizes"),
+        ((0.02, 0.01), "need at least three step sizes"),
+        ((1.0, 0.0, -1.0), "must be positive and finite"),
+        ((float("inf"), 0.02, 0.01), "must be positive and finite"),
+        ((0.04, 0.02, 0.02), "strictly decreasing"),
+        ((0.04, 0.02, 0.015), "geometric sequence"),
+        ((0.1, 0.05, 0.03), "geometric sequence"),
+    ],
+)
+def test_extrapolation_step_validation(steps, message):
     family, start = _two_level()
-    with pytest.raises(ExtrapolationError):
-        extrapolate_to_zero_step(family, start, 1.0, (0.1, 0.05), observable=1)
-    with pytest.raises(ExtrapolationError):
-        extrapolate_to_zero_step(family, start, 1.0, (0.1, 0.05, 0.03), observable=1)
+    with pytest.raises(ExtrapolationError, match=message):
+        extrapolate_to_zero_step(family, start, 1.0, steps, observable=1)
+
+
+def test_extrapolation_observable_validation():
+    family, start = _two_level()
     with pytest.raises(ValueError):
         extrapolate_to_zero_step(family, start, 1.0, (0.1, 0.05, 0.025), observable=9)
 
