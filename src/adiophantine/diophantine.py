@@ -322,11 +322,12 @@ def _natural(text: str, position: int) -> int:
 
 
 def _at(position: int, operation, *operands) -> Polynomial:
-    """``operation(*operands)``, with an exponent out of range reported as a
-    :class:`ParseError` at ``position``, the token that built it."""
+    """``operation(*operands)``, with a coefficient or exponent out of range
+    reported as a :class:`ParseError` at ``position``, the token that built
+    it."""
     try:
         return operation(*operands)
-    except ExponentRangeError as err:
+    except (CoefficientRangeError, ExponentRangeError) as err:
         raise ParseError(str(err), position) from None
 
 
@@ -352,13 +353,13 @@ class _Parser:
             self.advance()
         result = self.term() * sign
         while True:
-            kind, _, _ = self.peek()
+            kind, _, position = self.peek()
             if kind == "+":
                 self.advance()
-                result = result + self.term()
+                result = _at(position, operator.add, result, self.term())
             elif kind == "-":
                 self.advance()
-                result = result - self.term()
+                result = _at(position, operator.sub, result, self.term())
             else:
                 return result
 
@@ -385,7 +386,7 @@ class _Parser:
     def base(self) -> Polynomial:
         kind, text, position = self.advance()
         if kind == "nat":
-            return Polynomial.constant(_natural(text, position))
+            return _at(position, Polynomial.constant, _natural(text, position))
         if kind == "ident":
             if text not in self.seen:
                 if len(self.seen) >= MAX_VARIABLES:
@@ -405,16 +406,18 @@ def parse_equation(source: str) -> Polynomial:
     """Parse equation text into a canonical polynomial.
 
     ``LHS = RHS`` is normalized to ``LHS - RHS``.  Raises :class:`ParseError`
-    with a source position on malformed input or on more than
-    ``MAX_VARIABLES`` distinct variables or an exponent that leaves the
-    signed 64-bit range, and :class:`CoefficientRangeError` if expansion
-    leaves the 64-bit coefficient range.
+    with a source position on malformed input, on more than
+    ``MAX_VARIABLES`` distinct variables, and on a coefficient or exponent
+    that leaves the signed 64-bit range; the position of a value out of
+    range is that of the token that built it: the literal, the ``+``,
+    ``-``, ``*`` or ``=``, or the exponent literal of a ``^``.
     """
     parser = _Parser(_tokenize(source))
     result = parser.expr()
-    if parser.peek()[0] == "=":
+    kind, _, position = parser.peek()
+    if kind == "=":
         parser.advance()
-        result = result - parser.expr()
+        result = _at(position, operator.sub, result, parser.expr())
     kind, text, position = parser.peek()
     if kind != "end":
         raise ParseError(f"unexpected {text!r}", position)

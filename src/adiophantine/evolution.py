@@ -27,24 +27,36 @@ midpoint exponential:
   (``SymmetricSector.start_eigensystem``).  A step is two real matrix
   products and two diagonal phase multiplies, with no eigensolve; the
   closing problem half phase of a step and the opening one of the next are
-  one multiply.  Its error depends on the commutator of H_I and H_P, which
+  one multiply, and the problem phases are evaluated once per distinct
+  problem value (``SymmetricSector.problem_classes``) and gathered onto the
+  orbits.  Its error depends on the commutator of H_I and H_P, which
   no a-priori bound separates from the stiff failures (McLachlan & Quispel,
   "Splitting methods", Acta Numerica 11, 2002), so the result is checked a
   posteriori: a Strang run at h and one at h/2 must give every class of
   equal problem value the same final probability within
   ``SPLIT_TOLERANCE`` = 1e-3.  The h/2 run is then returned, else the
-  midpoint exponential at h.  On the decision rungs of the 21 bench
-  equations and of ``x + y - 20`` and ``x^2 + y^2 - 25`` at cutoff 8, the
-  accepted checks disagreed by at most 7.8e-4 and the three rejected ones
-  (stiff rungs of ``x^2 + y^2 - 25``) by at least 2.9e-3; no checked rung's
-  top class came within 2e-2 of the 1/2 bar, and the returned class
-  probabilities stayed within 3.5e-5 of the midpoint exponential's.  Split
-  runs only where it pays: at sector dimension m >=
-  ``SPLIT_MIN_DIMENSION`` = 12.  Per step h, one stacked midpoint step took
-  14.9, 18.6 and 20.7 us at m = 9, 11 and 12, and the checked split's two
-  Strang runs 18.8 us at each (one BLAS thread).  Smaller sectors get the
-  midpoint exponential, bitwise.  Not in zero-step extrapolation: a scheme
-  that picks its propagator per run has no fixed order.
+  midpoint exponential at h.  The two runs are stepped in one loop, as the
+  two columns of one (m, 2) complex state: iteration i applies step i of
+  both with the four calls one run's step makes, and checks each column's
+  norm against the drift limit on its own.  After the h run's last step
+  its column gets its closing half phase and leaves, and the h/2 run goes
+  on alone, so N steps of h cost 2N iterations rather than 3N.  On the
+  decision rungs of the 21 bench equations and of ``x + y - 20`` and
+  ``x^2 + y^2 - 25`` at cutoff 8, the accepted checks disagreed by at most
+  7.8e-4 and the three rejected ones (stiff rungs of ``x^2 + y^2 - 25``)
+  by at least 2.9e-3; no checked rung's top class came within 2e-2 of the
+  1/2 bar, and the returned class probabilities stayed within 3.5e-5 of
+  the midpoint exponential's.  Split runs at sector dimension m >=
+  ``SPLIT_MIN_DIMENSION`` = 12.  Per step h on ``x - 3``, one stacked
+  midpoint step took 8.1, 10.6, 11.4 and 13.1 us at m = 9, 11, 12 and 13,
+  and the checked split 7.3, 7.8, 7.8 and 8.2 us (one BLAS thread, 2-core
+  host; the two runs one after the other took 8.7, 9.3, 9.1 and 9.2 us).
+  The bar stays at 12 although split now pays from m = 9: at
+  m = 9 it would move the one-mode rungs at cutoff 8 off the bitwise
+  midpoint exponential, next to false certificates whose margins are
+  under 0.10, and m = 10 and 11 meet no bench rung.  Smaller sectors get
+  the midpoint exponential, bitwise.  Not in zero-step extrapolation: a
+  scheme that picks its propagator per run has no fixed order.
 
 H(s) is real symmetric, so its eigensolves run in real arithmetic.  The
 state stays complex, in one buffer that a step updates in place: a real
@@ -110,8 +122,10 @@ NORM_DRIFT_LIMIT = 1e-3
 RK4_STABILITY_LIMIT = 2.0 * math.sqrt(2.0)
 
 
-# smallest sector dimension at which a split step is tried: below it one
-# stacked midpoint step costs no more than the two checked Strang runs
+# smallest sector dimension at which a split step is tried; kept although
+# the checked split costs no more than one stacked midpoint step from m = 9
+# on, so that smaller sectors stay on the bitwise midpoint exponential (see
+# the module docstring)
 SPLIT_MIN_DIMENSION = 12
 
 # largest difference of any class probability between the Strang runs at h
@@ -127,8 +141,8 @@ class Integrator(Enum):
 
 def split_block_length(dimension: int) -> int:
     """How many Strang steps share one ``weights`` call: as many as fill
-    ``STACK_BYTES`` with their two rows of m complex phases, m =
-    ``dimension``; at least one."""
+    ``STACK_BYTES`` with their two rows of ``dimension`` complex phases,
+    m per run stepped together; at least one."""
     return max(1, STACK_BYTES // (32 * dimension))
 
 
@@ -293,13 +307,14 @@ def evolve(
     steps at a time, with one ``weights`` call on the block's step grid: a
     block is ``stack_length(m)`` steps for the midpoint exponential (m the
     sector dimension), one stacked ``eigh`` and one ``exp`` each, and
-    ``split_block_length(m)`` steps for a Strang run.  The block's steps are
-    then applied and checked one by one, so a run aborts at the same step
-    whatever the block length, and a non-finite schedule weight raises
-    ``ValueError`` when its block is due.  RK4 computes its stage weights
-    for the whole run before the first step, and refuses a step outside the
-    stability interval of the full H(s), which bounds the sector's, with
-    :class:`EvolutionAborted`; it steps in blocks of ``stack_length(m)``.
+    ``split_block_length(m * r)`` steps of the r Strang runs stepped
+    together.  The block's steps are then applied and checked one by one,
+    so a run aborts at the same step whatever the block length, and a
+    non-finite schedule weight raises ``ValueError`` when its block is due.
+    RK4 computes its stage weights for the whole run before the first step,
+    and refuses a step outside the stability interval of the full H(s),
+    which bounds the sector's, with :class:`EvolutionAborted`; it steps in
+    blocks of ``stack_length(m)``.
 
     ``Integrator.SPLIT`` picks the propagator (see the module docstring);
     the returned trace's ``params`` are those of the run that made it, so
@@ -319,19 +334,11 @@ def evolve(
     if sector.dimension < SPLIT_MIN_DIMENSION:
         return _run(family, init, sector, midpoint)
     try:
-        coarse = _run(family, init, sector, replace(params, record_grid=2))
-        fine = _run(family, init, sector, replace(params, step=params.step / 2))
+        fine, disagreement = _strang_runs(family, init, sector, params)
     except (EvolutionAborted, ValueError) as err:
         # the midpoint run below raises its own error, at its own step
         outcome, disagreement = f"split failed ({err})", math.inf
     else:
-        classes = np.unique(family.problem_values, return_inverse=True)[1]
-        disagreement = float(
-            np.abs(
-                np.bincount(classes, weights=coarse.final_probabilities())
-                - np.bincount(classes, weights=fine.final_probabilities())
-            ).max()
-        )
         outcome = f"class disagreement {disagreement:.3e}"
     accepted = disagreement <= SPLIT_TOLERANCE
     _debug(
@@ -348,22 +355,217 @@ def evolve(
     return fine if accepted else _run(family, init, sector, midpoint)
 
 
+def _drift_message(norm: float, t: float, step: float) -> str:
+    """Why a run at ``step`` whose state has ``norm`` at time ``t`` aborts."""
+    if not math.isfinite(norm):
+        return f"non-finite amplitudes at t={t}; reduce the step size (currently {step})"
+    return (
+        f"norm drift {abs(norm - 1.0):.3e} at t={t} exceeds {NORM_DRIFT_LIMIT}; "
+        f"retry with a smaller step, e.g. {step / 2}"
+    )
+
+
+def _strang_abort(step: float, norm: float, t: float) -> EvolutionAborted:
+    return EvolutionAborted(f"Strang run at step {step}: {_drift_message(norm, t, step)}")
+
+
+class _Recording:
+    """The snapshots of one run on its ``record_grid``, on the full basis."""
+
+    def __init__(self, sector: SymmetricSector, params: EvolutionParams):
+        n_steps = params.step_count()
+        # more than n_steps + 1 points are spaced under 1 and round to every step
+        grid = np.linspace(0, n_steps, min(params.record_grid, n_steps + 1))
+        self.after = set(int(round(x)) for x in grid)
+        self.sector = sector
+        self.params = params
+        self.times: list[float] = []
+        self.probabilities: list[np.ndarray] = []
+        self.norm_errors: list[float] = []
+
+    def take(self, t: float, coordinates: np.ndarray) -> None:
+        """Record the state at ``t`` from its orbit-basis ``coordinates``; a
+        pending problem half phase is diagonal and leaves these exact."""
+        full = self.sector.expand(coordinates)
+        self.times.append(t)
+        self.probabilities.append(full.real**2 + full.imag**2)
+        self.norm_errors.append(abs(float(np.linalg.norm(coordinates)) - 1.0))
+
+    def trace(self, family: AdiabaticFamily, coordinates: np.ndarray) -> EvolutionTrace:
+        """The trace of the run whose final orbit-basis state is
+        ``coordinates``."""
+        return EvolutionTrace(
+            times=np.array(self.times),
+            probabilities=np.array(self.probabilities),
+            norm_errors=np.array(self.norm_errors),
+            final_state=StateVector(family.basis, self.sector.expand(coordinates)),
+            params=self.params,
+        )
+
+
+def _strang_runs(
+    family: AdiabaticFamily,
+    init: StateVector,
+    sector: SymmetricSector,
+    params: EvolutionParams,
+) -> tuple[EvolutionTrace, float]:
+    """The split check's Strang runs at h = ``params.step`` and at h/2 in
+    ``sector``, which holds ``init``; returns the h/2 run's trace and the
+    largest difference between the runs' final probabilities of a class of
+    equal problem value.
+
+    The runs are stepped together, as the columns of one (m, 2) complex
+    state: iteration i applies step i of each run with one problem phase
+    multiply, one product with W^T, one start phase multiply and one
+    product with W, and then checks the norm of each column on its own.
+    After the h run's last step its column gets its closing half phase and
+    is set aside, and the h/2 run goes on alone, recording on its grid
+    throughout.  A column whose norm leaves the drift limit raises
+    :class:`EvolutionAborted` naming its run's step and the time.
+    """
+    runs = [params, replace(params, step=params.step / 2)]
+    counts = [run.step_count() for run in runs]
+    total_time = params.total_time
+    m = sector.dimension
+    start_energies, start_vectors = sector.start_eigensystem
+    transposed = start_vectors.T
+    values, classes = sector.problem_classes
+    gather = np.concatenate([classes, len(values) + np.arange(m)])
+    recording = _Recording(sector, runs[-1])
+    record_after = recording.after
+    _debug(
+        __name__,
+        "evolve: basis dimension %d, sector dimension %d, group order %d, "
+        "block length %d; Strang runs at steps %r and %r stepped together, "
+        "then the second alone in blocks of %d",
+        family.dimension,
+        m,
+        sector.group_order,
+        split_block_length(2 * m),
+        runs[0].step,
+        runs[1].step,
+        split_block_length(m),
+    )
+
+    coordinates = sector.reduce(init.amplitudes)
+    recording.take(0.0, coordinates)
+    # column r is run r; a column leaves once its run has taken its last step
+    columns = np.repeat(coordinates[:, None], len(runs), axis=1)
+    # the problem half phase that closes each run's last step taken, as the
+    # angle w_P h / 2: it is merged into the run's next opening half phase,
+    # and its final state gets it after its last step
+    pending = np.zeros(len(runs))
+    finals = []
+    first = 0
+    for done, count in enumerate(counts):
+        active = runs[done:]
+        block = split_block_length(m * len(active))
+        # ``columns`` is stepped in place: a real matrix multiplies it
+        # through its real view ``pairs``, one (re, im) column pair per run;
+        # ``rotated`` holds it in the eigenbasis of the start operator
+        pairs = columns.view(np.float64)
+        flat = pairs.reshape(-1)
+        rotated = np.empty_like(pairs)
+        rotated_columns = rotated.view(np.complex128)
+        pairs_t = pairs.T
+        gram = np.empty((pairs.shape[1], pairs.shape[1]))
+        gram_diagonal = gram.reshape(-1)[:: len(gram) + 1]
+        for block_first in range(first, count, block):
+            block_stop = min(block_first + block, count)
+            # one row per active run, one column per step of the block
+            starts, sizes = np.array(
+                [run.step_grid(block_first, block_stop) for run in active]
+            ).transpose(1, 0, 2)
+            # the time after each step; a run ends at total_time exactly
+            ends = starts + sizes
+            for r, run_count in enumerate(counts[done:]):
+                if block_stop == run_count:
+                    ends[r, -1] = total_time
+            # as in ``_run``: no midpoint is negative, so the upper clamp
+            # alone gives np.clip's bits
+            midpoints = np.minimum((starts + 0.5 * sizes) / total_time, 1.0)
+            weights = family.weights(midpoints.ravel()).reshape(*sizes.shape, 2)
+            half = (0.5 * sizes) * weights[..., 1]
+            opening = half.copy()
+            opening[:, 0] += pending
+            opening[:, 1:] += half[:, :-1]
+            pending = half[:, -1].copy()
+            # the opening problem phases, once per distinct problem value
+            # (equal values give equal angles, bit for bit), and the start
+            # phases, through one cos and one sin call; one gather puts them
+            # onto the orbits and into the (m, r) layout of ``columns``,
+            # problem phases in rows :m and start phases in rows m:
+            angles = np.concatenate(
+                [
+                    -opening[..., None] * values,
+                    (-sizes * weights[..., 0])[..., None] * start_energies,
+                ],
+                axis=-1,
+            )
+            stacked = _unit_phases(angles).transpose(1, 2, 0).take(gather, axis=1)
+            steps = zip(
+                range(block_first, block_stop),
+                stacked[:, :m],
+                stacked[:, m:],
+                ends.T.tolist(),
+            )
+            # the same step in two loops, so that the norm check costs one
+            # BLAS call in each: the diagonal of the 4 x 4 Gram matrix of
+            # ``pairs`` holds the squares summed per real and imaginary
+            # column, and one run's squares sum to one dot product.  A NaN
+            # or infinite amplitude makes a norm non-finite.
+            if len(active) == 2:
+                for j, diagonal, phase, (coarse_end, fine_end) in steps:
+                    np.multiply(diagonal, columns, columns)
+                    transposed.dot(pairs, out=rotated)
+                    np.multiply(phase, rotated_columns, rotated_columns)
+                    start_vectors.dot(rotated, out=pairs)
+                    np.dot(pairs_t, pairs, out=gram)
+                    re0, im0, re1, im1 = gram_diagonal.tolist()
+                    coarse_norm = math.sqrt(re0 + im0)
+                    if not abs(coarse_norm - 1.0) <= NORM_DRIFT_LIMIT:
+                        raise _strang_abort(active[0].step, coarse_norm, coarse_end)
+                    fine_norm = math.sqrt(re1 + im1)
+                    if not abs(fine_norm - 1.0) <= NORM_DRIFT_LIMIT:
+                        raise _strang_abort(active[1].step, fine_norm, fine_end)
+                    if j + 1 in record_after:
+                        recording.take(fine_end, columns[:, 1])
+            else:
+                for j, diagonal, phase, (fine_end,) in steps:
+                    np.multiply(diagonal, columns, columns)
+                    transposed.dot(pairs, out=rotated)
+                    np.multiply(phase, rotated_columns, rotated_columns)
+                    start_vectors.dot(rotated, out=pairs)
+                    fine_norm = math.sqrt(flat.dot(flat))
+                    if not abs(fine_norm - 1.0) <= NORM_DRIFT_LIMIT:
+                        raise _strang_abort(active[0].step, fine_norm, fine_end)
+                    if j + 1 in record_after:
+                        recording.take(fine_end, columns[:, 0])
+        closing = _unit_phases(-pending[0] * values).take(classes)
+        finals.append(columns[:, 0] * closing)
+        columns, pending, first = columns[:, 1:].copy(), pending[1:], count
+
+    class_probabilities = []
+    for final in finals:
+        raw = final.real**2 + final.imag**2
+        class_probabilities.append(np.bincount(classes, weights=raw) / raw.sum())
+    coarse, fine = class_probabilities
+    return recording.trace(family, finals[-1]), float(np.abs(coarse - fine).max())
+
+
 def _run(
     family: AdiabaticFamily,
     init: StateVector,
     sector: SymmetricSector,
     params: EvolutionParams,
 ) -> EvolutionTrace:
-    """One fixed-step run of ``params.integrator`` in ``sector``, which holds
-    ``init``; ``SPLIT`` here means the Strang step itself, unchecked."""
+    """One fixed-step run of RK4 or the midpoint exponential in ``sector``,
+    which holds ``init``."""
     n_steps = params.step_count()
     total_time = params.total_time
-    drift_limit = NORM_DRIFT_LIMIT
-    # more than n_steps + 1 points are spaced under 1 and round to every step
-    grid = np.linspace(0, n_steps, min(params.record_grid, n_steps + 1))
-    record_after = set(int(round(x)) for x in grid)
+    recording = _Recording(sector, params)
+    record_after = recording.after
     use_rk4 = params.integrator is Integrator.RK4
-    use_split = params.integrator is Integrator.SPLIT
     m = sector.dimension
     if use_rk4:
         # schedule weights at each step's start, midpoint and end, computed
@@ -378,15 +580,7 @@ def _run(
         )
         _check_rk4_stable(family, params.step, stage_weights)
         derivative = _derivative_for(sector)
-    if use_split:
-        block = split_block_length(m)
-        start_energies, start_vectors = sector.start_eigensystem
-        # the problem half phase that closes the last step taken, as the
-        # angle w_P h / 2: it is merged into the next step's opening half,
-        # and the final state gets it after the last step
-        pending = 0.0
-    else:
-        block = stack_length(m)
+    block = stack_length(m)
     _debug(
         __name__,
         "evolve: basis dimension %d, sector dimension %d, group order %d, "
@@ -400,27 +594,14 @@ def _run(
     # The state is one buffer of 2m floats, stepped in place: ``psi`` is its
     # complex view and ``pairs`` its (m, 2) real view, which a real matrix
     # multiplies in real arithmetic (as ``fock.matvec`` does).  ``rotated``
-    # holds the state in the eigenbasis of one step's H(s_mid), or of the
-    # start operator for a Strang step.
+    # holds the state in the eigenbasis of one step's H(s_mid).
     state = sector.reduce(init.amplitudes).view(np.float64)
     psi = state.view(np.complex128)
     pairs = state.reshape(m, 2)
     rotated = np.empty((m, 2))
     rotated_psi = rotated.view(np.complex128).reshape(m)
     no_rows = itertools.repeat(None)
-    times: list[float] = []
-    probabilities: list[np.ndarray] = []
-    norm_errors: list[float] = []
-
-    def snapshot(t: float) -> None:
-        # a pending problem half phase is diagonal and leaves these exact
-        full = sector.expand(psi)
-        times.append(t)
-        probabilities.append(full.real**2 + full.imag**2)
-        norm_errors.append(abs(float(np.linalg.norm(psi)) - 1.0))
-
-    if 0 in record_after:
-        snapshot(0.0)
+    recording.take(0.0, psi)
 
     for first in range(0, n_steps, block):
         stop = min(first + block, n_steps)
@@ -429,35 +610,18 @@ def _run(
         ends = starts + sizes
         if stop == n_steps:
             ends[-1] = total_time
-        diagonals = phases = vectors = no_rows
+        phases = vectors = no_rows
         if not use_rk4:
             midpoints = (starts + 0.5 * sizes) / total_time
             # s = t / T clamped to [0, 1], as for the RK4 stages; no start is
             # negative, so the upper clamp alone gives the same bits and costs
             # a third of np.clip, once per block
             weights = family.weights(np.minimum(midpoints, 1.0))
-        if use_split:
-            # e^{-i(h/2) w_P H_P} e^{-i h w_I H_I} e^{-i(h/2) w_P H_P} per step,
-            # H_I = W diag(energies) W^T; the closing half phase of a step and
-            # the opening one of the next are one diagonal multiply
-            half = (0.5 * sizes) * weights[:, 1]
-            opening = half.copy()
-            opening[0] += pending
-            opening[1:] += half[:-1]
-            pending = float(half[-1])
-            diagonals = _unit_phases(np.multiply.outer(-opening, sector.problem))
-            phases = _unit_phases(
-                np.multiply.outer(-sizes * weights[:, 0], start_energies)
-            )
-            vectors = itertools.repeat(start_vectors)
-        elif not use_rk4:
             # the stack of H(s) is not kept past its eigensolve
             energies, vectors = np.linalg.eigh(family.path_arrays(weights, sector))
             phases = np.exp((-1j * sizes)[:, None] * energies)
 
-        for j, end, diagonal, phase, vector in zip(
-            range(first, stop), ends.tolist(), diagonals, phases, vectors
-        ):
+        for j, end, phase, vector in zip(range(first, stop), ends.tolist(), phases, vectors):
             if use_rk4:
                 h = float(sizes[j - first])
                 w0, wm, w1 = stage_weights[j].tolist()
@@ -467,8 +631,6 @@ def _run(
                 k4 = derivative(w1, psi + h * k3)
                 psi[:] = psi + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
             else:
-                if diagonal is not None:
-                    np.multiply(diagonal, psi, psi)
                 vector.T.dot(pairs, out=rotated)
                 np.multiply(phase, rotated_psi, rotated_psi)
                 vector.dot(rotated, out=pairs)
@@ -476,29 +638,12 @@ def _run(
             # the norm from the dot product of the 2m floats with themselves;
             # a NaN or infinite amplitude always makes it non-finite
             norm = math.sqrt(state.dot(state))
-            if not abs(norm - 1.0) <= drift_limit:
-                if not math.isfinite(norm):
-                    raise EvolutionAborted(
-                        f"non-finite amplitudes at t={end}; reduce the "
-                        f"step size (currently {params.step})"
-                    )
-                raise EvolutionAborted(
-                    f"norm drift {abs(norm - 1.0):.3e} at t={end} "
-                    f"exceeds {drift_limit}; retry with a smaller step, e.g. "
-                    f"{params.step / 2}"
-                )
+            if not abs(norm - 1.0) <= NORM_DRIFT_LIMIT:
+                raise EvolutionAborted(_drift_message(norm, end, params.step))
             if j + 1 in record_after:
-                snapshot(end)
+                recording.take(end, psi)
 
-    if use_split:
-        psi *= _unit_phases(-pending * sector.problem)
-    return EvolutionTrace(
-        times=np.array(times),
-        probabilities=np.array(probabilities),
-        norm_errors=np.array(norm_errors),
-        final_state=StateVector(family.basis, sector.expand(psi)),
-        params=params,
-    )
+    return recording.trace(family, psi)
 
 
 def richardson_from_values(

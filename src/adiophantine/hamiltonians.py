@@ -412,6 +412,13 @@ class SymmetricSector:
         on first use and kept."""
         return np.linalg.eigh(self.initial)
 
+    @cached_property
+    def problem_classes(self) -> tuple[np.ndarray, np.ndarray]:
+        """``(values, index)``: the distinct problem values, ascending, and
+        the position of each orbit's value among them, so that
+        ``values[index] == problem``; computed on first use and kept."""
+        return np.unique(self.problem, return_inverse=True)
+
     def holds(self, amplitudes: np.ndarray) -> bool:
         """Whether ``amplitudes`` agree within each orbit, to
         ``STATE_SYMMETRY_TOL``."""

@@ -83,6 +83,30 @@ def test_exponents_past_the_64_bit_range_exit_two_and_write_nothing(
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize(
+    "args, position",
+    [
+        (["check", "2^64"], 2),
+        (["check", f"{2**63 - 1} + 1"], 20),
+        (["check", str(2**64)], 0),
+        (["decide", "(x+1)^100", "--out", "out"], 6),
+    ],
+    ids=["power", "sum", "literal", "decide"],
+)
+def test_coefficients_past_the_64_bit_range_exit_two_and_write_nothing(
+    tmp_path, monkeypatch, capsys, args, position
+):
+    monkeypatch.chdir(tmp_path)
+    assert main(args) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("parse error: coefficient ")
+    assert captured.err.rstrip().endswith(
+        f"exceeds the signed 64-bit range (at position {position})"
+    )
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_the_largest_exponent_decides(tmp_path, capsys):
     equation = f"x^{2**63 - 1} - 1"
     assert main(["decide", equation, "--cutoff", "1", "--out", str(tmp_path)]) == EXIT_OK

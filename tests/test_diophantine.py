@@ -98,11 +98,41 @@ def test_parse_variable_cap():
 
 
 def test_parse_coefficient_overflow():
+    # the polynomial arithmetic raises; parse_equation reports the token
     with pytest.raises(CoefficientRangeError):
-        parse_equation(str(2**63))
+        Polynomial.constant(2**63)
     with pytest.raises(CoefficientRangeError):
-        parse_equation("(x+1)^100")
+        (Polynomial.variable("x") + 1) ** 100
     assert dict(parse_equation(str(2**63 - 1)).terms) == {(): 2**63 - 1}
+    assert dict(parse_equation(f"-{2**63 - 1}").terms) == {(): 1 - 2**63}
+
+
+@pytest.mark.parametrize(
+    "text, position",
+    [
+        # literals, bare and under a unary sign
+        (str(2**64), 0),
+        (str(2**63), 0),
+        (f"-{2**63}", 1),
+        (f"x + {2**63}", 4),
+        # a sum, a difference and the normalization of LHS = RHS
+        (f"{2**63 - 1} + 1", 20),
+        (f"x - {2**63 - 1} - 2", 24),
+        (f"-{2**63 - 1} = 2", 21),
+        # a product, bare and under a unary sign
+        (f"{2**63 - 1}*x*2", 21),
+        (f"-{2**62}*x*2 + 1", 22),
+        # a power, at its exponent literal as for an exponent out of range
+        ("2^64", 2),
+        ("(x+1)^100", 6),
+        ("-(x+1)^100", 7),
+    ],
+)
+def test_parse_coefficient_overflow_position(text, position):
+    message = "^coefficient -?[0-9]+ of .* exceeds the signed 64-bit range"
+    with pytest.raises(ParseError, match=message) as err:
+        parse_equation(text)
+    assert err.value.position == position
 
 
 @pytest.mark.parametrize(

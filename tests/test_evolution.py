@@ -723,7 +723,8 @@ def _stepwise_strang(family, init, params):
     sector = family.sector_for(init)
     energies, vectors = np.linalg.eigh(sector.initial)
     starts, sizes = params.step_starts_and_sizes()
-    record_after = {round(x) for x in np.linspace(0, len(sizes), params.record_grid)}
+    grid = np.linspace(0, len(sizes), params.record_grid)
+    record_after = set(np.round(grid).astype(int).tolist())
     psi = sector.reduce(init.amplitudes)
     recorded = []
 
@@ -773,26 +774,108 @@ def test_strang_run_is_the_stepwise_strang(case, total_time):
     assert np.max(np.abs(split_p - midpoint_p)) <= SPLIT_TOLERANCE
 
 
+@pytest.mark.parametrize("record_grid", [11, 10**6])
 @pytest.mark.parametrize(
-    "case, t_abort",
-    [(("x^2 + y^2 - 25", 5), 0.4), (("x - 20", 12), 0.5)],
-    ids=["x2+y2-25@5", "x-20@12"],
+    "case",
+    [("x^2 + y^2 - 25", 5), ("x*y*z - 8", 4), ("x - 20", 12)],
+    ids=["x2+y2-25@5", "xyz-8@4", "x-20@12"],
 )
-def test_split_overflow_aborts_as_the_midpoint_run(case, t_abort):
-    # the split phases take h/2 of an overflowing weight and stay unit
-    # modulus, so the abort arrives through the midpoint fallback
+def test_shared_loop_steps_the_two_stepwise_strang_runs(caplog, case, record_grid):
+    # T = 10.01 ends both runs with a partial step: 501 steps of h = 0.02
+    # and 1001 of h/2, so the h run leaves the loop before the h/2 run is
+    # half way through
+    family, start = _sector_case(*case)
+    params = EvolutionParams(10.01, 0.02, integrator=SPLIT, record_grid=record_grid)
+    half = replace(params, step=0.01)
+    assert (params.step_count(), half.step_count()) == (501, 1001)
+    with caplog.at_level(logging.DEBUG, logger="adiophantine.evolution"):
+        trace = evolve(family, start, params)
+    assert trace.params == half
+    final, recorded = _stepwise_strang(family, start, half)
+    assert len(trace.times) == len(recorded) == min(record_grid, 1002)
+    assert np.max(np.abs(trace.final_state.amplitudes - final)) <= 1e-12
+    assert np.max(np.abs(trace.probabilities - recorded)) <= 1e-12
+    # the logged class disagreement is that of the stepwise runs
+    coarse, _ = _stepwise_strang(family, start, replace(params, record_grid=2))
+    classes = np.unique(family.problem_values, return_inverse=True)[1]
+    coarse_p, fine_p = (
+        np.bincount(classes, weights=np.abs(a) ** 2) for a in (coarse, final)
+    )
+    (check,) = [r.getMessage() for r in caplog.records if r.getMessage().startswith("evolve split")]
+    logged = float(check.split("class disagreement ")[1].split()[0])
+    assert logged == pytest.approx(np.abs(coarse_p - fine_p).max(), rel=1e-3)
+
+
+@pytest.mark.parametrize(
+    "case, scale, t_abort, split_failure",
+    [
+        # the split phases take h/2 of an overflowing weight and stay unit
+        # modulus, so the check fails and the abort arrives through the
+        # midpoint fallback
+        (("x^2 + y^2 - 25", 5), 1e306, 0.4, None),
+        (("x - 20", 12), 1e306, 0.5, None),
+        # the merged half phases overflow while both runs step, and the h
+        # run is the first to go non-finite
+        (
+            ("x^2 + y^2 - 25", 5),
+            1e308,
+            0.1,
+            "Strang run at step 0.1: non-finite amplitudes at t=0.2;",
+        ),
+        (
+            ("x - 20", 12),
+            1e307,
+            0.1,
+            "Strang run at step 0.1: non-finite amplitudes at t=0.6;",
+        ),
+    ],
+    ids=["x2+y2-25@5", "x-20@12", "x2+y2-25@5-h-run-aborts", "x-20@12-h-run-aborts"],
+)
+def test_split_overflow_aborts_as_the_midpoint_run(
+    caplog, case, scale, t_abort, split_failure
+):
     family, start = _sector_case(*case)
     assert family.sector_for(start).dimension >= SPLIT_MIN_DIMENSION
     broken = AdiabaticFamily(
-        family.initial, family.problem_values, schedule=lambda s: (1.0 - s, 1e306 * s)
+        family.initial, family.problem_values, schedule=lambda s: (1.0 - s, scale * s)
     )
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(EvolutionAborted) as midpoint:
             evolve(broken, start, EvolutionParams(1.0, 0.1))
-        with pytest.raises(EvolutionAborted) as split:
-            evolve(broken, start, EvolutionParams(1.0, 0.1, integrator=SPLIT))
+        with caplog.at_level(logging.DEBUG, logger="adiophantine.evolution"):
+            with pytest.raises(EvolutionAborted) as split:
+                evolve(broken, start, EvolutionParams(1.0, 0.1, integrator=SPLIT))
     assert f"non-finite amplitudes at t={t_abort};" in str(midpoint.value)
     assert str(split.value) == str(midpoint.value)
+    (check,) = [r.getMessage() for r in caplog.records if r.getMessage().startswith("evolve split")]
+    assert check.endswith("returning the midpoint run")
+    if split_failure is None:
+        assert check.startswith("evolve split: class disagreement ")
+    else:
+        assert check.startswith(f"evolve split: split failed ({split_failure} ")
+
+
+def test_split_abort_in_the_half_step_run_is_logged(caplog):
+    # a problem weight that overflows the merged half phases only at s =
+    # 0.075, the midpoint of the h/2 run's second step: the h run and the
+    # midpoint run (midpoints 0.05, 0.15, ..) never meet it
+    family, start = _sector_case("x - 20", 12)
+    broken = AdiabaticFamily(
+        family.initial,
+        family.problem_values,
+        schedule=lambda s: (1.0 - s, np.where(np.abs(s - 0.075) < 1e-9, 1e308, s)),
+    )
+    params = EvolutionParams(1.0, 0.1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        with caplog.at_level(logging.DEBUG, logger="adiophantine.evolution"):
+            trace = evolve(broken, start, replace(params, integrator=SPLIT))
+    (check,) = [r.getMessage() for r in caplog.records if r.getMessage().startswith("evolve split")]
+    assert check.startswith(
+        "evolve split: split failed (Strang run at step 0.05: "
+        "non-finite amplitudes at t=0.1; reduce the step size (currently 0.05)) "
+    )
+    assert check.endswith("returning the midpoint run")
+    _assert_bitwise_equal(trace, evolve(broken, start, params))
 
 
 def test_split_check_is_logged(caplog):
@@ -800,7 +883,13 @@ def test_split_check_is_logged(caplog):
     with caplog.at_level(logging.DEBUG, logger="adiophantine.evolution"):
         evolve(family, start, EvolutionParams(1.0, 0.02, integrator=SPLIT))
     messages = [r.getMessage() for r in caplog.records if r.name == "adiophantine.evolution"]
-    assert len(messages) == 3  # the runs at h and h/2, then the check
+    # the shared loop of the runs at h and h/2, then the check
+    assert len(messages) == 2
+    assert messages[0] == (
+        "evolve: basis dimension 13, sector dimension 13, group order 1, "
+        "block length 78; Strang runs at steps 0.02 and 0.01 stepped "
+        "together, then the second alone in blocks of 157"
+    )
     assert messages[-1].startswith("evolve split: class disagreement ")
     assert messages[-1].endswith(
         "between steps 0.02 and 0.01, tolerance 0.001; "
