@@ -17,8 +17,8 @@ midpoint exponential:
   diagonalized in one ``eigh`` call on a stack of up to 64 KiB of matrices
   (``hamiltonians.STACK_BYTES``), because a lone eigensolve of a small
   matrix costs mostly numpy's fixed per-call overhead.  The state is still
-  propagated and checked step by step, and each step's result is bitwise
-  that of an eigensolve of its own.
+  propagated step by step, and each step's result is bitwise that of an
+  eigensolve of its own.
 * ``SPLIT``: the Strang splitting (Strang 1968, SIAM J. Numer. Anal. 5:506)
   of the midpoint step,
   e^{-i(h/2) w_P H_P} W e^{-i h w_I Lambda} W^T e^{-i(h/2) w_P H_P},
@@ -37,10 +37,9 @@ midpoint exponential:
   ``SPLIT_TOLERANCE`` = 1e-3.  The h/2 run is then returned, else the
   midpoint exponential at h.  The two runs are stepped in one loop, as the
   two columns of one (m, 2) complex state: iteration i applies step i of
-  both with the four calls one run's step makes, and checks each column's
-  norm against the drift limit on its own.  After the h run's last step
-  its column gets its closing half phase and leaves, and the h/2 run goes
-  on alone, so N steps of h cost 2N iterations rather than 3N.  On the
+  both with the four calls one run's step makes.  After the h run's last
+  step its column gets its closing half phase and leaves, and the h/2 run
+  goes on alone, so N steps of h cost 2N iterations rather than 3N.  On the
   decision rungs of the 21 bench equations and of ``x + y - 20`` and
   ``x^2 + y^2 - 25`` at cutoff 8, the accepted checks disagreed by at most
   7.8e-4 and the three rejected ones (stiff rungs of ``x^2 + y^2 - 25``)
@@ -48,10 +47,10 @@ midpoint exponential:
   1/2 bar, and the returned class probabilities stayed within 3.5e-5 of
   the midpoint exponential's.  Split runs at sector dimension m >=
   ``SPLIT_MIN_DIMENSION`` = 12.  Per step h on ``x - 3``, one stacked
-  midpoint step took 8.1, 10.6, 11.4 and 13.1 us at m = 9, 11, 12 and 13,
-  and the checked split 7.3, 7.8, 7.8 and 8.2 us (one BLAS thread, 2-core
-  host; the two runs one after the other took 8.7, 9.3, 9.1 and 9.2 us).
-  The bar stays at 12 although split now pays from m = 9: at
+  midpoint step took 9.6, 12.3, 14.0 and 15.5 us at m = 9, 11, 12 and 13,
+  and the checked split 6.8, 7.5, 7.6 and 7.7 us (one BLAS thread, 2-core
+  host, norms checked per block; README "The split integrator").
+  The bar stays at 12 although split pays from m = 9: at
   m = 9 it would move the one-mode rungs at cutoff 8 off the bitwise
   midpoint exponential, next to false certificates whose margins are
   under 0.10, and m = 10 and 11 meet no bench rung.  Smaller sectors get
@@ -62,8 +61,19 @@ H(s) is real symmetric, so its eigensolves run in real arithmetic.  The
 state stays complex, in one buffer that a step updates in place: a real
 matrix multiplies it through its (m, 2) real view (as ``fock.matvec``
 does), because numpy would otherwise cast the whole matrix to complex on
-every product, and the per-step norm check is one dot product of its 2m
-floats.  Schedules follow the array contract of ``hamiltonians.Schedule``.
+every product.  A run's norm check is one dot product of its 2m floats
+(a Strang run's copied out of the two-column state while both step).
+RK4 checks the norm after every step.  Midpoint and Strang steps
+are unitary up to rounding, so their loops apply a block's steps with no
+check and check each run's norm at the block's end: a norm that is
+non-finite or off 1 by more than half the drift limit sends the block to
+a replay from a copy of its start, one step at a time with the check
+after every step.  A NaN or infinite amplitude survives every phase
+multiply and matrix product of a step, and a run's norm moves far less
+than half the limit within a block, so the replay stops every step the
+per-step check stops, with the same error at the same time, whatever the
+block length.  Schedules follow the array contract of
+``hamiltonians.Schedule``.
 Step grids are built per block from the step index
 (``EvolutionParams.step_grid``), never for a whole run.
 
@@ -82,8 +92,8 @@ estimates the observed convergence order.
 
 from __future__ import annotations
 
-import itertools
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Callable, Sequence
@@ -123,9 +133,9 @@ RK4_STABILITY_LIMIT = 2.0 * math.sqrt(2.0)
 
 
 # smallest sector dimension at which a split step is tried; kept although
-# the checked split costs no more than one stacked midpoint step from m = 9
-# on, so that smaller sectors stay on the bitwise midpoint exponential (see
-# the module docstring)
+# the checked split costs 0.71 of one stacked midpoint step at m = 9 and
+# less above, so that smaller sectors stay on the bitwise midpoint
+# exponential (see the module docstring)
 SPLIT_MIN_DIMENSION = 12
 
 # largest difference of any class probability between the Strang runs at h
@@ -302,25 +312,27 @@ def evolve(
     ``init`` lies in it (amplitudes equal within each orbit), else on the
     full space; either way the recorded probabilities and the final state
     are on the full basis, and orbit-mates carry equal amplitudes.  Norm
-    drift and finiteness are checked after every step on the state that is
-    stepped, whose norm is that of the full state.  The run goes a block of
-    steps at a time, with one ``weights`` call on the block's step grid: a
-    block is ``stack_length(m)`` steps for the midpoint exponential (m the
-    sector dimension), one stacked ``eigh`` and one ``exp`` each, and
+    drift and finiteness are checked on the state that is stepped, whose
+    norm is that of the full state.  The run goes a block of steps at a
+    time, with one ``weights`` call on the block's step grid: a block is
+    ``stack_length(m)`` steps for the midpoint exponential (m the sector
+    dimension), one stacked ``eigh`` and one ``exp`` each, and
     ``split_block_length(m * r)`` steps of the r Strang runs stepped
-    together.  The block's steps are then applied and checked one by one,
-    so a run aborts at the same step whatever the block length, and a
-    non-finite schedule weight raises ``ValueError`` when its block is due.
-    RK4 computes its stage weights for the whole run before the first step,
-    and refuses a step outside the stability interval of the full H(s),
-    which bounds the sector's, with :class:`EvolutionAborted`; it steps in
-    blocks of ``stack_length(m)``.
+    together.  Their norms are checked at the end of each block, and a
+    block that fails half the drift limit is replayed with the check after
+    every step (see the module docstring), so a run aborts at the same step
+    whatever the block length; a non-finite schedule weight raises
+    ``ValueError`` when its block is due.  RK4 computes its stage weights
+    for the whole run before the first step, and refuses a step outside
+    the stability interval of the full H(s), which bounds the sector's,
+    with :class:`EvolutionAborted`; it steps in blocks of
+    ``stack_length(m)`` and checks the norm after every step.
 
     ``Integrator.SPLIT`` picks the propagator (see the module docstring);
     the returned trace's ``params`` are those of the run that made it, so
     they name the integrator and step that actually ran.  Logs the basis and
     sector dimensions, the group order and the block length of every run,
-    and the split check's outcome, at DEBUG level.
+    every block replay and the split check's outcome, at DEBUG level.
     """
     if init.basis != family.basis:
         raise ValueError("initial state does not live on the family's basis")
@@ -355,18 +367,18 @@ def evolve(
     return fine if accepted else _run(family, init, sector, midpoint)
 
 
-def _drift_message(norm: float, t: float, step: float) -> str:
-    """Why a run at ``step`` whose state has ``norm`` at time ``t`` aborts."""
-    if not math.isfinite(norm):
-        return f"non-finite amplitudes at t={t}; reduce the step size (currently {step})"
-    return (
-        f"norm drift {abs(norm - 1.0):.3e} at t={t} exceeds {NORM_DRIFT_LIMIT}; "
+def _aborted(drift: float, t: float, run: EvolutionParams) -> EvolutionAborted:
+    """The abort of ``run`` when its norm is off 1 by ``drift`` at time
+    ``t``; a Strang run's names the run."""
+    step = run.step
+    reason = (
+        f"norm drift {drift:.3e} at t={t} exceeds {NORM_DRIFT_LIMIT}; "
         f"retry with a smaller step, e.g. {step / 2}"
+        if math.isfinite(drift)
+        else f"non-finite amplitudes at t={t}; reduce the step size (currently {step})"
     )
-
-
-def _strang_abort(step: float, norm: float, t: float) -> EvolutionAborted:
-    return EvolutionAborted(f"Strang run at step {step}: {_drift_message(norm, t, step)}")
+    name = f"Strang run at step {step}: " if run.integrator is Integrator.SPLIT else ""
+    return EvolutionAborted(name + reason)
 
 
 class _Recording:
@@ -376,12 +388,19 @@ class _Recording:
         n_steps = params.step_count()
         # more than n_steps + 1 points are spaced under 1 and round to every step
         grid = np.linspace(0, n_steps, min(params.record_grid, n_steps + 1))
-        self.after = set(int(round(x)) for x in grid)
+        # the step counts after which a snapshot is taken, in order
+        self.after = sorted(set(int(round(x)) for x in grid))
         self.sector = sector
         self.params = params
         self.times: list[float] = []
         self.probabilities: list[np.ndarray] = []
         self.norm_errors: list[float] = []
+
+    def cuts(self, first: int, stop: int) -> list[int]:
+        """The step counts k with first < k <= stop after which a snapshot
+        is taken: those met while steps ``first`` to ``stop - 1`` are taken."""
+        after = self.after
+        return after[bisect_right(after, first) : bisect_right(after, stop)]
 
     def take(self, t: float, coordinates: np.ndarray) -> None:
         """Record the state at ``t`` from its orbit-basis ``coordinates``; a
@@ -403,6 +422,69 @@ class _Recording:
         )
 
 
+def _first_off(pairs: np.ndarray, limit: float) -> tuple[int, float] | None:
+    """The first complex column of ``pairs``, their (m, 2r) real view,
+    whose norm is non-finite or off 1 by more than ``limit``, with its
+    drift |norm - 1|; None if there is none.  A column's norm is one dot
+    product of its 2m floats, in the order of a lone column's buffer, and a
+    NaN or infinite amplitude makes it non-finite."""
+    for r in range(pairs.shape[1] // 2):
+        column = pairs[:, 2 * r : 2 * r + 2].reshape(-1)
+        drift = abs(math.sqrt(column.dot(column)) - 1.0)
+        if not drift <= limit:
+            return r, drift
+    return None
+
+
+def _checked_block(
+    advance: Callable[[int, int], None],
+    columns: np.ndarray,
+    first: int,
+    ends: list[list[float]],
+    runs: Sequence[EvolutionParams],
+    recording: _Recording,
+) -> None:
+    """Take the block of steps ``first`` to ``first + n - 1`` (n =
+    ``len(ends[0])``) of ``runs``, held as the columns of the contiguous
+    (m, r) complex ``columns``, through ``advance(lo, hi)``, which applies
+    the block's steps lo to hi - 1 in place; run r is at time ``ends[r][i]``
+    after the block's step i.  The last run is recorded on ``recording``'s
+    grid, the block being cut at its snapshots.
+
+    The runs' steps are unitary up to rounding, so their norms are checked
+    at the end of the block only.  A norm that is non-finite or off 1 by
+    more than ``NORM_DRIFT_LIMIT / 2`` sends the block to a replay from its
+    start, one step at a time with the check after every step: a step whose
+    norm leaves the drift limit raises :class:`EvolutionAborted` naming the
+    run's step (and the run, for a Strang run) and the time after the step.
+    The replay is logged at DEBUG level.
+    """
+    pairs = columns.view(np.float64)
+    start = columns.copy()
+    stop = first + len(ends[0])
+    taken = first
+    for cut in recording.cuts(first, stop):
+        advance(taken - first, cut - first)
+        recording.take(ends[-1][cut - first - 1], columns[:, -1])
+        taken = cut
+    advance(taken - first, stop - first)
+    flagged = _first_off(pairs, NORM_DRIFT_LIMIT / 2)
+    if flagged is None:
+        return
+    # a step may have left the drift limit: replay the block from its start
+    columns[...] = start
+    for i in range(stop - first):
+        advance(i, i + 1)
+        if (failed := _first_off(pairs, NORM_DRIFT_LIMIT)) is not None:
+            break
+    r, drift = flagged if failed is None else failed
+    replay = f"run at step {runs[r].step} replayed steps {first} to {stop - 1}"
+    outcome = f"step {first + i} fails it" if failed else "no step fails the check"
+    _debug(__name__, "evolve: %s one at a time; %s", replay, outcome)
+    if failed is not None:
+        raise _aborted(drift, ends[r][i], runs[r])
+
+
 def _strang_runs(
     family: AdiabaticFamily,
     init: StateVector,
@@ -417,10 +499,10 @@ def _strang_runs(
     The runs are stepped together, as the columns of one (m, 2) complex
     state: iteration i applies step i of each run with one problem phase
     multiply, one product with W^T, one start phase multiply and one
-    product with W, and then checks the norm of each column on its own.
-    After the h run's last step its column gets its closing half phase and
-    is set aside, and the h/2 run goes on alone, recording on its grid
-    throughout.  A column whose norm leaves the drift limit raises
+    product with W.  After the h run's last step its column gets its
+    closing half phase and is set aside, and the h/2 run goes on alone,
+    recording on its grid throughout.  The norms are checked per block
+    (``_checked_block``); a run whose norm leaves the drift limit raises
     :class:`EvolutionAborted` naming its run's step and the time.
     """
     runs = [params, replace(params, step=params.step / 2)]
@@ -432,7 +514,6 @@ def _strang_runs(
     values, classes = sector.problem_classes
     gather = np.concatenate([classes, len(values) + np.arange(m)])
     recording = _Recording(sector, runs[-1])
-    record_after = recording.after
     _debug(
         __name__,
         "evolve: basis dimension %d, sector dimension %d, group order %d, "
@@ -464,12 +545,8 @@ def _strang_runs(
         # through its real view ``pairs``, one (re, im) column pair per run;
         # ``rotated`` holds it in the eigenbasis of the start operator
         pairs = columns.view(np.float64)
-        flat = pairs.reshape(-1)
         rotated = np.empty_like(pairs)
         rotated_columns = rotated.view(np.complex128)
-        pairs_t = pairs.T
-        gram = np.empty((pairs.shape[1], pairs.shape[1]))
-        gram_diagonal = gram.reshape(-1)[:: len(gram) + 1]
         for block_first in range(first, count, block):
             block_stop = min(block_first + block, count)
             # one row per active run, one column per step of the block
@@ -478,18 +555,16 @@ def _strang_runs(
             ).transpose(1, 0, 2)
             # the time after each step; a run ends at total_time exactly
             ends = starts + sizes
-            for r, run_count in enumerate(counts[done:]):
-                if block_stop == run_count:
-                    ends[r, -1] = total_time
+            # the first active run is the one that ends with this phase
+            if block_stop == count:
+                ends[0, -1] = total_time
             # as in ``_run``: no midpoint is negative, so the upper clamp
             # alone gives np.clip's bits
             midpoints = np.minimum((starts + 0.5 * sizes) / total_time, 1.0)
             weights = family.weights(midpoints.ravel()).reshape(*sizes.shape, 2)
             half = (0.5 * sizes) * weights[..., 1]
-            opening = half.copy()
-            opening[:, 0] += pending
-            opening[:, 1:] += half[:, :-1]
-            pending = half[:, -1].copy()
+            opening = half + np.column_stack([pending, half[:, :-1]])
+            pending = half[:, -1]
             # the opening problem phases, once per distinct problem value
             # (equal values give equal angles, bit for bit), and the start
             # phases, through one cos and one sin call; one gather puts them
@@ -503,44 +578,15 @@ def _strang_runs(
                 axis=-1,
             )
             stacked = _unit_phases(angles).transpose(1, 2, 0).take(gather, axis=1)
-            steps = zip(
-                range(block_first, block_stop),
-                stacked[:, :m],
-                stacked[:, m:],
-                ends.T.tolist(),
-            )
-            # the same step in two loops, so that the norm check costs one
-            # BLAS call in each: the diagonal of the 4 x 4 Gram matrix of
-            # ``pairs`` holds the squares summed per real and imaginary
-            # column, and one run's squares sum to one dot product.  A NaN
-            # or infinite amplitude makes a norm non-finite.
-            if len(active) == 2:
-                for j, diagonal, phase, (coarse_end, fine_end) in steps:
+
+            def advance(lo: int, hi: int) -> None:
+                for diagonal, phase in zip(stacked[lo:hi, :m], stacked[lo:hi, m:]):
                     np.multiply(diagonal, columns, columns)
                     transposed.dot(pairs, out=rotated)
                     np.multiply(phase, rotated_columns, rotated_columns)
                     start_vectors.dot(rotated, out=pairs)
-                    np.dot(pairs_t, pairs, out=gram)
-                    re0, im0, re1, im1 = gram_diagonal.tolist()
-                    coarse_norm = math.sqrt(re0 + im0)
-                    if not abs(coarse_norm - 1.0) <= NORM_DRIFT_LIMIT:
-                        raise _strang_abort(active[0].step, coarse_norm, coarse_end)
-                    fine_norm = math.sqrt(re1 + im1)
-                    if not abs(fine_norm - 1.0) <= NORM_DRIFT_LIMIT:
-                        raise _strang_abort(active[1].step, fine_norm, fine_end)
-                    if j + 1 in record_after:
-                        recording.take(fine_end, columns[:, 1])
-            else:
-                for j, diagonal, phase, (fine_end,) in steps:
-                    np.multiply(diagonal, columns, columns)
-                    transposed.dot(pairs, out=rotated)
-                    np.multiply(phase, rotated_columns, rotated_columns)
-                    start_vectors.dot(rotated, out=pairs)
-                    fine_norm = math.sqrt(flat.dot(flat))
-                    if not abs(fine_norm - 1.0) <= NORM_DRIFT_LIMIT:
-                        raise _strang_abort(active[0].step, fine_norm, fine_end)
-                    if j + 1 in record_after:
-                        recording.take(fine_end, columns[:, 0])
+
+            _checked_block(advance, columns, block_first, ends.tolist(), active, recording)
         closing = _unit_phases(-pending[0] * values).take(classes)
         finals.append(columns[:, 0] * closing)
         columns, pending, first = columns[:, 1:].copy(), pending[1:], count
@@ -564,7 +610,6 @@ def _run(
     n_steps = params.step_count()
     total_time = params.total_time
     recording = _Recording(sector, params)
-    record_after = recording.after
     use_rk4 = params.integrator is Integrator.RK4
     m = sector.dimension
     if use_rk4:
@@ -591,16 +636,17 @@ def _run(
         block,
     )
 
-    # The state is one buffer of 2m floats, stepped in place: ``psi`` is its
-    # complex view and ``pairs`` its (m, 2) real view, which a real matrix
-    # multiplies in real arithmetic (as ``fock.matvec`` does).  ``rotated``
-    # holds the state in the eigenbasis of one step's H(s_mid).
-    state = sector.reduce(init.amplitudes).view(np.float64)
-    psi = state.view(np.complex128)
-    pairs = state.reshape(m, 2)
+    # The state is one buffer of 2m floats, ``state``, stepped in place:
+    # ``psi`` is its complex view, ``columns`` the same as one (m, 1) column
+    # and ``pairs`` its (m, 2) real view, which a real matrix multiplies in
+    # real arithmetic (as ``fock.matvec`` does).  ``rotated`` holds the
+    # state in the eigenbasis of one step's H(s_mid).
+    columns = sector.reduce(init.amplitudes).reshape(m, 1)
+    psi = columns[:, 0]
+    pairs = columns.view(np.float64)
+    state = pairs.reshape(-1)
     rotated = np.empty((m, 2))
     rotated_psi = rotated.view(np.complex128).reshape(m)
-    no_rows = itertools.repeat(None)
     recording.take(0.0, psi)
 
     for first in range(0, n_steps, block):
@@ -610,19 +656,10 @@ def _run(
         ends = starts + sizes
         if stop == n_steps:
             ends[-1] = total_time
-        phases = vectors = no_rows
-        if not use_rk4:
-            midpoints = (starts + 0.5 * sizes) / total_time
-            # s = t / T clamped to [0, 1], as for the RK4 stages; no start is
-            # negative, so the upper clamp alone gives the same bits and costs
-            # a third of np.clip, once per block
-            weights = family.weights(np.minimum(midpoints, 1.0))
-            # the stack of H(s) is not kept past its eigensolve
-            energies, vectors = np.linalg.eigh(family.path_arrays(weights, sector))
-            phases = np.exp((-1j * sizes)[:, None] * energies)
-
-        for j, end, phase, vector in zip(range(first, stop), ends.tolist(), phases, vectors):
-            if use_rk4:
+        if use_rk4:
+            # RK4's steps are not unitary: its norm is checked after each
+            cuts = set(recording.cuts(first, stop))
+            for j, end in zip(range(first, stop), ends.tolist()):
                 h = float(sizes[j - first])
                 w0, wm, w1 = stage_weights[j].tolist()
                 k1 = derivative(w0, psi)
@@ -630,18 +667,29 @@ def _run(
                 k3 = derivative(wm, psi + (0.5 * h) * k2)
                 k4 = derivative(w1, psi + h * k3)
                 psi[:] = psi + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            else:
+                # the norm from the dot product of the 2m floats with themselves
+                drift = abs(math.sqrt(state.dot(state)) - 1.0)
+                if not drift <= NORM_DRIFT_LIMIT:
+                    raise _aborted(drift, end, params)
+                if j + 1 in cuts:
+                    recording.take(end, psi)
+            continue
+        midpoints = (starts + 0.5 * sizes) / total_time
+        # s = t / T clamped to [0, 1], as for the RK4 stages; no start is
+        # negative, so the upper clamp alone gives the same bits and costs
+        # a third of np.clip, once per block
+        weights = family.weights(np.minimum(midpoints, 1.0))
+        # the stack of H(s) is not kept past its eigensolve
+        energies, vectors = np.linalg.eigh(family.path_arrays(weights, sector))
+        phases = np.exp((-1j * sizes)[:, None] * energies)
+
+        def advance(lo: int, hi: int) -> None:
+            for phase, vector in zip(phases[lo:hi], vectors[lo:hi]):
                 vector.T.dot(pairs, out=rotated)
                 np.multiply(phase, rotated_psi, rotated_psi)
                 vector.dot(rotated, out=pairs)
 
-            # the norm from the dot product of the 2m floats with themselves;
-            # a NaN or infinite amplitude always makes it non-finite
-            norm = math.sqrt(state.dot(state))
-            if not abs(norm - 1.0) <= NORM_DRIFT_LIMIT:
-                raise EvolutionAborted(_drift_message(norm, end, params.step))
-            if j + 1 in record_after:
-                recording.take(end, psi)
+        _checked_block(advance, columns, first, [ends.tolist()], [params], recording)
 
     return recording.trace(family, psi)
 

@@ -351,10 +351,19 @@ def test_sector_evolution_matches_full_space(case, sector_dimension, params):
     assert np.max(np.abs(trace.probabilities[-1] - expected_probabilities)) <= 1e-12
 
 
+def _end_if_non_finite(psi, j, end, params):
+    """The time after step j (counted from 1) if it left ``psi`` not finite;
+    the last step ends at ``total_time`` exactly, as in ``evolve``."""
+    if np.isfinite(psi).all():
+        return None
+    return params.total_time if j == params.step_count() else end
+
+
 def _stepwise_midpoint(family, init, params):
     """Reference: one eigh per midpoint step on the sector arrays, in the
-    arithmetic of ``evolve``; returns the final state and the probabilities
-    recorded on ``evolve``'s grid."""
+    arithmetic of ``evolve``; returns the final state, the probabilities
+    recorded on ``evolve``'s grid and the time after the first step whose
+    state is not finite (None if every step's is)."""
     sector = family.sector_for(init)
     indices = np.arange(sector.dimension)
     starts, sizes = params.step_starts_and_sizes()
@@ -367,6 +376,7 @@ def _stepwise_midpoint(family, init, params):
         recorded.append(full.real**2 + full.imag**2)
 
     record()  # the grid starts at step 0 and ends at the last step
+    non_finite_at = None
     for j, (t, h) in enumerate(zip(starts, sizes), start=1):
         mid = min(max((t + 0.5 * h) / params.total_time, 0.0), 1.0)
         w_initial, w_problem = family.weights(mid)
@@ -375,9 +385,10 @@ def _stepwise_midpoint(family, init, params):
         energies, vectors = np.linalg.eigh(generator)
         phases = np.exp(-1j * h * energies)
         psi = matvec(vectors, phases * matvec(vectors.T, psi))
+        non_finite_at = non_finite_at or _end_if_non_finite(psi, j, t + h, params)
         if j in record_after:
             record()
-    return sector.expand(psi), np.array(recorded)
+    return sector.expand(psi), np.array(recorded), non_finite_at
 
 
 @pytest.mark.parametrize(
@@ -396,7 +407,7 @@ def test_midpoint_is_bitwise_the_stepwise_eigensolve(case, total_time):
     family, start = _sector_case(*case)
     params = EvolutionParams(total_time, 0.02)
     trace = evolve(family, start, params)
-    final, recorded = _stepwise_midpoint(family, start, params)
+    final, recorded, _ = _stepwise_midpoint(family, start, params)
     assert np.array_equal(trace.final_state.amplitudes, final)
     assert np.array_equal(trace.probabilities, recorded)
 
@@ -718,8 +729,9 @@ def _stepwise_strang(family, init, params):
     """Reference: one unmerged Strang step at a time on the sector arrays,
     e^{-i(h/2) w_P H_P} e^{-i h w_I H_I} e^{-i(h/2) w_P H_P} with the
     weights at the step midpoint and e^{-i h w_I H_I} from a fresh eigh of
-    H_I; returns the final state and the probabilities recorded on
-    ``evolve``'s grid."""
+    H_I; returns the final state, the probabilities recorded on
+    ``evolve``'s grid and the time after the first step whose state is not
+    finite (None if every step's is)."""
     sector = family.sector_for(init)
     energies, vectors = np.linalg.eigh(sector.initial)
     starts, sizes = params.step_starts_and_sizes()
@@ -733,15 +745,17 @@ def _stepwise_strang(family, init, params):
         recorded.append(full.real**2 + full.imag**2)
 
     record()
+    non_finite_at = None
     for j, (t, h) in enumerate(zip(starts, sizes), start=1):
         w_initial, w_problem = family.weights(min((t + 0.5 * h) / params.total_time, 1.0))
         half = np.exp(-0.5j * h * w_problem * sector.problem)
         psi = half * psi
         psi = vectors @ (np.exp(-1j * h * w_initial * energies) * (vectors.T @ psi))
         psi = half * psi
+        non_finite_at = non_finite_at or _end_if_non_finite(psi, j, t + h, params)
         if j in record_after:
             record()
-    return sector.expand(psi), np.array(recorded)
+    return sector.expand(psi), np.array(recorded), non_finite_at
 
 
 def test_split_runs_where_it_pays_and_agrees():
@@ -766,7 +780,7 @@ def test_strang_run_is_the_stepwise_strang(case, total_time):
     params = EvolutionParams(total_time, 0.01, integrator=SPLIT, record_grid=11)
     trace = evolve(family, start, replace(params, step=0.02))
     assert trace.params == params
-    final, recorded = _stepwise_strang(family, start, params)
+    final, recorded, _ = _stepwise_strang(family, start, params)
     assert np.max(np.abs(trace.final_state.amplitudes - final)) <= 1e-12
     assert np.max(np.abs(trace.probabilities - recorded)) <= 1e-12
     split_p = _class_probabilities(family, trace)
@@ -791,12 +805,12 @@ def test_shared_loop_steps_the_two_stepwise_strang_runs(caplog, case, record_gri
     with caplog.at_level(logging.DEBUG, logger="adiophantine.evolution"):
         trace = evolve(family, start, params)
     assert trace.params == half
-    final, recorded = _stepwise_strang(family, start, half)
+    final, recorded, _ = _stepwise_strang(family, start, half)
     assert len(trace.times) == len(recorded) == min(record_grid, 1002)
     assert np.max(np.abs(trace.final_state.amplitudes - final)) <= 1e-12
     assert np.max(np.abs(trace.probabilities - recorded)) <= 1e-12
     # the logged class disagreement is that of the stepwise runs
-    coarse, _ = _stepwise_strang(family, start, replace(params, record_grid=2))
+    coarse, _, _ = _stepwise_strang(family, start, replace(params, record_grid=2))
     classes = np.unique(family.problem_values, return_inverse=True)[1]
     coarse_p, fine_p = (
         np.bincount(classes, weights=np.abs(a) ** 2) for a in (coarse, final)
@@ -804,6 +818,52 @@ def test_shared_loop_steps_the_two_stepwise_strang_runs(caplog, case, record_gri
     (check,) = [r.getMessage() for r in caplog.records if r.getMessage().startswith("evolve split")]
     logged = float(check.split("class disagreement ")[1].split()[0])
     assert logged == pytest.approx(np.abs(coarse_p - fine_p).max(), rel=1e-3)
+
+
+@pytest.mark.parametrize("record_grid", [101, 10**6])
+@pytest.mark.parametrize("length", [1, 7])
+@pytest.mark.parametrize(
+    "case, params",
+    [
+        (("x*y*z - 8", 4), EvolutionParams(10.01, 0.02, integrator=SPLIT)),
+        (("x^2 + y^2 - 25", 5), EvolutionParams(10.01, 0.02, integrator=SPLIT)),
+        (("x - 20", 8), EvolutionParams(40.01, 0.02)),
+    ],
+    ids=["split-xyz-8@4", "split-x2+y2-25@5", "midexp-x-20@8"],
+)
+def test_block_length_moves_no_bit(monkeypatch, case, params, length, record_grid):
+    # one step per block is a check after every step; 7 puts snapshots on
+    # block edges and inside blocks
+    family, start = _sector_case(*case)
+    params = replace(params, record_grid=record_grid)
+    reference = evolve(family, start, params)
+    if params.integrator is SPLIT:
+        assert reference.params.step == params.step / 2
+    monkeypatch.setattr(evolution, "split_block_length", lambda dimension: length)
+    monkeypatch.setattr(evolution, "stack_length", lambda dimension: length)
+    _assert_bitwise_equal(evolve(family, start, params), reference)
+
+
+def test_passing_replay_continues_the_run(caplog, monkeypatch):
+    # a start state 0.9e-10 off unit norm (within the start tolerance of
+    # 1e-10) and a drift limit of 1.5e-10: every block end is off by more
+    # than half the limit, so every block is replayed, and no step fails
+    family, start = _sector_case("x - 3", 12)
+    start = StateVector(family.basis, start.amplitudes * (1 + 0.9e-10))
+    params = EvolutionParams(1.0, 0.02, integrator=SPLIT)
+    reference = evolve(family, start, params)
+    monkeypatch.setattr(evolution, "NORM_DRIFT_LIMIT", 1.5e-10)
+    with caplog.at_level(logging.DEBUG, logger="adiophantine.evolution"):
+        trace = evolve(family, start, params)
+    _assert_bitwise_equal(trace, reference)
+    replays = [r.getMessage() for r in caplog.records if "replayed" in r.getMessage()]
+    # 50 steps of both runs in one block of 78, then 50 of the h/2 run alone
+    assert replays == [
+        "evolve: run at step 0.02 replayed steps 0 to 49 one at a time; "
+        "no step fails the check",
+        "evolve: run at step 0.01 replayed steps 50 to 99 one at a time; "
+        "no step fails the check",
+    ]
 
 
 @pytest.mark.parametrize(
@@ -876,6 +936,78 @@ def test_split_abort_in_the_half_step_run_is_logged(caplog):
     )
     assert check.endswith("returning the midpoint run")
     _assert_bitwise_equal(trace, evolve(broken, start, params))
+
+
+def _overflows_past(s0, fine_grid_only=False):
+    """A problem weight of 1e308 at every midpoint s > s0, else the linear
+    schedule's: on ``x - 20``, whose largest problem value is 400, it makes
+    the Strang half phase angles and the midpoint generator overflow.  ``fine_grid_only`` keeps the linear
+    weight at the midpoints of the h = 0.02 grid of T = 4, so only the run at
+    h/2 meets the overflow (its midpoints are odd multiples of 1/800, the h
+    run's even ones)."""
+
+    def schedule(s):
+        huge = s > s0
+        if fine_grid_only:
+            huge &= np.round(s * 800) % 2 == 1
+        return 1.0 - s, np.where(huge, 1e308, s)
+
+    return schedule
+
+
+@pytest.mark.parametrize(
+    "cutoff, total_time, s0, run, block, failing",
+    [
+        # m = 13, T = 4, h = 0.02: the h run takes 200 steps in blocks of 78
+        # while both runs step, and meets s > 0.85 at its step 170, in the
+        # third block
+        (12, 4.0, 0.85, 0, (156, 199), 170),
+        # then the h/2 run steps alone from its step 200 in blocks of 157,
+        # the fourth block on, and meets s > 0.75 at its step 300
+        (12, 4.0, 0.75, 1, (200, 356), 300),
+        # m = 9: the midpoint exponential, 300 steps in blocks of 101; it
+        # meets s > 0.834 at its step 250, in the third block
+        (8, 6.0, 0.834, None, (202, 299), 250),
+    ],
+    ids=["h-run-two-run-phase", "half-step-run-alone", "midexp-m9"],
+)
+def test_abort_in_a_later_block_is_the_stepwise_abort(
+    caplog, cutoff, total_time, s0, run, block, failing
+):
+    family, start = _sector_case("x - 20", cutoff)
+    sector = family.sector_for(start)
+    assert (sector.dimension >= SPLIT_MIN_DIMENSION) == (run is not None)
+    broken = AdiabaticFamily(
+        family.initial,
+        family.problem_values,
+        schedule=_overflows_past(s0, fine_grid_only=run == 1),
+    )
+    params = EvolutionParams(total_time, 0.02)
+    with np.errstate(over="ignore", invalid="ignore"):
+        with caplog.at_level(logging.DEBUG, logger="adiophantine.evolution"):
+            with pytest.raises(EvolutionAborted) as aborted:
+                if run is None:
+                    evolve(broken, start, params)
+                else:
+                    split = replace(params, integrator=SPLIT)
+                    evolution._strang_runs(broken, start, sector, split)
+        # the per-step reference of the run that aborts
+        reference = replace(params, step=params.step / (1 + (run or 0)))
+        if run is None:
+            _, _, t_abort = _stepwise_midpoint(broken, start, reference)
+            prefix = ""
+        else:
+            _, _, t_abort = _stepwise_strang(broken, start, reference)
+            prefix = f"Strang run at step {reference.step}: "
+    assert t_abort == reference.step_grid(failing, failing + 1)[0][0] + reference.step
+    assert str(aborted.value).startswith(
+        f"{prefix}non-finite amplitudes at t={t_abort}; reduce the step size"
+    )
+    lines = [r.getMessage() for r in caplog.records if "replayed" in r.getMessage()]
+    assert lines == [
+        f"evolve: run at step {reference.step} replayed steps {block[0]} to "
+        f"{block[1]} one at a time; step {failing} fails it"
+    ]
 
 
 def test_split_check_is_logged(caplog):

@@ -85,17 +85,30 @@ def bench(monkeypatch):
     return SimpleNamespace(**{name: importlib.import_module(name) for name in names})
 
 
-@pytest.mark.parametrize("workload", ["decide-1mode", "decide-dense"])
-def test_bench_traced_decide_replays_decide(bench, workload):
+@pytest.mark.parametrize(
+    "build, outcome",
+    [
+        (lambda ops: ops.build("decide-1mode")[0], "OK"),
+        (lambda ops: ops.build("decide-dense")[0], "OK"),
+        # several rungs each: split (m = 45, four rungs) and the midpoint
+        # exponential (m = 9, two rungs), whose step loops the replay
+        # repeats; ``x - 7`` is one of the known false certificates
+        (lambda ops: ops.decide_op("x*y - 6", 8), "OK"),
+        (lambda ops: ops.decide_op("x - 7", 8), "FALSE_CERTIFICATE"),
+    ],
+    ids=["decide-1mode", "decide-dense", "split-x*y-6@8", "midexp-x-7@8"],
+)
+def test_bench_traced_decide_replays_decide(bench, build, outcome):
     # the replay reads DecideConfig.record_grid and tie_tol and
     # EvolutionParams.step_starts_and_sizes
-    op = bench.ops.build(workload)[0]
+    op = build(bench.ops)
     plain = op.run(bench.tracing.NullTracer())
     tracer = bench.tracing.Tracer()
     traced = op.run(tracer)
     assert op.replay_key(traced) == op.replay_key(plain)
-    assert op.check(traced, tracer) == bench.ops.OK
-    assert "evolution.evolve" in {span["name"] for span in tracer.spans}
+    assert op.check(traced, tracer) == getattr(bench.ops, outcome)
+    rungs = [span for span in tracer.spans if span["name"] == "evolution.evolve"]
+    assert len(rungs) == len(plain.schedule)
 
 
 def test_bench_traced_spectral_op(bench):
