@@ -50,7 +50,7 @@ from .diophantine import (
 )
 from .evolution import EvolutionAborted, EvolutionParams, Integrator, evolve
 from .fock import FockBasis, as_mode_alphas
-from .hamiltonians import AdiabaticFamily, spectral_profile
+from .hamiltonians import AdiabaticFamily, check_dimension, spectral_profile
 
 EXIT_OK = 0
 EXIT_RUNTIME = 1
@@ -208,12 +208,14 @@ def _require_equation(settings: dict) -> str:
 
 def _equation(settings: dict, config: DecideConfig) -> Polynomial:
     """The parsed equation, refused as a config error when it has no
-    variables, or when ``config`` has a displacement count that does not
-    match or displacements whose start state overflows on its modes."""
+    variables, when its basis at ``config``'s cutoff is too large to build,
+    or when ``config`` has a displacement count that does not match or
+    displacements whose start state overflows on its modes."""
     p = parse_equation(_require_equation(settings))
     with _config_errors():
         if p.num_vars == 0:
             raise ValueError("equation has no variables to solve for")
+        check_dimension(FockBasis(p.num_vars, config.cutoff))
         replace(config, alphas=as_mode_alphas(config.alphas, p.num_vars))
     return p
 

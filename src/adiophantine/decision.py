@@ -338,8 +338,8 @@ def sample_measurements(state: StateVector, shots: int, seed: int) -> Measuremen
     Identical seeds give identical runs; the exact probabilities travel
     with the sample so frequency errors can be checked against them.
     """
-    if shots < 1:
-        raise ValueError("shots must be at least 1")
+    if not 1 <= shots < 2**63:
+        raise ValueError(f"shots must be at least 1 and below 2^63, got {shots}")
     probs = state.probabilities()
     probs = probs / probs.sum()
     counts = np.random.default_rng(seed).multinomial(shots, probs)

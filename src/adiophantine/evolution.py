@@ -1,4 +1,4 @@
-"""Time integration of d(psi)/dt = -i H(t/T) psi and zero-step extrapolation.
+"""Time integration of d(psi)/dt = -i H(t/T) psi.
 
 Three fixed-step integrators ship.  RK4 and the midpoint exponential are
 independent of each other, so that each can validate the other; the split
@@ -46,16 +46,9 @@ midpoint exponential:
   by at least 2.9e-3; no checked rung's top class came within 2e-2 of the
   1/2 bar, and the returned class probabilities stayed within 3.5e-5 of
   the midpoint exponential's.  Split runs at sector dimension m >=
-  ``SPLIT_MIN_DIMENSION`` = 12.  Per step h on ``x - 3``, one stacked
-  midpoint step took 9.6, 12.3, 14.0 and 15.5 us at m = 9, 11, 12 and 13,
-  and the checked split 6.8, 7.5, 7.6 and 7.7 us (one BLAS thread, 2-core
-  host, norms checked per block; README "The split integrator").
-  The bar stays at 12 although split pays from m = 9: at
-  m = 9 it would move the one-mode rungs at cutoff 8 off the bitwise
-  midpoint exponential, next to false certificates whose margins are
-  under 0.10, and m = 10 and 11 meet no bench rung.  Smaller sectors get
-  the midpoint exponential, bitwise.  Not in zero-step extrapolation: a
-  scheme that picks its propagator per run has no fixed order.
+  ``SPLIT_MIN_DIMENSION`` = 12, which stays above the measured crossover
+  (README "The split integrator" has the per-step costs and the reason).
+  Smaller sectors get the midpoint exponential, bitwise.
 
 H(s) is real symmetric, so its eigensolves run in real arithmetic.  The
 state stays complex, in one buffer that a step updates in place: a real
@@ -84,10 +77,8 @@ they fix, and each step works on its m x m orbit-basis arrays instead of
 the d x d ones.  Otherwise they run on the full space, the trivial sector.
 Recorded probabilities and the final state are always on the full basis.
 
-The step size is fixed (no adaptive control) so that extrapolating the
-recorded observable to zero step size stays well defined: runs at step
-sizes in a fixed geometric ratio feed a Richardson extrapolation that also
-estimates the observed convergence order.
+The step size is fixed (no adaptive control) so that runs are bitwise
+reproducible and the split check can compare a run at h with one at h/2.
 """
 
 from __future__ import annotations
@@ -115,12 +106,8 @@ __all__ = [
     "SPLIT_TOLERANCE",
     "EvolutionParams",
     "EvolutionAborted",
-    "ExtrapolationError",
     "EvolutionTrace",
     "evolve",
-    "richardson_from_values",
-    "ExtrapolationResult",
-    "extrapolate_to_zero_step",
 ]
 
 NORM_TOLERANCE = 1e-10  # required closeness of the initial state to unit norm
@@ -132,10 +119,9 @@ NORM_DRIFT_LIMIT = 1e-3
 RK4_STABILITY_LIMIT = 2.0 * math.sqrt(2.0)
 
 
-# smallest sector dimension at which a split step is tried; kept although
-# the checked split costs 0.71 of one stacked midpoint step at m = 9 and
-# less above, so that smaller sectors stay on the bitwise midpoint
-# exponential (see the module docstring)
+# smallest sector dimension at which a split step is tried; smaller sectors
+# stay on the bitwise midpoint exponential although split is cheaper there
+# (README "The split integrator")
 SPLIT_MIN_DIMENSION = 12
 
 # largest difference of any class probability between the Strang runs at h
@@ -158,10 +144,6 @@ def split_block_length(dimension: int) -> int:
 
 class EvolutionAborted(RuntimeError):
     """Integration stopped: non-finite amplitudes or excessive norm drift."""
-
-
-class ExtrapolationError(RuntimeError):
-    """Zero-step extrapolation could not be carried out."""
 
 
 @dataclass(frozen=True)
@@ -693,106 +675,3 @@ def _run(
 
     return recording.trace(family, psi)
 
-
-def richardson_from_values(
-    values: Sequence[float], ratio: float
-) -> tuple[float, float, float | None]:
-    """Extrapolate a sequence sampled at step sizes h, h*ratio, h*ratio^2, ...
-
-    Assumes a leading error term proportional to h^q.  The observed order q
-    is fitted from the last three samples; the elimination itself uses the
-    nearest integer order (fixed-step schemes have integer leading orders,
-    and reusing the fitted q would make the two pair-extrapolants coincide
-    identically, hiding the error).  Returns (extrapolated value, error
-    estimate, observed order) where the error estimate is the difference
-    between the extrapolants built from the last two pairs.  Identical
-    samples mean the observable already converged: the common value is
-    returned with zero error and no measured order.  Residuals that fail to
-    shrink raise :class:`ExtrapolationError`.
-    """
-    if len(values) < 3:
-        raise ExtrapolationError("need at least three step sizes")
-    if not 0.0 < ratio < 1.0:
-        raise ExtrapolationError("step ratio must be in (0, 1)")
-    v0, v1, v2 = (float(v) for v in values[-3:])
-    d1 = v1 - v0
-    d2 = v2 - v1
-    if d2 == 0.0:
-        # converged, at the latest between the two finest runs
-        return v2, 0.0, None
-    if abs(d2) >= abs(d1):
-        raise ExtrapolationError(
-            "not in asymptotic regime: residuals do not shrink "
-            f"(|{d1:.3e}| then |{d2:.3e}|)"
-        )
-    order = math.log(abs(d1) / abs(d2)) / math.log(1.0 / ratio)
-    elimination_order = max(1, round(order))
-    growth = (1.0 / ratio) ** elimination_order
-    extrapolant_prev = v1 + d1 / (growth - 1.0)
-    extrapolant_last = v2 + d2 / (growth - 1.0)
-    return extrapolant_last, abs(extrapolant_last - extrapolant_prev), order
-
-
-@dataclass(frozen=True)
-class ExtrapolationResult:
-    value: float
-    error_estimate: float
-    observed_order: float | None
-    step_sizes: tuple[float, ...]
-    observable_values: tuple[float, ...]
-    observable: int
-
-
-def extrapolate_to_zero_step(
-    family: AdiabaticFamily,
-    init: StateVector,
-    total_time: float,
-    steps: Sequence[float],
-    observable: int,
-    integrator: Integrator = Integrator.MIDPOINT_EXPONENTIAL,
-) -> ExtrapolationResult:
-    """Run at each step size and Richardson-extrapolate one basis probability.
-
-    ``steps`` must be at least three step sizes, positive and finite and
-    strictly decreasing in a fixed geometric ratio (for example h, h/2,
-    h/4); else :class:`ExtrapolationError` is raised.  The tracked
-    observable is the normalized probability of one basis index in the
-    final state.  ``Integrator.SPLIT`` is refused: it picks its propagator
-    per run, so its results have no fixed order in the step.
-    """
-    if integrator is Integrator.SPLIT:
-        raise ExtrapolationError(
-            "the split integrator picks its propagator per run and has no "
-            "fixed order; extrapolate with rk4 or midexp"
-        )
-    sizes = [float(h) for h in steps]
-    if len(sizes) < 3:
-        raise ExtrapolationError("need at least three step sizes")
-    pairs = list(zip(sizes, sizes[1:]))
-    if not all(0 < h < math.inf for h in sizes):
-        raise ExtrapolationError(f"step sizes must be positive and finite: {sizes}")
-    if any(b >= a for a, b in pairs):
-        raise ExtrapolationError("step sizes must be strictly decreasing")
-    ratio = sizes[1] / sizes[0]
-    if any(abs(b / a - ratio) > 1e-9 for a, b in pairs):
-        raise ExtrapolationError(f"step sizes must form a geometric sequence: {sizes}")
-    if not 0 <= observable < family.dimension:
-        raise ValueError(f"observable index {observable} outside the basis")
-
-    observed = []
-    for h in sizes:
-        params = EvolutionParams(
-            total_time=total_time, step=h, integrator=integrator, record_grid=2
-        )
-        trace = evolve(family, init, params)
-        observed.append(float(trace.final_probabilities()[observable]))
-
-    value, error, order = richardson_from_values(observed, ratio)
-    return ExtrapolationResult(
-        value=value,
-        error_estimate=error,
-        observed_order=order,
-        step_sizes=tuple(sizes),
-        observable_values=tuple(observed),
-        observable=observable,
-    )

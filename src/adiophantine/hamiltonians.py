@@ -52,6 +52,8 @@ from .fock import (
 __all__ = [
     "DEFAULT_ALPHA",
     "ProblemScaleError",
+    "MAX_DIMENSION",
+    "check_dimension",
     "problem_diagonal",
     "build_initial_hamiltonian",
     "linear_schedule",
@@ -81,6 +83,11 @@ _ROW_BLOCK = 256
 # stack; evolve's time per step was the same at 32 to 128 KiB for m = 9, 21
 # and 45, while peak memory grows with the stack
 STACK_BYTES = 1 << 16
+
+# largest basis dimension d whose dense d x d start operator is built: a
+# d x d float64 array takes 8 d^2 bytes, 0.54 GB at this limit, and the
+# largest benchmarked basis (three modes at cutoff 16) has d = 4913
+MAX_DIMENSION = 8192
 
 # (w_I, w_P) = schedule(s); called on a float64 array of s, and must work
 # elementwise on it (numpy arithmetic, ``np.where`` rather than ``if``)
@@ -138,6 +145,20 @@ def problem_diagonal(p: Polynomial, basis: FockBasis) -> tuple[int, ...]:
     return tuple(map({}.setdefault, squares, squares))
 
 
+def check_dimension(basis: FockBasis) -> None:
+    """Refuse, with ``ValueError``, a basis too large for dense d x d arrays."""
+    d = basis.dimension
+    if d > MAX_DIMENSION:
+        # exact for any d, where 8 d^2 overflows a float from d ~ 1e154 (200
+        # modes at cutoff 8 have d = 9^200); only a refused basis imports it
+        from decimal import Decimal
+
+        raise ValueError(
+            f"basis dimension {d} exceeds {MAX_DIMENSION}: each dense d x d "
+            f"array would need {Decimal(8 * d * d) / 10**9:.3g} GB"
+        )
+
+
 def build_initial_hamiltonian(
     basis: FockBasis, alphas=DEFAULT_ALPHA
 ) -> tuple[HermitianOperator, StateVector]:
@@ -150,8 +171,10 @@ def build_initial_hamiltonian(
     number operators, diag(n_1 + .. + n_k), with exact ground state |0..0>.
     The coherent state is the exact ground state only up to truncation; its
     energy expectation is tiny whenever the truncation-weight warning stays
-    quiet.
+    quiet.  A basis over ``MAX_DIMENSION`` is refused before any d x d
+    array is allocated.
     """
+    check_dimension(basis)
     magnitudes = tuple(abs(a) for a in as_mode_alphas(alphas, basis.num_modes))
     ground = coherent_state(basis, magnitudes)
     if not any(magnitudes):

@@ -8,6 +8,7 @@ from pathlib import Path
 import jsonschema
 import pytest
 
+from adiophantine import hamiltonians
 from adiophantine.cli import (
     EXIT_INCONCLUSIVE,
     EXIT_OK,
@@ -459,6 +460,19 @@ def test_config_keys_a_subcommand_does_not_read_are_refused(
         ("spectrum", ["--grid", "1"], None, "grid_size must be at least 2"),
         ("spectrum", ["--levels", "-3"], None, "levels must be at least 2, got -3"),
         ("sample", ["--shots", "0"], None, "shots must be at least 1"),
+        # numpy draws at most 2^63 - 1 shots
+        (
+            "sample",
+            ["--shots", "100000000000000000000"],
+            None,
+            "shots must be at least 1 and below 2^63, got 100000000000000000000",
+        ),
+        (
+            "sample",
+            [],
+            {"shots": 100000000000000000000},
+            "shots must be at least 1 and below 2^63, got 100000000000000000000",
+        ),
         ("decide", [], {"tie_tol": -1}, "tie_tol must be non-negative and finite"),
         ("spectrum", [], {"gap_tol": -1}, "gap_tol must be non-negative and finite"),
     ],
@@ -541,6 +555,22 @@ def test_equation_config_errors_exit_two_and_write_nothing(
     assert f"config error: {message}" in err
     assert "Traceback" not in err
     assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
+
+
+@pytest.mark.parametrize("command", ["decide", "sweep", "evolve", "spectrum", "sample"])
+def test_a_basis_over_the_dimension_limit_exits_two_and_writes_nothing(
+    tmp_path, monkeypatch, capsys, command
+):
+    # the limit is patched down to 100 and x*y*z - 8 at cutoff 4 has d = 125:
+    # a regressed guard at the real limit would allocate gigabytes
+    monkeypatch.setattr(hamiltonians, "MAX_DIMENSION", 100)
+    monkeypatch.chdir(tmp_path)
+    cutoffs = ["--cutoffs", "3,4"] if command == "sweep" else ["--cutoff", "4"]
+    assert main([command, "x*y*z - 8", *cutoffs]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert "config error: basis dimension 125 exceeds 100: each dense" in err
+    assert "Traceback" not in err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_large_displacements_run_and_overflowing_ones_are_config_errors(

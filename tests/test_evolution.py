@@ -17,11 +17,8 @@ from adiophantine.evolution import (
     SPLIT_TOLERANCE,
     EvolutionAborted,
     EvolutionParams,
-    ExtrapolationError,
     Integrator,
     evolve,
-    extrapolate_to_zero_step,
-    richardson_from_values,
 )
 from adiophantine.fock import (
     FockBasis,
@@ -500,86 +497,6 @@ def test_record_grid_beyond_the_step_count_records_every_step():
     assert np.array_equal(finer.final_state.amplitudes, every.final_state.amplitudes)
 
 
-# -- Richardson extrapolation -----------------------------------------------------
-
-
-def test_richardson_converged_series():
-    value, error, order = richardson_from_values([0.25, 0.25, 0.25], 0.5)
-    assert value == 0.25
-    assert error == 0.0
-    assert order is None
-
-
-def test_richardson_exact_fourth_order_series():
-    truth = 0.3
-    values = [truth + (h**4) for h in (0.2, 0.1, 0.05)]
-    value, error, order = richardson_from_values(values, 0.5)
-    assert order == pytest.approx(4.0, abs=1e-9)
-    assert value == pytest.approx(truth, abs=1e-12)
-    assert error < 1e-12
-
-
-def test_richardson_rejects_growing_residuals():
-    with pytest.raises(ExtrapolationError, match="asymptotic"):
-        richardson_from_values([0.1, 0.2, 0.5], 0.5)
-
-
-def test_richardson_rejects_short_input():
-    with pytest.raises(ExtrapolationError):
-        richardson_from_values([0.1, 0.2], 0.5)
-
-
-@pytest.mark.parametrize(
-    "steps, message",
-    [
-        ((), "need at least three step sizes"),
-        ((0.1, 0.05), "need at least three step sizes"),
-        ((0.02, 0.01), "need at least three step sizes"),
-        ((1.0, 0.0, -1.0), "must be positive and finite"),
-        ((float("inf"), 0.02, 0.01), "must be positive and finite"),
-        ((0.04, 0.02, 0.02), "strictly decreasing"),
-        ((0.04, 0.02, 0.015), "geometric sequence"),
-        ((0.1, 0.05, 0.03), "geometric sequence"),
-    ],
-)
-def test_extrapolation_step_validation(steps, message):
-    family, start = _two_level()
-    with pytest.raises(ExtrapolationError, match=message):
-        extrapolate_to_zero_step(family, start, 1.0, steps, observable=1)
-
-
-def test_extrapolation_observable_validation():
-    family, start = _two_level()
-    with pytest.raises(ValueError):
-        extrapolate_to_zero_step(family, start, 1.0, (0.1, 0.05, 0.025), observable=9)
-
-
-def test_rk4_observed_order_is_four():
-    family, start = _two_level()
-    result = extrapolate_to_zero_step(
-        family, start, 2.0, (0.2, 0.1, 0.05), observable=1, integrator=RK4
-    )
-    assert result.observed_order == pytest.approx(4.0, abs=0.5)
-    # independent oracle: midpoint-exponential run at a far smaller step
-    reference = evolve(
-        family, start, EvolutionParams(2.0, 1e-5, record_grid=2)
-    ).final_probabilities()[1]
-    assert abs(result.value - reference) <= max(result.error_estimate, 1e-8)
-
-
-def test_midexp_observed_order_is_two():
-    family, start = _two_level()
-    result = extrapolate_to_zero_step(
-        family, start, 2.0, (0.2, 0.1, 0.05), observable=1, integrator=MIDEXP
-    )
-    assert result.observed_order == pytest.approx(2.0, abs=0.5)
-    # independent oracle on the other scheme
-    reference = evolve(
-        family, start, EvolutionParams(2.0, 5e-4, integrator=RK4, record_grid=2)
-    ).final_probabilities()[1]
-    assert abs(result.value - reference) <= max(result.error_estimate, 1e-8)
-
-
 def test_error_slopes_against_cross_references():
     family, start = _two_level()
     steps = np.array([0.2, 0.1, 0.05])
@@ -1028,10 +945,3 @@ def test_split_check_is_logged(caplog):
         "returning the Strang run at the half step"
     )
 
-
-def test_split_has_no_extrapolation_order():
-    family, start = _sector_case("x - 3", 12)
-    with pytest.raises(ExtrapolationError, match="no fixed order"):
-        extrapolate_to_zero_step(
-            family, start, 1.0, (0.04, 0.02, 0.01), observable=3, integrator=SPLIT
-        )

@@ -1,5 +1,6 @@
 import ast
 import importlib
+import importlib.util
 import math
 import pkgutil
 from pathlib import Path
@@ -8,9 +9,23 @@ from types import SimpleNamespace
 import pytest
 
 import adiophantine
+from adiophantine.decision import DecideConfig, Verdict, decide
+from adiophantine.diophantine import min_over_box, parse_equation, substitute_shift
 
 SUBMODULES = sorted(m.name for m in pkgutil.iter_modules(adiophantine.__path__))
 BENCH = Path(__file__).resolve().parents[1] / "bench"
+
+
+def _bench_corpus():
+    """``bench/corpus.py``, data only, loaded to parametrize tests over it."""
+    spec = importlib.util.spec_from_file_location("corpus", BENCH / "corpus.py")
+    corpus = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(corpus)
+    return corpus
+
+
+CORPUS = _bench_corpus()
+FALSE_CERTIFICATES = frozenset().union(*CORPUS.SEED_FALSE_CERTIFICATES.values())
 
 
 def test_package_exports_resolve():
@@ -109,6 +124,32 @@ def test_bench_traced_decide_replays_decide(bench, build, outcome):
     assert op.check(traced, tracer) == getattr(bench.ops, outcome)
     rungs = [span for span in tracer.spans if span["name"] == "evolution.evolve"]
     assert len(rungs) == len(plain.schedule)
+
+
+@pytest.mark.filterwarnings("ignore::adiophantine.fock.TruncationWarning")
+@pytest.mark.parametrize(
+    "text, cutoff",
+    [
+        pytest.param(
+            text,
+            cutoff,
+            id=f"{text}@{cutoff}",
+            # decide certifies no solution although the box holds a zero
+            marks=[pytest.mark.xfail(strict=True, reason="ROADMAP Fix-first 1")]
+            if text in FALSE_CERTIFICATES
+            else [],
+        )
+        for text, cutoff in CORPUS.DECIDE_1MODE + CORPUS.DECIDE_DENSE
+    ],
+)
+def test_decide_on_the_bench_equations_agrees_with_the_box_oracle(text, cutoff):
+    # the benchmark's own config: DecideConfig at the corpus cutoff
+    p = parse_equation(text)
+    config = DecideConfig(cutoff=cutoff)
+    report = decide(p, config)
+    if report.verdict is not Verdict.INCONCLUSIVE:
+        oracle = min_over_box(substitute_shift(p, config.semantics), cutoff)
+        assert report.class_value == oracle.value
 
 
 def test_bench_traced_spectral_op(bench):

@@ -8,6 +8,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from adiophantine import hamiltonians
 from adiophantine.diophantine import (
     EvaluationRangeError,
     evaluate,
@@ -181,6 +182,25 @@ def test_initial_hamiltonian_is_exact_kronecker_sum(k, cutoff):
         expected += shifted.conj().T @ shifted
     h, _ = build_initial_hamiltonian(basis)
     assert np.array_equal(h.array, expected)
+
+
+@pytest.mark.parametrize("alphas", [0.0, DEFAULT_ALPHA])
+def test_initial_hamiltonian_refuses_a_basis_over_the_dimension_limit(
+    monkeypatch, alphas
+):
+    # the largest benchmarked basis stays buildable; the limit is patched
+    # down for the refusal, since a regressed guard at the real limit would
+    # allocate gigabytes
+    assert hamiltonians.MAX_DIMENSION >= FockBasis(3, 16).dimension
+    monkeypatch.setattr(hamiltonians, "MAX_DIMENSION", 100)
+    h, _ = build_initial_hamiltonian(FockBasis(2, 9), alphas)
+    assert h.array.shape == (100, 100)
+    message = "basis dimension 125 exceeds 100: each dense d x d array would need"
+    with pytest.raises(ValueError, match=message + " 0.000125 GB"):
+        build_initial_hamiltonian(FockBasis(3, 4), alphas)
+    # 8 d^2 is past the float range at d = 9^200; only the check runs here
+    with pytest.raises(ValueError, match=r"array would need 3\.98e\+373 GB"):
+        hamiltonians.check_dimension(FockBasis(200, 8))
 
 
 def test_displacement_phase_is_a_gauge():
