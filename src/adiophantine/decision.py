@@ -36,7 +36,7 @@ from .diophantine import (
 )
 from .evolution import EvolutionParams, EvolutionTrace, Integrator, evolve
 from .fock import FockBasis, StateVector, _log_norms, as_mode_alphas
-from .hamiltonians import DEFAULT_ALPHA, AdiabaticFamily
+from .hamiltonians import DEFAULT_ALPHA, MAX_DIMENSION, AdiabaticFamily
 
 __all__ = [
     "CUTOFF_CAVEAT",
@@ -145,6 +145,10 @@ class DecideConfig:
     def __post_init__(self):
         if self.cutoff < 1:
             raise ValueError(f"cutoff must be at least 1, got {self.cutoff}")
+        # every basis at this cutoff has d > cutoff, over the dimension limit
+        # for any number of modes: refused before _log_norms lists cutoff floats
+        if self.cutoff >= MAX_DIMENSION:
+            raise ValueError(f"cutoff must be below {MAX_DIMENSION}, got {self.cutoff}")
         if not np.isfinite(np.asarray(self.alphas, dtype=np.complex128)).all():
             raise ValueError(f"alphas must be finite, got {self.alphas}")
         # a shared displacement is checked on one mode, per-mode ones together

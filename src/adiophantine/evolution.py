@@ -46,9 +46,10 @@ midpoint exponential:
   by at least 2.9e-3; no checked rung's top class came within 2e-2 of the
   1/2 bar, and the returned class probabilities stayed within 3.5e-5 of
   the midpoint exponential's.  Split runs at sector dimension m >=
-  ``SPLIT_MIN_DIMENSION`` = 12, which stays above the measured crossover
-  (README "The split integrator" has the per-step costs and the reason).
-  Smaller sectors get the midpoint exponential, bitwise.
+  ``SPLIT_MIN_DIMENSION`` = 12.  Smaller sectors get the midpoint
+  exponential, bitwise: a Strang step is cheaper there, but the checks
+  that fail pay for both Strang runs and the midpoint run (README "The
+  split integrator" has the costs).
 
 H(s) is real symmetric, so its eigensolves run in real arithmetic.  The
 state stays complex, in one buffer that a step updates in place: a real
@@ -68,13 +69,16 @@ per-step check stops, with the same error at the same time, whatever the
 block length.  Schedules follow the array contract of
 ``hamiltonians.Schedule``.
 Step grids are built per block from the step index
-(``EvolutionParams.step_grid``), never for a whole run.
+(``EvolutionParams.step_grid``), never for a whole run; a grid gives each
+step's end time, the run's last being ``total_time`` exactly, so every
+loop records and aborts at the same times.
 
 All integrators run in the family's symmetric sector when the start state
 lies in it: the mode permutations that fix the problem diagonal and the
 start operator commute with every H(s), so the state stays in the subspace
 they fix, and each step works on its m x m orbit-basis arrays instead of
-the d x d ones.  Otherwise they run on the full space, the trivial sector.
+the d x d ones.  Otherwise they run on the full space, the sector of the
+trivial group, whose orbit formulas leave every amplitude's value as is.
 Recorded probabilities and the final state are always on the full basis.
 
 The step size is fixed (no adaptive control) so that runs are bitwise
@@ -120,8 +124,10 @@ RK4_STABILITY_LIMIT = 2.0 * math.sqrt(2.0)
 
 
 # smallest sector dimension at which a split step is tried; smaller sectors
-# stay on the bitwise midpoint exponential although split is cheaper there
-# (README "The split integrator")
+# stay on the bitwise midpoint exponential although a Strang step is cheaper
+# there, because the checks that fail pay for both Strang runs and the
+# midpoint run: at 1 the decide-1mode p90 latency doubled (README "The split
+# integrator")
 SPLIT_MIN_DIMENSION = 12
 
 # largest difference of any class probability between the Strang runs at h
@@ -183,23 +189,30 @@ class EvolutionParams:
         full, remainder = self._full_steps_and_remainder()
         return full + (remainder > 0.0)
 
-    def step_grid(self, first: int, stop: int) -> tuple[np.ndarray, np.ndarray]:
-        """Start times and sizes of steps ``first`` to ``stop - 1``.
+    def step_grid(
+        self, first: int, stop: int
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Start times, sizes and end times of steps ``first`` to ``stop - 1``.
 
         Step j starts at j * step; all are ``step`` long but a partial final
-        step, which covers the remainder.  Computed for the requested steps
-        only, so a run never holds its whole grid.
+        step, which covers the remainder.  A step ends at its start plus its
+        size, except the run's last, which ends at ``total_time`` exactly.
+        Computed for the requested steps only, so a run never holds its
+        whole grid.
         """
         full, remainder = self._full_steps_and_remainder()
         starts = np.arange(first, stop) * self.step
         sizes = np.full(len(starts), self.step)
         if stop > full:
             sizes[-1] = remainder
-        return starts, sizes
+        ends = starts + sizes
+        if stop == self.step_count():
+            ends[-1] = self.total_time
+        return starts, sizes, ends
 
     def step_starts_and_sizes(self) -> tuple[list[float], list[float]]:
         """The whole :meth:`step_grid` as lists of floats."""
-        starts, sizes = self.step_grid(0, self.step_count())
+        starts, sizes, _ = self.step_grid(0, self.step_count())
         return starts.tolist(), sizes.tolist()
 
 
@@ -236,21 +249,6 @@ class EvolutionTrace:
             "probabilities": [[float(p) for p in row] for row in self.probabilities],
             "norm_errors": [float(e) for e in self.norm_errors],
         }
-
-
-def _derivative_for(
-    sector: SymmetricSector,
-) -> Callable[[list[float], np.ndarray], np.ndarray]:
-    """d(psi)/dt = -i H psi in ``sector``, for the schedule weights (w_I, w_P)
-    of one stage."""
-    initial, problem_diag = sector.initial, sector.problem
-
-    def apply(weights: list[float], psi: np.ndarray) -> np.ndarray:
-        wi, wp = weights
-        problem_part = ((-1j * wp) * problem_diag) * psi
-        return (-1j * wi) * matvec(initial, psi) + problem_part
-
-    return apply
 
 
 def _unit_phases(angles: np.ndarray) -> np.ndarray:
@@ -292,22 +290,24 @@ def evolve(
 
     ``init`` must be normalized.  The run steps in ``family.sector`` when
     ``init`` lies in it (amplitudes equal within each orbit), else on the
-    full space; either way the recorded probabilities and the final state
-    are on the full basis, and orbit-mates carry equal amplitudes.  Norm
-    drift and finiteness are checked on the state that is stepped, whose
-    norm is that of the full state.  The run goes a block of steps at a
-    time, with one ``weights`` call on the block's step grid: a block is
-    ``stack_length(m)`` steps for the midpoint exponential (m the sector
-    dimension), one stacked ``eigh`` and one ``exp`` each, and
-    ``split_block_length(m * r)`` steps of the r Strang runs stepped
-    together.  Their norms are checked at the end of each block, and a
-    block that fails half the drift limit is replayed with the check after
-    every step (see the module docstring), so a run aborts at the same step
-    whatever the block length; a non-finite schedule weight raises
-    ``ValueError`` when its block is due.  RK4 computes its stage weights
-    for the whole run before the first step, and refuses a step outside
-    the stability interval of the full H(s), which bounds the sector's,
-    with :class:`EvolutionAborted`; it steps in blocks of
+    full space, the sector of the trivial group; either way the recorded
+    probabilities and the final state are on the full basis, and
+    orbit-mates carry equal amplitudes.  Norm drift and finiteness are
+    checked on the state that is stepped, whose norm is that of the full
+    state.  The run goes a block of steps at a time, with one ``weights``
+    call on the block's step grid (``EvolutionParams.step_grid``, whose end
+    times date every snapshot and abort, the run's last at ``total_time``
+    exactly): a block is ``stack_length(m)`` steps for the midpoint
+    exponential (m the sector dimension), one stacked ``eigh`` and one
+    ``exp`` each, and ``split_block_length(m * r)`` steps of the r Strang
+    runs stepped together.  Their norms are checked at the end of each
+    block, and a block that fails half the drift limit is replayed with the
+    check after every step (see the module docstring), so a run aborts at
+    the same step whatever the block length; a non-finite schedule weight
+    raises ``ValueError`` when its block is due.  RK4 computes its stage
+    weights for the whole run before the first step, and refuses a step
+    outside the stability interval of the full H(s), which bounds the
+    sector's, with :class:`EvolutionAborted`; it steps in blocks of
     ``stack_length(m)`` and checks the norm after every step.
 
     ``Integrator.SPLIT`` picks the propagator (see the module docstring);
@@ -364,7 +364,8 @@ def _aborted(drift: float, t: float, run: EvolutionParams) -> EvolutionAborted:
 
 
 class _Recording:
-    """The snapshots of one run on its ``record_grid``, on the full basis."""
+    """The snapshots of one run on its ``record_grid``: kept in the orbit
+    basis, and expanded onto the full basis in one call by :meth:`trace`."""
 
     def __init__(self, sector: SymmetricSector, params: EvolutionParams):
         n_steps = params.step_count()
@@ -375,7 +376,7 @@ class _Recording:
         self.sector = sector
         self.params = params
         self.times: list[float] = []
-        self.probabilities: list[np.ndarray] = []
+        self.states: list[np.ndarray] = []
         self.norm_errors: list[float] = []
 
     def cuts(self, first: int, stop: int) -> list[int]:
@@ -387,17 +388,17 @@ class _Recording:
     def take(self, t: float, coordinates: np.ndarray) -> None:
         """Record the state at ``t`` from its orbit-basis ``coordinates``; a
         pending problem half phase is diagonal and leaves these exact."""
-        full = self.sector.expand(coordinates)
         self.times.append(t)
-        self.probabilities.append(full.real**2 + full.imag**2)
+        self.states.append(coordinates.copy())
         self.norm_errors.append(abs(float(np.linalg.norm(coordinates)) - 1.0))
 
     def trace(self, family: AdiabaticFamily, coordinates: np.ndarray) -> EvolutionTrace:
         """The trace of the run whose final orbit-basis state is
         ``coordinates``."""
+        full = self.sector.expand(np.array(self.states))
         return EvolutionTrace(
             times=np.array(self.times),
-            probabilities=np.array(self.probabilities),
+            probabilities=full.real**2 + full.imag**2,
             norm_errors=np.array(self.norm_errors),
             final_state=StateVector(family.basis, self.sector.expand(coordinates)),
             params=self.params,
@@ -532,14 +533,9 @@ def _strang_runs(
         for block_first in range(first, count, block):
             block_stop = min(block_first + block, count)
             # one row per active run, one column per step of the block
-            starts, sizes = np.array(
+            starts, sizes, ends = np.array(
                 [run.step_grid(block_first, block_stop) for run in active]
             ).transpose(1, 0, 2)
-            # the time after each step; a run ends at total_time exactly
-            ends = starts + sizes
-            # the first active run is the one that ends with this phase
-            if block_stop == count:
-                ends[0, -1] = total_time
             # as in ``_run``: no midpoint is negative, so the upper clamp
             # alone gives np.clip's bits
             midpoints = np.minimum((starts + 0.5 * sizes) / total_time, 1.0)
@@ -597,7 +593,7 @@ def _run(
     if use_rk4:
         # schedule weights at each step's start, midpoint and end, computed
         # (and checked finite) once, before the first step
-        starts, sizes = params.step_grid(0, n_steps)
+        starts, sizes, _ = params.step_grid(0, n_steps)
         stage_weights = np.stack(
             [
                 family.weights(np.clip(stage / total_time, 0.0, 1.0))
@@ -606,7 +602,14 @@ def _run(
             axis=1,
         )
         _check_rk4_stable(family, params.step, stage_weights)
-        derivative = _derivative_for(sector)
+        initial, problem = sector.initial, sector.problem
+
+        def derivative(weights: list[float], x: np.ndarray) -> np.ndarray:
+            """d(psi)/dt = -i H psi for the schedule weights (w_I, w_P)."""
+            wi, wp = weights
+            problem_part = ((-1j * wp) * problem) * x
+            return (-1j * wi) * matvec(initial, x) + problem_part
+
     block = stack_length(m)
     _debug(
         __name__,
@@ -633,11 +636,7 @@ def _run(
 
     for first in range(0, n_steps, block):
         stop = min(first + block, n_steps)
-        starts, sizes = params.step_grid(first, stop)
-        # the time after each step; the run ends at total_time exactly
-        ends = starts + sizes
-        if stop == n_steps:
-            ends[-1] = total_time
+        starts, sizes, ends = params.step_grid(first, stop)
         if use_rk4:
             # RK4's steps are not unitary: its norm is checked after each
             cuts = set(recording.cuts(first, stop))

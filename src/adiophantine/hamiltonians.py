@@ -411,7 +411,8 @@ class SymmetricSector:
     permutations.  A fixed state psi has coordinates
     c_a = sqrt(|a|) psi_rep(a), and psi_i = c_a / sqrt(|a|) for i in a, so
     orbit-mates keep equal amplitudes.  The trivial group gives the full
-    space, on which ``reduce`` and ``expand`` do nothing.
+    space, whose orbits have size 1: there the same formulas leave every
+    amplitude's value unchanged.
     """
 
     group_order: int
@@ -424,10 +425,6 @@ class SymmetricSector:
     @property
     def dimension(self) -> int:
         return len(self.representatives)
-
-    @property
-    def is_trivial(self) -> bool:
-        return self.group_order == 1
 
     @cached_property
     def start_eigensystem(self) -> tuple[np.ndarray, np.ndarray]:
@@ -445,22 +442,17 @@ class SymmetricSector:
     def holds(self, amplitudes: np.ndarray) -> bool:
         """Whether ``amplitudes`` agree within each orbit, to
         ``STATE_SYMMETRY_TOL``."""
-        if self.is_trivial:
-            return True
         spread = amplitudes - amplitudes[self.representatives][self.orbit]
         return bool(np.abs(spread).max() <= STATE_SYMMETRY_TOL)
 
     def reduce(self, amplitudes: np.ndarray) -> np.ndarray:
         """Orbit-basis coordinates of a state the group fixes (a fresh array)."""
-        if self.is_trivial:
-            return amplitudes.copy()
         return np.sqrt(self.sizes) * amplitudes[self.representatives]
 
     def expand(self, coordinates: np.ndarray) -> np.ndarray:
-        """Full-basis amplitudes of orbit-basis ``coordinates``."""
-        if self.is_trivial:
-            return coordinates
-        return (coordinates / np.sqrt(self.sizes))[self.orbit]
+        """Full-basis amplitudes of orbit-basis ``coordinates``, on their
+        last axis."""
+        return (coordinates / np.sqrt(self.sizes))[..., self.orbit]
 
 
 @dataclass(frozen=True, eq=False)
@@ -550,7 +542,7 @@ def spectral_profile(
     degeneracy = family.ground_degeneracy()
     m = min(dim, max(int(levels), degeneracy + 1))
     sector = family.sector
-    blocks = (sector,) if sector.is_trivial else (sector, family.complement)
+    blocks = (sector,) if sector.group_order == 1 else (sector, family.complement)
     _debug(
         __name__,
         "spectral_profile: basis dimension %d, block dimensions %s, group order %d",

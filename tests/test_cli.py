@@ -8,7 +8,7 @@ from pathlib import Path
 import jsonschema
 import pytest
 
-from adiophantine import hamiltonians
+from adiophantine import decision, hamiltonians
 from adiophantine.cli import (
     EXIT_INCONCLUSIVE,
     EXIT_OK,
@@ -570,6 +570,34 @@ def test_a_basis_over_the_dimension_limit_exits_two_and_writes_nothing(
     err = capsys.readouterr().err
     assert "config error: basis dimension 125 exceeds 100: each dense" in err
     assert "Traceback" not in err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_a_cutoff_over_the_dimension_limit_is_refused_before_the_start_norms(
+    tmp_path, monkeypatch, capsys
+):
+    # _log_norms builds a list of cutoff floats: at 10^21 a regressed guard
+    # would run out of memory, so the stub fails the test instead
+    log_norms = decision._log_norms
+
+    def guarded(alphas, cutoff):
+        if cutoff >= hamiltonians.MAX_DIMENSION:
+            pytest.fail(f"_log_norms was called at cutoff {cutoff}")
+        return log_norms(alphas, cutoff)
+
+    monkeypatch.setattr(decision, "_log_norms", guarded)
+    huge = 10**21
+    message = f"cutoff must be below 8192, got {huge}"
+    with pytest.raises(ValueError, match=message):
+        DecideConfig(cutoff=huge)
+    with pytest.raises(ValueError, match="below 8192, got 8192"):
+        DecideConfig(cutoff=hamiltonians.MAX_DIMENSION)
+    monkeypatch.chdir(tmp_path)
+    for args in (["decide", "--cutoff", str(huge)], ["sweep", "--cutoffs", f"1,{huge}"]):
+        assert main([args[0], "x - 1", *args[1:]]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert f"config error: {message}" in err
+        assert "Traceback" not in err
     assert list(tmp_path.iterdir()) == []
 
 

@@ -7,7 +7,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from adiophantine import evolution
@@ -120,6 +120,14 @@ def _listed_step_grid(total_time, step):
     steps_per_run=st.floats(1.0, 3000.0),
     block=st.integers(1, 500),
 )
+# h = 0.02: a partial last step at T = 10.01, none at T = 10 and T = 40,
+# where the last step's start plus its size is 40.00000000000001
+@example(total_time=10.01, steps_per_run=500.5, block=1)
+@example(total_time=10.01, steps_per_run=500.5, block=7)
+@example(total_time=10.0, steps_per_run=500.0, block=1)
+@example(total_time=10.0, steps_per_run=500.0, block=7)
+@example(total_time=40.0, steps_per_run=2000.0, block=1)
+@example(total_time=40.0, steps_per_run=2000.0, block=7)
 def test_step_grid_blocks_are_bitwise_the_listed_grid(
     total_time, steps_per_run, block
 ):
@@ -130,15 +138,21 @@ def test_step_grid_blocks_are_bitwise_the_listed_grid(
     n = params.step_count()
     for first in range(0, n, block):
         stop = min(first + block, n)
-        block_starts, block_sizes = params.step_grid(first, stop)
+        block_starts, block_sizes, block_ends = params.step_grid(first, stop)
         assert block_starts.tolist() == starts[first:stop]
         assert block_sizes.tolist() == sizes[first:stop]
+        # every step ends at its start plus its size but the run's last,
+        # which ends at total_time exactly
+        ends = [t + h for t, h in zip(starts[first:stop], sizes[first:stop])]
+        if stop == n:
+            ends[-1] = params.total_time
+        assert block_ends.tolist() == ends
 
 
 @pytest.mark.parametrize("total_time, step", [(1.0, 0.3), (40.01, 0.02), (0.5, 0.5)])
 def test_step_grid_keeps_the_partial_final_step(total_time, step):
     params = EvolutionParams(total_time, step)
-    starts, sizes = params.step_grid(0, params.step_count())
+    starts, sizes, _ = params.step_grid(0, params.step_count())
     assert (starts.tolist(), sizes.tolist()) == _listed_step_grid(total_time, step)
     assert starts[-1] + sizes[-1] == pytest.approx(total_time, abs=1e-12)
 

@@ -11,6 +11,9 @@ import pytest
 import adiophantine
 from adiophantine.decision import DecideConfig, Verdict, decide
 from adiophantine.diophantine import min_over_box, parse_equation, substitute_shift
+from adiophantine.evolution import SPLIT_MIN_DIMENSION
+from adiophantine.fock import FockBasis
+from adiophantine.hamiltonians import AdiabaticFamily
 
 SUBMODULES = sorted(m.name for m in pkgutil.iter_modules(adiophantine.__path__))
 BENCH = Path(__file__).resolve().parents[1] / "bench"
@@ -150,6 +153,24 @@ def test_decide_on_the_bench_equations_agrees_with_the_box_oracle(text, cutoff):
     if report.verdict is not Verdict.INCONCLUSIVE:
         oracle = min_over_box(substitute_shift(p, config.semantics), cutoff)
         assert report.class_value == oracle.value
+
+
+@pytest.mark.filterwarnings("ignore::adiophantine.fock.TruncationWarning")
+def test_the_split_bar_has_a_bench_workload_on_each_side():
+    # split runs from sector dimension SPLIT_MIN_DIMENSION on, the midpoint
+    # exponential below it: the benchmark times each side of that fork,
+    # decide-1mode the smaller sectors and decide-dense the larger
+    def sector_dimension(text, cutoff):
+        config = DecideConfig(cutoff=cutoff)
+        p = substitute_shift(parse_equation(text), config.semantics)
+        basis = FockBasis(p.num_vars, cutoff)
+        family, start = AdiabaticFamily.from_polynomial(p, basis, config.alphas)
+        return family.sector_for(start).dimension
+
+    small = {sector_dimension(*equation) for equation in CORPUS.DECIDE_1MODE}
+    large = {sector_dimension(*equation) for equation in CORPUS.DECIDE_DENSE}
+    assert max(small) < SPLIT_MIN_DIMENSION <= min(large)
+    assert (small, large) == ({9}, {21, 35, 45, 75})
 
 
 def test_bench_traced_spectral_op(bench):

@@ -453,6 +453,23 @@ def test_state_outside_the_sector_uses_the_full_space():
     assert family.full_space.dimension == family.dimension
 
 
+def test_full_space_keeps_every_amplitude_bit_for_bit():
+    # orbits of size 1: the orbit formulas multiply and divide by sqrt(1) = 1
+    family, _ = _family("x - 3", 8)
+    space = family.full_space
+    assert space.group_order == 1
+    rng = np.random.default_rng(7)
+    amplitudes = rng.normal(size=family.dimension) + 1j * rng.normal(
+        size=family.dimension
+    )
+    amplitudes /= np.linalg.norm(amplitudes)
+    assert space.holds(amplitudes)
+    coordinates = space.reduce(amplitudes)
+    assert not np.shares_memory(coordinates, amplitudes)
+    assert coordinates.tobytes() == amplitudes.tobytes()
+    assert space.expand(coordinates).tobytes() == coordinates.tobytes()
+
+
 # -- spectra ---------------------------------------------------------------------
 
 
@@ -530,7 +547,7 @@ def test_block_spectrum_is_the_dense_spectrum(text, cutoff, alphas, group_order)
 
     sector = family.sector
     assert sector.group_order == group_order
-    if sector.is_trivial:
+    if sector.group_order == 1:
         # the full space is the only block, solved as one dense eigensolve
         assert np.array_equal(profile.energies, energies)
         return
