@@ -280,10 +280,19 @@ def cmd_spectrum(settings: dict) -> int:
 
 
 def _evolution_params(settings: dict) -> tuple[DecideConfig, EvolutionParams]:
-    """The run settings and one run of --T (default --T0)."""
-    config = _run_config(settings)
+    """The run settings and one run of --T (default --T0).  evolve and
+    sample never run the settings' decide rungs: when the longest one is
+    refused and so is the run, the run's own refusal is reported, so that a
+    step count that overflows on both names the run's time."""
+    total_time = settings.get("total_time", settings.get("t0", DecideConfig.t0))
+    try:
+        config = _run_config(settings)
+    except ConfigError:
+        if 0 < total_time < np.inf:  # the run as the settings' one rung
+            _run_config({**settings, "t0": total_time, "j_max": 0})
+        raise
     with _config_errors():
-        return config, config.rung(settings.get("total_time", config.t0))
+        return config, config.rung(total_time)
 
 
 def cmd_evolve(settings: dict) -> int:

@@ -38,7 +38,7 @@ midpoint exponential:
   midpoint exponential at h.  The two runs are stepped in one loop, as the
   two columns of one (m, 2) complex state: iteration i applies step i of
   both with the four calls one run's step makes.  After the h run's last
-  step its column gets its closing half phase and leaves, and the h/2 run
+  step its column leaves, to get its closing half phase, and the h/2 run
   goes on alone, so N steps of h cost 2N iterations rather than 3N.  On the
   decision rungs of the 21 bench equations and of ``x + y - 20`` and
   ``x^2 + y^2 - 25`` at cutoff 8, the accepted checks disagreed by at most
@@ -55,23 +55,29 @@ H(s) is real symmetric, so its eigensolves run in real arithmetic.  The
 state stays complex, in one buffer that a step updates in place: a real
 matrix multiplies it through its (m, 2) real view (as ``fock.matvec``
 does), because numpy would otherwise cast the whole matrix to complex on
-every product.  A run's norm check is one dot product of its 2m floats
-(a Strang run's copied out of the two-column state while both step).
-RK4 checks the norm after every step.  Midpoint and Strang steps
-are unitary up to rounding, so their loops apply a block's steps with no
-check and check each run's norm at the block's end: a norm that is
-non-finite or off 1 by more than half the drift limit sends the block to
-a replay from a copy of its start, one step at a time with the check
-after every step.  A NaN or infinite amplitude survives every phase
-multiply and matrix product of a step, and a run's norm moves far less
-than half the limit within a block, so the replay stops every step the
-per-step check stops, with the same error at the same time, whatever the
-block length.  Schedules follow the array contract of
-``hamiltonians.Schedule``.
-Step grids are built per block from the step index
-(``EvolutionParams.step_grid``), never for a whole run; a grid gives each
-step's end time, the run's last being ``total_time`` exactly, so every
-loop records and aborts at the same times.
+every product.
+
+Every integrator runs through one block driver, ``_propagate``: it holds
+the runs as the columns of one (m, r) state, builds each block's step
+grid and midpoints, records the snapshots and checks the norms, and an
+integrator supplies only the preparation of a block's steps.  A run's
+norm check is one dot product of its 2m floats (a Strang run's copied out
+of the two-column state while both step).  The driver applies a block's
+steps with no check and checks each run's norm at the block's end: a norm
+that is non-finite or off 1 by more than half the drift limit sends the
+block to a replay from a copy of its start, one step at a time with the
+check after every step.  A NaN or infinite amplitude survives every later
+step, and no run's drift comes back under half the limit after passing
+the limit within a block: midpoint and Strang steps are unitary up to
+rounding, so their norms move far less than half the limit within a
+block, and RK4's step is held to its stability interval, where |R(ix)|
+<= 1 for each frozen H(s), so its drift only grows.  The replay thus stops
+every step a per-step check stops, with the same error at the same time,
+whatever the block length.  Schedules follow the array contract of
+``hamiltonians.Schedule``.  Step grids are built per block from the step
+index (``EvolutionParams.step_grid``), never for a whole run; a grid gives
+each step's end time, the run's last being ``total_time`` exactly, so
+every run records and aborts at the same times.
 
 All integrators run in the family's symmetric sector when the start state
 lies in it: the mode permutations that fix the problem diagonal and the
@@ -159,7 +165,9 @@ class EvolutionParams:
     ``total_time / step`` full steps are taken (rounded down, with a
     floating slack of one part in 1e9) and any remainder is covered by one
     exact final partial step, so the run ends at ``total_time`` exactly.
-    A non-finite ``total_time`` or step count is refused.
+    A non-finite ``total_time`` is refused, and so is a step count
+    ``total_time / step`` of 2^63 or more: a float below 2^63 is at most
+    2^63 - 1024, so the full steps and a partial one index in int64.
     """
 
     total_time: float
@@ -174,7 +182,7 @@ class EvolutionParams:
             raise ValueError("step must be positive")
         if self.step > self.total_time * (1 + 1e-12):
             raise ValueError("step must not exceed total_time")
-        if self.total_time / self.step == math.inf:
+        if not self.total_time / self.step < 2.0**63:
             raise ValueError(f"step count {self.total_time} / {self.step} overflows")
         if self.record_grid < 2:
             raise ValueError("record_grid must be at least 2")
@@ -308,7 +316,7 @@ def evolve(
     weights for the whole run before the first step, and refuses a step
     outside the stability interval of the full H(s), which bounds the
     sector's, with :class:`EvolutionAborted`; it steps in blocks of
-    ``stack_length(m)`` and checks the norm after every step.
+    ``stack_length(m)``, checked and replayed as the others'.
 
     ``Integrator.SPLIT`` picks the propagator (see the module docstring);
     the returned trace's ``params`` are those of the run that made it, so
@@ -419,53 +427,97 @@ def _first_off(pairs: np.ndarray, limit: float) -> tuple[int, float] | None:
     return None
 
 
-def _checked_block(
-    advance: Callable[[int, int], None],
-    columns: np.ndarray,
-    first: int,
-    ends: list[list[float]],
+def _propagate(
+    family: AdiabaticFamily,
+    init: StateVector,
+    sector: SymmetricSector,
     runs: Sequence[EvolutionParams],
-    recording: _Recording,
-) -> None:
-    """Take the block of steps ``first`` to ``first + n - 1`` (n =
-    ``len(ends[0])``) of ``runs``, held as the columns of the contiguous
-    (m, r) complex ``columns``, through ``advance(lo, hi)``, which applies
-    the block's steps lo to hi - 1 in place; run r is at time ``ends[r][i]``
-    after the block's step i.  The last run is recorded on ``recording``'s
-    grid, the block being cut at its snapshots.
+    block_length: Callable[[int], int],
+    prepare: Callable[[np.ndarray, int, np.ndarray, np.ndarray], Callable],
+) -> tuple[_Recording, list[np.ndarray]]:
+    """Step ``runs``, of one total time and of step counts in increasing
+    order, from ``init`` in ``sector``, which holds it; returns the last
+    run's recording and each run's final orbit-basis state.
 
-    The runs' steps are unitary up to rounding, so their norms are checked
-    at the end of the block only.  A norm that is non-finite or off 1 by
-    more than ``NORM_DRIFT_LIMIT / 2`` sends the block to a replay from its
-    start, one step at a time with the check after every step: a step whose
-    norm leaves the drift limit raises :class:`EvolutionAborted` naming the
-    run's step (and the run, for a Strang run) and the time after the step.
-    The replay is logged at DEBUG level.
+    The runs are the columns of one contiguous (m, r) complex state, stepped
+    together a block of ``block_length(r)`` steps at a time, r the number of
+    runs still stepping; a run's column leaves once its run has taken its
+    last step.  Per block, ``prepare(columns, first, sizes, midpoints)``
+    gets the state, the block's first step index, and the (r, n) step sizes
+    and schedule points s = t / T of the step midpoints, clamped to [0, 1];
+    it returns ``advance(lo, hi)``, which applies the block's steps lo to
+    hi - 1 to ``columns`` in place.  The last run is recorded on its
+    ``record_grid``, a block being cut at its snapshots.
+
+    The runs' norms are checked at the end of each block only.  A norm that
+    is non-finite or off 1 by more than ``NORM_DRIFT_LIMIT / 2`` sends the
+    block to a replay from its start, one step at a time with the check
+    after every step: a step whose norm leaves the drift limit raises
+    :class:`EvolutionAborted` naming the run's step (and the run, for a
+    Strang run) and the time after the step.  The replay is logged at DEBUG
+    level, as is the run's shape.
     """
-    pairs = columns.view(np.float64)
-    start = columns.copy()
-    stop = first + len(ends[0])
-    taken = first
-    for cut in recording.cuts(first, stop):
-        advance(taken - first, cut - first)
-        recording.take(ends[-1][cut - first - 1], columns[:, -1])
-        taken = cut
-    advance(taken - first, stop - first)
-    flagged = _first_off(pairs, NORM_DRIFT_LIMIT / 2)
-    if flagged is None:
-        return
-    # a step may have left the drift limit: replay the block from its start
-    columns[...] = start
-    for i in range(stop - first):
-        advance(i, i + 1)
-        if (failed := _first_off(pairs, NORM_DRIFT_LIMIT)) is not None:
-            break
-    r, drift = flagged if failed is None else failed
-    replay = f"run at step {runs[r].step} replayed steps {first} to {stop - 1}"
-    outcome = f"step {first + i} fails it" if failed else "no step fails the check"
-    _debug(__name__, "evolve: %s one at a time; %s", replay, outcome)
-    if failed is not None:
-        raise _aborted(drift, ends[r][i], runs[r])
+    message = (
+        "evolve: basis dimension %d, sector dimension %d, group order %d, "
+        "block length %d"
+    )
+    details = [family.dimension, sector.dimension, sector.group_order]
+    details.append(block_length(len(runs)))
+    if len(runs) > 1:
+        message += "; Strang runs at steps %r and %r stepped together, then the"
+        message += " second alone in blocks of %d"
+        details += [runs[0].step, runs[1].step, block_length(1)]
+    _debug(__name__, message, *details)
+
+    recording = _Recording(sector, runs[-1])
+    coordinates = sector.reduce(init.amplitudes)
+    recording.take(0.0, coordinates)
+    columns = np.repeat(coordinates[:, None], len(runs), axis=1)
+    # the active runs resume at step ``resume``: the last one taken by the
+    # run that left
+    finals, resume = [], 0
+    for done, count in enumerate([run.step_count() for run in runs]):
+        active = runs[done:]
+        pairs = columns.view(np.float64)
+        block = block_length(len(active))
+        for first in range(resume, count, block):
+            stop = min(first + block, count)
+            # one row per active run, one column per step of the block
+            starts, sizes, ends = np.array(
+                [run.step_grid(first, stop) for run in active]
+            ).transpose(1, 0, 2)
+            # no midpoint is negative, so the upper clamp alone gives the
+            # bits of np.clip and costs a third of it, once per block
+            midpoints = np.minimum((starts + 0.5 * sizes) / runs[0].total_time, 1.0)
+            advance = prepare(columns, first, sizes, midpoints)
+            ends, start, taken = ends.tolist(), columns.copy(), first
+            for cut in recording.cuts(first, stop):
+                advance(taken - first, cut - first)
+                recording.take(ends[-1][cut - first - 1], columns[:, -1])
+                taken = cut
+            advance(taken - first, stop - first)
+            if (flagged := _first_off(pairs, NORM_DRIFT_LIMIT / 2)) is None:
+                continue
+            # a step may have left the drift limit: replay the block from its start
+            columns[...] = start
+            for i in range(stop - first):
+                advance(i, i + 1)
+                if (failed := _first_off(pairs, NORM_DRIFT_LIMIT)) is not None:
+                    break
+            r, drift = flagged if failed is None else failed
+            _debug(
+                __name__,
+                "evolve: run at step %s replayed steps %d to %d one at a time; %s",
+                active[r].step,
+                first,
+                stop - 1,
+                f"step {first + i} fails it" if failed else "no step fails the check",
+            )
+            if failed is not None:
+                raise _aborted(drift, ends[r][i], active[r])
+        finals.append(columns[:, 0])
+        columns, resume = columns[:, 1:].copy(), count
+    return recording, finals
 
 
 def _strang_runs(
@@ -479,98 +531,66 @@ def _strang_runs(
     largest difference between the runs' final probabilities of a class of
     equal problem value.
 
-    The runs are stepped together, as the columns of one (m, 2) complex
-    state: iteration i applies step i of each run with one problem phase
-    multiply, one product with W^T, one start phase multiply and one
-    product with W.  After the h run's last step its column gets its
-    closing half phase and is set aside, and the h/2 run goes on alone,
-    recording on its grid throughout.  The norms are checked per block
-    (``_checked_block``); a run whose norm leaves the drift limit raises
-    :class:`EvolutionAborted` naming its run's step and the time.
+    The runs are stepped together (``_propagate``): iteration i applies step
+    i of each run with one problem phase multiply, one product with W^T, one
+    start phase multiply and one product with W.  After the h run's last
+    step its column is set aside, and the h/2 run goes on alone; each final
+    state then gets its closing half phase.
     """
     runs = [params, replace(params, step=params.step / 2)]
-    counts = [run.step_count() for run in runs]
-    total_time = params.total_time
     m = sector.dimension
     start_energies, start_vectors = sector.start_eigensystem
     transposed = start_vectors.T
     values, classes = sector.problem_classes
     gather = np.concatenate([classes, len(values) + np.arange(m)])
-    recording = _Recording(sector, runs[-1])
-    _debug(
-        __name__,
-        "evolve: basis dimension %d, sector dimension %d, group order %d, "
-        "block length %d; Strang runs at steps %r and %r stepped together, "
-        "then the second alone in blocks of %d",
-        family.dimension,
-        m,
-        sector.group_order,
-        split_block_length(2 * m),
-        runs[0].step,
-        runs[1].step,
-        split_block_length(m),
-    )
-
-    coordinates = sector.reduce(init.amplitudes)
-    recording.take(0.0, coordinates)
-    # column r is run r; a column leaves once its run has taken its last step
-    columns = np.repeat(coordinates[:, None], len(runs), axis=1)
     # the problem half phase that closes each run's last step taken, as the
     # angle w_P h / 2: it is merged into the run's next opening half phase,
     # and its final state gets it after its last step
     pending = np.zeros(len(runs))
-    finals = []
-    first = 0
-    for done, count in enumerate(counts):
-        active = runs[done:]
-        block = split_block_length(m * len(active))
+
+    def prepare(columns, first, sizes, midpoints):
+        # the pending half phases of the runs still stepping, the last ones
+        closing = pending[len(runs) - len(sizes) :]
+        weights = family.weights(midpoints.ravel()).reshape(*sizes.shape, 2)
+        half = (0.5 * sizes) * weights[..., 1]
+        opening = half + np.column_stack([closing, half[:, :-1]])
+        closing[:] = half[:, -1]
+        # the opening problem phases, once per distinct problem value (equal
+        # values give equal angles, bit for bit), and the start phases,
+        # through one cos and one sin call; one gather puts them onto the
+        # orbits and into the (m, r) layout of ``columns``, problem phases
+        # in rows :m and start phases in rows m:
+        angles = np.concatenate(
+            [
+                -opening[..., None] * values,
+                (-sizes * weights[..., 0])[..., None] * start_energies,
+            ],
+            axis=-1,
+        )
+        stacked = _unit_phases(angles).transpose(1, 2, 0).take(gather, axis=1)
         # ``columns`` is stepped in place: a real matrix multiplies it
         # through its real view ``pairs``, one (re, im) column pair per run;
         # ``rotated`` holds it in the eigenbasis of the start operator
         pairs = columns.view(np.float64)
         rotated = np.empty_like(pairs)
         rotated_columns = rotated.view(np.complex128)
-        for block_first in range(first, count, block):
-            block_stop = min(block_first + block, count)
-            # one row per active run, one column per step of the block
-            starts, sizes, ends = np.array(
-                [run.step_grid(block_first, block_stop) for run in active]
-            ).transpose(1, 0, 2)
-            # as in ``_run``: no midpoint is negative, so the upper clamp
-            # alone gives np.clip's bits
-            midpoints = np.minimum((starts + 0.5 * sizes) / total_time, 1.0)
-            weights = family.weights(midpoints.ravel()).reshape(*sizes.shape, 2)
-            half = (0.5 * sizes) * weights[..., 1]
-            opening = half + np.column_stack([pending, half[:, :-1]])
-            pending = half[:, -1]
-            # the opening problem phases, once per distinct problem value
-            # (equal values give equal angles, bit for bit), and the start
-            # phases, through one cos and one sin call; one gather puts them
-            # onto the orbits and into the (m, r) layout of ``columns``,
-            # problem phases in rows :m and start phases in rows m:
-            angles = np.concatenate(
-                [
-                    -opening[..., None] * values,
-                    (-sizes * weights[..., 0])[..., None] * start_energies,
-                ],
-                axis=-1,
-            )
-            stacked = _unit_phases(angles).transpose(1, 2, 0).take(gather, axis=1)
 
-            def advance(lo: int, hi: int) -> None:
-                for diagonal, phase in zip(stacked[lo:hi, :m], stacked[lo:hi, m:]):
-                    np.multiply(diagonal, columns, columns)
-                    transposed.dot(pairs, out=rotated)
-                    np.multiply(phase, rotated_columns, rotated_columns)
-                    start_vectors.dot(rotated, out=pairs)
+        def advance(lo: int, hi: int) -> None:
+            for diagonal, phase in zip(stacked[lo:hi, :m], stacked[lo:hi, m:]):
+                np.multiply(diagonal, columns, columns)
+                transposed.dot(pairs, out=rotated)
+                np.multiply(phase, rotated_columns, rotated_columns)
+                start_vectors.dot(rotated, out=pairs)
 
-            _checked_block(advance, columns, block_first, ends.tolist(), active, recording)
-        closing = _unit_phases(-pending[0] * values).take(classes)
-        finals.append(columns[:, 0] * closing)
-        columns, pending, first = columns[:, 1:].copy(), pending[1:], count
+        return advance
 
+    recording, finals = _propagate(
+        family, init, sector, runs, lambda r: split_block_length(m * r), prepare
+    )
     class_probabilities = []
-    for final in finals:
+    for i, angle in enumerate(pending):
+        # each run's final state gets its closing problem half phase
+        finals[i] = final = finals[i] * _unit_phases(-angle * values).take(classes)
         raw = final.real**2 + final.imag**2
         class_probabilities.append(np.bincount(classes, weights=raw) / raw.sum())
     coarse, fine = class_probabilities
@@ -584,19 +604,16 @@ def _run(
     params: EvolutionParams,
 ) -> EvolutionTrace:
     """One fixed-step run of RK4 or the midpoint exponential in ``sector``,
-    which holds ``init``."""
-    n_steps = params.step_count()
-    total_time = params.total_time
-    recording = _Recording(sector, params)
-    use_rk4 = params.integrator is Integrator.RK4
+    which holds ``init``, stepped by ``_propagate`` in blocks of
+    ``stack_length(m)`` steps."""
     m = sector.dimension
-    if use_rk4:
+    if params.integrator is Integrator.RK4:
         # schedule weights at each step's start, midpoint and end, computed
         # (and checked finite) once, before the first step
-        starts, sizes, _ = params.step_grid(0, n_steps)
+        starts, sizes, _ = params.step_grid(0, params.step_count())
         stage_weights = np.stack(
             [
-                family.weights(np.clip(stage / total_time, 0.0, 1.0))
+                family.weights(np.clip(stage / params.total_time, 0.0, 1.0))
                 for stage in (starts, starts + 0.5 * sizes, starts + sizes)
             ],
             axis=1,
@@ -610,67 +627,42 @@ def _run(
             problem_part = ((-1j * wp) * problem) * x
             return (-1j * wi) * matvec(initial, x) + problem_part
 
-    block = stack_length(m)
-    _debug(
-        __name__,
-        "evolve: basis dimension %d, sector dimension %d, group order %d, "
-        "block length %d",
-        family.dimension,
-        m,
-        sector.group_order,
-        block,
+        def prepare(columns, first, sizes, midpoints):
+            psi = columns[:, 0]
+
+            def advance(lo: int, hi: int) -> None:
+                for j in range(lo, hi):
+                    h = float(sizes[0, j])
+                    w0, wm, w1 = stage_weights[first + j].tolist()
+                    k1 = derivative(w0, psi)
+                    k2 = derivative(wm, psi + (0.5 * h) * k1)
+                    k3 = derivative(wm, psi + (0.5 * h) * k2)
+                    k4 = derivative(w1, psi + h * k3)
+                    psi[:] = psi + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+            return advance
+
+    else:
+        # ``rotated`` holds the state in the eigenbasis of one step's H(s_mid)
+        rotated = np.empty((m, 2))
+        rotated_psi = rotated.view(np.complex128).reshape(m)
+
+        def prepare(columns, first, sizes, midpoints):
+            pairs = columns.view(np.float64)
+            weights = family.weights(midpoints[0])
+            # the stack of H(s) is not kept past its eigensolve
+            energies, vectors = np.linalg.eigh(family.path_arrays(weights, sector))
+            phases = np.exp((-1j * sizes[0])[:, None] * energies)
+
+            def advance(lo: int, hi: int) -> None:
+                for phase, vector in zip(phases[lo:hi], vectors[lo:hi]):
+                    vector.T.dot(pairs, out=rotated)
+                    np.multiply(phase, rotated_psi, rotated_psi)
+                    vector.dot(rotated, out=pairs)
+
+            return advance
+
+    recording, (final,) = _propagate(
+        family, init, sector, [params], lambda r: stack_length(m), prepare
     )
-
-    # The state is one buffer of 2m floats, ``state``, stepped in place:
-    # ``psi`` is its complex view, ``columns`` the same as one (m, 1) column
-    # and ``pairs`` its (m, 2) real view, which a real matrix multiplies in
-    # real arithmetic (as ``fock.matvec`` does).  ``rotated`` holds the
-    # state in the eigenbasis of one step's H(s_mid).
-    columns = sector.reduce(init.amplitudes).reshape(m, 1)
-    psi = columns[:, 0]
-    pairs = columns.view(np.float64)
-    state = pairs.reshape(-1)
-    rotated = np.empty((m, 2))
-    rotated_psi = rotated.view(np.complex128).reshape(m)
-    recording.take(0.0, psi)
-
-    for first in range(0, n_steps, block):
-        stop = min(first + block, n_steps)
-        starts, sizes, ends = params.step_grid(first, stop)
-        if use_rk4:
-            # RK4's steps are not unitary: its norm is checked after each
-            cuts = set(recording.cuts(first, stop))
-            for j, end in zip(range(first, stop), ends.tolist()):
-                h = float(sizes[j - first])
-                w0, wm, w1 = stage_weights[j].tolist()
-                k1 = derivative(w0, psi)
-                k2 = derivative(wm, psi + (0.5 * h) * k1)
-                k3 = derivative(wm, psi + (0.5 * h) * k2)
-                k4 = derivative(w1, psi + h * k3)
-                psi[:] = psi + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-                # the norm from the dot product of the 2m floats with themselves
-                drift = abs(math.sqrt(state.dot(state)) - 1.0)
-                if not drift <= NORM_DRIFT_LIMIT:
-                    raise _aborted(drift, end, params)
-                if j + 1 in cuts:
-                    recording.take(end, psi)
-            continue
-        midpoints = (starts + 0.5 * sizes) / total_time
-        # s = t / T clamped to [0, 1], as for the RK4 stages; no start is
-        # negative, so the upper clamp alone gives the same bits and costs
-        # a third of np.clip, once per block
-        weights = family.weights(np.minimum(midpoints, 1.0))
-        # the stack of H(s) is not kept past its eigensolve
-        energies, vectors = np.linalg.eigh(family.path_arrays(weights, sector))
-        phases = np.exp((-1j * sizes)[:, None] * energies)
-
-        def advance(lo: int, hi: int) -> None:
-            for phase, vector in zip(phases[lo:hi], vectors[lo:hi]):
-                vector.T.dot(pairs, out=rotated)
-                np.multiply(phase, rotated_psi, rotated_psi)
-                vector.dot(rotated, out=pairs)
-
-        _checked_block(advance, columns, first, [ends.tolist()], [params], recording)
-
-    return recording.trace(family, psi)
-
+    return recording.trace(family, final)

@@ -541,6 +541,15 @@ def spectral_profile(
     dim = family.dimension
     degeneracy = family.ground_degeneracy()
     m = min(dim, max(int(levels), degeneracy + 1))
+    if grid_size * m > MAX_DIMENSION**2:
+        # refused before anything is allocated; Decimal sizes any grid, as
+        # in ``check_dimension``
+        from decimal import Decimal
+
+        raise ValueError(
+            f"grid_size {grid_size} at {m} levels exceeds {MAX_DIMENSION}**2 floats: "
+            f"the level array would need {Decimal(8 * grid_size * m) / 10**9:.3g} GB"
+        )
     sector = family.sector
     blocks = (sector,) if sector.group_order == 1 else (sector, family.complement)
     _debug(

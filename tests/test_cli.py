@@ -2,6 +2,7 @@ import argparse
 import json
 import re
 import shlex
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -490,6 +491,48 @@ def test_out_of_range_settings_exit_two_and_write_nothing(
     err = capsys.readouterr().err
     assert f"config error: {message}" in err
     assert "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "command, flags, run_time",
+    [
+        # the one run, at T = T0
+        ("evolve", ["--cutoff", "4"], "10.0"),
+        ("sample", ["--cutoff", "4"], "10.0"),
+        # the longest rung, T0 * 2^6
+        ("decide", ["--cutoff", "4"], "640.0"),
+        ("sweep", ["--cutoffs", "3,4"], "640.0"),
+    ],
+)
+def test_step_count_past_int64_exits_two_and_writes_nothing(
+    tmp_path, capsys, command, flags, run_time
+):
+    # 1e201 steps is finite, but does not fit int64: refused before any
+    # run starts
+    out = tmp_path / "out"
+    args = [command, "x - 1", *flags, "--step", "1e-200", "--out", str(out)]
+    assert main(args) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert f"config error: step count {run_time} / 1e-200 overflows" in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+def test_huge_spectrum_grid_is_refused_before_it_allocates(tmp_path, capsys):
+    out = tmp_path / "out"
+    args = ["spectrum", "x - 1", "--grid", "1000000000", "--out", str(out)]
+    tracemalloc.start()
+    try:
+        code = main(args)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert "config error: grid_size 1000000000 at 6 levels" in err
+    assert "48 GB" in err
+    assert peak < 2**20
     assert not out.exists()
 
 

@@ -85,6 +85,21 @@ def test_params_validation():
         EvolutionParams(1e308, 1e-10)
 
 
+def test_step_count_must_fit_int64():
+    # 6.4e202 steps is finite, but no step index of it fits int64
+    with pytest.raises(ValueError, match=r"count 640\.0 / 1e-200 overflows"):
+        EvolutionParams(640.0, 1e-200)
+    with pytest.raises(ValueError, match=r"count 9\.223372036854776e\+18 / 1\.0 overflows"):
+        EvolutionParams(2.0**63, 1.0)
+    # never evolved: only step counts and the grid of the last steps are built
+    assert EvolutionParams(2.0**62, 1.0).step_count() == 2**62
+    # the largest float below 2^63 is 2^63 - 1024 steps, all full
+    largest = EvolutionParams(float(np.nextafter(2.0**63, 0.0)), 1.0)
+    assert largest.step_count() == 2**63 - 1024
+    starts, sizes, ends = largest.step_grid(2**63 - 1026, 2**63 - 1024)
+    assert ends[-1] == largest.total_time
+
+
 def test_partial_final_step_lands_exactly_on_total_time():
     family, basis = _diagonal_family([0, 1, 2])
     init = StateVector(basis, np.ones(3) / np.sqrt(3))
@@ -226,6 +241,49 @@ def test_rk4_norm_drift_aborts_with_advisory():
     init = StateVector(basis, np.array([1.0, 1.0]) / np.sqrt(2))
     with pytest.raises(EvolutionAborted, match="smaller step"):
         evolve(family, init, EvolutionParams(10.0, 0.1, integrator=RK4))
+
+
+def _stepwise_rk4_abort(family, init, params):
+    """The abort of a one-step-at-a-time RK4 run in the arithmetic of
+    ``_stagewise_rk4``, with the norm checked after every step as one dot
+    product of the state's floats; None if no step leaves the drift limit."""
+    sector = family.sector_for(init)
+    psi = sector.reduce(init.amplitudes)
+    starts, sizes, ends = params.step_grid(0, params.step_count())
+
+    def derivative(t, psi):
+        wi, wp = family.weights(min(max(t / params.total_time, 0.0), 1.0))
+        problem_part = ((-1j * wp) * sector.problem) * psi
+        return (-1j * wi) * matvec(sector.initial, psi) + problem_part
+
+    for t, h, end in zip(starts.tolist(), sizes.tolist(), ends.tolist()):
+        k1 = derivative(t, psi)
+        k2 = derivative(t + 0.5 * h, psi + (0.5 * h) * k1)
+        k3 = derivative(t + 0.5 * h, psi + (0.5 * h) * k2)
+        k4 = derivative(t + h, psi + h * k3)
+        psi = psi + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        floats = psi.view(np.float64)
+        drift = abs(math.sqrt(floats.dot(floats)) - 1.0)
+        if not drift <= evolution.NORM_DRIFT_LIMIT:
+            return f"norm drift {drift:.3e} at t={end} exceeds"
+    return None
+
+
+@pytest.mark.parametrize("length", [None, 1, 7])
+def test_rk4_abort_is_the_stepwise_one_at_any_block_length(monkeypatch, length):
+    # h * 50 = 0.5 is inside RK4's stability interval, where |R(ix)| < 1:
+    # the norm only falls, and passes the drift limit at t = 0.2, inside
+    # the third block of 7 steps, inside the one block of the default length
+    family, basis = _diagonal_family([0, 50])
+    init = StateVector(basis, np.array([1.0, 1.0]) / np.sqrt(2))
+    params = EvolutionParams(10.0, 0.01, integrator=RK4)
+    if length is not None:
+        monkeypatch.setattr(evolution, "stack_length", lambda dimension: length)
+    expected = _stepwise_rk4_abort(family, init, params)
+    assert expected == "norm drift 1.050e-03 at t=0.2 exceeds"
+    with pytest.raises(EvolutionAborted) as aborted:
+        evolve(family, init, params)
+    assert str(aborted.value).startswith(expected + " 0.001; retry with a smaller step")
 
 
 def test_rk4_unstable_step_refused_before_the_run(monkeypatch):
@@ -759,8 +817,9 @@ def test_shared_loop_steps_the_two_stepwise_strang_runs(caplog, case, record_gri
         (("x*y*z - 8", 4), EvolutionParams(10.01, 0.02, integrator=SPLIT)),
         (("x^2 + y^2 - 25", 5), EvolutionParams(10.01, 0.02, integrator=SPLIT)),
         (("x - 20", 8), EvolutionParams(40.01, 0.02)),
+        (("x + y - 5", 8), EvolutionParams(2.01, 0.005, integrator=RK4)),
     ],
-    ids=["split-xyz-8@4", "split-x2+y2-25@5", "midexp-x-20@8"],
+    ids=["split-xyz-8@4", "split-x2+y2-25@5", "midexp-x-20@8", "rk4-x+y-5@8"],
 )
 def test_block_length_moves_no_bit(monkeypatch, case, params, length, record_grid):
     # one step per block is a check after every step; 7 puts snapshots on

@@ -654,6 +654,17 @@ def test_profile_settings_are_refused(setting, message):
         spectral_profile(family, grid_size=3, **setting)
 
 
+def test_profile_grid_past_the_largest_dense_array_is_refused():
+    # 6 levels of 1e9 points would be 48 GB; 8192^2 floats is the largest
+    # dense array the program accepts
+    family, _ = _family("x - 1", 8)
+    with pytest.raises(ValueError, match=r"grid_size 1000000000 at 6 levels .* 48 GB"):
+        spectral_profile(family, grid_size=10**9)
+    limit = hamiltonians.MAX_DIMENSION**2 // 6
+    with pytest.raises(ValueError, match=f"grid_size {limit + 1} at 6 levels"):
+        spectral_profile(family, grid_size=limit + 1)
+
+
 def test_family_ground_class():
     family, _ = _family("2*x - 3", 4)
     assert family.ground_class_indices() == (1, 2)

@@ -3,16 +3,18 @@
 The families are the ``decide`` runs of the 21 benchmark equations
 (``bench/corpus.py``: ``DECIDE_1MODE`` and ``DECIDE_DENSE``) under the split
 integrator and under the midpoint exponential, the ``spectrum`` runs of
-the 13 certify equations (``SPECTRAL`` at ``GRID_SIZE`` points), and the
-README's command block.  Each family runs through ``cli.main`` in a
-temporary directory, and its digest covers every file it writes, its
-standard output and its exit codes.  The timings are dropped: every
-``sidecar`` field of a JSON file.  Two source trees that print the same
-digests give byte-identical outputs on these inputs.
+the 13 certify equations (``SPECTRAL`` at ``GRID_SIZE`` points), the
+``evolve`` runs of ``EVOLVE_CASES`` under every integrator, each writing
+its trace CSV and probability history, and the README's command block.
+Each family runs through ``cli.main`` in a temporary directory, and its
+digest covers every file it writes, its standard output and its exit
+codes.  The timings are dropped: every ``sidecar`` field of a JSON file.
+Two source trees that print the same digests give byte-identical outputs
+on these inputs.
 
 Run from the repository root: ``python tools/output_digest.py``.  It reads
-the package under ``src/`` of the tree it sits in; about 10 s on a
-2-core host.
+the package under ``src/`` of the tree it sits in; about 17 s on a
+2-core host, 1.3 s of it the ``evolve`` family.
 """
 
 from __future__ import annotations
@@ -33,6 +35,22 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 
 from adiophantine import cli  # noqa: E402
+
+
+# (equation, cutoff, step) of the ``evolve`` family: one mode, then two
+# modes in sectors that take the split integrator.  Each step is one at
+# which RK4 is neither refused nor aborted: x^2 + y^2 - 25 at cutoff 5 has
+# max H_P = 625, so RK4 is stable for h <= 0.0045, but its norm drift
+# passes the limit before T at h = 0.002, 0.001 and 0.0005.
+EVOLVE_CASES = [
+    ("x - 1", 8, 0.002),
+    ("x^2 + y^2 - 25", 5, 0.00025),
+    ("x + y - 5", 8, 0.002),
+]
+
+# T = 2.01 ends every run with a partial step, and 7 snapshots fall inside
+# blocks
+EVOLVE_FLAGS = ["--T", "2.01", "--record-grid", "7", "--dump-probabilities"]
 
 
 def _corpus():
@@ -97,7 +115,19 @@ def main() -> int:
         + ["--out", str(index)]
         for index, (text, cutoff) in enumerate(corpus.SPECTRAL)
     ]
-    families = {"decide": decide, "spectrum": spectrum, "readme": _readme_commands()}
+    evolve = [
+        ["evolve", text, "--cutoff", str(cutoff), "--step", str(step)]
+        + ["--integrator", integrator, "--out", f"{integrator}/{index}"]
+        + EVOLVE_FLAGS
+        for integrator in ("rk4", "midexp", "split")
+        for index, (text, cutoff, step) in enumerate(EVOLVE_CASES)
+    ]
+    families = {
+        "decide": decide,
+        "spectrum": spectrum,
+        "evolve": evolve,
+        "readme": _readme_commands(),
+    }
     for name, commands in families.items():
         print(f"{name:10} {digest(commands)}")
     return 0
