@@ -6,8 +6,10 @@ flag for each of them that has one, and its optional JSON config file
 (--config) may hold only those keys and ``equation``; flags take
 precedence.  Only the settings given are passed on, so the defaults and
 range checks are those of ``DecideConfig``, ``EvolutionParams`` and
-``spectral_profile``.  Reports are JSON, curves are CSV, and every file
-is written atomically (temp file + rename).
+``spectral_profile``.  Each subcommand builds only the runs it starts:
+decide and sweep run ``DecideConfig``'s ladder of rungs, evolve and sample
+run the one rung --T, and oracle runs none.  Reports are JSON, curves are
+CSV, and every file is written atomically (temp file + rename).
 
 Exit codes: 0 decided/ok, 1 runtime error, 2 usage or parse error,
 3 inconclusive decision.
@@ -64,9 +66,9 @@ _SEMANTICS = {
 }
 
 # DecideConfig's fields: those every run reads, and those of the decide
-# loop; record_grid, the recorded trace points, is read by all runs but sample
-_RUN = ("cutoff", "semantics", "alphas", "integrator", "step", "t0")
-_DECIDE = ("j_max", "strict_criterion", "tie_tol")
+# ladder; evolve and sample run one rung of --T
+_RUN = ("cutoff", "semantics", "alphas", "integrator", "step")
+_DECIDE = ("t0", "j_max", "strict_criterion", "tie_tol")
 
 SETTINGS = {
     "check": (),
@@ -75,10 +77,10 @@ SETTINGS = {
         "cutoff", "semantics", "alphas", "grid_size", "levels", "gap_tol", "out_dir"
     ),
     "evolve": (*_RUN, "record_grid", "total_time", "dump_probabilities", "out_dir"),
-    "decide": (*_RUN, "record_grid", *_DECIDE, "out_dir"),
+    "decide": (*_RUN, *_DECIDE, "out_dir"),
     "sample": (*_RUN, "total_time", "shots", "seed", "out_dir"),
     # cutoffs replace cutoff
-    "sweep": (*_RUN[1:], "record_grid", *_DECIDE, "cutoffs", "out_dir"),
+    "sweep": (*_RUN[1:], *_DECIDE, "cutoffs", "out_dir"),
 }
 
 
@@ -171,7 +173,7 @@ def _pick(settings: dict, names) -> dict:
 
 def _run_config(settings: dict) -> DecideConfig:
     with _config_errors():
-        return DecideConfig(**_pick(settings, (*_RUN, "record_grid", *_DECIDE)))
+        return DecideConfig(**_pick(settings, (*_RUN, *_DECIDE)))
 
 
 def _write(settings: dict, name: str, text: str) -> None:
@@ -244,16 +246,16 @@ def cmd_check(settings: dict) -> int:
 
 def cmd_oracle(settings: dict) -> int:
     """brute-force search on the box"""
-    config = _run_config(settings)
-    bound = settings.get("bound", config.cutoff)
+    semantics = settings.get("semantics", DecideConfig.semantics)
+    bound = settings.get("bound", settings.get("cutoff", DecideConfig.cutoff))
     if bound < 0:
         raise ConfigError(f"bound must be non-negative, got {bound}")
     p = parse_equation(_require_equation(settings))
-    witness = brute_force_search(substitute_shift(p, config.semantics), bound)
+    witness = brute_force_search(substitute_shift(p, semantics), bound)
     if witness is None:
         print(f"none within bound {bound}")
         return EXIT_OK
-    if config.semantics is VariableSemantics.POSITIVE:
+    if semantics is VariableSemantics.POSITIVE:
         witness = tuple(n + 1 for n in witness)
     print(f"({', '.join(str(n) for n in witness)})")
     return EXIT_OK
@@ -280,24 +282,20 @@ def cmd_spectrum(settings: dict) -> int:
 
 
 def _evolution_params(settings: dict) -> tuple[DecideConfig, EvolutionParams]:
-    """The run settings and one run of --T (default --T0).  evolve and
-    sample never run the settings' decide rungs: when the longest one is
-    refused and so is the run, the run's own refusal is reported, so that a
-    step count that overflows on both names the run's time."""
-    total_time = settings.get("total_time", settings.get("t0", DecideConfig.t0))
-    try:
-        config = _run_config(settings)
-    except ConfigError:
-        if 0 < total_time < np.inf:  # the run as the settings' one rung
-            _run_config({**settings, "t0": total_time, "j_max": 0})
-        raise
-    with _config_errors():
-        return config, config.rung(total_time)
+    """The run settings as a decide ladder of the one rung --T, and its run."""
+    total_time = settings.get("total_time", DecideConfig.t0)
+    if not 0 < total_time < np.inf:
+        raise ConfigError("total_time must be positive and finite")
+    config = _run_config({**settings, "t0": total_time, "j_max": 0})
+    return config, config.rung(total_time)
 
 
 def cmd_evolve(settings: dict) -> int:
     """run one evolution, write trace CSV"""
     config, params = _evolution_params(settings)
+    record_grid = settings.get("record_grid", EvolutionParams.record_grid)
+    with _config_errors():
+        params = replace(params, record_grid=record_grid)
     family, start_state = _build_family(settings, config)
     trace = evolve(family, start_state, params)
     _write(settings, "trace.csv", trace.to_csv())
@@ -343,8 +341,7 @@ def cmd_sample(settings: dict) -> int:
     family, start_state = _build_family(settings, config)
     with _config_errors():  # shots and seed are checked before the run
         sample_measurements(start_state, shots, seed)
-    # only the final state is read
-    trace = evolve(family, start_state, replace(params, record_grid=2))
+    trace = evolve(family, start_state, params)
     run = sample_measurements(trace.final_state, shots, seed)
     _write(settings, "measurements.csv", run.to_csv())
     top = max(range(len(run.counts)), key=lambda i: run.counts[i])
@@ -414,7 +411,7 @@ _FLAGS = {
     ),
     "t0": ("--T0", _FLOAT, "first run time"),
     "j_max": ("--jmax", _INT, "number of doublings"),
-    "total_time": ("--T", _FLOAT, "single run time (defaults to --T0)"),
+    "total_time": ("--T", _FLOAT, f"single run time (default {DecideConfig.t0})"),
     "step": ("--step", _FLOAT, "integrator step size"),
     "integrator": (
         "--integrator", {"choices": [i.value for i in Integrator]}, "scheme"

@@ -129,7 +129,13 @@ def identify_ground_state(
 
 @dataclass(frozen=True)
 class DecideConfig:
-    """Everything a decision run depends on; embedded in every report."""
+    """Everything a decision run depends on; embedded in every report.
+
+    The decide ladder runs ``t0 * 2^j`` for j = 0 .. ``j_max``.  Each rung
+    is read only at its end, so it records its two ends (``record_grid``, a
+    class constant and no setting)."""
+
+    record_grid = 2
 
     cutoff: int = 8
     semantics: VariableSemantics = VariableSemantics.NON_NEGATIVE
@@ -140,7 +146,6 @@ class DecideConfig:
     j_max: int = 6
     strict_criterion: bool = False
     tie_tol: float = 1e-9
-    record_grid: int = 101
 
     def __post_init__(self):
         if self.cutoff < 1:
@@ -167,7 +172,7 @@ class DecideConfig:
             last = math.ldexp(self.t0, self.j_max)
         except OverflowError:
             raise ValueError("last run time t0 * 2^j_max overflows") from None
-        # the longest rung has the most steps; every rung has record_grid
+        # the longest rung has the most steps
         self.rung(last)
 
     def time_schedule(self) -> tuple[float, ...]:

@@ -1,4 +1,5 @@
 import argparse
+import dataclasses
 import json
 import re
 import shlex
@@ -139,6 +140,13 @@ def test_oracle_positive_semantics(capsys):
     assert "(2)" in capsys.readouterr().out
 
 
+def test_oracle_cutoff_is_the_default_bound(capsys):
+    # a box search holds no dense array, so no dimension limit applies
+    assert main(["oracle", "x - 9000", "--cutoff", "9000"]) == EXIT_OK
+    assert main(["oracle", "x - 1", "--cutoff", "0"]) == EXIT_OK
+    assert capsys.readouterr().out == "(9000)\nnone within bound 0\n"
+
+
 def test_oracle_negative_bound_is_a_config_error(capsys):
     assert main(["oracle", "x - 1", "--bound", "-1"]) == EXIT_USAGE
     assert "config error: bound must be non-negative" in capsys.readouterr().err
@@ -235,15 +243,6 @@ def test_decide_out_of_range_settings_are_config_errors(tmp_path, capsys, flags,
     assert not (tmp_path / "decision.json").exists()
 
 
-def test_decide_record_grid_from_a_config_file_is_a_config_error(tmp_path, capsys):
-    path = tmp_path / "config.json"
-    path.write_text(json.dumps({"record_grid": 1}))
-    code = main(["decide", "x - 1", "--config", str(path), "--out", str(tmp_path)])
-    assert code == EXIT_USAGE
-    assert "config error: record_grid must be at least 2" in capsys.readouterr().err
-    assert not (tmp_path / "decision.json").exists()
-
-
 def test_decide_requires_equation(capsys):
     assert main(["decide"]) == EXIT_USAGE
     assert "equation" in capsys.readouterr().err
@@ -265,6 +264,15 @@ def test_decide_unstable_rk4_exit_one(tmp_path, capsys):
 
 
 # -- sample ------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("command", ["evolve", "sample"])
+def test_a_single_run_is_checked_as_its_own_rung(tmp_path, capsys, command):
+    # 100 steps; the decide ladder's last rung, 640 / 1e-192 steps, would
+    # overflow, but a single run builds no ladder
+    flags = ["--cutoff", "4", "--T", "1e-190", "--step", "1e-192"]
+    assert main([command, "x - 1", *flags, "--out", str(tmp_path)]) == EXIT_OK
+    assert (tmp_path / WRITES[command]).exists()
 
 
 def test_sample_writes_csv(tmp_path, capsys):
@@ -384,10 +392,10 @@ REMOVED_FLAGS = {
     "--strict-criterion",
     "oracle": "--out --seed --T0 --jmax --T --step --integrator --strict-criterion",
     "spectrum": "--seed --T0 --jmax --T --step --integrator --strict-criterion",
-    "evolve": "--seed --jmax --strict-criterion",
-    "decide": "--seed --T --extrapolation-steps",
-    "sample": "--jmax --strict-criterion --record-grid",
-    "sweep": "--cutoff --seed --T --extrapolation-steps",
+    "evolve": "--seed --T0 --jmax --strict-criterion",
+    "decide": "--seed --T --extrapolation-steps --record-grid",
+    "sample": "--T0 --jmax --strict-criterion --record-grid",
+    "sweep": "--cutoff --seed --T --extrapolation-steps --record-grid",
 }
 FLAG_VALUES = {"--integrator": ["rk4"], "--semantics": ["positive"], "--strict-criterion": []}
 
@@ -401,6 +409,12 @@ def test_flags_a_subcommand_does_not_read_are_refused(capsys, command, flag):
         main([command, "x - 1", flag, *FLAG_VALUES.get(flag, ["1"])])
     assert exc.value.code == EXIT_USAGE
     assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+
+
+def test_decide_config_holds_exactly_the_settings_of_decide():
+    names = {f.name for f in dataclasses.fields(DecideConfig)}
+    assert names == set(SETTINGS["decide"]) - {"out_dir"}
+    assert len(names) == 9
 
 
 @pytest.mark.parametrize(
@@ -432,6 +446,11 @@ def test_abbreviated_flags_are_refused(args):
         # removed settings are refused, also when null
         ("decide", "extrapolation_steps", [0.04, 0.02, 0.01]),
         ("sweep", "extrapolation_steps", None),
+        ("decide", "record_grid", 1),
+        ("sweep", "record_grid", 101),
+        # a single run's time is --T
+        ("evolve", "t0", 10.0),
+        ("sample", "t0", 10.0),
     ],
 )
 def test_config_keys_a_subcommand_does_not_read_are_refused(
@@ -497,7 +516,7 @@ def test_out_of_range_settings_exit_two_and_write_nothing(
 @pytest.mark.parametrize(
     "command, flags, run_time",
     [
-        # the one run, at T = T0
+        # the one run, at the default T
         ("evolve", ["--cutoff", "4"], "10.0"),
         ("sample", ["--cutoff", "4"], "10.0"),
         # the longest rung, T0 * 2^6

@@ -200,7 +200,7 @@ def test_negative_j_max_is_refused():
         ({"step": float("inf")}, "step must be positive and finite"),
         ({"t0": -1.0}, "t0 must be positive and finite"),
         ({"t0": float("nan")}, "t0 must be positive and finite"),
-        ({"record_grid": 1}, "record_grid must be at least 2"),
+        ({"t0": float("inf")}, "t0 must be positive and finite"),
         # the last rung, t0 * 2^j_max, and its step count must be finite
         ({"t0": 1e308}, r"last run time t0 \* 2\^j_max overflows"),
         ({"j_max": 2000}, r"last run time t0 \* 2\^j_max overflows"),
@@ -224,6 +224,13 @@ def test_removed_settings_are_refused():
     # a report describes only the run that produced its verdict
     with pytest.raises(TypeError, match="extrapolation_steps"):
         DecideConfig(extrapolation_steps=(0.04, 0.02, 0.01))
+
+
+def test_each_rung_records_only_its_two_ends():
+    # a rung is read only at its end: the record grid is no setting
+    with pytest.raises(TypeError, match="record_grid"):
+        DecideConfig(record_grid=5)
+    assert DecideConfig().rung(10.0).record_grid == 2
 
 
 GOLDEN_CLASS_VALUES = {

@@ -239,8 +239,14 @@ def test_rk4_drift_shrinks_by_about_sixteen_per_halving():
 def test_rk4_norm_drift_aborts_with_advisory():
     family, basis = _diagonal_family([0, 50])
     init = StateVector(basis, np.array([1.0, 1.0]) / np.sqrt(2))
-    with pytest.raises(EvolutionAborted, match="smaller step"):
-        evolve(family, init, EvolutionParams(10.0, 0.1, integrator=RK4))
+    # h * 50 = 2.5 is inside RK4's stability limit 2 sqrt(2), so the run
+    # starts, and its first step leaves the drift limit
+    message = (
+        r"norm drift 2\.068e-01 at t=0\.05 exceeds 0\.001; "
+        r"retry with a smaller step, e\.g\. 0\.025"
+    )
+    with pytest.raises(EvolutionAborted, match=message):
+        evolve(family, init, EvolutionParams(10.0, 0.05, integrator=RK4))
 
 
 def _stepwise_rk4_abort(family, init, params):

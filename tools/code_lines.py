@@ -2,7 +2,9 @@
 
 A code line is a source line that holds a token other than a comment: blank
 lines, comment-only lines and the lines of module, class and function
-docstrings are not counted.  Prints one line per module and the total.
+docstrings are not counted.  Prints one line per module and the total,
+then the option count: the settings each subcommand takes
+(``cli.SETTINGS``), their total, and the fields of ``DecideConfig``.
 
 Run from the repository root: ``python tools/code_lines.py``.
 """
@@ -13,9 +15,14 @@ import ast
 import io
 import sys
 import tokenize
+from dataclasses import fields
 from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "adiophantine"
+sys.path.insert(0, str(PACKAGE.parent))
+
+from adiophantine.cli import SETTINGS  # noqa: E402
+from adiophantine.decision import DecideConfig  # noqa: E402
 
 _NOT_CODE = {
     tokenize.COMMENT,
@@ -64,6 +71,11 @@ def main() -> int:
         total += count
         print(f"{path.name:20} {count:5d}")
     print(f"{'total':20} {total:5d}")
+    print()
+    for command, settings in SETTINGS.items():
+        print(f"{command + ' settings':20} {len(settings):5d}")
+    print(f"{'total settings':20} {sum(map(len, SETTINGS.values())):5d}")
+    print(f"{'DecideConfig fields':20} {len(fields(DecideConfig)):5d}")
     return 0
 
 

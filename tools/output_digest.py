@@ -5,16 +5,19 @@ The families are the ``decide`` runs of the 21 benchmark equations
 integrator and under the midpoint exponential, the ``spectrum`` runs of
 the 13 certify equations (``SPECTRAL`` at ``GRID_SIZE`` points), the
 ``evolve`` runs of ``EVOLVE_CASES`` under every integrator, each writing
-its trace CSV and probability history, and the README's command block.
-Each family runs through ``cli.main`` in a temporary directory, and its
-digest covers every file it writes, its standard output and its exit
-codes.  The timings are dropped: every ``sidecar`` field of a JSON file.
-Two source trees that print the same digests give byte-identical outputs
-on these inputs.
+its trace CSV and probability history, the ``sample`` runs of
+``SAMPLE_CASES``, the ``oracle`` searches of ``ORACLE_CASES`` with the box
+bound given as ``--bound`` and as ``--cutoff`` under both semantics, and
+the README's command block.  Each family runs through ``cli.main`` in a
+temporary directory, and its digest covers every file it writes, its
+standard output and its exit codes.  The timings are dropped: every
+``sidecar`` field of a JSON file.  Two source trees that print the same
+digests give byte-identical outputs on these inputs.
 
 Run from the repository root: ``python tools/output_digest.py``.  It reads
 the package under ``src/`` of the tree it sits in; about 17 s on a
-2-core host, 1.3 s of it the ``evolve`` family.
+2-core host, 1.3 s of it the ``evolve`` family and under a second each
+the ``sample`` and ``oracle`` families.
 """
 
 from __future__ import annotations
@@ -51,6 +54,25 @@ EVOLVE_CASES = [
 # T = 2.01 ends every run with a partial step, and 7 snapshots fall inside
 # blocks
 EVOLVE_FLAGS = ["--T", "2.01", "--record-grid", "7", "--dump-probabilities"]
+
+# (equation, cutoff, integrator) of the ``sample`` family, each run with
+# SAMPLE_FLAGS
+SAMPLE_CASES = [
+    ("x - 1", 8, "split"),
+    ("x + y - 5", 8, "split"),
+    ("x^2 + y^2 - 25", 5, "split"),
+    ("x - 1", 8, "midexp"),
+]
+SAMPLE_FLAGS = ["--T", "2.01", "--shots", "1000", "--seed", "7"]
+
+# (equation, box bound) of the ``oracle`` family: a witness, none, three
+# variables, a witness under positive semantics only
+ORACLE_CASES = [
+    ("x+y-5", 10),
+    ("2*x-3", 100),
+    ("(x+1)^2+(y+1)^2-(z+1)^2", 6),
+    ("x^2-4", 8),
+]
 
 
 def _corpus():
@@ -122,10 +144,24 @@ def main() -> int:
         for integrator in ("rk4", "midexp", "split")
         for index, (text, cutoff, step) in enumerate(EVOLVE_CASES)
     ]
+    sample = [
+        ["sample", text, "--cutoff", str(cutoff), "--integrator", integrator]
+        + ["--out", f"{integrator}/{index}"]
+        + SAMPLE_FLAGS
+        for index, (text, cutoff, integrator) in enumerate(SAMPLE_CASES)
+    ]
+    oracle = [
+        ["oracle", text, flag, str(bound), "--semantics", semantics]
+        for text, bound in ORACLE_CASES
+        for flag in ("--bound", "--cutoff")
+        for semantics in ("nonneg", "positive")
+    ]
     families = {
         "decide": decide,
         "spectrum": spectrum,
         "evolve": evolve,
+        "sample": sample,
+        "oracle": oracle,
         "readme": _readme_commands(),
     }
     for name, commands in families.items():
