@@ -4,7 +4,8 @@ A code line is a source line that holds a token other than a comment: blank
 lines, comment-only lines and the lines of module, class and function
 docstrings are not counted.  Prints one line per module and the total,
 then the option count: the settings each subcommand takes
-(``cli.SETTINGS``), their total, and the fields of ``DecideConfig``.
+(``cli.SETTINGS``), their total, and the fields of ``DecideConfig``; and
+last the public surface, the number of names in ``adiophantine.__all__``.
 
 Run from the repository root: ``python tools/code_lines.py``.
 """
@@ -21,6 +22,7 @@ from pathlib import Path
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "adiophantine"
 sys.path.insert(0, str(PACKAGE.parent))
 
+import adiophantine  # noqa: E402
 from adiophantine.cli import SETTINGS  # noqa: E402
 from adiophantine.decision import DecideConfig  # noqa: E402
 
@@ -76,6 +78,7 @@ def main() -> int:
         print(f"{command + ' settings':20} {len(settings):5d}")
     print(f"{'total settings':20} {sum(map(len, SETTINGS.values())):5d}")
     print(f"{'DecideConfig fields':20} {len(fields(DecideConfig)):5d}")
+    print(f"{'public names':20} {len(adiophantine.__all__):5d}")
     return 0
 
 

@@ -7,10 +7,12 @@ the 13 certify equations (``SPECTRAL`` at ``GRID_SIZE`` points), the
 ``evolve`` runs of ``EVOLVE_CASES`` under every integrator, each writing
 its trace CSV and probability history, the ``sample`` runs of
 ``SAMPLE_CASES``, the ``oracle`` searches of ``ORACLE_CASES`` with the box
-bound given as ``--bound`` and as ``--cutoff`` under both semantics, and
+bound given as ``--bound`` and as ``--cutoff`` under both semantics, the
+``decide`` and ``spectrum`` runs of ``DISPLACE_CASES`` with the per-mode
+displacements of ``DISPLACE_ALPHAS`` given in a ``--config`` file, and
 the README's command block.  Each family runs through ``cli.main`` in a
-temporary directory, and its digest covers every file it writes, its
-standard output and its exit codes.  The timings are dropped: every
+temporary directory, and its digest covers every file it writes (its
+config files included), its standard output and its exit codes.  The timings are dropped: every
 ``sidecar`` field of a JSON file.  Two source trees that print the same
 digests give byte-identical outputs on these inputs.
 
@@ -75,6 +77,22 @@ ORACLE_CASES = [
 ]
 
 
+# (equation, cutoff) of the ``displace`` family, each run under every
+# entry of DISPLACE_ALPHAS
+DISPLACE_CASES = [("x + y - 5", 5), ("x*y*z - 8", 3)]
+
+# name -> per-mode [re, im] displacements, one list for each entry of
+# DISPLACE_CASES (2 and 3 modes): equal
+# magnitudes (0.5, exactly) with different phases, whose mode permutations
+# form a non-trivial group; unequal magnitudes, whose group is trivial; and
+# no displacement at all
+DISPLACE_ALPHAS = {
+    "phases": ([[0.3, 0.4], [-0.4, 0.3]], [[0.3, 0.4], [-0.4, 0.3], [0.5, 0.0]]),
+    "unequal": ([[0.5, 0.0], [0.25, 0.0]], [[0.5, 0.0], [0.25, 0.0], [0.75, 0.0]]),
+    "zero": ([[0.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 0.0], [0.0, 0.0]]),
+}
+
+
 def _corpus():
     """``bench/corpus.py``, loaded by path: the benchmark is no package."""
     spec = importlib.util.spec_from_file_location("corpus", ROOT / "bench" / "corpus.py")
@@ -99,13 +117,16 @@ def _without_sidecars(value):
     return value
 
 
-def digest(commands: list[list[str]]) -> str:
+def digest(commands: list[list[str]], inputs: dict[str, str] | None = None) -> str:
     """The SHA-256 of ``commands`` run in order through ``cli.main`` in one
-    fresh temporary directory: their exit codes, their standard output and
-    every file they write, JSON without its sidecars and with sorted keys."""
+    fresh temporary directory, which first holds the files ``inputs`` maps
+    names to texts of: the exit codes, the standard output and every file
+    there, JSON without its sidecars and with sorted keys."""
     out = io.StringIO()
     home = os.getcwd()
     with tempfile.TemporaryDirectory() as tmp:
+        for name, text in (inputs or {}).items():
+            Path(tmp, name).write_text(text, encoding="utf-8")
         os.chdir(tmp)
         try:
             with contextlib.redirect_stdout(out), warnings.catch_warnings():
@@ -156,16 +177,29 @@ def main() -> int:
         for flag in ("--bound", "--cutoff")
         for semantics in ("nonneg", "positive")
     ]
-    families = {
-        "decide": decide,
-        "spectrum": spectrum,
-        "evolve": evolve,
-        "sample": sample,
-        "oracle": oracle,
-        "readme": _readme_commands(),
+    configs = {
+        f"{name}-{index}.json": json.dumps({"alphas": mode_alphas})
+        for name, alphas in DISPLACE_ALPHAS.items()
+        for index, mode_alphas in enumerate(alphas)
     }
-    for name, commands in families.items():
-        print(f"{name:10} {digest(commands)}")
+    displace = [
+        [command, text, "--cutoff", str(cutoff), "--config", f"{name}-{index}.json"]
+        + ["--out", f"{command}/{name}/{index}"]
+        for command in ("decide", "spectrum")
+        for name in DISPLACE_ALPHAS
+        for index, (text, cutoff) in enumerate(DISPLACE_CASES)
+    ]
+    families = {
+        "decide": (decide, None),
+        "spectrum": (spectrum, None),
+        "evolve": (evolve, None),
+        "sample": (sample, None),
+        "oracle": (oracle, None),
+        "displace": (displace, configs),
+        "readme": (_readme_commands(), None),
+    }
+    for name, (commands, inputs) in families.items():
+        print(f"{name:10} {digest(commands, inputs)}")
     return 0
 
 
