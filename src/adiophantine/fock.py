@@ -144,25 +144,33 @@ class HermitianOperator:
     __slots__ = ("basis", "array")
 
     def __init__(self, basis: FockBasis, matrix):
-        if np.iscomplexobj(matrix):
-            raise ValueError("matrix must be real")
-        stored = np.array(matrix, dtype=np.float64)
-        dim = basis.dimension
-        if stored.shape != (dim, dim):
-            raise ValueError("matrix shape does not match basis dimension")
-        if not np.all(np.isfinite(stored)):
-            raise ValueError("operator entries must be finite")
-        defect = float(np.max(np.abs(stored - stored.T)))
-        if defect > HERMITICITY_TOL:
-            raise ValueError(
-                f"matrix is not symmetric (defect {defect:.3e} > {HERMITICITY_TOL})"
-            )
-        stored.setflags(write=False)
         self.basis = basis
-        self.array = stored
+        self.array = symmetric_array(matrix, basis.dimension)
 
     def eigenvalues(self) -> np.ndarray:
         return np.linalg.eigvalsh(self.array)
+
+
+def symmetric_array(matrix, size: int) -> np.ndarray:
+    """``matrix`` as a read-only float64 ``size`` x ``size`` array.
+
+    Raises ``ValueError`` unless it is real (complex input is refused), of
+    that shape, finite, and symmetric within ``HERMITICITY_TOL``.
+    """
+    if np.iscomplexobj(matrix):
+        raise ValueError("matrix must be real")
+    stored = np.array(matrix, dtype=np.float64)
+    if stored.shape != (size, size):
+        raise ValueError(f"matrix shape {stored.shape} is not ({size}, {size})")
+    if not np.all(np.isfinite(stored)):
+        raise ValueError("operator entries must be finite")
+    defect = float(np.max(np.abs(stored - stored.T)))
+    if defect > HERMITICITY_TOL:
+        raise ValueError(
+            f"matrix is not symmetric (defect {defect:.3e} > {HERMITICITY_TOL})"
+        )
+    stored.setflags(write=False)
+    return stored
 
 
 def matvec(matrix: np.ndarray, psi: np.ndarray) -> np.ndarray:

@@ -6,10 +6,11 @@ and its ground level over the truncated box equals the classical
 ``min_over_box`` oracle exactly.  It is held as that exact integer
 diagonal, never as a matrix.  The start Hamiltonian
 ``sum_i (a_i^† - conj(alpha_i)) (a_i - alpha_i)`` has the (truncated)
-coherent state as its easily prepared ground state; it is a dense real
-symmetric matrix, a Kronecker sum of single-mode matrices.  The two are
-joined by a convex interpolation whose spectrum is scanned on an s-grid to
-witness the absence of level crossings.
+coherent state as its easily prepared ground state; it is held as its k
+real symmetric (cutoff+1) x (cutoff+1) per-mode factors, and its dense
+d x d Kronecker sum is built only on first use.  The two are joined by a
+convex interpolation whose spectrum is scanned on an s-grid to witness the
+absence of level crossings.
 
 The whole path is real symmetric.  A displacement alpha = |alpha| e^{i phi}
 enters only through the diagonal gauge U = e^{i phi N}: the start operator
@@ -20,11 +21,12 @@ commutes with the diagonal problem operator.  So the path is built for
 A permutation of the modes that fixes the problem diagonal and the start
 operator commutes with every H(s), so a start state it fixes stays in the
 subspace of states that the whole group fixes.  ``AdiabaticFamily.sector``
-finds that group once, on the arrays themselves, and gives the path
-restricted to the orbit basis of the subspace (``SymmetricSector``); the
-full space is the trivial sector.  The orthogonal complement of the sector
-(``Complement``) is invariant too, and H_P is still diagonal on it, so
-``spectral_profile`` solves the full spectrum as the two smaller blocks.
+finds that group once, from the per-mode factors and the problem diagonal,
+and gives the path restricted to the orbit basis of the subspace
+(``SymmetricSector``); the full space is the trivial sector.  The
+orthogonal complement of the sector (``Complement``) is invariant too, and
+H_P is still diagonal on it, so ``spectral_profile`` solves the full
+spectrum as the two smaller blocks.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ from __future__ import annotations
 import itertools
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable
 
@@ -40,13 +42,13 @@ import numpy as np
 
 from .diophantine import Polynomial, box_slabs
 from .fock import (
-    HERMITICITY_TOL,
     FockBasis,
     HermitianOperator,
     StateVector,
     as_mode_alphas,
     coherent_state,
     ladder,
+    symmetric_array,
 )
 
 __all__ = [
@@ -55,7 +57,7 @@ __all__ = [
     "MAX_DIMENSION",
     "check_dimension",
     "problem_diagonal",
-    "build_initial_hamiltonian",
+    "start_factors",
     "linear_schedule",
     "AdiabaticFamily",
     "SymmetricSector",
@@ -74,9 +76,6 @@ DEFAULT_GAP_TOL = 1e-9
 # largest amplitude difference within an orbit for a state to count as fixed
 # by the symmetry group; well above rounding, well below any reported digit
 STATE_SYMMETRY_TOL = 1e-14
-
-# rows compared at a time when testing a dense start operator for a symmetry
-_ROW_BLOCK = 256
 
 # bytes of one stack of dense m x m float64 matrices handed to a single
 # eigensolver call, which spreads numpy's fixed cost per call over the
@@ -159,36 +158,20 @@ def check_dimension(basis: FockBasis) -> None:
         )
 
 
-def build_initial_hamiltonian(
-    basis: FockBasis, alphas=DEFAULT_ALPHA
-) -> tuple[HermitianOperator, StateVector]:
-    """Real start Hamiltonian plus its nominal ground state.
+def start_factors(basis: FockBasis, alphas=DEFAULT_ALPHA) -> tuple[np.ndarray, ...]:
+    """The start operator's per-mode factors (a - |alpha_i|)^T (a - |alpha_i|).
 
-    Returns ``sum_i (a_i - |alpha_i|)^T (a_i - |alpha_i|)`` and the truncated
-    coherent state for the magnitudes ``|alpha_i|``, both real.  The phase of
-    each displacement is a gauge that no result depends on (see the module
-    docstring).  With all displacements zero this is the exact sum of the
-    number operators, diag(n_1 + .. + n_k), with exact ground state |0..0>.
-    The coherent state is the exact ground state only up to truncation; its
-    energy expectation is tiny whenever the truncation-weight warning stays
-    quiet.  A basis over ``MAX_DIMENSION`` is refused before any d x d
-    array is allocated.
+    One real (cutoff+1) x (cutoff+1) matrix per mode, for the magnitude of
+    that mode's displacement; its phase is a gauge that no result depends
+    on (see the module docstring).  A mode with zero displacement gets its
+    exact number operator diag(0, 1, .., cutoff).
     """
-    check_dimension(basis)
-    magnitudes = tuple(abs(a) for a in as_mode_alphas(alphas, basis.num_modes))
-    ground = coherent_state(basis, magnitudes)
-    if not any(magnitudes):
-        total_number = np.diag(basis.occupations().sum(axis=1))
-        return HermitianOperator(basis, total_number), ground
-    # Kronecker sum of the single-mode (a - |alpha|)^T (a - |alpha|)
-    dim = basis.dimension
-    total = np.zeros((dim, dim), dtype=np.float64)
-    eye = np.eye(basis.cutoff + 1)
-    for mode, magnitude in enumerate(magnitudes):
-        shifted = ladder(basis.cutoff) - magnitude * eye
-        total += basis.on_mode(mode, shifted.T @ shifted)
-    total = 0.5 * (total + total.T)
-    return HermitianOperator(basis, total), ground
+    levels = np.arange(basis.cutoff + 1.0)
+    factors = []
+    for alpha in as_mode_alphas(alphas, basis.num_modes):
+        shifted = ladder(basis.cutoff) - abs(alpha) * np.eye(len(levels))
+        factors.append(shifted.T @ shifted if alpha else np.diag(levels))
+    return tuple(factors)
 
 
 def linear_schedule(s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -199,31 +182,54 @@ def linear_schedule(s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 class AdiabaticFamily:
     """Convex path from the start operator to the diagonal problem operator.
 
-    ``problem_values`` is the exact integer problem diagonal in basis order,
-    the diagonal of H_P, stored once as a read-only int64 array; numpy
-    converts it to float64 where a float is needed, with the bits of
-    ``astype``.  Entries that are not integers of a type that casts safely
-    to int64, and a wrong length, are refused.  ``hamiltonian(0)`` is the
-    start operator and ``hamiltonian(1)`` the problem operator exactly.
+    ``factors`` holds one real symmetric (cutoff+1) x (cutoff+1) start
+    matrix per mode, stored read-only as float64; the start operator H_I is
+    their Kronecker sum, and ``basis`` (k modes at that cutoff) comes from
+    them.  A factor that is not real, finite, square, of the first factor's
+    size and symmetric within ``HERMITICITY_TOL`` is refused, as
+    ``HermitianOperator`` refuses a matrix.  ``problem_values`` is the exact
+    integer problem diagonal in basis order, the diagonal of H_P, stored
+    once as a read-only int64 array; numpy converts it to float64 where a
+    float is needed, with the bits of ``astype``.  Entries that are not
+    integers of a type that casts safely to int64, and a wrong length, are
+    refused.  ``hamiltonian(0)`` is the start operator and
+    ``hamiltonian(1)`` the problem operator exactly.
     """
 
-    initial: HermitianOperator
+    factors: tuple[np.ndarray, ...]
     problem_values: np.ndarray
     schedule: Schedule = linear_schedule
+    basis: FockBasis = field(init=False, repr=False)
 
     def __post_init__(self):
+        levels = len(np.atleast_1d(self.factors[0])) if len(self.factors) else 0
+        basis = FockBasis(len(self.factors), levels - 1)
+        factors = tuple(symmetric_array(factor, levels) for factor in self.factors)
         values = np.array(self.problem_values)
         if values.dtype.kind not in "iu" or not np.can_cast(values.dtype, np.int64):
             raise ValueError(f"problem_values must be int64 integers, got {values.dtype}")
-        if values.shape != (self.initial.basis.dimension,):
+        if values.shape != (basis.dimension,):
             raise ValueError("problem_values length does not match the basis")
         values = values.astype(np.int64, copy=False)
         values.setflags(write=False)
+        object.__setattr__(self, "factors", factors)
+        object.__setattr__(self, "basis", basis)
         object.__setattr__(self, "problem_values", values)
 
-    @property
-    def basis(self) -> FockBasis:
-        return self.initial.basis
+    @cached_property
+    def initial(self) -> np.ndarray:
+        """The dense d x d start operator, read-only, built on first use and
+        kept: the Kronecker sum of ``factors``, symmetrized as
+        ``0.5 * (t + t.T)``.  A basis over ``MAX_DIMENSION`` is refused
+        before it is allocated."""
+        check_dimension(self.basis)
+        total = np.zeros((self.dimension, self.dimension))
+        for mode, factor in enumerate(self.factors):
+            total += self.basis.on_mode(mode, factor)
+        total = total + total.T
+        total *= 0.5
+        total.setflags(write=False)
+        return total
 
     @property
     def dimension(self) -> int:
@@ -268,8 +274,8 @@ class AdiabaticFamily:
         by default, or restricted to ``sector`` (one of this family's
         sectors, or its ``complement``) in its basis.  Entries are computed
         exactly as for a single s, ``w_I * H_I`` and then ``+= w_P * H_P`` on
-        the diagonal.  Nothing is re-validated: both operators were
-        validated when built.
+        the diagonal.  Nothing is re-validated: the factors and the problem
+        values were validated when the family was built.
         """
         sector = self.full_space if sector is None else sector
         w_initial, w_problem = weights[:, :1, None], weights[:, 1:]
@@ -287,7 +293,7 @@ class AdiabaticFamily:
             representatives=index,
             orbit=index,
             sizes=np.ones(self.dimension, dtype=np.int64),
-            initial=self.initial.array,
+            initial=self.initial,
             problem=self.problem_values,
         )
 
@@ -295,22 +301,24 @@ class AdiabaticFamily:
     def sector(self) -> "SymmetricSector":
         """Orbits of the mode permutations that fix both operators.
 
-        A permutation belongs to the group when it maps the exact integers
-        ``problem_values`` onto themselves and the start operator onto itself within
-        ``HERMITICITY_TOL``.  Found on the arrays, so the group is never
-        larger than the symmetry of the path; ``full_space`` when it is
-        trivial.  Computed on first use and kept.
+        A permutation belongs to the group when it maps each start factor
+        onto a bitwise-equal factor and the exact integers
+        ``problem_values`` onto themselves.  That suffices for it to fix
+        H_I, their Kronecker sum, so the group is never larger than the
+        symmetry of the path; ``full_space`` when it is trivial.  No d x d
+        array is compared.  Computed on first use and kept.
         """
         basis = self.basis
-        values, initial = self.problem_values, self.initial.array
+        values = self.problem_values
         occupations = basis.occupations()
         d = self.dimension
+        keys = [factor.tobytes() for factor in self.factors]
         moved = [np.arange(d)]
         # permutations() yields the identity first
         modes = range(basis.num_modes)
         for perm in itertools.islice(itertools.permutations(modes), 1, None):
             image = np.ravel_multi_index(occupations[:, perm].T, basis.shape)
-            if (values[image] == values).all() and _fixes(initial, image):
+            if [keys[mode] for mode in perm] == keys and (values[image] == values).all():
                 moved.append(image)
         if len(moved) == 1:
             return self.full_space
@@ -323,7 +331,7 @@ class AdiabaticFamily:
         # V^T H_I V for the orbit basis V, column a = sum_{i in a} |i> / sqrt|a|
         v = np.zeros((d, len(representatives)))
         v[np.arange(d), orbit] = 1.0 / np.sqrt(sizes[orbit])
-        reduced = v.T @ initial @ v
+        reduced = v.T @ self.initial @ v
         reduced = 0.5 * (reduced + reduced.T)
         return SymmetricSector(
             group_order=len(moved),
@@ -350,7 +358,7 @@ class AdiabaticFamily:
         norm = np.sqrt(j * (j + 1.0))
         vectors = ((orbit[:, None] == orbit[last]) & (rank[:, None] < j)) / norm
         vectors[last, np.arange(len(last))] = -j / norm
-        reduced = vectors.T @ self.initial.array @ vectors
+        reduced = vectors.T @ self.initial @ vectors
         return Complement(
             vectors=vectors,
             initial=0.5 * (reduced + reduced.T),
@@ -381,20 +389,18 @@ class AdiabaticFamily:
         basis: FockBasis,
         alphas=DEFAULT_ALPHA,
     ) -> tuple["AdiabaticFamily", StateVector]:
-        """Build the full path for an equation; also returns the start state."""
-        initial, ground = build_initial_hamiltonian(basis, alphas)
-        return cls(initial, problem_diagonal(p, basis)), ground
+        """Build the full path for an equation; also returns the start state,
+        the truncated coherent state for the magnitudes ``|alpha_i|``.
 
-
-def _fixes(initial: np.ndarray, image: np.ndarray) -> bool:
-    """Whether the basis permutation ``image`` maps the start operator onto
-    itself within ``HERMITICITY_TOL``, compared a block of rows at a time."""
-    for start in range(0, len(image), _ROW_BLOCK):
-        rows = slice(start, start + _ROW_BLOCK)
-        moved = initial[np.ix_(image[rows], image)]
-        if np.abs(moved - initial[rows]).max() > HERMITICITY_TOL:
-            return False
-    return True
+        The coherent state is the exact ground state of the start operator
+        only up to truncation; its energy expectation is tiny whenever the
+        truncation-weight warning stays quiet.  A basis over
+        ``MAX_DIMENSION`` is refused before anything of size d is computed.
+        """
+        check_dimension(basis)
+        magnitudes = tuple(abs(a) for a in as_mode_alphas(alphas, basis.num_modes))
+        ground = coherent_state(basis, magnitudes)
+        return cls(start_factors(basis, magnitudes), problem_diagonal(p, basis)), ground
 
 
 @dataclass(frozen=True, eq=False)

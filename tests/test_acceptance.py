@@ -42,8 +42,8 @@ from adiophantine.fock import (
 )
 from adiophantine.hamiltonians import (
     AdiabaticFamily,
-    build_initial_hamiltonian,
     spectral_profile,
+    start_factors,
 )
 
 pytestmark = pytest.mark.filterwarnings(
@@ -113,9 +113,8 @@ def _family_for(text: str, cutoff: int = CUTOFF, alphas=None):
 
 def _two_level_family():
     basis = FockBasis(1, 1)
-    initial, _ = build_initial_hamiltonian(basis, 0.5)
-    family = AdiabaticFamily(initial, (1, 0))
-    _, vectors = np.linalg.eigh(initial.array)
+    family = AdiabaticFamily(start_factors(basis, 0.5), (1, 0))
+    _, vectors = np.linalg.eigh(family.initial)
     return family, StateVector(basis, vectors[:, 0])
 
 

@@ -22,7 +22,6 @@ from adiophantine.evolution import (
 )
 from adiophantine.fock import (
     FockBasis,
-    HermitianOperator,
     StateVector,
     TruncationWarning,
     matvec,
@@ -31,6 +30,7 @@ from adiophantine.hamiltonians import (
     DEFAULT_ALPHA,
     AdiabaticFamily,
     stack_length,
+    start_factors,
 )
 
 RK4 = Integrator.RK4
@@ -39,23 +39,16 @@ SPLIT = Integrator.SPLIT
 
 
 def _diagonal_family(energies):
-    basis = FockBasis(1, len(energies) - 1)
-    initial = HermitianOperator(basis, np.diag(energies))
-    return AdiabaticFamily(initial, energies), basis
+    family = AdiabaticFamily((np.diag(energies),), energies)
+    return family, family.basis
 
 
 def _two_level():
     """x - 1 on a 2-level space; exact eigenvector start avoids the
     truncation warning the displaced coherent state would raise here."""
-    p = parse_equation("x - 1")
     basis = FockBasis(1, 1)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", TruncationWarning)
-        from adiophantine.hamiltonians import build_initial_hamiltonian
-
-        initial, _ = build_initial_hamiltonian(basis, 0.5)
-    family = AdiabaticFamily(initial, (1, 0))
-    _, vectors = np.linalg.eigh(initial.array)
+    family = AdiabaticFamily(start_factors(basis, 0.5), (1, 0))
+    _, vectors = np.linalg.eigh(family.initial)
     return family, StateVector(basis, vectors[:, 0])
 
 
@@ -369,7 +362,7 @@ def test_final_state_does_not_depend_on_record_grid(
 
 def _full_space_reference(family, init, params):
     """Reference: the integrator's step on the dense d x d path."""
-    h_initial = family.initial.array
+    h_initial = family.initial
     h_problem = np.diag(family.problem_values)
 
     def hamiltonian(t):
@@ -607,10 +600,8 @@ def test_error_slopes_against_cross_references():
 @pytest.mark.parametrize("integrator", [RK4, MIDEXP])
 def test_non_finite_schedule_weight_fails_loudly(integrator):
     family, start = _suite_family()
-    broken = AdiabaticFamily(
-        family.initial,
-        family.problem_values,
-        schedule=lambda s: (1.0 - s, np.where(s < 0.5, s, np.nan)),
+    broken = replace(
+        family, schedule=lambda s: (1.0 - s, np.where(s < 0.5, s, np.nan))
     )
     params = EvolutionParams(1.0, 0.1, integrator=integrator, record_grid=2)
     with pytest.raises(ValueError, match="not finite"):
@@ -622,9 +613,7 @@ def test_overflowing_generator_aborts_at_its_step(scale, t_abort):
     # max H_P is 400, so the problem weight overflows at the first midpoint s
     # with scale * s * 400 > 1.8e308: s = 0.45 and s = 0.05
     family, start = _sector_case("x - 20", 8)
-    broken = AdiabaticFamily(
-        family.initial, family.problem_values, schedule=lambda s: (1.0 - s, scale * s)
-    )
+    broken = replace(family, schedule=lambda s: (1.0 - s, scale * s))
     message = f"non-finite amplitudes at t={t_abort};"
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(EvolutionAborted, match=message):
@@ -648,9 +637,7 @@ def test_mid_block_abort_step(case, sector_dimension, t_abort):
     sector = family.sector_for(start)
     assert sector.dimension == sector_dimension
     assert stack_length(sector_dimension) > 10
-    broken = AdiabaticFamily(
-        family.initial, family.problem_values, schedule=lambda s: (1.0 - s, 1e306 * s)
-    )
+    broken = replace(family, schedule=lambda s: (1.0 - s, 1e306 * s))
     message = f"non-finite amplitudes at t={t_abort};"
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(EvolutionAborted, match=message):
@@ -715,7 +702,7 @@ def test_split_is_exact_on_a_diagonal_path():
     trace = evolve(family, start, EvolutionParams(10.0, 0.02, integrator=SPLIT))
     assert trace.params == EvolutionParams(10.0, 0.01, integrator=SPLIT)
     # integral of w_I H_I + w_P H_P over t in [0, T] for the linear schedule
-    energies = 5.0 * (np.diag(family.initial.array) + family.problem_values)
+    energies = 5.0 * (np.diag(family.initial) + family.problem_values)
     expected = np.exp(-1j * energies) * start.amplitudes
     assert np.max(np.abs(trace.final_state.amplitudes - expected)) <= 1e-12
 
@@ -892,9 +879,7 @@ def test_split_overflow_aborts_as_the_midpoint_run(
 ):
     family, start = _sector_case(*case)
     assert family.sector_for(start).dimension >= SPLIT_MIN_DIMENSION
-    broken = AdiabaticFamily(
-        family.initial, family.problem_values, schedule=lambda s: (1.0 - s, scale * s)
-    )
+    broken = replace(family, schedule=lambda s: (1.0 - s, scale * s))
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(EvolutionAborted) as midpoint:
             evolve(broken, start, EvolutionParams(1.0, 0.1))
@@ -916,9 +901,8 @@ def test_split_abort_in_the_half_step_run_is_logged(caplog):
     # 0.075, the midpoint of the h/2 run's second step: the h run and the
     # midpoint run (midpoints 0.05, 0.15, ..) never meet it
     family, start = _sector_case("x - 20", 12)
-    broken = AdiabaticFamily(
-        family.initial,
-        family.problem_values,
+    broken = replace(
+        family,
         schedule=lambda s: (1.0 - s, np.where(np.abs(s - 0.075) < 1e-9, 1e308, s)),
     )
     params = EvolutionParams(1.0, 0.1)
@@ -973,11 +957,7 @@ def test_abort_in_a_later_block_is_the_stepwise_abort(
     family, start = _sector_case("x - 20", cutoff)
     sector = family.sector_for(start)
     assert (sector.dimension >= SPLIT_MIN_DIMENSION) == (run is not None)
-    broken = AdiabaticFamily(
-        family.initial,
-        family.problem_values,
-        schedule=_overflows_past(s0, fine_grid_only=run == 1),
-    )
+    broken = replace(family, schedule=_overflows_past(s0, fine_grid_only=run == 1))
     params = EvolutionParams(total_time, 0.02)
     with np.errstate(over="ignore", invalid="ignore"):
         with caplog.at_level(logging.DEBUG, logger="adiophantine.evolution"):

@@ -14,7 +14,7 @@ from adiophantine.fock import (
     coherent_state,
     matvec,
 )
-from adiophantine.hamiltonians import build_initial_hamiltonian
+from adiophantine.hamiltonians import AdiabaticFamily, start_factors
 
 
 # -- basis indexing ----------------------------------------------------------
@@ -296,7 +296,8 @@ def test_diagonal_eigensystem_exact():
     # unsorted and degenerate (1 + 0 = 0 + 1), and its eigensolves must stay
     # exact
     basis = FockBasis(2, 2)
-    h, _ = build_initial_hamiltonian(basis, 0.0)
+    family = AdiabaticFamily(start_factors(basis, 0.0), np.zeros(9, dtype=np.int64))
+    h = family.hamiltonian(0.0)
     assert np.diag(h.array).tolist() == [0, 1, 2, 1, 2, 3, 2, 3, 4]
     spectrum = [0.0, 1.0, 1.0, 2.0, 2.0, 2.0, 3.0, 3.0, 4.0]
     assert h.eigenvalues().tolist() == spectrum

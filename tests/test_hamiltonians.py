@@ -1,6 +1,9 @@
+import dataclasses
 import itertools
 import logging
 import warnings
+from collections import defaultdict
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -23,6 +26,7 @@ from adiophantine.fock import (
     TruncationWarning,
     annihilation,
     coherent_state,
+    ladder,
     matvec,
 )
 from adiophantine.hamiltonians import (
@@ -30,10 +34,10 @@ from adiophantine.hamiltonians import (
     DEFAULT_GAP_TOL,
     AdiabaticFamily,
     ProblemScaleError,
-    build_initial_hamiltonian,
     linear_schedule,
     problem_diagonal,
     spectral_profile,
+    start_factors,
 )
 from test_diophantine import polynomials, wide_polynomials
 
@@ -44,6 +48,11 @@ def _family(text, cutoff, alphas=0.5):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", TruncationWarning)
         return AdiabaticFamily.from_polynomial(p, basis, alphas=alphas)
+
+
+def _start(k, cutoff, alphas=DEFAULT_ALPHA):
+    """The family of x (+ y (+ z)) on k modes and its start state."""
+    return _family(" + ".join("xyz"[:k]), cutoff, alphas=alphas)
 
 
 # -- problem Hamiltonian -------------------------------------------------------
@@ -144,29 +153,26 @@ def test_problem_scale_guard_names_the_first_point():
 @pytest.mark.parametrize("k, cutoff", [(1, 3), (2, 3), (3, 2)])
 def test_initial_hamiltonian_zero_displacement(k, cutoff):
     # the sum of the modes' number operators, stored dense
-    basis = FockBasis(k, cutoff)
-    h, ground = build_initial_hamiltonian(basis, 0.0)
-    expected = np.diag(basis.occupations().sum(axis=1).astype(np.float64))
-    assert h.array.dtype == np.float64
-    assert _bits(h.array).tolist() == _bits(expected).tolist()
-    assert ground.amplitudes.tolist() == [1.0] + [0.0] * (basis.dimension - 1)
+    family, ground = _start(k, cutoff, 0.0)
+    expected = np.diag(family.basis.occupations().sum(axis=1).astype(np.float64))
+    assert family.initial.dtype == np.float64
+    assert _bits(family.initial).tolist() == _bits(expected).tolist()
+    assert ground.amplitudes.tolist() == [1.0] + [0.0] * (family.dimension - 1)
 
 
 def test_initial_hamiltonian_displaced_ground_state():
-    basis = FockBasis(1, 16)
-    h, nominal = build_initial_hamiltonian(basis, 0.5)
-    evals, evecs = np.linalg.eigh(h.array)
+    family, nominal = _start(1, 16, 0.5)
+    evals, evecs = np.linalg.eigh(family.initial)
     assert evals[0] < 1e-8
     overlap = abs(np.vdot(evecs[:, 0], nominal.amplitudes))
     assert overlap > 1 - 1e-6
-    rayleigh = np.vdot(nominal.amplitudes, matvec(h.array, nominal.amplitudes)).real
+    rayleigh = np.vdot(nominal.amplitudes, matvec(family.initial, nominal.amplitudes)).real
     assert rayleigh < 1e-6
 
 
 def test_initial_hamiltonian_default_alpha_rayleigh():
-    basis = FockBasis(2, 8)
-    h, nominal = build_initial_hamiltonian(basis)
-    rayleigh = np.vdot(nominal.amplitudes, matvec(h.array, nominal.amplitudes)).real
+    family, nominal = _start(2, 8)
+    rayleigh = np.vdot(nominal.amplitudes, matvec(family.initial, nominal.amplitudes)).real
     assert 0 <= rayleigh < 1e-6
 
 
@@ -174,31 +180,51 @@ def test_initial_hamiltonian_default_alpha_rayleigh():
 @pytest.mark.parametrize("k, cutoff", [(1, 8), (2, 5), (3, 4)])
 def test_initial_hamiltonian_is_exact_kronecker_sum(k, cutoff):
     # reference: d x d products of the full-space ladder matrices
-    basis = FockBasis(k, cutoff)
+    family, _ = _start(k, cutoff)
+    basis = family.basis
     eye = np.eye(basis.dimension)
     expected = np.zeros((basis.dimension, basis.dimension), dtype=np.complex128)
     for mode in range(k):
         shifted = annihilation(basis, mode) - DEFAULT_ALPHA * eye
         expected += shifted.conj().T @ shifted
-    h, _ = build_initial_hamiltonian(basis)
-    assert np.array_equal(h.array, expected)
+    assert np.array_equal(family.initial, expected)
+    assert not family.initial.flags.writeable
+    assert family.initial is family.initial
+
+
+def test_start_factors_give_a_zero_displacement_its_exact_number_operator():
+    # (a - 0)^T (a - 0) would hold sqrt(n)^2, which rounds at n = 2 and 3;
+    # a mixed config keeps the ladder product for its displaced mode only
+    zero, displaced = start_factors(FockBasis(2, 4), (0.0, 0.5))
+    assert _bits(zero).tolist() == _bits(np.diag([0.0, 1.0, 2.0, 3.0, 4.0])).tolist()
+    assert not np.array_equal(ladder(4).T @ ladder(4), zero)
+    shifted = ladder(4) - 0.5 * np.eye(5)
+    assert _bits(displaced).tolist() == _bits(shifted.T @ shifted).tolist()
+    family, _ = _family("x + y", 4, alphas=(0.0, 0.5j))
+    assert all(map(np.array_equal, family.factors, (zero, displaced)))
+    expected = np.kron(zero, np.eye(5)) + np.kron(np.eye(5), displaced)
+    assert _bits(family.initial).tolist() == _bits(expected).tolist()
 
 
 @pytest.mark.parametrize("alphas", [0.0, DEFAULT_ALPHA])
-def test_initial_hamiltonian_refuses_a_basis_over_the_dimension_limit(
-    monkeypatch, alphas
-):
+def test_start_operator_refuses_a_basis_over_the_dimension_limit(monkeypatch, alphas):
     # the largest benchmarked basis stays buildable; the limit is patched
     # down for the refusal, since a regressed guard at the real limit would
     # allocate gigabytes
     assert hamiltonians.MAX_DIMENSION >= FockBasis(3, 16).dimension
+    built, _ = _start(3, 4, alphas)
     monkeypatch.setattr(hamiltonians, "MAX_DIMENSION", 100)
-    h, _ = build_initial_hamiltonian(FockBasis(2, 9), alphas)
-    assert h.array.shape == (100, 100)
+    assert _start(2, 9, alphas)[0].initial.shape == (100, 100)
     message = "basis dimension 125 exceeds 100: each dense d x d array would need"
+    # from_polynomial refuses before the problem diagonal is computed
+    monkeypatch.setattr(hamiltonians, "problem_diagonal", None)
     with pytest.raises(ValueError, match=message + " 0.000125 GB"):
-        build_initial_hamiltonian(FockBasis(3, 4), alphas)
-    # 8 d^2 is past the float range at d = 9^200; only the check runs here
+        _start(3, 4, alphas)
+    # a family built under the limit refuses to allocate its dense sum
+    with pytest.raises(ValueError, match=message):
+        built.initial
+    # the factors stay small at any dimension; only the check runs at 9^200
+    assert len(start_factors(FockBasis(200, 8), alphas)) == 200
     with pytest.raises(ValueError, match=r"array would need 3\.98e\+373 GB"):
         hamiltonians.check_dimension(FockBasis(200, 8))
 
@@ -240,7 +266,7 @@ def test_displacement_phase_is_a_gauge():
 def test_path_is_real(alphas):
     family, start = _family("x*y - 6", 4, alphas=alphas)
     assert family.path_arrays(np.array([family.weights(0.5)])).dtype == np.float64
-    assert family.initial.array.dtype == np.float64
+    assert family.initial.dtype == np.float64
     assert not np.any(start.amplitudes.imag)
 
 
@@ -249,9 +275,7 @@ def test_path_is_real(alphas):
 
 def test_endpoints_exact():
     family, _ = _family("x - 1", 6)
-    assert np.array_equal(
-        family.hamiltonian(0.0).array, family.initial.array
-    )
+    assert np.array_equal(family.hamiltonian(0.0).array, family.initial)
     assert np.array_equal(
         family.hamiltonian(1.0).array, np.diag(family.problem_values)
     )
@@ -277,13 +301,13 @@ def test_endpoints_exact():
 def test_family_refuses_non_integer_or_misfit_problem_values(values, message):
     family, _ = _family("x - 1", 4)
     with pytest.raises(ValueError, match=message):
-        AdiabaticFamily(family.initial, values)
+        AdiabaticFamily(family.factors, values)
 
 
 def test_family_copies_its_problem_values():
     family, _ = _family("x - 1", 4)
     values = np.array([1, 0, 1, 4, 9], dtype=np.int32)
-    copied = AdiabaticFamily(family.initial, values)
+    copied = AdiabaticFamily(family.factors, values)
     values[0] = 7
     assert copied.problem_values.dtype == np.int64
     assert copied.problem_values.tolist() == [1, 0, 1, 4, 9]
@@ -309,7 +333,7 @@ def test_hermiticity_along_path():
 def test_midpoint_weyl_bounds():
     family, _ = _family("x - 1", 8)
     mid = family.hamiltonian(0.5).eigenvalues()
-    lo = family.initial.eigenvalues()
+    lo = np.linalg.eigvalsh(family.initial)
     hi = np.sort(family.problem_values)
     assert mid[0] >= 0.5 * (lo[0] + hi[0]) - 1e-10
     assert mid[-1] <= 0.5 * (lo[-1] + hi[-1]) + 1e-10
@@ -326,9 +350,7 @@ def _nan_after_half(s):
 
 def test_non_finite_schedule_weight_raises():
     family, _ = _family("x - 1", 4)
-    broken = AdiabaticFamily(
-        family.initial, family.problem_values, schedule=_nan_after_half
-    )
+    broken = dataclasses.replace(family, schedule=_nan_after_half)
     assert broken.weights(0.25) == (0.75, 0.25)
     with pytest.raises(ValueError, match="not finite"):
         broken.hamiltonian(0.75)
@@ -356,7 +378,7 @@ def test_schedules_on_arrays_are_bitwise_their_scalar_calls(grid):
         on_array = np.stack(schedule(grid), axis=1)
         on_floats = [schedule(float(s)) for s in grid]
         assert np.array_equal(_bits(on_array), _bits(on_floats))
-        stepped = AdiabaticFamily(family.initial, family.problem_values, schedule=schedule)
+        stepped = dataclasses.replace(family, schedule=schedule)
         scalar_weights = [stepped.weights(float(s)) for s in grid]
         assert np.array_equal(_bits(stepped.weights(grid)), _bits(scalar_weights))
 
@@ -386,7 +408,7 @@ def test_weights_array_rejects_any_non_finite_weight(grid, bad, data):
         pair[column] = np.where(s == at, bad, pair[column])
         return tuple(pair)
 
-    broken = AdiabaticFamily(family.initial, family.problem_values, schedule=schedule)
+    broken = dataclasses.replace(family, schedule=schedule)
     with pytest.raises(ValueError, match="not finite"):
         broken.weights(grid)
 
@@ -403,6 +425,8 @@ def test_weights_array_rejects_any_non_finite_weight(grid, bad, data):
         ("x - y", 4, DEFAULT_ALPHA, 15, 2),  # p is antisymmetric, p^2 symmetric
         ("x + 2*y", 4, DEFAULT_ALPHA, 25, 1),
         ("x + y - 5", 4, (0.7, 0.5), 25, 1),
+        # magnitudes one rounding apart give factors that differ: no group
+        ("x + y - 5", 4, (0.5, 0.5 + 2**-53), 25, 1),
         ("x + y + z - 3", 4, (0.7, 0.5j, 0.5), 75, 2),  # only |alpha| counts
         ("x + y - 5", 4, 0.0, 15, 2),  # a diagonal start operator, stored dense
     ],
@@ -443,6 +467,123 @@ def test_sector_arrays_are_the_restricted_path(text, alphas):
     coordinates = sector.reduce(start.amplitudes)
     assert np.max(np.abs(coordinates - v.T @ start.amplitudes)) <= 1e-15
     assert np.max(np.abs(sector.expand(coordinates) - start.amplitudes)) <= 1e-15
+
+
+def test_sector_group_reads_bitwise_equal_factors():
+    factor = start_factors(FockBasis(1, 3), 0.5)[0]
+    nudged = factor.copy()
+    nudged[0, 0] = np.nextafter(nudged[0, 0], np.inf)  # its last bit
+    values = problem_diagonal(parse_equation("x + y - 3"), FockBasis(2, 3))
+    assert AdiabaticFamily((factor, factor), values).sector.group_order == 2
+    assert AdiabaticFamily((factor, nudged), values).sector.group_order == 1
+    # the problem diagonal must be fixed too
+    values = problem_diagonal(parse_equation("x + 2*y - 3"), FockBasis(2, 3))
+    assert AdiabaticFamily((factor, factor), values).sector.group_order == 1
+
+
+@st.composite
+def _families(draw):
+    """Families of 1 to 3 modes at cutoffs 1 to 4.  Each mode's factor is
+    drawn from a pool of two (a displaced ladder product or a random
+    symmetric matrix), so equal factors are common; the problem diagonal
+    is a function of the sorted occupations (symmetric under every mode
+    permutation) or arbitrary."""
+    k, cutoff = draw(st.sampled_from([3, 2, 1])), draw(st.integers(1, 4))
+    levels = cutoff + 1
+    entries = st.floats(-4.0, 4.0, allow_subnormal=False)
+    pool = []
+    for _ in range(2):
+        if draw(st.booleans()):
+            pool.append(start_factors(FockBasis(1, cutoff), draw(entries))[0])
+        else:
+            upper = np.triu(draw(arrays(np.float64, (levels, levels), elements=entries)))
+            pool.append(upper + np.triu(upper, 1).T)
+    factors = [pool[draw(st.integers(0, 1))] for _ in range(k)]
+    basis = FockBasis(k, cutoff)
+    small = st.integers(0, 3)
+    if draw(st.booleans()):
+        table = defaultdict(lambda: draw(small))
+        values = [table[tuple(sorted(n))] for n in basis.occupations().tolist()]
+    else:
+        values = draw(st.lists(small, min_size=basis.dimension, max_size=basis.dimension))
+    return AdiabaticFamily(factors, values)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_families())
+def test_sector_orbit_projector_commutes_exactly_with_the_start_operator(family):
+    # P H = H P for the orbit projector P (entries 1/|a| within orbit a)
+    # exactly when every row i of H has, for each orbit b, a sum
+    # sum_{j in b} H_ij that is the same for all rows of i's orbit; the
+    # sums are exact fractions of the Kronecker sum of the factors, whose
+    # diagonal gathers one term from each mode (level == n[mode])
+    basis, factors, sector = family.basis, family.factors, family.sector
+    occupations = basis.occupations().tolist()
+    sums = []
+    for n in occupations:
+        row = defaultdict(Fraction)
+        for mode, factor in enumerate(factors):
+            for level in range(basis.cutoff + 1):
+                m = n[:mode] + [level] + n[mode + 1 :]
+                row[sector.orbit[basis.index(m)]] += Fraction(factor[n[mode], level])
+        sums.append({b: total for b, total in row.items() if total})
+    for i, a in enumerate(sector.orbit):
+        assert sums[i] == sums[sector.representatives[a]]
+    # the dense sum rounds each diagonal entry's k terms in mode order, so a
+    # permutation can move it by a rounding: it commutes within those
+    v = np.zeros((family.dimension, sector.dimension))
+    v[np.arange(family.dimension), sector.orbit] = 1.0
+    projector = (v / sector.sizes) @ v.T
+    commutator = projector @ family.initial - family.initial @ projector
+    assert np.abs(commutator).max() <= 1e-13 * max(1.0, np.abs(family.initial).max())
+    # the group is every mode permutation with equal factors that fixes
+    # the problem diagonal
+    keys = [factor.tobytes() for factor in factors]
+    order = 0
+    for perm in itertools.permutations(range(basis.num_modes)):
+        image = [basis.index([n[q] for q in perm]) for n in occupations]
+        fixed = np.array_equal(family.problem_values[image], family.problem_values)
+        order += fixed and [keys[q] for q in perm] == keys
+    assert sector.group_order == order
+
+
+@pytest.mark.parametrize(
+    "factors, message",
+    [
+        ((np.array([[0.0, 1.0], [0.0, 0.0]]),), "not symmetric"),
+        ((np.eye(2), np.array([[0.0, 1.0], [1.0 + 1e-11, 2.0]])), "not symmetric"),
+        ((np.diag([1.0, np.nan]),), "finite"),
+        ((np.eye(2), np.full((2, 2), np.inf)), "finite"),
+        ((np.eye(2, dtype=np.complex128),), "must be real"),
+        ((np.eye(2), np.array([[0.0, 1j], [-1j, 2.0]])), "must be real"),
+        ((np.eye(2), np.eye(3)), r"shape \(3, 3\) is not \(2, 2\)"),
+        ((np.ones((2, 3)),), "shape"),
+        ((np.ones(2),), "shape"),
+        ((), "need at least one mode"),
+        ((np.eye(1),), "cutoff must be at least 1"),
+    ],
+    ids=[
+        "non-symmetric", "non-symmetric-second", "nan", "inf", "complex",
+        "complex-second", "mismatched", "non-square", "1-d", "no-mode", "1-level",
+    ],
+)
+def test_family_refuses_a_bad_start_factor(factors, message):
+    with pytest.raises(ValueError, match=message):
+        AdiabaticFamily(factors, np.zeros(4, dtype=np.int64))
+
+
+def test_family_keeps_read_only_copies_of_its_factors():
+    factor = np.diag([0, 1, 2])
+    family = AdiabaticFamily([factor, factor], np.zeros(9, dtype=np.int64))
+    factor[0, 0] = 7
+    assert isinstance(family.factors, tuple)
+    assert [f.dtype for f in family.factors] == [np.float64] * 2
+    assert all(not f.flags.writeable for f in family.factors)
+    assert np.diag(family.factors[0]).tolist() == [0.0, 1.0, 2.0]
+    assert family.basis == FockBasis(2, 2)
+    replaced = dataclasses.replace(family, problem_values=np.arange(9))
+    assert replaced.basis == family.basis
+    assert replaced.problem_values.tolist() == list(range(9))
 
 
 def test_state_outside_the_sector_uses_the_full_space():
@@ -558,7 +699,7 @@ def test_block_spectrum_is_the_dense_spectrum(text, cutoff, alphas, group_order)
     v[np.arange(d), sector.orbit] = 1.0 / np.sqrt(sector.sizes[sector.orbit])
     basis = np.hstack([v, q])
     assert np.max(np.abs(basis.T @ basis - np.eye(d))) <= 1e-14
-    initial = family.initial.array
+    initial = family.initial
     assert np.max(np.abs(v.T @ initial @ q)) <= HERMITICITY_TOL
     assert np.max(np.abs(family.complement.initial - q.T @ initial @ q)) <= 1e-12
     # H_P is constant on each orbit, so it stays diagonal on the complement

@@ -12,14 +12,15 @@ bound given as ``--bound`` and as ``--cutoff`` under both semantics, the
 displacements of ``DISPLACE_ALPHAS`` given in a ``--config`` file, and
 the README's command block.  Each family runs through ``cli.main`` in a
 temporary directory, and its digest covers every file it writes (its
-config files included), its standard output and its exit codes.  The timings are dropped: every
-``sidecar`` field of a JSON file.  Two source trees that print the same
-digests give byte-identical outputs on these inputs.
+config files included), its standard output and its exit codes.  The
+timings are dropped: every ``sidecar`` field of a JSON file.  Two source
+trees that print the same digests give byte-identical outputs on these
+inputs.
 
 Run from the repository root: ``python tools/output_digest.py``.  It reads
-the package under ``src/`` of the tree it sits in; about 17 s on a
+the package under ``src/`` of the tree it sits in; about 15 s on a
 2-core host, 1.3 s of it the ``evolve`` family and under a second each
-the ``sample`` and ``oracle`` families.
+the ``sample``, ``oracle`` and ``displace`` families.
 """
 
 from __future__ import annotations
@@ -82,10 +83,9 @@ ORACLE_CASES = [
 DISPLACE_CASES = [("x + y - 5", 5), ("x*y*z - 8", 3)]
 
 # name -> per-mode [re, im] displacements, one list for each entry of
-# DISPLACE_CASES (2 and 3 modes): equal
-# magnitudes (0.5, exactly) with different phases, whose mode permutations
-# form a non-trivial group; unequal magnitudes, whose group is trivial; and
-# no displacement at all
+# DISPLACE_CASES (2 and 3 modes): equal magnitudes (0.5, exactly) with
+# different phases, whose mode permutations form a non-trivial group;
+# unequal magnitudes, whose group is trivial; and no displacement at all
 DISPLACE_ALPHAS = {
     "phases": ([[0.3, 0.4], [-0.4, 0.3]], [[0.3, 0.4], [-0.4, 0.3], [0.5, 0.0]]),
     "unequal": ([[0.5, 0.0], [0.25, 0.0]], [[0.5, 0.0], [0.25, 0.0], [0.75, 0.0]]),
