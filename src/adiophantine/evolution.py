@@ -29,7 +29,12 @@ midpoint exponential:
   closing problem half phase of a step and the opening one of the next are
   one multiply, and the problem phases are evaluated once per distinct
   problem value (``SymmetricSector.problem_classes``) and gathered onto the
-  orbits.  Its error depends on the commutator of H_I and H_P, which
+  orbits.  A block of steps gets its phases in one pass, written into one
+  table that the check allocates once and every block reuses; a block holds
+  ``SPLIT_BLOCK_BYTES`` = 256 KiB of phases, four times the midpoint
+  exponential's stack, since a Strang step at m = 21 to 75 costs mostly
+  numpy's fixed cost per call and per block.  Its error depends on the
+  commutator of H_I and H_P, which
   no a-priori bound separates from the stiff failures (McLachlan & Quispel,
   "Splitting methods", Acta Numerica 11, 2002), so the result is checked a
   posteriori: a Strang run at h and one at h/2 must give every class of
@@ -102,13 +107,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .fock import StateVector, matvec
-from .hamiltonians import (
-    STACK_BYTES,
-    AdiabaticFamily,
-    SymmetricSector,
-    _debug,
-    stack_length,
-)
+from .hamiltonians import AdiabaticFamily, SymmetricSector, _debug, stack_length
 
 __all__ = [
     "Integrator",
@@ -140,6 +139,15 @@ SPLIT_MIN_DIMENSION = 12
 # and h/2 for which the h/2 run is returned
 SPLIT_TOLERANCE = 1e-3
 
+# bytes of Strang phases in one block of the split runs, which the split
+# check's phase table holds (1.25 times this, plus two 160-byte views per
+# step); per iteration at T = 40 on x^2 + y^2 - 25, x*y - 6 and x*y - z
+# (m = 21, 45, 75; median of 21 interleaved rounds, one process) the split
+# took 7.0, 11.2 and 16.0 us at 64 KiB, 6.1, 8.8 and 12.4 us at 256 KiB and
+# 6.0, 8.4 and 11.9 us at 512 KiB, where the decide-dense peak RSS rose by
+# 0.95 MB over 64 KiB's against 0.45 MB at 256 KiB
+SPLIT_BLOCK_BYTES = 1 << 18
+
 
 class Integrator(Enum):
     RK4 = "rk4"
@@ -148,10 +156,11 @@ class Integrator(Enum):
 
 
 def split_block_length(dimension: int) -> int:
-    """How many Strang steps share one ``weights`` call: as many as fill
-    ``STACK_BYTES`` with their two rows of ``dimension`` complex phases,
-    m per run stepped together; at least one."""
-    return max(1, STACK_BYTES // (32 * dimension))
+    """How many Strang steps share one ``weights`` call and one pass of
+    phase evaluation: as many as fill ``SPLIT_BLOCK_BYTES`` with their two
+    rows of ``dimension`` complex phases, m per run stepped together; at
+    least one.  The split's phase table holds one such block."""
+    return max(1, SPLIT_BLOCK_BYTES // (32 * dimension))
 
 
 class EvolutionAborted(RuntimeError):
@@ -259,11 +268,13 @@ class EvolutionTrace:
         }
 
 
-def _unit_phases(angles: np.ndarray) -> np.ndarray:
+def _unit_phases(angles: np.ndarray, phases: np.ndarray | None = None) -> np.ndarray:
     """e^{i angles} for real ``angles``, through one cos and one sin call:
     cheaper than numpy's complex exp, which Strang steps make once per
-    problem and start phase."""
-    phases = np.empty(angles.shape, dtype=np.complex128)
+    problem and start phase.  Written into ``phases``, a contiguous complex
+    array of the shape of ``angles``, when it is given."""
+    if phases is None:
+        phases = np.empty(angles.shape, dtype=np.complex128)
     parts = phases.view(np.float64).reshape(*angles.shape, 2)
     np.cos(angles, out=parts[..., 0])
     np.sin(angles, out=parts[..., 1])
@@ -308,7 +319,8 @@ def evolve(
     exactly): a block is ``stack_length(m)`` steps for the midpoint
     exponential (m the sector dimension), one stacked ``eigh`` and one
     ``exp`` each, and ``split_block_length(m * r)`` steps of the r Strang
-    runs stepped together.  Their norms are checked at the end of each
+    runs stepped together, whose phases fill one table reused by every
+    block.  Their norms are checked at the end of each
     block, and a block that fails half the drift limit is replayed with the
     check after every step (see the module docstring), so a run aborts at
     the same step whatever the block length; a non-finite schedule weight
@@ -540,34 +552,57 @@ def _strang_runs(
     runs = [params, replace(params, step=params.step / 2)]
     m = sector.dimension
     start_energies, start_vectors = sector.start_eigensystem
-    transposed = start_vectors.T
     values, classes = sector.problem_classes
-    gather = np.concatenate([classes, len(values) + np.arange(m)])
     # the problem half phase that closes each run's last step taken, as the
     # angle w_P h / 2: it is merged into the run's next opening half phase,
     # and its final state gets it after its last step
     pending = np.zeros(len(runs))
+    # One phase table serves every block.  Its rows are steps, each row an
+    # (m, r) array in the layout of ``columns`` for the r runs stepping; a
+    # block fills the first rows, and a replay reads them before the next
+    # block overwrites them.  The problem phases of the distinct values are
+    # evaluated in the start phase table and gathered onto the orbits
+    # before the start phases overwrite them.
+    capacity = max(r * split_block_length(m * r) for r in (1, len(runs)))
+    problem_table = np.empty(capacity * m, dtype=np.complex128)
+    start_table = np.empty(capacity * m, dtype=np.complex128)
+    angle_table = np.empty(capacity * m)
+    layouts = {}
+    multiply = np.multiply
+    to_eigenbasis, from_eigenbasis = start_vectors.T.dot, start_vectors.dot
 
     def prepare(columns, first, sizes, midpoints):
+        r, n = sizes.shape
+        if r not in layouts:
+            rows = capacity // r
+            problem = problem_table[: rows * m * r].reshape(rows, m, r)
+            start = start_table[: rows * m * r].reshape(rows, m, r)
+            # every step's two phase views, once for all blocks of r runs
+            layouts.clear()
+            layouts[r] = problem, start, list(zip(problem, start))
+        problem, start, steps = layouts[r]
         # the pending half phases of the runs still stepping, the last ones
-        closing = pending[len(runs) - len(sizes) :]
-        weights = family.weights(midpoints.ravel()).reshape(*sizes.shape, 2)
+        closing = pending[len(runs) - r :]
+        weights = family.weights(midpoints.ravel()).reshape(r, n, 2)
         half = (0.5 * sizes) * weights[..., 1]
         opening = half + np.column_stack([closing, half[:, :-1]])
         closing[:] = half[:, -1]
         # the opening problem phases, once per distinct problem value (equal
-        # values give equal angles, bit for bit), and the start phases,
-        # through one cos and one sin call; one gather puts them onto the
-        # orbits and into the (m, r) layout of ``columns``, problem phases
-        # in rows :m and start phases in rows m:
-        angles = np.concatenate(
-            [
-                -opening[..., None] * values,
-                (-sizes * weights[..., 0])[..., None] * start_energies,
-            ],
-            axis=-1,
-        )
-        stacked = _unit_phases(angles).transpose(1, 2, 0).take(gather, axis=1)
+        # values give equal angles, bit for bit), gathered onto the orbits;
+        # mode="clip" writes straight into the table, where "raise" buffers.
+        # The angles are multiplied one run at a time, so that numpy's inner
+        # loop runs along the values and not along the r runs
+        angles = angle_table[: n * len(values) * r].reshape(n, len(values), r)
+        for j in range(r):
+            np.multiply(-opening[j, :, None], values, out=angles[..., j])
+        distinct = _unit_phases(angles, start_table[: angles.size].reshape(angles.shape))
+        np.take(distinct, classes, axis=1, out=problem[:n], mode="clip")
+        angles = angle_table[: n * m * r].reshape(n, m, r)
+        for j in range(r):
+            np.multiply(
+                (-sizes[j] * weights[j, :, 0])[:, None], start_energies, out=angles[..., j]
+            )
+        _unit_phases(angles, start[:n])
         # ``columns`` is stepped in place: a real matrix multiplies it
         # through its real view ``pairs``, one (re, im) column pair per run;
         # ``rotated`` holds it in the eigenbasis of the start operator
@@ -576,11 +611,11 @@ def _strang_runs(
         rotated_columns = rotated.view(np.complex128)
 
         def advance(lo: int, hi: int) -> None:
-            for diagonal, phase in zip(stacked[lo:hi, :m], stacked[lo:hi, m:]):
-                np.multiply(diagonal, columns, columns)
-                transposed.dot(pairs, out=rotated)
-                np.multiply(phase, rotated_columns, rotated_columns)
-                start_vectors.dot(rotated, out=pairs)
+            for diagonal, phase in steps[lo:hi]:
+                multiply(diagonal, columns, columns)
+                to_eigenbasis(pairs, rotated)
+                multiply(phase, rotated_columns, rotated_columns)
+                from_eigenbasis(rotated, pairs)
 
         return advance
 

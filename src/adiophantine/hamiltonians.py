@@ -78,9 +78,11 @@ DEFAULT_GAP_TOL = 1e-9
 STATE_SYMMETRY_TOL = 1e-14
 
 # bytes of one stack of dense m x m float64 matrices handed to a single
-# eigensolver call, which spreads numpy's fixed cost per call over the
-# stack; evolve's time per step was the same at 32 to 128 KiB for m = 9, 21
-# and 45, while peak memory grows with the stack
+# eigensolver call (the midpoint exponential's and the spectral profile's),
+# which spreads numpy's fixed cost per call over the stack; the midpoint
+# step's time was the same at 32 to 128 KiB for m = 9, 21 and 45, while
+# peak memory grows with the stack.  The split integrator sizes its blocks
+# by its own budget, ``evolution.SPLIT_BLOCK_BYTES``
 STACK_BYTES = 1 << 16
 
 # largest basis dimension d whose dense d x d start operator is built: a
@@ -306,24 +308,32 @@ class AdiabaticFamily:
         ``problem_values`` onto themselves.  That suffices for it to fix
         H_I, their Kronecker sum, so the group is never larger than the
         symmetry of the path; ``full_space`` when it is trivial.  No d x d
-        array is compared.  Computed on first use and kept.
+        array is compared, and a permutation's image of the basis is built
+        only when its factors match; the search keeps one running minimum
+        of the images, not each image, so its memory is O(d) at any group
+        order, while its time still grows with the k! permutations tried.
+        Computed on first use and kept.
         """
         basis = self.basis
         values = self.problem_values
         occupations = basis.occupations()
         d = self.dimension
         keys = [factor.tobytes() for factor in self.factors]
-        moved = [np.arange(d)]
+        # an orbit is named by its smallest basis index: the least image of
+        # each index under the group's permutations, kept as a running
+        # minimum, with the group's order
+        smallest, order = np.arange(d), 1
         # permutations() yields the identity first
         modes = range(basis.num_modes)
         for perm in itertools.islice(itertools.permutations(modes), 1, None):
+            if [keys[mode] for mode in perm] != keys:
+                continue
             image = np.ravel_multi_index(occupations[:, perm].T, basis.shape)
-            if [keys[mode] for mode in perm] == keys and (values[image] == values).all():
-                moved.append(image)
-        if len(moved) == 1:
+            if (values[image] == values).all():
+                np.minimum(smallest, image, out=smallest)
+                order += 1
+        if order == 1:
             return self.full_space
-        # an orbit is named by its smallest basis index
-        smallest = np.min(moved, axis=0)
         named = smallest == np.arange(d)
         representatives = np.flatnonzero(named)
         orbit = (np.cumsum(named) - 1)[smallest]
@@ -334,7 +344,7 @@ class AdiabaticFamily:
         reduced = v.T @ self.initial @ v
         reduced = 0.5 * (reduced + reduced.T)
         return SymmetricSector(
-            group_order=len(moved),
+            group_order=order,
             representatives=representatives,
             orbit=orbit,
             sizes=sizes,

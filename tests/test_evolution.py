@@ -803,7 +803,7 @@ def test_shared_loop_steps_the_two_stepwise_strang_runs(caplog, case, record_gri
 
 
 @pytest.mark.parametrize("record_grid", [101, 10**6])
-@pytest.mark.parametrize("length", [1, 7])
+@pytest.mark.parametrize("length", [1, 7, 10**4])
 @pytest.mark.parametrize(
     "case, params",
     [
@@ -816,7 +816,8 @@ def test_shared_loop_steps_the_two_stepwise_strang_runs(caplog, case, record_gri
 )
 def test_block_length_moves_no_bit(monkeypatch, case, params, length, record_grid):
     # one step per block is a check after every step; 7 puts snapshots on
-    # block edges and inside blocks
+    # block edges and inside blocks; 10**4 takes each run in one block, and
+    # the split's first block then ends at the h run's last step
     family, start = _sector_case(*case)
     params = replace(params, record_grid=record_grid)
     reference = evolve(family, start, params)
@@ -840,7 +841,9 @@ def test_passing_replay_continues_the_run(caplog, monkeypatch):
         trace = evolve(family, start, params)
     _assert_bitwise_equal(trace, reference)
     replays = [r.getMessage() for r in caplog.records if "replayed" in r.getMessage()]
-    # 50 steps of both runs in one block of 78, then 50 of the h/2 run alone
+    # 50 steps of both runs in one block, then 50 of the h/2 run alone in
+    # another
+    assert evolution.split_block_length(2 * 13) >= 50
     assert replays == [
         "evolve: run at step 0.02 replayed steps 0 to 49 one at a time; "
         "no step fails the check",
@@ -918,33 +921,52 @@ def test_split_abort_in_the_half_step_run_is_logged(caplog):
     _assert_bitwise_equal(trace, evolve(broken, start, params))
 
 
-def _overflows_past(s0, fine_grid_only=False):
+def _overflows_past(s0, fine_steps=None):
     """A problem weight of 1e308 at every midpoint s > s0, else the linear
     schedule's: on ``x - 20``, whose largest problem value is 400, it makes
-    the Strang half phase angles and the midpoint generator overflow.  ``fine_grid_only`` keeps the linear
-    weight at the midpoints of the h = 0.02 grid of T = 4, so only the run at
-    h/2 meets the overflow (its midpoints are odd multiples of 1/800, the h
-    run's even ones)."""
+    the Strang half phase angles and the midpoint generator overflow.
+    ``fine_steps`` keeps the linear weight at the midpoints of every run
+    but one of ``fine_steps`` steps: its midpoints are the odd multiples of
+    1 / (2 fine_steps), and those of a run at twice its step the even ones."""
 
     def schedule(s):
         huge = s > s0
-        if fine_grid_only:
-            huge &= np.round(s * 800) % 2 == 1
+        if fine_steps is not None:
+            huge &= np.round(s * 2 * fine_steps) % 2 == 1
         return 1.0 - s, np.where(huge, 1e308, s)
 
     return schedule
 
 
+# the split blocks of ``x - 20`` at cutoff 12 (m = 13): of both runs while
+# they step together, then of the h/2 run alone
+_BOTH, _ALONE = evolution.split_block_length(2 * 13), evolution.split_block_length(13)
+# the h run's step count at h = 0.02: two full blocks of both runs and a
+# partial third, so both runs still step together in a later block
+_STEPS = 2 * _BOTH + _BOTH // 2
+# its aborts: at a step of the third block of both runs, and at a step of
+# the h/2 run's first block alone, which begins at its step _STEPS
+_H_FAILS = 2 * _BOTH + _BOTH // 4
+_HALF_FAILS = _STEPS + min(_ALONE, _STEPS) // 2
+
+
 @pytest.mark.parametrize(
     "cutoff, total_time, s0, run, block, failing",
     [
-        # m = 13, T = 4, h = 0.02: the h run takes 200 steps in blocks of 78
-        # while both runs step, and meets s > 0.85 at its step 170, in the
-        # third block
-        (12, 4.0, 0.85, 0, (156, 199), 170),
-        # then the h/2 run steps alone from its step 200 in blocks of 157,
-        # the fourth block on, and meets s > 0.75 at its step 300
-        (12, 4.0, 0.75, 1, (200, 356), 300),
+        # m = 13: the h run meets s > s0 at its step _H_FAILS, in the third
+        # block of the two runs
+        (12, _STEPS * 0.02, _H_FAILS / _STEPS, 0, (2 * _BOTH, _STEPS - 1), _H_FAILS),
+        # then only the h/2 run's midpoints overflow: it meets s > s0 at its
+        # step _HALF_FAILS, in its first block alone, after every block of
+        # the two runs
+        (
+            12,
+            _STEPS * 0.02,
+            _HALF_FAILS / (2 * _STEPS),
+            1,
+            (_STEPS, min(_STEPS + _ALONE, 2 * _STEPS) - 1),
+            _HALF_FAILS,
+        ),
         # m = 9: the midpoint exponential, 300 steps in blocks of 101; it
         # meets s > 0.834 at its step 250, in the third block
         (8, 6.0, 0.834, None, (202, 299), 250),
@@ -957,8 +979,11 @@ def test_abort_in_a_later_block_is_the_stepwise_abort(
     family, start = _sector_case("x - 20", cutoff)
     sector = family.sector_for(start)
     assert (sector.dimension >= SPLIT_MIN_DIMENSION) == (run is not None)
-    broken = replace(family, schedule=_overflows_past(s0, fine_grid_only=run == 1))
     params = EvolutionParams(total_time, 0.02)
+    if run is not None:
+        assert params.step_count() == _STEPS
+    fine_steps = 2 * params.step_count() if run == 1 else None
+    broken = replace(family, schedule=_overflows_past(s0, fine_steps))
     with np.errstate(over="ignore", invalid="ignore"):
         with caplog.at_level(logging.DEBUG, logger="adiophantine.evolution"):
             with pytest.raises(EvolutionAborted) as aborted:
@@ -995,8 +1020,8 @@ def test_split_check_is_logged(caplog):
     assert len(messages) == 2
     assert messages[0] == (
         "evolve: basis dimension 13, sector dimension 13, group order 1, "
-        "block length 78; Strang runs at steps 0.02 and 0.01 stepped "
-        "together, then the second alone in blocks of 157"
+        f"block length {_BOTH}; Strang runs at steps 0.02 and 0.01 stepped "
+        f"together, then the second alone in blocks of {_ALONE}"
     )
     assert messages[-1].startswith("evolve split: class disagreement ")
     assert messages[-1].endswith(

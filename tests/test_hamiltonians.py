@@ -1,6 +1,8 @@
 import dataclasses
 import itertools
 import logging
+import math
+import tracemalloc
 import warnings
 from collections import defaultdict
 from fractions import Fraction
@@ -479,6 +481,26 @@ def test_sector_group_reads_bitwise_equal_factors():
     # the problem diagonal must be fixed too
     values = problem_diagonal(parse_equation("x + 2*y - 3"), FockBasis(2, 3))
     assert AdiabaticFamily((factor, factor), values).sector.group_order == 1
+
+
+def test_sector_search_keeps_no_image_per_permutation():
+    # seven modes with equal factors and a symmetric diagonal: each of the
+    # 7! = 5040 permutations is a symmetry, and the orbits of the d = 128
+    # basis states are their occupation counts.  Kept images of every
+    # permutation would take 5040 x 128 x 8 B = 5.2 MB, twice over when
+    # stacked for their minimum; the running minimum stays O(d)
+    family, _ = _family("a + b + c + d + e + f + g - 3", 1)
+    assert "sector" not in vars(family)
+    tracemalloc.start()
+    try:
+        sector = family.sector
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (sector.group_order, sector.dimension) == (5040, 8)
+    assert sector.orbit.tolist() == [bin(i).count("1") for i in range(128)]
+    assert sector.sizes.tolist() == [math.comb(7, c) for c in range(8)]
+    assert peak < 1 << 20
 
 
 @st.composite
