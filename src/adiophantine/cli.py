@@ -68,7 +68,7 @@ _SEMANTICS = {
 # DecideConfig's fields: those every run reads, and those of the decide
 # ladder; evolve and sample run one rung of --T
 _RUN = ("cutoff", "semantics", "alphas", "integrator", "step")
-_DECIDE = ("t0", "j_max", "strict_criterion", "tie_tol")
+_DECIDE = ("t0", "j_max", "strict_criterion")
 
 SETTINGS = {
     "check": (),
@@ -141,12 +141,10 @@ def load_settings(command: str, path: str | None, flags: dict) -> dict:
 
 def _has_flag_type(key: str, value) -> bool:
     """Whether a config-file value has the type its flag parses to.  Of the
-    keys with no flag, the equation is a string, tie_tol a number, and
-    alphas a number or a list of [re, im] number pairs."""
+    keys with no flag, the equation is a string and alphas a number or a
+    list of [re, im] number pairs."""
     if key == "equation":
         return isinstance(value, str)
-    if key == "tie_tol":
-        return _is_a(value, float)
     if key == "alphas":
         return _is_a(value, float) or isinstance(value, list) and all(
             _is_list_of(pair, float) and len(pair) == 2 for pair in value
@@ -397,7 +395,7 @@ def _int_list(text: str) -> list[int]:
 _INT, _FLOAT = {"type": int}, {"type": float}
 _SWITCH = {"action": "store_const", "const": True}
 
-# setting -> (flag, argparse options, help); alphas and tie_tol have no flag
+# setting -> (flag, argparse options, help); alphas has no flag
 _FLAGS = {
     "out_dir": ("--out", {}, "output directory"),
     "seed": ("--seed", _INT, "random seed for sampling"),

@@ -133,9 +133,11 @@ class DecideConfig:
 
     The decide ladder runs ``t0 * 2^j`` for j = 0 .. ``j_max``.  Each rung
     is read only at its end, so it records its two ends (``record_grid``, a
-    class constant and no setting)."""
+    class constant and no setting).  Its top state is read with ties within
+    ``tie_tol``, a class constant too."""
 
     record_grid = 2
+    tie_tol = 1e-9
 
     cutoff: int = 8
     semantics: VariableSemantics = VariableSemantics.NON_NEGATIVE
@@ -145,7 +147,6 @@ class DecideConfig:
     t0: float = 10.0
     j_max: int = 6
     strict_criterion: bool = False
-    tie_tol: float = 1e-9
 
     def __post_init__(self):
         if self.cutoff < 1:
@@ -162,10 +163,6 @@ class DecideConfig:
             value = getattr(self, name)
             if not (math.isfinite(value) and value > 0):
                 raise ValueError(f"{name} must be positive and finite, got {value}")
-        if not (math.isfinite(self.tie_tol) and self.tie_tol >= 0):
-            raise ValueError(
-                f"tie_tol must be non-negative and finite, got {self.tie_tol}"
-            )
         if self.j_max < 0:
             raise ValueError(f"j_max must be at least 0, got {self.j_max}")
         try:

@@ -290,7 +290,7 @@ def _check_rk4_stable(
     the run, with ||H_I|| bounded by its largest absolute row sum; for a
     convex schedule this is max(||H_I||, max H_P).
     """
-    initial_norm = float(np.abs(family.initial).sum(axis=1).max())
+    initial_norm = float(np.abs(family.full_space.initial).sum(axis=1).max())
     problem_norm = float(np.abs(family.problem_values).max())
     scale = float((np.abs(stage_weights) @ (initial_norm, problem_norm)).max())
     if step * scale > RK4_STABILITY_LIMIT:

@@ -86,16 +86,6 @@ class FockBasis:
         grids = np.unravel_index(np.arange(self.dimension), self.shape)
         return np.stack(grids, axis=1).astype(np.int64)
 
-    def on_mode(self, mode: int, single: np.ndarray) -> np.ndarray:
-        """Dense d x d array acting as the (cutoff+1)^2 ``single`` on one
-        mode and as the identity on the others (a Kronecker product)."""
-        if not 0 <= mode < self.num_modes:
-            raise ValueError(f"mode {mode} outside [0, {self.num_modes})")
-        levels = self.cutoff + 1
-        before = np.eye(levels**mode)
-        after = np.eye(levels ** (self.num_modes - 1 - mode))
-        return np.kron(np.kron(before, single), after)
-
     def to_json_dict(self) -> dict:
         return {"num_modes": self.num_modes, "cutoff": self.cutoff}
 
@@ -195,9 +185,15 @@ def annihilation(basis: FockBasis, mode: int) -> np.ndarray:
     """Bosonic lowering operator on one mode, as a real d x d array.
 
     Exact on the truncated span; only the conjugate raising direction loses
-    the transition out of the cutoff level.
+    the transition out of the cutoff level.  It is the Kronecker product of
+    the one-mode ladder on ``mode`` with identities on the other modes.
     """
-    return basis.on_mode(mode, ladder(basis.cutoff))
+    if not 0 <= mode < basis.num_modes:
+        raise ValueError(f"mode {mode} outside [0, {basis.num_modes})")
+    levels = basis.cutoff + 1
+    before = np.eye(levels**mode)
+    after = np.eye(levels ** (basis.num_modes - 1 - mode))
+    return np.kron(np.kron(before, ladder(basis.cutoff)), after)
 
 
 def as_mode_alphas(alphas, num_modes: int) -> tuple[complex, ...]:

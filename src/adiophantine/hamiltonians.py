@@ -7,10 +7,13 @@ and its ground level over the truncated box equals the classical
 diagonal, never as a matrix.  The start Hamiltonian
 ``sum_i (a_i^† - conj(alpha_i)) (a_i - alpha_i)`` has the (truncated)
 coherent state as its easily prepared ground state; it is held as its k
-real symmetric (cutoff+1) x (cutoff+1) per-mode factors, and its dense
-d x d Kronecker sum is built only on first use.  The two are joined by a
-convex interpolation whose spectrum is scanned on an s-grid to witness the
-absence of level crossings.
+real symmetric (cutoff+1) x (cutoff+1) per-mode factors.  Each block of the
+path (the full space, a symmetric sector) reads its start array straight
+off those factors, by one scatter-add over the k (cutoff+1) d pairs of
+basis indices that differ in at most one mode; the dense d x d Kronecker
+sum is the full space's block, built only when a consumer asks for it.  The two
+operators are joined by a convex interpolation whose spectrum is scanned
+on an s-grid to witness the absence of level crossings.
 
 The whole path is real symmetric.  A displacement alpha = |alpha| e^{i phi}
 enters only through the diagonal gauge U = e^{i phi N}: the start operator
@@ -40,7 +43,7 @@ from typing import Callable
 
 import numpy as np
 
-from .diophantine import Polynomial, box_slabs
+from .diophantine import MAX_VARIABLES, Polynomial, box_slabs
 from .fock import (
     FockBasis,
     HermitianOperator,
@@ -187,8 +190,11 @@ class AdiabaticFamily:
     ``factors`` holds one real symmetric (cutoff+1) x (cutoff+1) start
     matrix per mode, stored read-only as float64; the start operator H_I is
     their Kronecker sum, and ``basis`` (k modes at that cutoff) comes from
-    them.  A factor that is not real, finite, square, of the first factor's
-    size and symmetric within ``HERMITICITY_TOL`` is refused, as
+    them.  Each block (``full_space``, ``sector``) builds its own start
+    array from the factors; the full space's is the dense d x d sum,
+    ``full_space.initial``.  More than ``MAX_VARIABLES`` factors, and a
+    factor that is not real, finite, square, of the first factor's size
+    and symmetric within ``HERMITICITY_TOL``, are refused, the latter as
     ``HermitianOperator`` refuses a matrix.  ``problem_values`` is the exact
     integer problem diagonal in basis order, the diagonal of H_P, stored
     once as a read-only int64 array; numpy converts it to float64 where a
@@ -204,6 +210,11 @@ class AdiabaticFamily:
     basis: FockBasis = field(init=False, repr=False)
 
     def __post_init__(self):
+        # the sector's search tries each of the k! mode permutations
+        if len(self.factors) > MAX_VARIABLES:
+            raise ValueError(
+                f"a family has at most {MAX_VARIABLES} modes, got {len(self.factors)}"
+            )
         levels = len(np.atleast_1d(self.factors[0])) if len(self.factors) else 0
         basis = FockBasis(len(self.factors), levels - 1)
         factors = tuple(symmetric_array(factor, levels) for factor in self.factors)
@@ -217,21 +228,6 @@ class AdiabaticFamily:
         object.__setattr__(self, "factors", factors)
         object.__setattr__(self, "basis", basis)
         object.__setattr__(self, "problem_values", values)
-
-    @cached_property
-    def initial(self) -> np.ndarray:
-        """The dense d x d start operator, read-only, built on first use and
-        kept: the Kronecker sum of ``factors``, symmetrized as
-        ``0.5 * (t + t.T)``.  A basis over ``MAX_DIMENSION`` is refused
-        before it is allocated."""
-        check_dimension(self.basis)
-        total = np.zeros((self.dimension, self.dimension))
-        for mode, factor in enumerate(self.factors):
-            total += self.basis.on_mode(mode, factor)
-        total = total + total.T
-        total *= 0.5
-        total.setflags(write=False)
-        return total
 
     @property
     def dimension(self) -> int:
@@ -286,16 +282,49 @@ class AdiabaticFamily:
         h[:, indices, indices] += w_problem * sector.problem
         return h
 
+    def _start_block(self, orbit: np.ndarray, sizes: np.ndarray) -> np.ndarray:
+        """The start operator in the orbit basis of ``(orbit, sizes)``,
+        read-only: entry (a, b) is sum_{i in a, j in b} H_I[i, j] /
+        sqrt(|a| |b|), read off ``factors`` and symmetrized as
+        ``0.5 * (t + t.T)``.  A basis over ``MAX_DIMENSION`` is refused
+        before anything of size d is computed.
+
+        H_I joins two basis indices only when they differ in at most one
+        mode, so the block is one weighted ``bincount`` over the k (N+1) d
+        cells (i, j) of the factors, listed row by row and, within a row,
+        mode by mode.  On the trivial orbits each diagonal entry sums its k
+        terms in mode order from 0, and every other entry is one factor
+        entry: the bits of the dense Kronecker sum built by ``np.kron``.
+        """
+        check_dimension(self.basis)
+        k, levels, m = self.basis.num_modes, self.basis.cutoff + 1, len(sizes)
+        occupations = self.basis.occupations()
+        strides = levels ** np.arange(k - 1, -1, -1)
+        # cell (i, mode, n) joins i to the index that sets this mode of i to n
+        start = np.arange(self.dimension)[:, None] - occupations * strides
+        column = orbit[start[:, :, None] + strides[:, None] * np.arange(levels)].ravel()
+        row = np.repeat(orbit, k * levels)
+        entries = np.stack(self.factors)[np.arange(k), occupations].ravel()
+        weights = entries / np.sqrt(sizes[row] * sizes[column])
+        block = np.bincount(row * m + column, weights, minlength=m * m).reshape(m, m)
+        block = block + block.T
+        block *= 0.5
+        block.setflags(write=False)
+        return block
+
     @cached_property
     def full_space(self) -> "SymmetricSector":
-        """The trivial sector: the identity group on the whole basis."""
+        """The trivial sector: the identity group on the whole basis.  Its
+        ``initial`` is the dense d x d start operator, the Kronecker sum of
+        ``factors``; a basis over ``MAX_DIMENSION`` is refused."""
         index = np.arange(self.dimension)
+        sizes = np.ones(self.dimension, dtype=np.int64)
         return SymmetricSector(
             group_order=1,
             representatives=index,
             orbit=index,
-            sizes=np.ones(self.dimension, dtype=np.int64),
-            initial=self.initial,
+            sizes=sizes,
+            initial=self._start_block(index, sizes),
             problem=self.problem_values,
         )
 
@@ -311,8 +340,10 @@ class AdiabaticFamily:
         array is compared, and a permutation's image of the basis is built
         only when its factors match; the search keeps one running minimum
         of the images, not each image, so its memory is O(d) at any group
-        order, while its time still grows with the k! permutations tried.
-        Computed on first use and kept.
+        order, while its time grows with the k! permutations tried, k at
+        most ``MAX_VARIABLES``.  The start array
+        comes from the factors in O(k d), with no d x d array.  Computed on
+        first use and kept.
         """
         basis = self.basis
         values = self.problem_values
@@ -338,17 +369,12 @@ class AdiabaticFamily:
         representatives = np.flatnonzero(named)
         orbit = (np.cumsum(named) - 1)[smallest]
         sizes = np.bincount(orbit)
-        # V^T H_I V for the orbit basis V, column a = sum_{i in a} |i> / sqrt|a|
-        v = np.zeros((d, len(representatives)))
-        v[np.arange(d), orbit] = 1.0 / np.sqrt(sizes[orbit])
-        reduced = v.T @ self.initial @ v
-        reduced = 0.5 * (reduced + reduced.T)
         return SymmetricSector(
             group_order=order,
             representatives=representatives,
             orbit=orbit,
             sizes=sizes,
-            initial=reduced,
+            initial=self._start_block(orbit, sizes),
             problem=self.problem_values[representatives],
         )
 
@@ -368,7 +394,7 @@ class AdiabaticFamily:
         norm = np.sqrt(j * (j + 1.0))
         vectors = ((orbit[:, None] == orbit[last]) & (rank[:, None] < j)) / norm
         vectors[last, np.arange(len(last))] = -j / norm
-        reduced = vectors.T @ self.initial @ vectors
+        reduced = vectors.T @ self.full_space.initial @ vectors
         return Complement(
             vectors=vectors,
             initial=0.5 * (reduced + reduced.T),
@@ -421,7 +447,8 @@ class SymmetricSector:
     e_a = sum_{i in a} |i> / sqrt(|a|).  ``representatives`` holds the
     smallest basis index of each orbit (ascending), ``orbit`` the orbit of
     every basis index and ``sizes`` the orbit sizes; ``initial`` is the
-    dense start operator in the orbit basis, ``problem`` the exact int64
+    dense start operator in the orbit basis, read off the family's
+    per-mode factors, ``problem`` the exact int64
     problem value of each orbit (a slice of the family's
     ``problem_values``), and ``group_order`` is the number of
     permutations.  A fixed state psi has coordinates

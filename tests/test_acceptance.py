@@ -114,7 +114,7 @@ def _family_for(text: str, cutoff: int = CUTOFF, alphas=None):
 def _two_level_family():
     basis = FockBasis(1, 1)
     family = AdiabaticFamily(start_factors(basis, 0.5), (1, 0))
-    _, vectors = np.linalg.eigh(family.initial)
+    _, vectors = np.linalg.eigh(family.full_space.initial)
     return family, StateVector(basis, vectors[:, 0])
 
 

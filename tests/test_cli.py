@@ -414,7 +414,7 @@ def test_flags_a_subcommand_does_not_read_are_refused(capsys, command, flag):
 def test_decide_config_holds_exactly_the_settings_of_decide():
     names = {f.name for f in dataclasses.fields(DecideConfig)}
     assert names == set(SETTINGS["decide"]) - {"out_dir"}
-    assert len(names) == 9
+    assert len(names) == 8
 
 
 @pytest.mark.parametrize(
@@ -448,6 +448,10 @@ def test_abbreviated_flags_are_refused(args):
         ("sweep", "extrapolation_steps", None),
         ("decide", "record_grid", 1),
         ("sweep", "record_grid", 101),
+        # ties are broken at the fixed DecideConfig.tie_tol
+        ("decide", "tie_tol", -1),
+        ("decide", "tie_tol", None),
+        ("sweep", "tie_tol", 1e-9),
         # a single run's time is --T
         ("evolve", "t0", 10.0),
         ("sample", "t0", 10.0),
@@ -493,7 +497,7 @@ def test_config_keys_a_subcommand_does_not_read_are_refused(
             {"shots": 100000000000000000000},
             "shots must be at least 1 and below 2^63, got 100000000000000000000",
         ),
-        ("decide", [], {"tie_tol": -1}, "tie_tol must be non-negative and finite"),
+        ("decide", ["--jmax", "-1"], None, "j_max must be at least 0, got -1"),
         ("spectrum", [], {"gap_tol": -1}, "gap_tol must be non-negative and finite"),
     ],
 )
@@ -568,7 +572,7 @@ def test_huge_spectrum_grid_is_refused_before_it_allocates(tmp_path, capsys):
         ("sweep", {"cutoffs": [3, "5"]}),
         ("decide", {"integrator": 1}),
         ("spectrum", {"equation": 5}),
-        ("decide", {"tie_tol": True}),
+        ("sweep", {"j_max": 1.5}),
         ("decide", {"alphas": True}),
         ("decide", {"alphas": [[True, False]]}),
     ],

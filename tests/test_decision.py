@@ -21,6 +21,8 @@ from adiophantine.decision import (
     truncation_sweep,
 )
 from adiophantine.diophantine import (
+    MAX_VARIABLES,
+    Polynomial,
     VariableSemantics,
     evaluate,
     min_over_box,
@@ -208,8 +210,9 @@ def test_negative_j_max_is_refused():
             {"step": 1e-300, "t0": 1e10},
             r"step count 640000000000\.0 / 1e-300 overflows",
         ),
-        ({"tie_tol": -1.0}, "tie_tol must be non-negative and finite"),
-        ({"tie_tol": float("nan")}, "tie_tol must be non-negative and finite"),
+        # a cutoff whose box exceeds the dimension limit at any mode count
+        ({"cutoff": 8192}, "cutoff must be below 8192, got 8192"),
+        ({"alphas": float("nan")}, "alphas must be finite"),
         ({"alphas": 1e308 + 1e308j, "cutoff": 4}, "overflow the start state"),
         # one displacement is checked on one mode, a tuple on all its modes
         ({"alphas": (1e50, 1e50), "cutoff": 2}, "overflow the start state"),
@@ -224,6 +227,29 @@ def test_removed_settings_are_refused():
     # a report describes only the run that produced its verdict
     with pytest.raises(TypeError, match="extrapolation_steps"):
         DecideConfig(extrapolation_steps=(0.04, 0.02, 0.01))
+
+
+def test_more_modes_than_an_equation_may_have_are_refused():
+    # the sector tries each of the k! mode permutations, at most 8! of them;
+    # the parser refuses a ninth variable, the family any ninth mode
+    k = MAX_VARIABLES + 1
+    message = f"a family has at most {MAX_VARIABLES} modes, got {k}"
+    with pytest.raises(ValueError, match=message):
+        AdiabaticFamily([np.eye(2)] * k, np.zeros(2**k, dtype=np.int64))
+    terms = {tuple(np.eye(k, dtype=int)[i]): 1 for i in range(k)}
+    p = Polynomial.from_terms({**terms, (0,) * k: -3}, "abcdefghi")
+    assert p.num_vars == k
+    with pytest.raises(ValueError, match=message):
+        decide(p, DecideConfig(cutoff=1))
+
+
+def test_ties_are_broken_at_a_fixed_tolerance():
+    # the top state is read with ties within 1e-9: a class constant, no
+    # setting, and not in a report's config
+    with pytest.raises(TypeError, match="tie_tol"):
+        DecideConfig(tie_tol=0.0)
+    assert DecideConfig.tie_tol == 1e-9
+    assert "tie_tol" not in DecideConfig().to_json_dict()
 
 
 def test_each_rung_records_only_its_two_ends():
@@ -315,7 +341,9 @@ DENSE_GOLDENS = {
             0,
             0.6459766043003,
         ),
-        0.6459415205455503,
+        # the T = 640 rung takes 32000 h steps and 64000 h/2 steps: a
+        # rounding of the sector's start array moves this by about 1e-11
+        0.6459415205332575,
     ),
     ("x + y + z - 3", 4): (
         ((10.0,), SOLVED, (1, 1, 1), (1, 1, 1), 0, 0.8847909089122971),

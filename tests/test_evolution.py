@@ -48,7 +48,7 @@ def _two_level():
     truncation warning the displaced coherent state would raise here."""
     basis = FockBasis(1, 1)
     family = AdiabaticFamily(start_factors(basis, 0.5), (1, 0))
-    _, vectors = np.linalg.eigh(family.initial)
+    _, vectors = np.linalg.eigh(family.full_space.initial)
     return family, StateVector(basis, vectors[:, 0])
 
 
@@ -362,7 +362,7 @@ def test_final_state_does_not_depend_on_record_grid(
 
 def _full_space_reference(family, init, params):
     """Reference: the integrator's step on the dense d x d path."""
-    h_initial = family.initial
+    h_initial = family.full_space.initial
     h_problem = np.diag(family.problem_values)
 
     def hamiltonian(t):
@@ -702,7 +702,7 @@ def test_split_is_exact_on_a_diagonal_path():
     trace = evolve(family, start, EvolutionParams(10.0, 0.02, integrator=SPLIT))
     assert trace.params == EvolutionParams(10.0, 0.01, integrator=SPLIT)
     # integral of w_I H_I + w_P H_P over t in [0, T] for the linear schedule
-    energies = 5.0 * (np.diag(family.initial) + family.problem_values)
+    energies = 5.0 * (np.diag(family.full_space.initial) + family.problem_values)
     expected = np.exp(-1j * energies) * start.amplitudes
     assert np.max(np.abs(trace.final_state.amplitudes - expected)) <= 1e-12
 

@@ -117,9 +117,9 @@ def bench(monkeypatch):
     ids=["decide-1mode", "decide-dense", "split-x*y-6@8", "midexp-x-7@8"],
 )
 def test_bench_traced_decide_replays_decide(bench, build, outcome):
-    # the replay reads tie_tol, the class constant DecideConfig.record_grid
-    # (so it steps exactly the runs decide steps) and
-    # EvolutionParams.step_starts_and_sizes
+    # the replay reads the class constants DecideConfig.tie_tol and
+    # DecideConfig.record_grid (so it steps exactly the runs decide steps)
+    # and EvolutionParams.step_starts_and_sizes
     op = build(bench.ops)
     plain = op.run(bench.tracing.NullTracer())
     tracer = bench.tracing.Tracer()

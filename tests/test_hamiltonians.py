@@ -157,24 +157,26 @@ def test_initial_hamiltonian_zero_displacement(k, cutoff):
     # the sum of the modes' number operators, stored dense
     family, ground = _start(k, cutoff, 0.0)
     expected = np.diag(family.basis.occupations().sum(axis=1).astype(np.float64))
-    assert family.initial.dtype == np.float64
-    assert _bits(family.initial).tolist() == _bits(expected).tolist()
+    assert family.full_space.initial.dtype == np.float64
+    assert _bits(family.full_space.initial).tolist() == _bits(expected).tolist()
     assert ground.amplitudes.tolist() == [1.0] + [0.0] * (family.dimension - 1)
 
 
 def test_initial_hamiltonian_displaced_ground_state():
     family, nominal = _start(1, 16, 0.5)
-    evals, evecs = np.linalg.eigh(family.initial)
+    initial = family.full_space.initial
+    evals, evecs = np.linalg.eigh(initial)
     assert evals[0] < 1e-8
     overlap = abs(np.vdot(evecs[:, 0], nominal.amplitudes))
     assert overlap > 1 - 1e-6
-    rayleigh = np.vdot(nominal.amplitudes, matvec(family.initial, nominal.amplitudes)).real
+    rayleigh = np.vdot(nominal.amplitudes, matvec(initial, nominal.amplitudes)).real
     assert rayleigh < 1e-6
 
 
 def test_initial_hamiltonian_default_alpha_rayleigh():
     family, nominal = _start(2, 8)
-    rayleigh = np.vdot(nominal.amplitudes, matvec(family.initial, nominal.amplitudes)).real
+    initial = family.full_space.initial
+    rayleigh = np.vdot(nominal.amplitudes, matvec(initial, nominal.amplitudes)).real
     assert 0 <= rayleigh < 1e-6
 
 
@@ -189,9 +191,9 @@ def test_initial_hamiltonian_is_exact_kronecker_sum(k, cutoff):
     for mode in range(k):
         shifted = annihilation(basis, mode) - DEFAULT_ALPHA * eye
         expected += shifted.conj().T @ shifted
-    assert np.array_equal(family.initial, expected)
-    assert not family.initial.flags.writeable
-    assert family.initial is family.initial
+    assert np.array_equal(family.full_space.initial, expected)
+    assert not family.full_space.initial.flags.writeable
+    assert family.full_space.initial is family.full_space.initial
 
 
 def test_start_factors_give_a_zero_displacement_its_exact_number_operator():
@@ -205,7 +207,7 @@ def test_start_factors_give_a_zero_displacement_its_exact_number_operator():
     family, _ = _family("x + y", 4, alphas=(0.0, 0.5j))
     assert all(map(np.array_equal, family.factors, (zero, displaced)))
     expected = np.kron(zero, np.eye(5)) + np.kron(np.eye(5), displaced)
-    assert _bits(family.initial).tolist() == _bits(expected).tolist()
+    assert _bits(family.full_space.initial).tolist() == _bits(expected).tolist()
 
 
 @pytest.mark.parametrize("alphas", [0.0, DEFAULT_ALPHA])
@@ -216,7 +218,7 @@ def test_start_operator_refuses_a_basis_over_the_dimension_limit(monkeypatch, al
     assert hamiltonians.MAX_DIMENSION >= FockBasis(3, 16).dimension
     built, _ = _start(3, 4, alphas)
     monkeypatch.setattr(hamiltonians, "MAX_DIMENSION", 100)
-    assert _start(2, 9, alphas)[0].initial.shape == (100, 100)
+    assert _start(2, 9, alphas)[0].full_space.initial.shape == (100, 100)
     message = "basis dimension 125 exceeds 100: each dense d x d array would need"
     # from_polynomial refuses before the problem diagonal is computed
     monkeypatch.setattr(hamiltonians, "problem_diagonal", None)
@@ -224,7 +226,7 @@ def test_start_operator_refuses_a_basis_over_the_dimension_limit(monkeypatch, al
         _start(3, 4, alphas)
     # a family built under the limit refuses to allocate its dense sum
     with pytest.raises(ValueError, match=message):
-        built.initial
+        built.full_space
     # the factors stay small at any dimension; only the check runs at 9^200
     assert len(start_factors(FockBasis(200, 8), alphas)) == 200
     with pytest.raises(ValueError, match=r"array would need 3\.98e\+373 GB"):
@@ -268,7 +270,7 @@ def test_displacement_phase_is_a_gauge():
 def test_path_is_real(alphas):
     family, start = _family("x*y - 6", 4, alphas=alphas)
     assert family.path_arrays(np.array([family.weights(0.5)])).dtype == np.float64
-    assert family.initial.dtype == np.float64
+    assert family.full_space.initial.dtype == np.float64
     assert not np.any(start.amplitudes.imag)
 
 
@@ -277,7 +279,7 @@ def test_path_is_real(alphas):
 
 def test_endpoints_exact():
     family, _ = _family("x - 1", 6)
-    assert np.array_equal(family.hamiltonian(0.0).array, family.initial)
+    assert np.array_equal(family.hamiltonian(0.0).array, family.full_space.initial)
     assert np.array_equal(
         family.hamiltonian(1.0).array, np.diag(family.problem_values)
     )
@@ -335,7 +337,7 @@ def test_hermiticity_along_path():
 def test_midpoint_weyl_bounds():
     family, _ = _family("x - 1", 8)
     mid = family.hamiltonian(0.5).eigenvalues()
-    lo = np.linalg.eigvalsh(family.initial)
+    lo = np.linalg.eigvalsh(family.full_space.initial)
     hi = np.sort(family.problem_values)
     assert mid[0] >= 0.5 * (lo[0] + hi[0]) - 1e-10
     assert mid[-1] <= 0.5 * (lo[-1] + hi[-1]) + 1e-10
@@ -509,17 +511,22 @@ def _families(draw):
     drawn from a pool of two (a displaced ladder product or a random
     symmetric matrix), so equal factors are common; the problem diagonal
     is a function of the sorted occupations (symmetric under every mode
-    permutation) or arbitrary."""
+    permutation) or arbitrary.  A random matrix may be tilted off symmetry,
+    within ``HERMITICITY_TOL``."""
     k, cutoff = draw(st.sampled_from([3, 2, 1])), draw(st.integers(1, 4))
     levels = cutoff + 1
     entries = st.floats(-4.0, 4.0, allow_subnormal=False)
+    # + tilt above the diagonal, - tilt below: a defect of 2 tilt, rounded
+    tilt = draw(st.sampled_from([0.0, 4.9e-13]))
+    ones = np.ones((levels, levels))
+    skew = tilt * (np.triu(ones, 1) - np.tril(ones, -1))
     pool = []
     for _ in range(2):
         if draw(st.booleans()):
             pool.append(start_factors(FockBasis(1, cutoff), draw(entries))[0])
         else:
             upper = np.triu(draw(arrays(np.float64, (levels, levels), elements=entries)))
-            pool.append(upper + np.triu(upper, 1).T)
+            pool.append(upper + np.triu(upper, 1).T + skew)
     factors = [pool[draw(st.integers(0, 1))] for _ in range(k)]
     basis = FockBasis(k, cutoff)
     small = st.integers(0, 3)
@@ -556,8 +563,9 @@ def test_sector_orbit_projector_commutes_exactly_with_the_start_operator(family)
     v = np.zeros((family.dimension, sector.dimension))
     v[np.arange(family.dimension), sector.orbit] = 1.0
     projector = (v / sector.sizes) @ v.T
-    commutator = projector @ family.initial - family.initial @ projector
-    assert np.abs(commutator).max() <= 1e-13 * max(1.0, np.abs(family.initial).max())
+    initial = family.full_space.initial
+    commutator = projector @ initial - initial @ projector
+    assert np.abs(commutator).max() <= 1e-13 * max(1.0, np.abs(initial).max())
     # the group is every mode permutation with equal factors that fixes
     # the problem diagonal
     keys = [factor.tobytes() for factor in factors]
@@ -567,6 +575,45 @@ def test_sector_orbit_projector_commutes_exactly_with_the_start_operator(family)
         fixed = np.array_equal(family.problem_values[image], family.problem_values)
         order += fixed and [keys[q] for q in perm] == keys
     assert sector.group_order == order
+
+
+@settings(max_examples=100, deadline=None)
+@given(_families())
+def test_start_blocks_are_read_off_the_factors(family):
+    # the full space is bitwise the Kronecker sum built by np.kron, the
+    # reference; the sector is V^T H_I V for its orbit basis V, formed
+    # densely here, up to rounding
+    basis, d = family.basis, family.dimension
+    levels, k = basis.cutoff + 1, basis.num_modes
+    total = np.zeros((d, d))
+    for mode, factor in enumerate(family.factors):
+        before, after = np.eye(levels**mode), np.eye(levels ** (k - 1 - mode))
+        total += np.kron(np.kron(before, factor), after)
+    expected = total + total.T
+    expected *= 0.5
+    assert np.array_equal(_bits(family.full_space.initial), _bits(expected))
+    sector = family.sector
+    v = np.zeros((d, sector.dimension))
+    v[np.arange(d), sector.orbit] = 1.0 / np.sqrt(sector.sizes[sector.orbit])
+    reduced = v.T @ expected @ v
+    scale = max(1.0, np.abs(reduced).max())
+    assert np.abs(sector.initial - reduced).max() <= 1e-13 * scale
+    assert not sector.initial.flags.writeable
+
+
+def test_sector_start_array_needs_no_dense_start_operator():
+    # d = 4913 reduced to m = 969; the dense d x d start operator alone
+    # would take 193 MB
+    family, _ = _family("x^2 + y^2 + z^2 - 7", 16)
+    tracemalloc.start()
+    try:
+        sector = family.sector
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (family.dimension, sector.group_order, sector.dimension) == (4913, 6, 969)
+    assert "full_space" not in vars(family)
+    assert peak < 32 * 10**6
 
 
 @pytest.mark.parametrize(
@@ -721,7 +768,7 @@ def test_block_spectrum_is_the_dense_spectrum(text, cutoff, alphas, group_order)
     v[np.arange(d), sector.orbit] = 1.0 / np.sqrt(sector.sizes[sector.orbit])
     basis = np.hstack([v, q])
     assert np.max(np.abs(basis.T @ basis - np.eye(d))) <= 1e-14
-    initial = family.initial
+    initial = family.full_space.initial
     assert np.max(np.abs(v.T @ initial @ q)) <= HERMITICITY_TOL
     assert np.max(np.abs(family.complement.initial - q.T @ initial @ q)) <= 1e-12
     # H_P is constant on each orbit, so it stays diagonal on the complement

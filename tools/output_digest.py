@@ -9,8 +9,10 @@ its trace CSV and probability history, the ``sample`` runs of
 ``SAMPLE_CASES``, the ``oracle`` searches of ``ORACLE_CASES`` with the box
 bound given as ``--bound`` and as ``--cutoff`` under both semantics, the
 ``decide`` and ``spectrum`` runs of ``DISPLACE_CASES`` with the per-mode
-displacements of ``DISPLACE_ALPHAS`` given in a ``--config`` file, and
-the README's command block.  Each family runs through ``cli.main`` in a
+displacements of ``DISPLACE_ALPHAS`` given in a ``--config`` file, the
+``decide`` runs under the split integrator and under the midpoint
+exponential and the ``spectrum`` runs of ``ASYMMETRIC_CASES``, and the
+README's command block.  Each family runs through ``cli.main`` in a
 temporary directory, and its digest covers every file it writes (its
 config files included), its standard output and its exit codes.  The
 timings are dropped: every ``sidecar`` field of a JSON file.  Two source
@@ -18,7 +20,7 @@ trees that print the same digests give byte-identical outputs on these
 inputs.
 
 Run from the repository root: ``python tools/output_digest.py``.  It reads
-the package under ``src/`` of the tree it sits in; about 15 s on a
+the package under ``src/`` of the tree it sits in; about 20 s on a
 2-core host, 1.3 s of it the ``evolve`` family and under a second each
 the ``sample``, ``oracle`` and ``displace`` families.
 """
@@ -91,6 +93,12 @@ DISPLACE_ALPHAS = {
     "unequal": ([[0.5, 0.0], [0.25, 0.0]], [[0.5, 0.0], [0.25, 0.0], [0.75, 0.0]]),
     "zero": ([[0.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 0.0], [0.0, 0.0]]),
 }
+
+
+# (equation, cutoff) of the ``asymmetric`` family: several modes, but no
+# mode permutation fixes the problem diagonal, so every run is on the full
+# space
+ASYMMETRIC_CASES = [("x + 2*y - 7", 8), ("x + 2*y + 3*z - 7", 4)]
 
 
 def _corpus():
@@ -189,6 +197,15 @@ def main() -> int:
         for name in DISPLACE_ALPHAS
         for index, (text, cutoff) in enumerate(DISPLACE_CASES)
     ]
+    asymmetric = [
+        [command, text, "--cutoff", str(cutoff), *flags, "--out", f"{name}/{index}"]
+        for command, name, flags in (
+            ("decide", "split", ["--integrator", "split"]),
+            ("decide", "midexp", ["--integrator", "midexp"]),
+            ("spectrum", "spectrum", []),
+        )
+        for index, (text, cutoff) in enumerate(ASYMMETRIC_CASES)
+    ]
     families = {
         "decide": (decide, None),
         "spectrum": (spectrum, None),
@@ -196,6 +213,7 @@ def main() -> int:
         "sample": (sample, None),
         "oracle": (oracle, None),
         "displace": (displace, configs),
+        "asymmetric": (asymmetric, None),
         "readme": (_readme_commands(), None),
     }
     for name, (commands, inputs) in families.items():
