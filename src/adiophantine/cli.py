@@ -73,9 +73,7 @@ _DECIDE = ("t0", "j_max", "strict_criterion")
 SETTINGS = {
     "check": (),
     "oracle": ("cutoff", "semantics", "bound"),
-    "spectrum": (
-        "cutoff", "semantics", "alphas", "grid_size", "levels", "gap_tol", "out_dir"
-    ),
+    "spectrum": ("cutoff", "semantics", "alphas", "grid_size", "levels", "out_dir"),
     "evolve": (*_RUN, "record_grid", "total_time", "dump_probabilities", "out_dir"),
     "decide": (*_RUN, *_DECIDE, "out_dir"),
     "sample": (*_RUN, "total_time", "shots", "seed", "out_dir"),
@@ -264,9 +262,7 @@ def cmd_spectrum(settings: dict) -> int:
     config = _run_config(settings)
     family, _ = _build_family(settings, config)
     with _config_errors():
-        profile = spectral_profile(
-            family, **_pick(settings, ("grid_size", "levels", "gap_tol"))
-        )
+        profile = spectral_profile(family, **_pick(settings, ("grid_size", "levels")))
     _write(settings, "spectrum.csv", profile.to_csv())
     print(
         f"min gap {profile.min_gap:.6g} at s={profile.s_at_min_gap:.4g}; "
@@ -422,7 +418,6 @@ _FLAGS = {
     "record_grid": ("--record-grid", _INT, "recorded trace points"),
     "grid_size": ("--grid", _INT, "s-grid points"),
     "levels": ("--levels", _INT, "levels to record"),
-    "gap_tol": ("--gap-tol", _FLOAT, "class gap under which a crossing is flagged"),
     "dump_probabilities": (
         "--dump-probabilities",
         _SWITCH,

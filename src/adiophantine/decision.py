@@ -187,10 +187,6 @@ class DecideConfig:
             return (complex(self.alphas),)
         return tuple(map(complex, self.alphas))
 
-    def to_json_dict(self) -> dict:
-        # [re, im] pairs, also for one displacement shared by every mode
-        return {**_encode(self), "alphas": _encode(self._displacements())}
-
 
 # the candidate's fields that a report repeats, None when none identified
 _DESCRIBED = [f.name for f in fields(GroundStateCandidate)]

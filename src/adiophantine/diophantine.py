@@ -42,7 +42,7 @@ __all__ = [
     "COEFFICIENT_LIMIT",
     "EVALUATION_LIMIT",
     "MAX_VARIABLES",
-    "DEFAULT_WORK_CAP",
+    "WORK_CAP",
     "ParseError",
     "CoefficientRangeError",
     "ExponentRangeError",
@@ -63,7 +63,7 @@ __all__ = [
 COEFFICIENT_LIMIT = 2**63  # exclusive bound on |coefficient|
 EVALUATION_LIMIT = 2**127  # exclusive bound on |evaluation intermediate|
 MAX_VARIABLES = 8
-DEFAULT_WORK_CAP = 10**8  # box enumeration budget, in evaluations
+WORK_CAP = 10**8  # box enumeration budget, in evaluations
 
 
 class ParseError(ValueError):
@@ -595,18 +595,16 @@ def _min_magnitude(p: Polynomial, bound: int) -> tuple[int, tuple[int, ...], int
     return best, argmin, multiplicity
 
 
-def _check_work_cap(num_vars: int, bound: int, work_cap: int) -> None:
+def _check_work_cap(num_vars: int, bound: int) -> None:
     if bound < 0:
         raise ValueError("bound must be non-negative")
-    if (bound + 1) ** num_vars > work_cap:
+    if (bound + 1) ** num_vars > WORK_CAP:
         raise WorkCapExceeded(
-            f"box of {(bound + 1) ** num_vars} points exceeds the work cap {work_cap}"
+            f"box of {(bound + 1) ** num_vars} points exceeds the work cap {WORK_CAP}"
         )
 
 
-def brute_force_search(
-    p: Polynomial, bound: int, *, work_cap: int = DEFAULT_WORK_CAP
-) -> tuple[int, ...] | None:
+def brute_force_search(p: Polynomial, bound: int) -> tuple[int, ...] | None:
     """Graded-lex smallest zero of ``p`` in [0, bound]^k, or None.
 
     Deterministic; the returned witness is the unique graded-lexicographically
@@ -618,7 +616,7 @@ def brute_force_search(
     leaves the range, even if the zero it would return comes earlier in
     graded order.
     """
-    _check_work_cap(p.num_vars, bound, work_cap)
+    _check_work_cap(p.num_vars, bound)
     cube = min(1, bound)
     while True:
         low, argmin, _ = _min_magnitude(p, cube)
@@ -635,15 +633,13 @@ class MinOverBox(NamedTuple):
     multiplicity: int
 
 
-def min_over_box(
-    p: Polynomial, bound: int, *, work_cap: int = DEFAULT_WORK_CAP
-) -> MinOverBox:
+def min_over_box(p: Polynomial, bound: int) -> MinOverBox:
     """Exact minimum of ``p(n)**2`` over [0, bound]^k.
 
     Returns the minimum, the graded-lex smallest argmin, and how many box
     points attain the minimum.  This is the classical oracle for the ground
     level of the squared-equation diagonal on the same box.
     """
-    _check_work_cap(p.num_vars, bound, work_cap)
+    _check_work_cap(p.num_vars, bound)
     low, argmin, multiplicity = _min_magnitude(p, bound)
     return MinOverBox(low * low, argmin, multiplicity)

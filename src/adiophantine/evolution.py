@@ -287,10 +287,14 @@ def _check_rk4_stable(
     """Refuse an RK4 run whose step leaves the stability interval of H(s).
 
     ||H(s)|| <= |w_I(s)| ||H_I|| + |w_P(s)| max H_P at each stage point of
-    the run, with ||H_I|| bounded by its largest absolute row sum; for a
-    convex schedule this is max(||H_I||, max H_P).
+    the run; for a convex schedule this is max(||H_I||, max H_P).  ||H_I||
+    is bounded from the factors alone, by the sum over the modes of each
+    factor's largest absolute row sum: that is never below the largest
+    absolute row sum of the Kronecker sum, and equals it when every
+    factor's diagonal is non-negative, as a ``start_factors`` factor's is.
+    No d x d array is formed.
     """
-    initial_norm = float(np.abs(family.full_space.initial).sum(axis=1).max())
+    initial_norm = float(sum(np.abs(f).sum(axis=1).max() for f in family.factors))
     problem_norm = float(np.abs(family.problem_values).max())
     scale = float((np.abs(stage_weights) @ (initial_norm, problem_norm)).max())
     if step * scale > RK4_STABILITY_LIMIT:

@@ -10,10 +10,13 @@ coherent state as its easily prepared ground state; it is held as its k
 real symmetric (cutoff+1) x (cutoff+1) per-mode factors.  Each block of the
 path (the full space, a symmetric sector) reads its start array straight
 off those factors, by one scatter-add over the k (cutoff+1) d pairs of
-basis indices that differ in at most one mode; the dense d x d Kronecker
-sum is the full space's block, built only when a consumer asks for it.  The two
-operators are joined by a convex interpolation whose spectrum is scanned
-on an s-grid to witness the absence of level crossings.
+basis indices that differ in at most one mode, and the product H_I x is k
+matrix products of the factors along their modes
+(``AdiabaticFamily._apply_start``).  The dense d x d Kronecker sum is the
+full space's block, built only for a consumer that solves or returns the
+whole matrix: a run or profile on the full space, or ``hamiltonian(s)``.
+The two operators are joined by a convex interpolation whose spectrum is
+scanned on an s-grid to witness the absence of level crossings.
 
 The whole path is real symmetric.  A displacement alpha = |alpha| e^{i phi}
 enters only through the diagonal gauge U = e^{i phi N}: the start operator
@@ -29,7 +32,8 @@ and gives the path restricted to the orbit basis of the subspace
 (``SymmetricSector``); the full space is the trivial sector.  The
 orthogonal complement of the sector (``Complement``) is invariant too, and
 H_P is still diagonal on it, so ``spectral_profile`` solves the full
-spectrum as the two smaller blocks.
+spectrum as the two smaller blocks; the complement's start array comes
+from ``_apply_start``, with no d x d array.
 """
 
 from __future__ import annotations
@@ -74,7 +78,8 @@ __all__ = [
 # overlapping every occupation sector; magnitude well inside typical cutoffs.
 DEFAULT_ALPHA = complex(2**-0.5)
 
-DEFAULT_GAP_TOL = 1e-9
+# class gap under which a profile flags a suspected crossing
+GAP_TOL = 1e-9
 
 # largest amplitude difference within an orbit for a state to count as fixed
 # by the symmetry group; well above rounding, well below any reported digit
@@ -312,6 +317,18 @@ class AdiabaticFamily:
         block.setflags(write=False)
         return block
 
+    def _apply_start(self, x: np.ndarray) -> np.ndarray:
+        """H_I x for a (d, c) array ``x``, read off ``factors``: factor i
+        multiplies mode i of ``x`` by one ``np.matmul`` on its
+        (L^i, L, d c / L^(i+1)) view, L = cutoff + 1, and the k products
+        are summed in mode order into one array.  No d x d array is formed."""
+        levels = self.basis.cutoff + 1
+        total = np.zeros(x.shape, dtype=np.result_type(x, np.float64))
+        for i, factor in enumerate(self.factors):
+            modes = x.reshape(levels**i, levels, -1)
+            total += np.matmul(factor, modes).reshape(x.shape)
+        return total
+
     @cached_property
     def full_space(self) -> "SymmetricSector":
         """The trivial sector: the identity group on the whole basis.  Its
@@ -381,7 +398,10 @@ class AdiabaticFamily:
     @cached_property
     def complement(self) -> "Complement":
         """The orthogonal complement of ``sector``; built on first use and
-        kept, never by ``sector`` itself."""
+        kept, never by ``sector`` itself.  Its start array is V^T (H_I V)
+        for the d x (d - m) Helmert basis V (see ``Complement``), H_I V
+        from ``_apply_start`` and the result symmetrized as
+        ``0.5 * (t + t.T)``; no d x d array is formed and V is not kept."""
         sector = self.sector
         orbit, sizes, d = sector.orbit, sector.sizes, self.dimension
         # rank of each basis index among its orbit's members, ascending
@@ -394,9 +414,8 @@ class AdiabaticFamily:
         norm = np.sqrt(j * (j + 1.0))
         vectors = ((orbit[:, None] == orbit[last]) & (rank[:, None] < j)) / norm
         vectors[last, np.arange(len(last))] = -j / norm
-        reduced = vectors.T @ self.full_space.initial @ vectors
+        reduced = vectors.T @ self._apply_start(vectors)
         return Complement(
-            vectors=vectors,
             initial=0.5 * (reduced + reduced.T),
             problem=self.problem_values[last],
         )
@@ -502,15 +521,15 @@ class SymmetricSector:
 class Complement:
     """The states orthogonal to a sector, in Helmert vectors.
 
-    Column c of ``vectors`` is, for the members i_0 < .. < i_{k-1} of an
-    orbit and 1 <= j < k, (|i_0> + .. + |i_{j-1}> - j |i_j>) / sqrt(j (j+1)).
-    The group fixes both operators, so every H(s) maps these states among
-    themselves; ``initial`` is the dense start operator in this basis and
-    ``problem`` the problem diagonal, the exact int64 value of each
-    vector's orbit.
+    For the members i_0 < .. < i_{k-1} of an orbit and 1 <= j < k, the
+    basis holds (|i_0> + .. + |i_{j-1}> - j |i_j>) / sqrt(j (j+1)), one
+    vector per basis index i_j in ascending order.  The group fixes both
+    operators, so every H(s) maps these states among themselves;
+    ``initial`` is the dense start operator in this basis and ``problem``
+    the problem diagonal, the exact int64 value of each vector's orbit.
+    The vectors themselves are not kept.
     """
 
-    vectors: np.ndarray
     initial: np.ndarray
     problem: np.ndarray
 
@@ -561,7 +580,6 @@ def spectral_profile(
     family: AdiabaticFamily,
     grid_size: int = 101,
     levels: int = 6,
-    gap_tol: float = DEFAULT_GAP_TOL,
 ) -> SpectralProfile:
     """Dense eigensolve of the interpolated operator on a uniform s-grid.
 
@@ -579,8 +597,6 @@ def spectral_profile(
         raise ValueError("grid_size must be at least 2")
     if levels < 2:
         raise ValueError(f"levels must be at least 2, got {levels}")
-    if not (math.isfinite(gap_tol) and gap_tol >= 0):
-        raise ValueError(f"gap_tol must be non-negative and finite, got {gap_tol}")
     dim = family.dimension
     degeneracy = family.ground_degeneracy()
     m = min(dim, max(int(levels), degeneracy + 1))
@@ -634,7 +650,7 @@ def spectral_profile(
     tie = 1e-12 * max(1.0, float(np.abs(energies).max()))
     gap_at = int(np.argmax(gaps <= min_gap + tie))
     class_at = int(np.argmax(class_gaps <= min_class_gap + tie))
-    crossing = bool(degeneracy >= dim or min_class_gap < gap_tol)
+    crossing = bool(degeneracy >= dim or min_class_gap < GAP_TOL)
     return SpectralProfile(
         s_values=s_values,
         energies=energies,

@@ -20,7 +20,13 @@ from adiophantine.cli import (
     build_parser,
     main,
 )
-from adiophantine.decision import REPORT_SCHEMA, DecideConfig
+from adiophantine.decision import (
+    REPORT_SCHEMA,
+    DecideConfig,
+    decide,
+    report_to_json_dict,
+)
+from adiophantine.diophantine import parse_equation
 from adiophantine.fock import TruncationWarning
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -201,7 +207,8 @@ def test_decide_defaults_to_split_and_midexp_keeps_its_golden(tmp_path):
     data = json.loads((out_split / "decision.json").read_text())
     assert data["config"]["integrator"] == "split"
     # with no flags, every run setting is the library's default
-    assert data["config"] == DecideConfig().to_json_dict()
+    report = decide(parse_equation("x - 1"), DecideConfig())
+    assert data["config"] == report_to_json_dict(report)["config"]
     code = main(["decide", "x - 1", "--integrator", "midexp", "--out", str(out_midexp)])
     assert code == EXIT_OK
     data = json.loads((out_midexp / "decision.json").read_text())
@@ -452,6 +459,8 @@ def test_abbreviated_flags_are_refused(args):
         ("decide", "tie_tol", -1),
         ("decide", "tie_tol", None),
         ("sweep", "tie_tol", 1e-9),
+        # a crossing is flagged under the fixed hamiltonians.GAP_TOL
+        ("spectrum", "gap_tol", 1e-9),
         # a single run's time is --T
         ("evolve", "t0", 10.0),
         ("sample", "t0", 10.0),
@@ -498,7 +507,6 @@ def test_config_keys_a_subcommand_does_not_read_are_refused(
             "shots must be at least 1 and below 2^63, got 100000000000000000000",
         ),
         ("decide", ["--jmax", "-1"], None, "j_max must be at least 0, got -1"),
-        ("spectrum", [], {"gap_tol": -1}, "gap_tol must be non-negative and finite"),
     ],
 )
 def test_out_of_range_settings_exit_two_and_write_nothing(

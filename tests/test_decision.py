@@ -249,7 +249,8 @@ def test_ties_are_broken_at_a_fixed_tolerance():
     with pytest.raises(TypeError, match="tie_tol"):
         DecideConfig(tie_tol=0.0)
     assert DecideConfig.tie_tol == 1e-9
-    assert "tie_tol" not in DecideConfig().to_json_dict()
+    report = decide(parse_equation("x - 1"), FAST)
+    assert "tie_tol" not in report_to_json_dict(report)["config"]
 
 
 def test_each_rung_records_only_its_two_ends():
@@ -525,7 +526,8 @@ def test_report_keys_are_the_schema_properties(text, config):
     report = decide(parse_equation(text), config)
     assert set(report_to_json_dict(report)) == set(REPORT_SCHEMA["properties"])
     assert len(REPORT_SCHEMA["properties"]) == 17
-    assert set(DecideConfig().to_json_dict()) == {f.name for f in fields(DecideConfig)}
+    config = report_to_json_dict(report)["config"]
+    assert set(config) == {f.name for f in fields(DecideConfig)}
 
 
 def test_report_config_has_one_displacement_per_mode():
@@ -533,4 +535,3 @@ def test_report_config_has_one_displacement_per_mode():
     report = decide(parse_equation("x*y - 2"), config)
     assert report.config.alphas == (DEFAULT_ALPHA, DEFAULT_ALPHA)
     assert report_to_json_dict(report)["config"]["alphas"] == [[2**-0.5, 0.0]] * 2
-    assert config.to_json_dict()["alphas"] == [[2**-0.5, 0.0]]

@@ -351,7 +351,6 @@ def test_work_cap():
         brute_force_search(p, 100)
     with pytest.raises(WorkCapExceeded):
         min_over_box(p, 100)
-    assert brute_force_search(p, 100, work_cap=10**9) == (0, 0, 0, 0)
 
 
 # -- min over box ------------------------------------------------------------

@@ -1,4 +1,5 @@
 import logging
+import tracemalloc
 import warnings
 from dataclasses import replace
 from functools import partial
@@ -7,7 +8,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from adiophantine import evolution
@@ -32,6 +33,7 @@ from adiophantine.hamiltonians import (
     stack_length,
     start_factors,
 )
+from test_hamiltonians import _families
 
 RK4 = Integrator.RK4
 MIDEXP = Integrator.MIDPOINT_EXPONENTIAL
@@ -300,6 +302,70 @@ def test_rk4_unstable_step_refused_before_the_run(monkeypatch):
     evolve(family, start, EvolutionParams(0.1, 0.00707, **loose))
     with pytest.raises(EvolutionAborted, match="stability limit"):
         evolve(family, start, EvolutionParams(0.1, 0.00708, **loose))
+
+
+def _refused(family, step):
+    """Whether RK4 refuses ``step`` at w_I = 1, w_P = 0, where the bound
+    is that of ||H_I|| alone."""
+    try:
+        evolution._check_rk4_stable(family, step, np.array([[1.0, 0.0]]))
+    except EvolutionAborted:
+        return True
+    return False
+
+
+def _dense_limit(family, slack=0.0):
+    """The step at which the largest absolute row sum of the dense start
+    operator, less ``slack``, reaches RK4's stability limit."""
+    row_sum = np.abs(family.full_space.initial).sum(axis=1).max()
+    return evolution.RK4_STABILITY_LIMIT / (row_sum - slack)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_families())
+def test_rk4_factor_bound_is_never_laxer_than_the_dense_one(family):
+    # a step past the dense bound's limit by more than rounding is refused.
+    # The dense sum is symmetrized: a factor tilted off symmetry (within
+    # HERMITICITY_TOL) may have a row sum below its symmetric part's by
+    # half its defect in each of the row's cutoff off-diagonal entries
+    cutoff = family.basis.cutoff
+    slack = sum(np.abs(f - f.T).max() / 2 for f in family.factors) * cutoff
+    assume(np.abs(family.full_space.initial).sum(axis=1).max() > 2 * slack)
+    assert _refused(family, _dense_limit(family, slack) * (1 + 1e-12))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(1, 3),
+    st.integers(1, 6),
+    st.lists(st.floats(0.0, 3.0), min_size=3, max_size=3),
+)
+def test_rk4_factor_bound_is_the_dense_one_for_start_factors(k, cutoff, alphas):
+    # every start factor is PSD, so its diagonal is non-negative and the
+    # Kronecker sum's row sums add the factors' without cancellation
+    basis = FockBasis(k, cutoff)
+    family = AdiabaticFamily(
+        start_factors(basis, alphas[:k]), np.zeros(basis.dimension, dtype=np.int64)
+    )
+    limit = _dense_limit(family)
+    assert _refused(family, limit * (1 + 1e-12))
+    assert not _refused(family, limit * (1 - 1e-12))
+
+
+def test_rk4_refusal_in_a_sector_builds_no_dense_start_operator():
+    # d = 4913 reduced to m = 969; max H_P = 761^2, so h = 0.01 is refused.
+    # The dense d x d start operator alone would take 193 MB
+    family, start = _sector_case("x^2 + y^2 + z^2 - 7", 16)
+    tracemalloc.start()
+    try:
+        with pytest.raises(EvolutionAborted, match="stability limit"):
+            evolve(family, start, EvolutionParams(1.0, 0.01, integrator=RK4))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert family.sector.dimension == 969
+    assert "full_space" not in vars(family)
+    assert peak < 32 * 10**6
 
 
 # -- cross-integrator agreement ------------------------------------------------------
