@@ -50,7 +50,14 @@ from .diophantine import (
     substitute_shift,
     to_text,
 )
-from .evolution import EvolutionAborted, EvolutionParams, Integrator, evolve
+from .evolution import (
+    CF4_STEP_MULTIPLE,
+    SPLIT_MIN_DIMENSION,
+    EvolutionAborted,
+    EvolutionParams,
+    Integrator,
+    evolve,
+)
 from .fock import FockBasis, as_mode_alphas
 from .hamiltonians import AdiabaticFamily, check_dimension, spectral_profile
 
@@ -406,7 +413,13 @@ _FLAGS = {
     "t0": ("--T0", _FLOAT, "first run time"),
     "j_max": ("--jmax", _INT, "number of doublings"),
     "total_time": ("--T", _FLOAT, f"single run time (default {DecideConfig.t0})"),
-    "step": ("--step", _FLOAT, "integrator step size"),
+    "step": (
+        "--step",
+        _FLOAT,
+        f"integrator step size; below sector dimension {SPLIT_MIN_DIMENSION} split "
+        f"runs CF4 at {CF4_STEP_MULTIPLE} times it, or at the record grid's "
+        "spacing where that is shorter (never below the step)",
+    ),
     "integrator": (
         "--integrator", {"choices": [i.value for i in Integrator]}, "scheme"
     ),

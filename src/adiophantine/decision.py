@@ -134,7 +134,14 @@ class DecideConfig:
     The decide ladder runs ``t0 * 2^j`` for j = 0 .. ``j_max``.  Each rung
     is read only at its end, so it records its two ends (``record_grid``, a
     class constant and no setting).  Its top state is read with ties within
-    ``tie_tol``, a class constant too."""
+    ``tie_tol``, a class constant too.
+
+    ``step`` is the step h of ``integrator``.  The split runs its Strang
+    check at h and h/2 in sectors of dimension ``SPLIT_MIN_DIMENSION`` (12)
+    and up, and CF4 below it, at ``CF4_STEP_MULTIPLE`` h = 4h, capped at
+    the spacing of the run's record grid when that is longer than h: a
+    rung records two points, so its cap is the whole rung, and every
+    sub-bar rung longer than 4h steps at 4h."""
 
     record_grid = 2
     tie_tol = 1e-9

@@ -86,10 +86,10 @@ GAP_TOL = 1e-9
 STATE_SYMMETRY_TOL = 1e-14
 
 # bytes of one stack of dense m x m float64 matrices handed to a single
-# eigensolver call (the midpoint exponential's and the spectral profile's),
-# which spreads numpy's fixed cost per call over the stack; the midpoint
-# step's time was the same at 32 to 128 KiB for m = 9, 21 and 45, while
-# peak memory grows with the stack.  The split integrator sizes its blocks
+# eigensolver call (the midpoint exponential's, CF4's and the spectral
+# profile's), which spreads numpy's fixed cost per call over the stack; the
+# midpoint step's time was the same at 32 to 128 KiB for m = 9, 21 and 45,
+# while peak memory grows with the stack.  The split integrator sizes its blocks
 # by its own budget, ``evolution.SPLIT_BLOCK_BYTES``
 STACK_BYTES = 1 << 16
 

@@ -52,6 +52,7 @@ pytestmark = pytest.mark.filterwarnings(
 
 RK4 = Integrator.RK4
 MIDEXP = Integrator.MIDPOINT_EXPONENTIAL
+CF4 = Integrator.CF4
 
 # k <= 2, cutoff <= 8; spans solvable, unsolvable-everywhere, and
 # unsolvable-within-cutoff cases
@@ -188,7 +189,7 @@ def test_criterion_3_no_crossing_witness():
 
 
 def test_criterion_4_convergence_orders():
-    with criterion("4", "observed orders 4 (rk4) and 2 (midexp); 1e-6 agreement"):
+    with criterion("4", "observed orders 4 (rk4, cf4) and 2 (midexp); 1e-6 agreement"):
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", TruncationWarning)
             family, start = _two_level_family()
@@ -198,11 +199,13 @@ def test_criterion_4_convergence_orders():
             return float(evolve(family, start, params).final_probabilities()[1])
 
         # each order is the log-log slope of the error against the other
-        # scheme at a fine step: the two schemes are each other's oracle
+        # scheme at a fine step: RK4 and the midpoint exponential are each
+        # other's oracle, and RK4 is CF4's
         steps = np.array([0.2, 0.1, 0.05])
         for integrator, order, reference in [
             (RK4, 4.0, p1(1e-5, MIDEXP)),
             (MIDEXP, 2.0, p1(5e-4, RK4)),
+            (CF4, 4.0, p1(5e-4, RK4)),
         ]:
             errors = [abs(p1(float(h), integrator) - reference) for h in steps]
             slope = np.polyfit(np.log(steps), np.log(errors), 1)[0]
@@ -217,10 +220,14 @@ def test_criterion_4_convergence_orders():
 
 
 def test_criterion_5_unitarity_and_drift():
-    with criterion("5", "midexp norm error <= 1e-12; rk4 drift factor in [8, 32]"):
+    with criterion(
+        "5", "midexp and cf4 norm errors <= 1e-12; rk4 drift factor in [8, 32]"
+    ):
         family, start = _family_for("x - 1", alphas=0.5)
-        trace = evolve(family, start, EvolutionParams(80.0, 0.02, record_grid=2))
-        assert trace.norm_errors[-1] <= 1e-12
+        for integrator in (MIDEXP, CF4):
+            params = EvolutionParams(80.0, 0.02, integrator, record_grid=2)
+            trace = evolve(family, start, params)
+            assert trace.norm_errors[-1] <= 1e-12, integrator
         drift_family, drift_start = _family_for("x - 1", cutoff=4)
         drifts = {}
         for h in (0.2, 0.1):

@@ -38,6 +38,7 @@ from test_hamiltonians import _families
 RK4 = Integrator.RK4
 MIDEXP = Integrator.MIDPOINT_EXPONENTIAL
 SPLIT = Integrator.SPLIT
+CF4 = Integrator.CF4
 
 
 def _diagonal_family(energies):
@@ -525,6 +526,91 @@ def _stepwise_midpoint(family, init, params):
     return sector.expand(psi), np.array(recorded), non_finite_at
 
 
+# CF4's weights a1,2 = 1/4 -+ sqrt(3)/6 and Gauss nodes 1/2 -+ sqrt(3)/6,
+# as fractions of a step
+_A1, _A2 = (3 - 2 * math.sqrt(3)) / 12, (3 + 2 * math.sqrt(3)) / 12
+_C1, _C2 = (3 - math.sqrt(3)) / 6, (3 + math.sqrt(3)) / 6
+
+
+def _stepwise_cf4(family, init, params):
+    """Reference: one CF4 step at a time on the sector arrays, with H built
+    at each Gauss node on its own and one eigh of each exponent, a2 H(t1) +
+    a1 H(t2) applied first and a1 H(t1) + a2 H(t2) second; returns the
+    final state, the probabilities recorded on ``evolve``'s grid and the
+    time after the first step whose state is not finite (None if every
+    step's is), where it stops: the exponents of a later step may add
+    infinities of both signs, which ``eigh`` refuses."""
+    sector = family.sector_for(init)
+    indices = np.arange(sector.dimension)
+    starts, sizes = params.step_starts_and_sizes()
+    record_after = {round(x) for x in np.linspace(0, len(sizes), params.record_grid)}
+    psi = sector.reduce(init.amplitudes)
+    recorded = []
+
+    def hamiltonian(t):
+        w_initial, w_problem = family.weights(min(t / params.total_time, 1.0))
+        generator = w_initial * sector.initial
+        generator[indices, indices] += w_problem * sector.problem
+        return generator
+
+    def record():
+        full = sector.expand(psi)
+        recorded.append(full.real**2 + full.imag**2)
+
+    record()
+    non_finite_at = None
+    for j, (t, h) in enumerate(zip(starts, sizes), start=1):
+        first, second = hamiltonian(t + _C1 * h), hamiltonian(t + _C2 * h)
+        for exponent in (_A2 * first + _A1 * second, _A1 * first + _A2 * second):
+            energies, vectors = np.linalg.eigh(exponent)
+            psi = matvec(vectors, np.exp(-1j * h * energies) * matvec(vectors.T, psi))
+        if (non_finite_at := _end_if_non_finite(psi, j, t + h, params)) is not None:
+            break
+        if j in record_after:
+            record()
+    return sector.expand(psi), np.array(recorded), non_finite_at
+
+
+@pytest.mark.parametrize(
+    "case, total_time, step",
+    [
+        # several eigensolve blocks of 50 steps and a partial final step
+        (("x - 20", 8), 40.01, 0.08),
+        (("x^2 + y^2 - 25", 5), 10.0, 0.04),
+        # zero displacement: a diagonal start operator
+        (("x - 1", 4, 0.0), 10.0, 0.08),
+    ],
+    ids=["x-20@8", "x2+y2-25@5", "diagonal"],
+)
+def test_cf4_is_the_stepwise_cf4(case, total_time, step):
+    family, start = _sector_case(*case)
+    params = EvolutionParams(total_time, step, integrator=CF4, record_grid=11)
+    trace = evolve(family, start, params)
+    assert trace.params == params
+    final, recorded, _ = _stepwise_cf4(family, start, params)
+    assert np.max(np.abs(trace.final_state.amplitudes - final)) <= 1e-12
+    assert np.max(np.abs(trace.probabilities - recorded)) <= 1e-12
+    assert trace.norm_errors.max() <= 1e-12
+
+
+def test_cf4_weight_rows_are_the_weighted_hamiltonians():
+    # each exponent's one (w_I, w_P) row gives a2 H(t1) + a1 H(t2), then
+    # a1 H(t1) + a2 H(t2), up to rounding, for steps spread over [0, 1]
+    family, start = _sector_case("x^2 - 64", 8)
+    sector = family.sector_for(start)
+    h = 0.1
+    nodes = np.linspace(0.0, 0.9, 7)[:, None] + h * evolution._GAUSS_NODES
+    assert np.allclose(evolution._GAUSS_NODES, [_C1, _C2], rtol=0, atol=1e-15)
+    weights = family.weights(nodes.ravel()).reshape(-1, 2, 2)
+    rows = (evolution._CF4_EXPONENTS @ weights).reshape(-1, 2)
+    combined = family.path_arrays(rows, sector).reshape(-1, 2, 9, 9)
+    at_nodes = family.path_arrays(weights.reshape(-1, 2), sector).reshape(-1, 2, 9, 9)
+    first, second = at_nodes[:, 0], at_nodes[:, 1]
+    expected = np.stack([_A2 * first + _A1 * second, _A1 * first + _A2 * second], axis=1)
+    norm = np.abs(np.linalg.eigvalsh(at_nodes)).max()
+    assert np.max(np.abs(combined - expected)) <= 1e-13 * norm
+
+
 @pytest.mark.parametrize(
     "case, total_time",
     [
@@ -663,7 +749,7 @@ def test_error_slopes_against_cross_references():
         assert slope == pytest.approx(expected_slope, abs=0.5)
 
 
-@pytest.mark.parametrize("integrator", [RK4, MIDEXP])
+@pytest.mark.parametrize("integrator", [RK4, MIDEXP, CF4])
 def test_non_finite_schedule_weight_fails_loudly(integrator):
     family, start = _suite_family()
     broken = replace(
@@ -734,10 +820,8 @@ def _assert_bitwise_equal(trace, reference):
         (partial(_sector_case, "(x-7)*(x-8)", 12), 10.0, 8.3e-2),
         (partial(_sector_case, "x^2 - 64", 12), 20.0, 3.8e-2),
         (partial(_sector_case, "x^2 + y^2 - 25", 8), 160.0, 1.6e-2),
-        # no split run: m = 9 < SPLIT_MIN_DIMENSION
-        (partial(_sector_case, "x - 1", 8), 10.0, None),
     ],
-    ids=["(x-7)(x-8)@12", "x2-64@12", "x2+y2-25@8", "x-1@8"],
+    ids=["(x-7)(x-8)@12", "x2-64@12", "x2+y2-25@8"],
 )
 def test_split_falls_back_to_the_bitwise_midpoint_run(
     caplog, build, total_time, disagreement
@@ -747,15 +831,47 @@ def test_split_falls_back_to_the_bitwise_midpoint_run(
     with caplog.at_level(logging.DEBUG, logger="adiophantine.evolution"):
         trace = evolve(family, start, replace(params, integrator=SPLIT))
     lines = [r.getMessage() for r in caplog.records if r.name == "adiophantine.evolution"]
-    checks = [line for line in lines if line.startswith("evolve split")]
-    if disagreement is None:
-        assert checks == []
-    else:
-        (check,) = checks
-        logged = float(check.split("class disagreement ")[1].split()[0])
-        assert logged == pytest.approx(disagreement, rel=0.05)
-        assert check.endswith("returning the midpoint run")
+    (check,) = [line for line in lines if line.startswith("evolve split")]
+    logged = float(check.split("class disagreement ")[1].split()[0])
+    assert logged == pytest.approx(disagreement, rel=0.05)
+    assert check.endswith("returning the midpoint run")
     _assert_bitwise_equal(trace, evolve(family, start, params))
+
+
+@pytest.mark.parametrize(
+    "case, params, cf4_step",
+    [
+        # a decide rung: two snapshots, so CF4 steps at 4h
+        (("x - 1", 8), EvolutionParams(10.0, 0.02, SPLIT, record_grid=2), 0.08),
+        # 101 snapshots 0.05 apart (the CLI's evolve default): CF4 at h
+        (("x - 1", 6), EvolutionParams(5.0, 0.05, SPLIT), 0.05),
+        # 41 snapshots 0.5 apart: 4h
+        (("x^2 - 64", 8), EvolutionParams(20.0, 0.1, SPLIT, record_grid=41), 0.4),
+        # 201 snapshots 0.05 apart: the record grid's spacing, under 4h
+        (("(x-7)*(x-8)", 8), EvolutionParams(10.0, 0.02, SPLIT, record_grid=201), 0.05),
+        # 4h would pass the whole run: one step of T
+        (("x - 20", 8), EvolutionParams(0.1, 0.05, SPLIT, record_grid=2), 0.1),
+    ],
+    ids=["x-1@8-rung", "x-1@6-evolve", "x2-64@8-41", "(x-7)(x-8)@8-201", "x-20@8-short"],
+)
+def test_split_below_the_bar_is_the_bitwise_cf4_run(caplog, case, params, cf4_step):
+    family, start = _sector_case(*case)
+    m = family.sector_for(start).dimension
+    assert m < SPLIT_MIN_DIMENSION
+    with caplog.at_level(logging.DEBUG, logger="adiophantine.evolution"):
+        trace = evolve(family, start, params)
+    cf4 = replace(params, integrator=CF4, step=cf4_step)
+    assert trace.params == cf4
+    assert len(trace.times) == min(params.record_grid, cf4.step_count() + 1)
+    _assert_bitwise_equal(trace, evolve(family, start, cf4))
+    lines = [r.getMessage() for r in caplog.records if r.name == "adiophantine.evolution"]
+    # no split check: one line names what runs, then the CF4 run's own
+    assert not any(line.startswith("evolve split") for line in lines)
+    assert lines[0] == (
+        f"evolve: sector dimension {m} is below {SPLIT_MIN_DIMENSION}; CF4 runs at "
+        f"step {cf4_step!r} for the split at {params.step!r}"
+    )
+    assert lines[1].startswith(f"evolve: basis dimension {family.dimension}, ")
 
 
 def test_split_is_exact_on_a_diagonal_path():
@@ -877,8 +993,16 @@ def test_shared_loop_steps_the_two_stepwise_strang_runs(caplog, case, record_gri
         (("x^2 + y^2 - 25", 5), EvolutionParams(10.01, 0.02, integrator=SPLIT)),
         (("x - 20", 8), EvolutionParams(40.01, 0.02)),
         (("x + y - 5", 8), EvolutionParams(2.01, 0.005, integrator=RK4)),
+        # below the bar the split is CF4
+        (("x - 20", 8), EvolutionParams(40.01, 0.02, integrator=SPLIT)),
     ],
-    ids=["split-xyz-8@4", "split-x2+y2-25@5", "midexp-x-20@8", "rk4-x+y-5@8"],
+    ids=[
+        "split-xyz-8@4",
+        "split-x2+y2-25@5",
+        "midexp-x-20@8",
+        "rk4-x+y-5@8",
+        "cf4-x-20@8",
+    ],
 )
 def test_block_length_moves_no_bit(monkeypatch, case, params, length, record_grid):
     # one step per block is a check after every step; 7 puts snapshots on
@@ -888,7 +1012,11 @@ def test_block_length_moves_no_bit(monkeypatch, case, params, length, record_gri
     params = replace(params, record_grid=record_grid)
     reference = evolve(family, start, params)
     if params.integrator is SPLIT:
-        assert reference.params.step == params.step / 2
+        # the Strang run at h/2; below the bar CF4, at 4h on 101 snapshots
+        # 0.4 apart and at h on 10**6
+        cf4_step = 4 * params.step if record_grid == 101 else params.step
+        below = family.sector_for(start).dimension < SPLIT_MIN_DIMENSION
+        assert reference.params.step == (cf4_step if below else params.step / 2)
     monkeypatch.setattr(evolution, "split_block_length", lambda dimension: length)
     monkeypatch.setattr(evolution, "stack_length", lambda dimension: length)
     _assert_bitwise_equal(evolve(family, start, params), reference)
@@ -1017,11 +1145,19 @@ _HALF_FAILS = _STEPS + min(_ALONE, _STEPS) // 2
 
 
 @pytest.mark.parametrize(
-    "cutoff, total_time, s0, run, block, failing",
+    "cutoff, total_time, s0, integrator, run, block, failing",
     [
         # m = 13: the h run meets s > s0 at its step _H_FAILS, in the third
         # block of the two runs
-        (12, _STEPS * 0.02, _H_FAILS / _STEPS, 0, (2 * _BOTH, _STEPS - 1), _H_FAILS),
+        (
+            12,
+            _STEPS * 0.02,
+            _H_FAILS / _STEPS,
+            SPLIT,
+            0,
+            (2 * _BOTH, _STEPS - 1),
+            _H_FAILS,
+        ),
         # then only the h/2 run's midpoints overflow: it meets s > s0 at its
         # step _HALF_FAILS, in its first block alone, after every block of
         # the two runs
@@ -1029,23 +1165,29 @@ _HALF_FAILS = _STEPS + min(_ALONE, _STEPS) // 2
             12,
             _STEPS * 0.02,
             _HALF_FAILS / (2 * _STEPS),
+            SPLIT,
             1,
             (_STEPS, min(_STEPS + _ALONE, 2 * _STEPS) - 1),
             _HALF_FAILS,
         ),
         # m = 9: the midpoint exponential, 300 steps in blocks of 101; it
         # meets s > 0.834 at its step 250, in the third block
-        (8, 6.0, 0.834, None, (202, 299), 250),
+        (8, 6.0, 0.834, MIDEXP, None, (202, 299), 250),
+        # m = 9: the split runs CF4 at the record grid's spacing 6 / 100 =
+        # 0.06 (under 4h), 100 steps in blocks of 50; the second Gauss node
+        # of its step 80 is s = 0.8079 > 0.805, in the second block, and no
+        # node of an earlier step passes 0.805
+        (8, 6.0, 0.805, SPLIT, None, (50, 99), 80),
     ],
-    ids=["h-run-two-run-phase", "half-step-run-alone", "midexp-m9"],
+    ids=["h-run-two-run-phase", "half-step-run-alone", "midexp-m9", "cf4-m9"],
 )
 def test_abort_in_a_later_block_is_the_stepwise_abort(
-    caplog, cutoff, total_time, s0, run, block, failing
+    caplog, cutoff, total_time, s0, integrator, run, block, failing
 ):
     family, start = _sector_case("x - 20", cutoff)
     sector = family.sector_for(start)
     assert (sector.dimension >= SPLIT_MIN_DIMENSION) == (run is not None)
-    params = EvolutionParams(total_time, 0.02)
+    params = EvolutionParams(total_time, 0.02, integrator)
     if run is not None:
         assert params.step_count() == _STEPS
     fine_steps = 2 * params.step_count() if run == 1 else None
@@ -1056,13 +1198,15 @@ def test_abort_in_a_later_block_is_the_stepwise_abort(
                 if run is None:
                     evolve(broken, start, params)
                 else:
-                    split = replace(params, integrator=SPLIT)
-                    evolution._strang_runs(broken, start, sector, split)
+                    evolution._strang_runs(broken, start, sector, params)
         # the per-step reference of the run that aborts
         reference = replace(params, step=params.step / (1 + (run or 0)))
-        if run is None:
+        prefix = ""
+        if integrator is MIDEXP:
             _, _, t_abort = _stepwise_midpoint(broken, start, reference)
-            prefix = ""
+        elif run is None:
+            reference = replace(params, integrator=CF4, step=0.06)
+            _, _, t_abort = _stepwise_cf4(broken, start, reference)
         else:
             _, _, t_abort = _stepwise_strang(broken, start, reference)
             prefix = f"Strang run at step {reference.step}: "

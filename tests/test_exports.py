@@ -11,7 +11,7 @@ import pytest
 import adiophantine
 from adiophantine.decision import DecideConfig, Verdict, decide
 from adiophantine.diophantine import min_over_box, parse_equation, substitute_shift
-from adiophantine.evolution import SPLIT_MIN_DIMENSION
+from adiophantine.evolution import SPLIT_MIN_DIMENSION, SPLIT_TOLERANCE, Integrator
 from adiophantine.fock import FockBasis
 from adiophantine.hamiltonians import AdiabaticFamily
 
@@ -157,10 +157,28 @@ def test_decide_on_the_bench_equations_agrees_with_the_box_oracle(text, cutoff):
 
 
 @pytest.mark.filterwarnings("ignore::adiophantine.fock.TruncationWarning")
+@pytest.mark.parametrize(
+    "text, cutoff", CORPUS.DECIDE_1MODE, ids=[f"{t}@{c}" for t, c in CORPUS.DECIDE_1MODE]
+)
+def test_decide_below_the_split_bar_keeps_the_midpoint_verdicts(text, cutoff):
+    # every rung here runs CF4 at 4h in place of the midpoint exponential at
+    # h: the same schedule and named class, class probabilities within the
+    # split's tolerance
+    p = parse_equation(text)
+    cf4 = decide(p, DecideConfig(cutoff=cutoff))
+    midexp = decide(
+        p, DecideConfig(cutoff=cutoff, integrator=Integrator.MIDPOINT_EXPONENTIAL)
+    )
+    for name in ("schedule", "verdict", "witness", "class_value", "top_occupation"):
+        assert getattr(cf4, name) == getattr(midexp, name), name
+    assert abs(cf4.class_probability - midexp.class_probability) <= SPLIT_TOLERANCE
+
+
+@pytest.mark.filterwarnings("ignore::adiophantine.fock.TruncationWarning")
 def test_the_split_bar_has_a_bench_workload_on_each_side():
-    # split runs from sector dimension SPLIT_MIN_DIMENSION on, the midpoint
-    # exponential below it: the benchmark times each side of that fork,
-    # decide-1mode the smaller sectors and decide-dense the larger
+    # split runs from sector dimension SPLIT_MIN_DIMENSION on, CF4 below it:
+    # the benchmark times each side of that fork, decide-1mode the smaller
+    # sectors and decide-dense the larger
     def sector_dimension(text, cutoff):
         config = DecideConfig(cutoff=cutoff)
         p = substitute_shift(parse_equation(text), config.semantics)

@@ -4,25 +4,31 @@ The families are the ``decide`` runs of the 21 benchmark equations
 (``bench/corpus.py``: ``DECIDE_1MODE`` and ``DECIDE_DENSE``) under the split
 integrator and under the midpoint exponential, the ``spectrum`` runs of
 the 13 certify equations (``SPECTRAL`` at ``GRID_SIZE`` points), the
-``evolve`` runs of ``EVOLVE_CASES`` under every integrator, each writing
-its trace CSV and probability history, the ``sample`` runs of
-``SAMPLE_CASES``, the ``oracle`` searches of ``ORACLE_CASES`` with the box
-bound given as ``--bound`` and as ``--cutoff`` under both semantics, the
+``evolve`` runs of ``EVOLVE_CASES`` under every integrator (rk4, midexp,
+split and cf4), each writing its trace CSV and probability history, the
+``sample`` runs of ``SAMPLE_CASES``, the ``oracle`` searches of
+``ORACLE_CASES`` with the box bound given as ``--bound`` and as
+``--cutoff`` under both semantics, the
 ``decide`` and ``spectrum`` runs of ``DISPLACE_CASES`` with the per-mode
 displacements of ``DISPLACE_ALPHAS`` given in a ``--config`` file, the
 ``decide`` runs under the split integrator and under the midpoint
 exponential and the ``spectrum`` runs of ``ASYMMETRIC_CASES``, and the
-README's command block.  Each family runs through ``cli.main`` in a
-temporary directory, and its digest covers every file it writes (its
-config files included), its standard output and its exit codes.  The
-timings are dropped: every ``sidecar`` field of a JSON file.  Two source
-trees that print the same digests give byte-identical outputs on these
-inputs.
+README's command block.  A family whose runs name an integrator gets one
+digest per integrator and per side of the split bar, named for the
+equations' variables: ``1mode`` for one variable (a sector of m <= 11 at
+the cutoffs here, where the split runs CF4) and ``modes`` for more (m >=
+21, where it runs the checked Strang step).  Each digest's runs go through
+``cli.main`` in a temporary directory, and the digest covers every file
+they write (their config files included), their standard output and their
+exit codes.  The timings are dropped: every ``sidecar`` field of a JSON
+file.  Two source trees that print the same digests give byte-identical
+outputs on these inputs.
 
 Run from the repository root: ``python tools/output_digest.py``.  It reads
 the package under ``src/`` of the tree it sits in; about 20 s on a
-2-core host, 1.3 s of it the ``evolve`` family and under a second each
-the ``sample``, ``oracle`` and ``displace`` families.
+2-core host, 1.5 s of it the ``evolve`` family and under a second each
+the ``sample``, ``oracle`` and ``displace`` families.  A tree without an
+integrator still prints its digests: the runs that name it exit 2.
 """
 
 from __future__ import annotations
@@ -43,6 +49,7 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 
 from adiophantine import cli  # noqa: E402
+from adiophantine.diophantine import parse_equation  # noqa: E402
 
 
 # (equation, cutoff, step) of the ``evolve`` family: one mode, then two
@@ -117,12 +124,33 @@ def _readme_commands() -> list[list[str]]:
     return [shlex.split(line, comments=True)[1:] for line in block.splitlines()]
 
 
+def _side(text: str) -> str:
+    """The side of the split bar that an equation's runs fall on here."""
+    return "1mode" if parse_equation(text).num_vars == 1 else "modes"
+
+
+def _grouped(runs) -> dict[str, list[list[str]]]:
+    """(digest name, command) pairs, as the commands of each name in order."""
+    groups: dict[str, list[list[str]]] = {}
+    for name, command in runs:
+        groups.setdefault(name, []).append(command)
+    return groups
+
+
 def _without_sidecars(value):
     if isinstance(value, dict):
         return {k: _without_sidecars(v) for k, v in value.items() if k != "sidecar"}
     if isinstance(value, list):
         return [_without_sidecars(v) for v in value]
     return value
+
+
+def _exit_code(words: list[str]) -> int:
+    """``cli.main``'s exit code for ``words``, also when argparse exits."""
+    try:
+        return cli.main(words)
+    except SystemExit as exit:
+        return exit.code
 
 
 def digest(commands: list[list[str]], inputs: dict[str, str] | None = None) -> str:
@@ -139,7 +167,7 @@ def digest(commands: list[list[str]], inputs: dict[str, str] | None = None) -> s
         try:
             with contextlib.redirect_stdout(out), warnings.catch_warnings():
                 warnings.simplefilter("ignore")
-                codes = [cli.main(words) for words in commands]
+                codes = [_exit_code(words) for words in commands]
         finally:
             os.chdir(home)
         files = {}
@@ -156,8 +184,11 @@ def digest(commands: list[list[str]], inputs: dict[str, str] | None = None) -> s
 def main() -> int:
     corpus = _corpus()
     decide = [
-        ["decide", text, "--cutoff", str(cutoff), "--integrator", integrator]
-        + ["--out", f"{integrator}/{index}"]
+        (
+            f"decide {integrator} {_side(text)}",
+            ["decide", text, "--cutoff", str(cutoff), "--integrator", integrator]
+            + ["--out", f"{integrator}/{index}"],
+        )
         for integrator in ("split", "midexp")
         for index, (text, cutoff) in enumerate(corpus.DECIDE_1MODE + corpus.DECIDE_DENSE)
     ]
@@ -167,16 +198,22 @@ def main() -> int:
         for index, (text, cutoff) in enumerate(corpus.SPECTRAL)
     ]
     evolve = [
-        ["evolve", text, "--cutoff", str(cutoff), "--step", str(step)]
-        + ["--integrator", integrator, "--out", f"{integrator}/{index}"]
-        + EVOLVE_FLAGS
-        for integrator in ("rk4", "midexp", "split")
+        (
+            f"evolve {integrator} {_side(text)}",
+            ["evolve", text, "--cutoff", str(cutoff), "--step", str(step)]
+            + ["--integrator", integrator, "--out", f"{integrator}/{index}"]
+            + EVOLVE_FLAGS,
+        )
+        for integrator in ("rk4", "midexp", "split", "cf4")
         for index, (text, cutoff, step) in enumerate(EVOLVE_CASES)
     ]
     sample = [
-        ["sample", text, "--cutoff", str(cutoff), "--integrator", integrator]
-        + ["--out", f"{integrator}/{index}"]
-        + SAMPLE_FLAGS
+        (
+            f"sample {integrator} {_side(text)}",
+            ["sample", text, "--cutoff", str(cutoff), "--integrator", integrator]
+            + ["--out", f"{integrator}/{index}"]
+            + SAMPLE_FLAGS,
+        )
         for index, (text, cutoff, integrator) in enumerate(SAMPLE_CASES)
     ]
     oracle = [
@@ -207,17 +244,18 @@ def main() -> int:
         for index, (text, cutoff) in enumerate(ASYMMETRIC_CASES)
     ]
     families = {
-        "decide": (decide, None),
-        "spectrum": (spectrum, None),
-        "evolve": (evolve, None),
-        "sample": (sample, None),
-        "oracle": (oracle, None),
-        "displace": (displace, configs),
-        "asymmetric": (asymmetric, None),
-        "readme": (_readme_commands(), None),
+        **_grouped(decide),
+        "spectrum": spectrum,
+        **_grouped(evolve),
+        **_grouped(sample),
+        "oracle": oracle,
+        "displace": displace,
+        "asymmetric": asymmetric,
+        "readme": _readme_commands(),
     }
-    for name, (commands, inputs) in families.items():
-        print(f"{name:10} {digest(commands, inputs)}")
+    inputs = {"displace": configs}
+    for name, commands in families.items():
+        print(f"{name:20} {digest(commands, inputs.get(name))}")
     return 0
 
 

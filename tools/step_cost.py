@@ -1,17 +1,20 @@
-"""Print the wall time per loop iteration of the checked split and per
-midpoint step, at the sector dimensions of the benchmark's decide runs.
+"""Print the wall time per unit of simulated time of the checked split,
+the midpoint exponential and CF4, at the sector dimensions of the
+benchmark's decide runs.
 
 For each sector dimension m = 9, 21, 35, 45 and 75 (one equation of
-``bench/corpus.py`` each) it times, in this one process, the split check's
-two Strang runs (``evolution._strang_runs`` at h and h/2, stepped
-together, so its iterations are the h/2 run's steps) and one midpoint
-exponential run at h (``evolution._run``), both at a decide rung's
-settings: T = ``--total-time``, h = 0.02, a record grid of 2.  m = 9 is
-below ``SPLIT_MIN_DIMENSION``, where ``evolve`` never takes the split; its
-row shows what a Strang iteration would cost there.  The repeats are
-interleaved (every case and integrator once per round), and each column
-prints the least and the median over the rounds of the run's wall time
-divided by its iterations.  BLAS is pinned to one thread.
+``bench/corpus.py`` each) it times, in this one process, three runs at a
+decide rung's settings (T = ``--total-time``, a record grid of 2, the
+default step h = 0.02): the split check's two Strang runs
+(``evolution._strang_runs`` at h and h/2, stepped together: 2 iterations
+per h), one midpoint exponential run at h (``evolution._run``: 1 step per
+h) and one CF4 run at ``CF4_STEP_MULTIPLE`` h (1 step per 4h).  ``evolve``
+takes the split from ``SPLIT_MIN_DIMENSION`` = 12 on and CF4 below it, so
+m = 9 runs CF4 and the other rows the split; each row shows what the
+other integrators would cost there.  The repeats are interleaved (every
+case and integrator once per round), and each column prints the least and
+the median over the rounds of the run's wall time divided by T.  BLAS is
+pinned to one thread.
 
 Run from the repository root: ``python tools/step_cost.py``; about 20 s
 on a 2-core host at the defaults.  It reads the package under ``src/`` of
@@ -53,8 +56,8 @@ CASES = [
 
 
 def _runs(text: str, cutoff: int, total_time: float):
-    """The sector dimension and two timed callables, each returning its
-    iteration count: the split check's Strang runs and the midpoint run."""
+    """The sector dimension and three timed callables: the split check's
+    Strang runs, the midpoint run and the CF4 run."""
     p = parse_equation(text)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
@@ -62,19 +65,20 @@ def _runs(text: str, cutoff: int, total_time: float):
     sector = family.sector_for(start)
     params = EvolutionParams(total_time, 0.02, Integrator.SPLIT, record_grid=2)
     midpoint = replace(params, integrator=Integrator.MIDPOINT_EXPONENTIAL)
-
-    def split() -> int:
-        evolution._strang_runs(family, start, sector, params)
-        return replace(params, step=params.step / 2).step_count()
-
-    def midexp() -> int:
-        evolution._run(family, start, sector, midpoint)
-        return midpoint.step_count()
-
+    cf4 = replace(
+        params,
+        integrator=Integrator.CF4,
+        step=evolution.CF4_STEP_MULTIPLE * params.step,
+    )
+    runs = {
+        "split": lambda: evolution._strang_runs(family, start, sector, params),
+        "midexp": lambda: evolution._run(family, start, sector, midpoint),
+        "cf4": lambda: evolution._run(family, start, sector, cf4),
+    }
     # the start eigensystem and problem classes are cached per sector
-    split()
-    midexp()
-    return sector.dimension, {"split": split, "midexp": midexp}
+    for run in runs.values():
+        run()
+    return sector.dimension, runs
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -89,17 +93,17 @@ def main(argv: list[str] | None = None) -> int:
         for m, runs in cases:
             for name, run in runs.items():
                 begin = time.perf_counter()
-                iterations = run()
-                samples[m, name].append((time.perf_counter() - begin) / iterations)
+                run()
+                samples[m, name].append((time.perf_counter() - begin) / args.total_time)
 
     print(f"T = {args.total_time}, h = 0.02, {args.repeats} interleaved rounds; "
-          "us per iteration, least / median")
-    print(f"{'m':>3}  {'checked split':>17}  {'midpoint step':>17}")
+          "us per unit of simulated time, least / median")
+    print(f"{'m':>3}  {'checked split':>19}  {'midpoint at h':>19}  {'CF4 at 4h':>19}")
     for m, runs in cases:
         cells = []
         for name in runs:
             values = samples[m, name]
-            cells.append(f"{min(values) * 1e6:7.2f} / {statistics.median(values) * 1e6:7.2f}")
+            cells.append(f"{min(values) * 1e6:8.1f} / {statistics.median(values) * 1e6:8.1f}")
         print(f"{m:>3}  " + "  ".join(cells))
     return 0
 
