@@ -416,9 +416,10 @@ _FLAGS = {
     "step": (
         "--step",
         _FLOAT,
-        f"integrator step size; below sector dimension {SPLIT_MIN_DIMENSION} split "
-        f"runs CF4 at {CF4_STEP_MULTIPLE} times it, or at the record grid's "
-        "spacing where that is shorter (never below the step)",
+        "integrator step h; split checks Strang at h and h/2 (retried at h/2 and "
+        f"h/4); CF4 runs below sector dimension {SPLIT_MIN_DIMENSION} or if both are "
+        f"refused, at {CF4_STEP_MULTIPLE}h or the record grid's spacing if shorter "
+        "(never below h)",
     ),
     "integrator": (
         "--integrator", {"choices": [i.value for i in Integrator]}, "scheme"

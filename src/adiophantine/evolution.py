@@ -2,8 +2,9 @@
 
 Four fixed-step integrators ship.  RK4 and the midpoint exponential are
 independent of each other, so that each can validate the other; the split
-integrator is the production path, checked at run time and backed by the
-midpoint exponential, and below a sector dimension it runs CF4:
+integrator is the production path: the Strang step, checked at run time,
+and CF4 below a sector dimension and where the check is refused twice.
+The midpoint exponential runs only on request:
 
 * ``RK4``: classic 4th-order Runge-Kutta on the linear flow.  Not unitary;
   the norm drift is reported as a diagnostic and large drift aborts the run
@@ -51,26 +52,27 @@ midpoint exponential, and below a sector dimension it runs CF4:
   "Splitting methods", Acta Numerica 11, 2002), so the result is checked a
   posteriori: a Strang run at h and one at h/2 must give every class of
   equal problem value the same final probability within
-  ``SPLIT_TOLERANCE`` = 1e-3.  The h/2 run is then returned, else the
-  midpoint exponential at h.  The two runs are stepped in one loop, as the
-  two columns of one (m, 2) complex state: iteration i applies step i of
-  both with the four calls one run's step makes.  After the h run's last
-  step its column leaves, to get its closing half phase, and the h/2 run
-  goes on alone, so N steps of h cost 2N iterations rather than 3N.  On the
+  ``SPLIT_TOLERANCE`` = 1e-3, and the h/2 run is then returned.  A refused
+  check (a larger disagreement, or a Strang run that aborts) is retried
+  once at h/2, with runs at h/2 and h/4, whose h/4 run is returned if they
+  agree; a second refusal runs CF4, at the step it takes below the bar.
+  The two runs of a check are stepped in one loop, as the two columns of
+  one (m, 2) complex state: iteration i applies step i of both with the
+  four calls one run's step makes.  After the coarser run's last step its
+  column leaves, to get its closing half phase, and the finer run goes on
+  alone, so N steps of h cost 2N iterations rather than 3N.  On the
   decision rungs of the 21 bench equations and of ``x + y - 20`` and
   ``x^2 + y^2 - 25`` at cutoff 8, the accepted checks disagreed by at most
-  7.8e-4 and the three rejected ones (stiff rungs of ``x^2 + y^2 - 25``)
-  by at least 2.9e-3; no checked rung's top class came within 2e-2 of the
-  1/2 bar, and the returned class probabilities stayed within 3.5e-5 of
-  the midpoint exponential's.  Split runs at sector dimension m >=
-  ``SPLIT_MIN_DIMENSION`` = 12.  Smaller sectors get CF4, at
-  ``CF4_STEP_MULTIPLE`` = 4 times the step but never at more than the
-  spacing of the run's record grid unless that is below the step, so a
-  decide rung steps at 4h and no trace is coarser than the midpoint run at
-  h would record it.  A Strang step is cheaper than a midpoint step there,
-  but the checks that fail pay for both Strang runs and the midpoint run;
-  CF4 at 4h makes half the midpoint run's eigensolves, checks nothing and
-  falls back to nothing (README "The split integrator" has the costs).  On
+  7.8e-4 and the three refused ones (stiff rungs of ``x^2 + y^2 - 25`` at
+  T = 80, 160 and 320) by at least 2.9e-3; their retries agreed within
+  6.4e-5.  Split runs at sector dimension m >= ``SPLIT_MIN_DIMENSION`` =
+  12.  Smaller sectors get CF4, at ``CF4_STEP_MULTIPLE`` = 4 times the step
+  but never at more than the spacing of the run's record grid unless that
+  is below the step, so a decide rung steps at 4h and no trace is coarser
+  than the midpoint run at h would record it.  A Strang step is cheaper
+  than a midpoint step there, but a finer Strang step does not rescue the
+  checks that fail; CF4 at 4h makes half the midpoint run's eigensolves
+  and checks nothing (README "The split integrator" has the costs).  On
   the 13 one-mode bench equations it kept every schedule, verdict, witness
   and class value of the midpoint exponential at h, and moved the class
   probabilities by at most 8.7e-4.
@@ -149,10 +151,9 @@ RK4_STABILITY_LIMIT = 2.0 * math.sqrt(2.0)
 
 
 # smallest sector dimension at which a split step is tried; smaller sectors
-# stay on the bitwise midpoint exponential although a Strang step is cheaper
-# there, because the checks that fail pay for both Strang runs and the
-# midpoint run: at 1 the decide-1mode p90 latency doubled (README "The split
-# integrator")
+# run CF4 although a Strang step is cheaper there, because the checks that
+# fail there pay for the Strang runs and then a full run: at 1 the
+# decide-1mode p90 latency doubled (README "The split integrator")
 SPLIT_MIN_DIMENSION = 12
 
 # below SPLIT_MIN_DIMENSION the split runs CF4 at this multiple of its step
@@ -163,7 +164,8 @@ SPLIT_MIN_DIMENSION = 12
 CF4_STEP_MULTIPLE = 4
 
 # largest difference of any class probability between the Strang runs at h
-# and h/2 for which the h/2 run is returned
+# and h/2 for which the h/2 run is returned (and those at h/2 and h/4 of
+# the retry)
 SPLIT_TOLERANCE = 1e-3
 
 # bytes of Strang phases in one block of the split runs, which the split
@@ -369,13 +371,15 @@ def evolve(
     sector's, with :class:`EvolutionAborted`; it steps in blocks of
     ``stack_length(m)``, checked and replayed as the others'.
 
-    ``Integrator.SPLIT`` picks the propagator (see the module docstring);
-    the returned trace's ``params`` are those of the run that made it, so
-    they name the integrator and step that actually ran (CF4 and its step
-    below ``SPLIT_MIN_DIMENSION``).  Logs the basis and sector dimensions,
-    the group order and the block length of every run, every block replay,
-    the split check's outcome and a CF4 run's step in its place, at DEBUG
-    level.
+    ``Integrator.SPLIT`` picks the propagator (see the module docstring):
+    below ``SPLIT_MIN_DIMENSION`` CF4; else the Strang check at h and h/2,
+    retried once at h/2 and h/4 when it is refused, and CF4 at its sub-bar
+    step when the retry is refused too.  The returned trace's ``params``
+    are those of the run that made it, so they name the integrator and step
+    that actually ran (SPLIT at h/2 or h/4, or CF4 and its step).  Logs the
+    basis and sector dimensions, the group order and the block length of
+    every run, every block replay, each split check's outcome and what it
+    leads to, and a CF4 run's step in place of a check, at DEBUG level.
     """
     if init.basis != family.basis:
         raise ValueError("initial state does not live on the family's basis")
@@ -385,35 +389,34 @@ def evolve(
     if params.integrator is not Integrator.SPLIT:
         return _run(family, init, sector, params)
 
+    spacing = params.total_time / (params.record_grid - 1)
+    step = min(CF4_STEP_MULTIPLE * params.step, max(params.step, spacing))
+    cf4 = replace(params, integrator=Integrator.CF4, step=step)
     if sector.dimension < SPLIT_MIN_DIMENSION:
-        spacing = params.total_time / (params.record_grid - 1)
-        step = min(CF4_STEP_MULTIPLE * params.step, max(params.step, spacing))
         message = "evolve: sector dimension %d is below %d; CF4 runs at step %r"
         details = [sector.dimension, SPLIT_MIN_DIMENSION, step, params.step]
         _debug(__name__, message + " for the split at %r", *details)
-        cf4 = replace(params, integrator=Integrator.CF4, step=step)
         return _run(family, init, sector, cf4)
-    midpoint = replace(params, integrator=Integrator.MIDPOINT_EXPONENTIAL)
-    try:
-        fine, disagreement = _strang_runs(family, init, sector, params)
-    except (EvolutionAborted, ValueError) as err:
-        # the midpoint run below raises its own error, at its own step
-        outcome, disagreement = f"split failed ({err})", math.inf
-    else:
-        outcome = f"class disagreement {disagreement:.3e}"
-    accepted = disagreement <= SPLIT_TOLERANCE
-    _debug(
-        __name__,
-        "evolve split: %s between steps %r and %r, tolerance %r; %s",
-        outcome,
-        params.step,
-        params.step / 2,
-        SPLIT_TOLERANCE,
-        "returning the Strang run at the half step"
-        if accepted
-        else "returning the midpoint run",
-    )
-    return fine if accepted else _run(family, init, sector, midpoint)
+    # a refused check is retried once at half the step; CF4 runs, as below
+    # the bar, only when that is refused too
+    choices = ["retrying at the half step", f"returning the CF4 run at step {step!r}"]
+    for run, choice in zip([params, replace(params, step=params.step / 2)], choices):
+        try:
+            fine, disagreement = _strang_runs(family, init, sector, run)
+        except (EvolutionAborted, ValueError) as err:
+            # the next run raises its own error, at its own step
+            outcome, disagreement = f"split failed ({err})", math.inf
+        else:
+            outcome = f"class disagreement {disagreement:.3e}"
+        accepted = disagreement <= SPLIT_TOLERANCE
+        if accepted:
+            choice = "returning the Strang run at the half step"
+        message = "evolve split: %s between steps %r and %r, tolerance %r; %s"
+        details = [outcome, run.step, run.step / 2, SPLIT_TOLERANCE, choice]
+        _debug(__name__, message, *details)
+        if accepted:
+            return fine
+    return _run(family, init, sector, cf4)
 
 
 def _aborted(drift: float, t: float, run: EvolutionParams) -> EvolutionAborted:

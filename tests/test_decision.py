@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 import jsonschema
 
+from adiophantine import decision
 from adiophantine.decision import (
     REPORT_SCHEMA,
     DecideConfig,
@@ -379,6 +380,30 @@ def test_decide_split_matches_midexp(text, cutoff):
     assert report.class_value == class_value
     assert abs(report.class_probability - midexp_probability) <= SPLIT_TOLERANCE
     assert report.class_probability == pytest.approx(split_probability, abs=1e-12)
+
+
+def test_decide_on_refused_rungs_runs_no_midpoint_exponential(monkeypatch):
+    # x^2 + y^2 - 25 at cutoff 8 (m = 45) refuses the split check at h on
+    # its stiff rungs T = 80, 160 and 320; each retry at h/2 agrees and
+    # returns its Strang run at h/4, and the verdict rung T = 640 accepts at h
+    returned, run = [], decision.evolve
+
+    def evolve(family, start, params):
+        trace = run(family, start, params)
+        returned.append(trace.params)
+        return trace
+
+    monkeypatch.setattr(decision, "evolve", evolve)
+    report = decide(parse_equation("x^2 + y^2 - 25"), DecideConfig(cutoff=8))
+    assert report.schedule == (10.0, 20.0, 40.0, 80.0, 160.0, 320.0, 640.0)
+    assert report.successful_time == 640.0
+    assert report.verdict is Verdict.SOLUTION_EXISTS
+    assert report.class_value == 0
+    assert report.class_probability == 0.5609124001757441
+    refused = (80.0, 160.0, 320.0)
+    assert [(p.total_time, p.integrator, p.step) for p in returned] == [
+        (T, Integrator.SPLIT, 0.005 if T in refused else 0.01) for T in report.schedule
+    ]
 
 
 def test_decide_rejects_constant_equation():

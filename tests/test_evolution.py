@@ -1,8 +1,11 @@
+import contextlib
+import itertools
 import logging
 import tracemalloc
 import warnings
 from dataclasses import replace
 from functools import partial
+from unittest import mock
 
 import math
 
@@ -12,7 +15,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from adiophantine import evolution
-from adiophantine.diophantine import parse_equation
+from adiophantine.diophantine import Polynomial, parse_equation
 from adiophantine.evolution import (
     SPLIT_MIN_DIMENSION,
     SPLIT_TOLERANCE,
@@ -812,30 +815,119 @@ def _assert_bitwise_equal(trace, reference):
     assert np.array_equal(trace.norm_errors, reference.norm_errors)
 
 
+def _split_checks(messages):
+    """The logged class disagreement (inf for a Strang run that failed) and
+    the closing choice of each split check among ``messages``, in order."""
+    checks = []
+    for line in messages:
+        if line.startswith("evolve split: class disagreement "):
+            disagreement = float(line.split("class disagreement ")[1].split()[0])
+            checks.append((disagreement, line.split("; ")[-1]))
+        elif line.startswith("evolve split: split failed ("):
+            checks.append((math.inf, line.split("; ")[-1]))
+    return checks
+
+
+@contextlib.contextmanager
+def _debug_messages():
+    """The DEBUG messages of ``adiophantine.evolution`` logged in the block;
+    for hypothesis tests, which take no caplog."""
+    messages = []
+    handler = logging.Handler(logging.DEBUG)
+    handler.emit = lambda record: messages.append(record.getMessage())
+    logger = logging.getLogger("adiophantine.evolution")
+    level = logger.level
+    logger.addHandler(handler)
+    logger.setLevel(logging.DEBUG)
+    try:
+        yield messages
+    finally:
+        logger.removeHandler(handler)
+        logger.setLevel(level)
+
+
 @pytest.mark.parametrize(
-    "build, total_time, disagreement",
+    "build, total_time, disagreements, returned",
     [
         # m = 13 and 45 >= SPLIT_MIN_DIMENSION, but the Strang runs at h and
-        # h/2 disagree on a class probability
-        (partial(_sector_case, "(x-7)*(x-8)", 12), 10.0, 8.3e-2),
-        (partial(_sector_case, "x^2 - 64", 12), 20.0, 3.8e-2),
-        (partial(_sector_case, "x^2 + y^2 - 25", 8), 160.0, 1.6e-2),
+        # h/2 disagree on a class probability; the retry's runs at h/2 and
+        # h/4 agree, and its h/4 run is returned
+        (partial(_sector_case, "x^2 - 64", 12), 20.0, (3.8e-2, 9.6e-4), None),
+        (partial(_sector_case, "x^2 + y^2 - 25", 8), 160.0, (1.6e-2, 5.0e-5), None),
+        # the retry is refused too: CF4 at the sub-bar step, 4h under the
+        # record grid's spacing 0.1
+        (partial(_sector_case, "(x-7)*(x-8)", 12), 10.0, (8.3e-2, 4.9e-2), 0.08),
     ],
-    ids=["(x-7)(x-8)@12", "x2-64@12", "x2+y2-25@8"],
+    ids=["x2-64@12", "x2+y2-25@8", "(x-7)(x-8)@12"],
 )
-def test_split_falls_back_to_the_bitwise_midpoint_run(
-    caplog, build, total_time, disagreement
+def test_refused_split_retries_at_the_half_step_then_runs_cf4(
+    caplog, build, total_time, disagreements, returned
 ):
     family, start = build()
-    params = EvolutionParams(total_time, 0.02)
+    params = EvolutionParams(total_time, 0.02, integrator=SPLIT)
     with caplog.at_level(logging.DEBUG, logger="adiophantine.evolution"):
-        trace = evolve(family, start, replace(params, integrator=SPLIT))
-    lines = [r.getMessage() for r in caplog.records if r.name == "adiophantine.evolution"]
-    (check,) = [line for line in lines if line.startswith("evolve split")]
-    logged = float(check.split("class disagreement ")[1].split()[0])
-    assert logged == pytest.approx(disagreement, rel=0.05)
-    assert check.endswith("returning the midpoint run")
-    _assert_bitwise_equal(trace, evolve(family, start, params))
+        trace = evolve(family, start, params)
+    first, retry = _split_checks(r.getMessage() for r in caplog.records)
+    assert first[0] == pytest.approx(disagreements[0], rel=0.05)
+    assert retry[0] == pytest.approx(disagreements[1], rel=0.05)
+    assert first[1] == "retrying at the half step"
+    if returned is None:
+        assert retry[1] == "returning the Strang run at the half step"
+        # a check at h/2 accepts at once and returns the same h/4 run
+        reference = evolve(family, start, replace(params, step=0.01))
+        assert trace.params == replace(params, step=0.005)
+    else:
+        assert retry[1] == f"returning the CF4 run at step {returned!r}"
+        reference = evolve(family, start, replace(params, integrator=CF4, step=returned))
+    _assert_bitwise_equal(trace, reference)
+
+
+@st.composite
+def _above_the_bar(draw):
+    """An equation of one or two variables, of degree at most 2 and small
+    coefficients, and a cutoff at which its sector has m >= 12 when every
+    variable occurs."""
+    names = draw(st.sampled_from([("x",), ("x", "y")]))
+    exponents = [e for e in itertools.product(range(3), repeat=len(names)) if sum(e) <= 2]
+    terms = {e: draw(st.integers(-3, 3)) for e in exponents}
+    terms[(0,) * len(names)] = draw(st.integers(-40, 40))
+    cutoff = draw(st.sampled_from([11, 12, 13] if len(names) == 1 else [4, 5]))
+    return Polynomial.from_terms(terms, names), cutoff
+
+
+@settings(max_examples=25, deadline=None)
+@given(_above_the_bar(), st.sampled_from([2.0, 5.0, 10.0]), st.sampled_from([2, 101]))
+# refused twice: CF4 at 4h, under the record grid's spacing 0.1
+@example((parse_equation("(x-7)*(x-8)"), 12), 10.0, 101)
+# refused once, then the retry's h/4 run
+@example((parse_equation("x^2 - 64"), 12), 20.0, 2)
+def test_split_returns_a_checked_strang_run_or_the_cf4_run(equation, total_time, record_grid):
+    p, cutoff = equation
+    assume(p.num_vars > 0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", TruncationWarning)
+        family, start = AdiabaticFamily.from_polynomial(p, FockBasis(p.num_vars, cutoff))
+    assume(family.sector_for(start).dimension >= SPLIT_MIN_DIMENSION)
+    params = EvolutionParams(total_time, 0.02, SPLIT, record_grid)
+    run = mock.patch.object(evolution, "_run", wraps=evolution._run)
+    with _debug_messages() as messages, run as runs:
+        trace = evolve(family, start, params)
+    # no midpoint exponential runs, and at most the one CF4 run
+    assert [call.args[3].integrator for call in runs.call_args_list] in ([], [CF4])
+    checks = _split_checks(messages)
+    *refused, (last, _) = checks
+    assert all(disagreement > SPLIT_TOLERANCE for disagreement, _ in refused)
+    if trace.params.integrator is SPLIT:
+        # the h/2 run of the check at h, or the h/4 run of the retry at h/2
+        assert len(checks) in (1, 2)
+        assert last <= SPLIT_TOLERANCE
+        assert trace.params == replace(params, step=params.step / 2 ** len(checks))
+    else:
+        assert len(checks) == 2 and last > SPLIT_TOLERANCE
+        spacing = total_time / (record_grid - 1)
+        step = min(evolution.CF4_STEP_MULTIPLE * params.step, max(params.step, spacing))
+        cf4 = replace(params, integrator=CF4, step=step)
+        _assert_bitwise_equal(trace, evolve(family, start, cf4))
 
 
 @pytest.mark.parametrize(
@@ -1047,56 +1139,64 @@ def test_passing_replay_continues_the_run(caplog, monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "case, scale, t_abort, split_failure",
+    "case, scale, t_abort, split_failures",
     [
         # the split phases take h/2 of an overflowing weight and stay unit
-        # modulus, so the check fails and the abort arrives through the
-        # midpoint fallback
-        (("x^2 + y^2 - 25", 5), 1e306, 0.4, None),
-        (("x - 20", 12), 1e306, 0.5, None),
-        # the merged half phases overflow while both runs step, and the h
-        # run is the first to go non-finite
+        # modulus, so both checks are refused and the abort arrives through
+        # the CF4 run at h (4h would pass the record grid's spacing 0.01)
+        (("x^2 + y^2 - 25", 5), 1e306, 0.6, None),
+        (("x - 20", 12), 1e306, 1.0, None),
+        # the merged half phases overflow while both runs step, and the
+        # coarser run is the first to go non-finite in each check
         (
             ("x^2 + y^2 - 25", 5),
             1e308,
             0.1,
-            "Strang run at step 0.1: non-finite amplitudes at t=0.2;",
+            (
+                "Strang run at step 0.1: non-finite amplitudes at t=0.2;",
+                "Strang run at step 0.05: non-finite amplitudes at t=0.15000000000000002;",
+            ),
         ),
         (
             ("x - 20", 12),
             1e307,
-            0.1,
-            "Strang run at step 0.1: non-finite amplitudes at t=0.6;",
+            0.2,
+            (
+                "Strang run at step 0.1: non-finite amplitudes at t=0.6;",
+                "Strang run at step 0.05: non-finite amplitudes at t=0.9500000000000001;",
+            ),
         ),
     ],
     ids=["x2+y2-25@5", "x-20@12", "x2+y2-25@5-h-run-aborts", "x-20@12-h-run-aborts"],
 )
-def test_split_overflow_aborts_as_the_midpoint_run(
-    caplog, case, scale, t_abort, split_failure
-):
+def test_split_overflow_aborts_as_the_cf4_run(caplog, case, scale, t_abort, split_failures):
     family, start = _sector_case(*case)
     assert family.sector_for(start).dimension >= SPLIT_MIN_DIMENSION
     broken = replace(family, schedule=lambda s: (1.0 - s, scale * s))
     with np.errstate(over="ignore", invalid="ignore"):
-        with pytest.raises(EvolutionAborted) as midpoint:
-            evolve(broken, start, EvolutionParams(1.0, 0.1))
+        with pytest.raises(EvolutionAborted) as cf4:
+            evolve(broken, start, EvolutionParams(1.0, 0.1, integrator=CF4))
         with caplog.at_level(logging.DEBUG, logger="adiophantine.evolution"):
             with pytest.raises(EvolutionAborted) as split:
                 evolve(broken, start, EvolutionParams(1.0, 0.1, integrator=SPLIT))
-    assert f"non-finite amplitudes at t={t_abort};" in str(midpoint.value)
-    assert str(split.value) == str(midpoint.value)
-    (check,) = [r.getMessage() for r in caplog.records if r.getMessage().startswith("evolve split")]
-    assert check.endswith("returning the midpoint run")
-    if split_failure is None:
-        assert check.startswith("evolve split: class disagreement ")
-    else:
-        assert check.startswith(f"evolve split: split failed ({split_failure} ")
+    assert f"non-finite amplitudes at t={t_abort};" in str(cf4.value)
+    assert str(split.value) == str(cf4.value)
+    checks = [r.getMessage() for r in caplog.records if r.getMessage().startswith("evolve split")]
+    assert len(checks) == 2
+    assert checks[0].endswith("retrying at the half step")
+    assert checks[1].endswith("returning the CF4 run at step 0.1")
+    for check, failure in zip(checks, split_failures or (None, None)):
+        if failure is None:
+            assert check.startswith("evolve split: class disagreement ")
+        else:
+            assert check.startswith(f"evolve split: split failed ({failure} ")
 
 
 def test_split_abort_in_the_half_step_run_is_logged(caplog):
     # a problem weight that overflows the merged half phases only at s =
-    # 0.075, the midpoint of the h/2 run's second step: the h run and the
-    # midpoint run (midpoints 0.05, 0.15, ..) never meet it
+    # 0.075, the midpoint of the second step at h/2: the run at h/2, which
+    # both checks step, meets it, and the runs at h and h/4 (midpoints 0.05,
+    # 0.15, .. and 0.0125, 0.0375, ..) and CF4 (nodes 0.021, 0.079, ..) never
     family, start = _sector_case("x - 20", 12)
     broken = replace(
         family,
@@ -1106,13 +1206,17 @@ def test_split_abort_in_the_half_step_run_is_logged(caplog):
     with np.errstate(over="ignore", invalid="ignore"):
         with caplog.at_level(logging.DEBUG, logger="adiophantine.evolution"):
             trace = evolve(broken, start, replace(params, integrator=SPLIT))
-    (check,) = [r.getMessage() for r in caplog.records if r.getMessage().startswith("evolve split")]
-    assert check.startswith(
+    checks = [r.getMessage() for r in caplog.records if r.getMessage().startswith("evolve split")]
+    failure = (
         "evolve split: split failed (Strang run at step 0.05: "
         "non-finite amplitudes at t=0.1; reduce the step size (currently 0.05)) "
     )
-    assert check.endswith("returning the midpoint run")
-    _assert_bitwise_equal(trace, evolve(broken, start, params))
+    assert [check.startswith(failure) for check in checks] == [True, True]
+    assert checks[0].endswith("between steps 0.1 and 0.05, tolerance 0.001; retrying at the half step")
+    assert checks[1].endswith(
+        "between steps 0.05 and 0.025, tolerance 0.001; returning the CF4 run at step 0.1"
+    )
+    _assert_bitwise_equal(trace, evolve(broken, start, replace(params, integrator=CF4)))
 
 
 def _overflows_past(s0, fine_steps=None):

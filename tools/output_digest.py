@@ -6,6 +6,8 @@ integrator and under the midpoint exponential, the ``spectrum`` runs of
 the 13 certify equations (``SPECTRAL`` at ``GRID_SIZE`` points), the
 ``evolve`` runs of ``EVOLVE_CASES`` under every integrator (rk4, midexp,
 split and cf4), each writing its trace CSV and probability history, the
+``evolve`` runs of ``REFUSED_CASES`` under the split, whose checks are
+refused (family ``evolve split refused``), the
 ``sample`` runs of ``SAMPLE_CASES``, the ``oracle`` searches of
 ``ORACLE_CASES`` with the box bound given as ``--bound`` and as
 ``--cutoff`` under both semantics, the
@@ -66,6 +68,12 @@ EVOLVE_CASES = [
 # T = 2.01 ends every run with a partial step, and 7 snapshots fall inside
 # blocks
 EVOLVE_FLAGS = ["--T", "2.01", "--record-grid", "7", "--dump-probabilities"]
+
+# (equation, cutoff, T) of the ``evolve split refused`` family, each run
+# under the split at the default step h = 0.02: x^2 + y^2 - 25 at cutoff 8
+# (m = 45) refuses the check at h and accepts the retry at h/2, and
+# (x-7)*(x-8) at cutoff 12 (m = 13) refuses both and runs CF4
+REFUSED_CASES = [("x^2 + y^2 - 25", 8, 80.0), ("(x-7)*(x-8)", 12, 10.0)]
 
 # (equation, cutoff, integrator) of the ``sample`` family, each run with
 # SAMPLE_FLAGS
@@ -207,6 +215,11 @@ def main() -> int:
         for integrator in ("rk4", "midexp", "split", "cf4")
         for index, (text, cutoff, step) in enumerate(EVOLVE_CASES)
     ]
+    refused = [
+        ["evolve", text, "--cutoff", str(cutoff), "--T", str(total_time)]
+        + ["--integrator", "split", "--out", f"refused/{index}", "--dump-probabilities"]
+        for index, (text, cutoff, total_time) in enumerate(REFUSED_CASES)
+    ]
     sample = [
         (
             f"sample {integrator} {_side(text)}",
@@ -247,6 +260,7 @@ def main() -> int:
         **_grouped(decide),
         "spectrum": spectrum,
         **_grouped(evolve),
+        "evolve split refused": refused,
         **_grouped(sample),
         "oracle": oracle,
         "displace": displace,

@@ -1,6 +1,7 @@
 """Print the wall time per unit of simulated time of the checked split,
 the midpoint exponential and CF4, at the sector dimensions of the
-benchmark's decide runs.
+benchmark's decide runs, and the wall time of each on a rung that refuses
+the split check.
 
 For each sector dimension m = 9, 21, 35, 45 and 75 (one equation of
 ``bench/corpus.py`` each) it times, in this one process, three runs at a
@@ -13,10 +14,16 @@ takes the split from ``SPLIT_MIN_DIMENSION`` = 12 on and CF4 below it, so
 m = 9 runs CF4 and the other rows the split; each row shows what the
 other integrators would cost there.  The repeats are interleaved (every
 case and integrator once per round), and each column prints the least and
-the median over the rounds of the run's wall time divided by T.  BLAS is
-pinned to one thread.
+the median over the rounds of the run's wall time divided by T.
 
-Run from the repository root: ``python tools/step_cost.py``; about 20 s
+A last row times the rung ``REFUSED``, whose check at h is refused: the
+retry's two Strang runs (``evolution._strang_runs`` at h/2 and h/4), the
+midpoint exponential at h, which was the split's fallback before the
+retry, and CF4 at 4h, which runs when the retry is refused too.  It
+prints the least and the median of each run's wall time in ms, from the
+same interleaved rounds.  BLAS is pinned to one thread.
+
+Run from the repository root: ``python tools/step_cost.py``; about 35 s
 on a 2-core host at the defaults.  It reads the package under ``src/`` of
 the tree it sits in.
 """
@@ -54,10 +61,15 @@ CASES = [
     ("x*y - z", 4),
 ]
 
+# (equation, cutoff, T) of a decide rung that refuses the split check at h
+# and accepts its retry at h/2 (m = 45)
+REFUSED = ("x^2 + y^2 - 25", 8, 80.0)
 
-def _runs(text: str, cutoff: int, total_time: float):
+
+def _runs(text: str, cutoff: int, total_time: float, split_step: float = 0.02):
     """The sector dimension and three timed callables: the split check's
-    Strang runs, the midpoint run and the CF4 run."""
+    Strang runs at ``split_step`` and half of it, the midpoint run and the
+    CF4 run."""
     p = parse_equation(text)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
@@ -71,7 +83,9 @@ def _runs(text: str, cutoff: int, total_time: float):
         step=evolution.CF4_STEP_MULTIPLE * params.step,
     )
     runs = {
-        "split": lambda: evolution._strang_runs(family, start, sector, params),
+        "split": lambda: evolution._strang_runs(
+            family, start, sector, replace(params, step=split_step)
+        ),
         "midexp": lambda: evolution._run(family, start, sector, midpoint),
         "cf4": lambda: evolution._run(family, start, sector, cf4),
     }
@@ -87,24 +101,37 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--total-time", type=float, default=20.0)
     args = parser.parse_args(argv)
 
-    cases = [_runs(text, cutoff, args.total_time) for text, cutoff in CASES]
-    samples = {(m, name): [] for m, runs in cases for name in runs}
+    # (row label, T, runs): the dimension rows, then the refused rung
+    rows = [
+        (m, args.total_time, runs)
+        for m, runs in (_runs(text, cutoff, args.total_time) for text, cutoff in CASES)
+    ]
+    text, cutoff, refused_time = REFUSED
+    refused_m, runs = _runs(text, cutoff, refused_time, split_step=0.01)
+    rows.append(("refused", refused_time, runs))
+    samples = {(label, name): [] for label, _, runs in rows for name in runs}
     for _ in range(args.repeats):
-        for m, runs in cases:
+        for label, total_time, runs in rows:
             for name, run in runs.items():
                 begin = time.perf_counter()
                 run()
-                samples[m, name].append((time.perf_counter() - begin) / args.total_time)
+                samples[label, name].append(time.perf_counter() - begin)
+
+    def cells(label, scale):
+        return "  ".join(
+            f"{min(values) * scale:8.1f} / {statistics.median(values) * scale:8.1f}"
+            for values in (samples[label, name] for name in ("split", "midexp", "cf4"))
+        )
 
     print(f"T = {args.total_time}, h = 0.02, {args.repeats} interleaved rounds; "
           "us per unit of simulated time, least / median")
     print(f"{'m':>3}  {'checked split':>19}  {'midpoint at h':>19}  {'CF4 at 4h':>19}")
-    for m, runs in cases:
-        cells = []
-        for name in runs:
-            values = samples[m, name]
-            cells.append(f"{min(values) * 1e6:8.1f} / {statistics.median(values) * 1e6:8.1f}")
-        print(f"{m:>3}  " + "  ".join(cells))
+    for label, total_time, _ in rows[:-1]:
+        print(f"{label:>3}  " + cells(label, 1e6 / total_time))
+    print(f"\n{text} at cutoff {cutoff} (m = {refused_m}), T = {refused_time}, "
+          "refused at h = 0.02; ms per run, least / median")
+    print(f"{'m':>3}  {'retry at h/2':>19}  {'midpoint at h':>19}  {'CF4 at 4h':>19}")
+    print(f"{refused_m:>3}  " + cells("refused", 1e3))
     return 0
 
 
