@@ -417,9 +417,9 @@ _FLAGS = {
         "--step",
         _FLOAT,
         "integrator step h; split checks Strang at h and h/2 (retried at h/2 and "
-        f"h/4); CF4 runs below sector dimension {SPLIT_MIN_DIMENSION} or if both are "
-        f"refused, at {CF4_STEP_MULTIPLE}h or the record grid's spacing if shorter "
-        "(never below h)",
+        f"h/4) and runs CF4 at h if both are refused; below sector dimension "
+        f"{SPLIT_MIN_DIMENSION} CF4 at {CF4_STEP_MULTIPLE}h or the record grid's "
+        "spacing if shorter (never below h)",
     ),
     "integrator": (
         "--integrator", {"choices": [i.value for i in Integrator]}, "scheme"

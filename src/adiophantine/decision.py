@@ -138,11 +138,11 @@ class DecideConfig:
 
     ``step`` is the step h of ``integrator``.  The split runs its Strang
     check at h and h/2 in sectors of dimension ``SPLIT_MIN_DIMENSION`` (12)
-    and up, and retries a refused check once at h/2 and h/4.  It runs CF4
-    below the bar and where the retry is refused too, at
+    and up, retries a refused check once at h/2 and h/4, and runs CF4 at h
+    where the retry is refused too.  Below the bar it runs CF4 at
     ``CF4_STEP_MULTIPLE`` h = 4h, capped at the spacing of the run's record
     grid when that is longer than h: a rung records two points, so its cap
-    is the whole rung, and every such rung longer than 4h steps at 4h."""
+    is the whole rung, and every sub-bar rung longer than 4h steps at 4h."""
 
     record_grid = 2
     tie_tol = 1e-9

@@ -854,9 +854,8 @@ def _debug_messages():
         # h/4 agree, and its h/4 run is returned
         (partial(_sector_case, "x^2 - 64", 12), 20.0, (3.8e-2, 9.6e-4), None),
         (partial(_sector_case, "x^2 + y^2 - 25", 8), 160.0, (1.6e-2, 5.0e-5), None),
-        # the retry is refused too: CF4 at the sub-bar step, 4h under the
-        # record grid's spacing 0.1
-        (partial(_sector_case, "(x-7)*(x-8)", 12), 10.0, (8.3e-2, 4.9e-2), 0.08),
+        # the retry is refused too: CF4 at h
+        (partial(_sector_case, "(x-7)*(x-8)", 12), 10.0, (8.3e-2, 4.9e-2), 0.02),
     ],
     ids=["x2-64@12", "x2+y2-25@8", "(x-7)(x-8)@12"],
 )
@@ -882,6 +881,22 @@ def test_refused_split_retries_at_the_half_step_then_runs_cf4(
     _assert_bitwise_equal(trace, reference)
 
 
+@pytest.mark.parametrize(
+    "case, total_time",
+    # refused twice; CF4 at 4h is off the reference by 6.4e-4 and 4.3e-3
+    [(("(x-7)*(x-8)", 12), 10.0), (("-38*x^3 - 5", 12), 20.0)],
+    ids=["(x-7)(x-8)@12", "-38x3-5@12"],
+)
+def test_twice_refused_split_is_within_the_tolerance_of_a_fine_run(case, total_time):
+    family, start = _sector_case(*case)
+    params = EvolutionParams(total_time, 0.02, SPLIT, record_grid=2)
+    trace = evolve(family, start, params)
+    assert trace.params == replace(params, integrator=CF4)
+    reference = evolve(family, start, replace(params, integrator=CF4, step=0.0025))
+    error = np.abs(_class_probabilities(family, trace) - _class_probabilities(family, reference))
+    assert error.max() <= SPLIT_TOLERANCE
+
+
 @st.composite
 def _above_the_bar(draw):
     """An equation of one or two variables, of degree at most 2 and small
@@ -897,7 +912,7 @@ def _above_the_bar(draw):
 
 @settings(max_examples=25, deadline=None)
 @given(_above_the_bar(), st.sampled_from([2.0, 5.0, 10.0]), st.sampled_from([2, 101]))
-# refused twice: CF4 at 4h, under the record grid's spacing 0.1
+# refused twice: CF4 at h
 @example((parse_equation("(x-7)*(x-8)"), 12), 10.0, 101)
 # refused once, then the retry's h/4 run
 @example((parse_equation("x^2 - 64"), 12), 20.0, 2)
@@ -924,10 +939,7 @@ def test_split_returns_a_checked_strang_run_or_the_cf4_run(equation, total_time,
         assert trace.params == replace(params, step=params.step / 2 ** len(checks))
     else:
         assert len(checks) == 2 and last > SPLIT_TOLERANCE
-        spacing = total_time / (record_grid - 1)
-        step = min(evolution.CF4_STEP_MULTIPLE * params.step, max(params.step, spacing))
-        cf4 = replace(params, integrator=CF4, step=step)
-        _assert_bitwise_equal(trace, evolve(family, start, cf4))
+        _assert_bitwise_equal(trace, evolve(family, start, replace(params, integrator=CF4)))
 
 
 @pytest.mark.parametrize(
@@ -1217,6 +1229,27 @@ def test_split_abort_in_the_half_step_run_is_logged(caplog):
         "between steps 0.05 and 0.025, tolerance 0.001; returning the CF4 run at step 0.1"
     )
     _assert_bitwise_equal(trace, evolve(broken, start, replace(params, integrator=CF4)))
+
+
+def test_split_non_finite_weight_goes_to_cf4_without_a_retry(caplog):
+    # no step mends a non-finite schedule weight: the first check's failure
+    # leads to the CF4 run at h, which raises its own error
+    family, start = _sector_case("x - 20", 12)
+    assert family.sector_for(start).dimension >= SPLIT_MIN_DIMENSION
+    broken = replace(family, schedule=lambda s: (1.0 - s, np.where(s < 0.5, s, np.nan)))
+    params = EvolutionParams(1.0, 0.1, integrator=SPLIT, record_grid=2)
+    with caplog.at_level(logging.DEBUG, logger="adiophantine.evolution"):
+        with pytest.raises(ValueError, match="not finite"):
+            evolve(broken, start, params)
+    checks = [r.getMessage() for r in caplog.records if r.getMessage().startswith("evolve split")]
+    assert len(checks) == 1
+    assert checks[0].startswith("evolve split: split failed (")
+    assert "not finite" in checks[0]
+    assert checks[0].endswith(
+        "between steps 0.1 and 0.05, tolerance 0.001; returning the CF4 run at step 0.1"
+    )
+    # the check and the CF4 run log their dimensions; a retry would be a third
+    assert sum(r.getMessage().startswith("evolve: basis dimension") for r in caplog.records) == 2
 
 
 def _overflows_past(s0, fine_steps=None):
