@@ -15,11 +15,10 @@ The midpoint exponential runs only on request:
   exactly unitary and the global error is second order in the step.  The
   run goes a block of steps at a time: the schedule is evaluated once per
   block, on the array of its midpoints, and the midpoint operators are
-  diagonalized in one ``eigh`` call on a stack of up to 64 KiB of matrices
-  (``hamiltonians.STACK_BYTES``), because a lone eigensolve of a small
-  matrix costs mostly numpy's fixed per-call overhead.  The state is still
-  propagated step by step, and each step's result is bitwise that of an
-  eigensolve of its own.
+  diagonalized in one ``eigh`` call on the block's stack of matrices,
+  because a lone eigensolve of a small matrix costs mostly numpy's fixed
+  per-call overhead.  The state is still propagated step by step, and each
+  step's result is bitwise that of an eigensolve of its own.
 * ``CF4``: the fourth-order commutator-free Magnus step of Blanes & Moan
   (Appl. Numer. Math. 56:1519, 2006; in the form of Alvermann & Fehske,
   J. Comput. Phys. 230:5930, 2011),
@@ -28,9 +27,9 @@ The midpoint exponential runs only on request:
   sqrt(3)/6, the right factor applied first.  H(s) = w_I H_I + w_P H_P,
   so each factor is H on one combined weight row, and CF4 is the midpoint
   exponential's block loop with two weight rows per step: the same
-  stacked real ``eigh`` (of half as many steps, so a stack still holds 64
-  KiB), the same phases and the same three calls per exponential.  Every
-  step is exactly unitary and the global error is fourth order.  The
+  stacked real ``eigh`` (of half as many steps, so a stack holds as many
+  matrices), the same phases and the same three calls per exponential.
+  Every step is exactly unitary and the global error is fourth order.  The
   midpoint exponential is its one-row case, and stays bitwise what it was.
 * ``SPLIT``: the Strang splitting (Strang 1968, SIAM J. Numer. Anal. 5:506)
   of the midpoint step,
@@ -43,11 +42,9 @@ The midpoint exponential runs only on request:
   one multiply, and the problem phases are evaluated once per distinct
   problem value (``SymmetricSector.problem_classes``) and gathered onto the
   orbits.  A block of steps gets its phases in one pass, written into one
-  table that the check allocates once and every block reuses; a block holds
-  ``SPLIT_BLOCK_BYTES`` = 256 KiB of phases, four times the midpoint
-  exponential's stack, since a Strang step at m = 21 to 75 costs mostly
-  numpy's fixed cost per call and per block.  Its error depends on the
-  commutator of H_I and H_P, which
+  table that the check allocates once and every block reuses, since a
+  Strang step at m = 21 to 75 costs mostly numpy's fixed cost per call and
+  per block.  Its error depends on the commutator of H_I and H_P, which
   no a-priori bound separates from the stiff failures (McLachlan & Quispel,
   "Splitting methods", Acta Numerica 11, 2002), so the result is checked a
   posteriori: a Strang run at h and one at h/2 must give every class of
@@ -88,7 +85,14 @@ every product.
 Every integrator runs through one block driver, ``_propagate``: it holds
 the runs as the columns of one (m, r) state, builds each block's step
 grid and midpoints, records the snapshots and checks the norms, and an
-integrator supplies only the preparation of a block's steps.  A run's
+integrator supplies only the preparation of a block's steps and the bytes
+that one step of one run adds to a block.  A block holds as many steps as
+fill ``hamiltonians.BLOCK_BYTES`` = 256 KiB (``block_length``): 16 m^2
+bytes per exponential for the midpoint exponential and CF4 (the stacked
+H(s) and its eigenvectors), 101 CF4 steps at m = 9 and 8 midpoint steps at
+m = 45; 32 m bytes per Strang run (its two rows of complex phases), 195
+iterations of both runs at m = 21 and 390 of one alone; and for RK4, which
+stacks nothing, only the 32 bytes of its step grid, 8192 steps.  A run's
 norm check is one dot product of its 2m floats (a Strang run's copied out
 of the two-column state while both step).  The driver applies a block's
 steps with no check and checks each run's norm at the block's end: a norm
@@ -130,7 +134,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .fock import StateVector, matvec
-from .hamiltonians import AdiabaticFamily, SymmetricSector, _debug, stack_length
+from .hamiltonians import AdiabaticFamily, SymmetricSector, _debug, block_length
 
 __all__ = [
     "Integrator",
@@ -170,15 +174,6 @@ CF4_STEP_MULTIPLE = 4
 # the retry)
 SPLIT_TOLERANCE = 1e-3
 
-# bytes of Strang phases in one block of the split runs, which the split
-# check's phase table holds (1.25 times this, plus two 160-byte views per
-# step); per iteration at T = 40 on x^2 + y^2 - 25, x*y - 6 and x*y - z
-# (m = 21, 45, 75; median of 21 interleaved rounds, one process) the split
-# took 7.0, 11.2 and 16.0 us at 64 KiB, 6.1, 8.8 and 12.4 us at 256 KiB and
-# 6.0, 8.4 and 11.9 us at 512 KiB, where the decide-dense peak RSS rose by
-# 0.95 MB over 64 KiB's against 0.45 MB at 256 KiB
-SPLIT_BLOCK_BYTES = 1 << 18
-
 
 # CF4 (Blanes & Moan 2006): the Gauss nodes of a step, as fractions of it,
 # and the weights of H at those nodes in each of its two exponentials, in the
@@ -192,14 +187,6 @@ class Integrator(Enum):
     MIDPOINT_EXPONENTIAL = "midexp"
     SPLIT = "split"
     CF4 = "cf4"
-
-
-def split_block_length(dimension: int) -> int:
-    """How many Strang steps share one ``weights`` call and one pass of
-    phase evaluation: as many as fill ``SPLIT_BLOCK_BYTES`` with their two
-    rows of ``dimension`` complex phases, m per run stepped together; at
-    least one.  The split's phase table holds one such block."""
-    return max(1, SPLIT_BLOCK_BYTES // (32 * dimension))
 
 
 class EvolutionAborted(RuntimeError):
@@ -309,9 +296,9 @@ class EvolutionTrace:
 
 def _unit_phases(angles: np.ndarray, phases: np.ndarray | None = None) -> np.ndarray:
     """e^{i angles} for real ``angles``, through one cos and one sin call:
-    cheaper than numpy's complex exp, which Strang steps make once per
-    problem and start phase.  Written into ``phases``, a contiguous complex
-    array of the shape of ``angles``, when it is given."""
+    cheaper than numpy's complex exp, whose bits it gave on 200 000 random
+    angles.  Written into ``phases``, a contiguous complex array of the
+    shape of ``angles``, when it is given."""
     if phases is None:
         phases = np.empty(angles.shape, dtype=np.complex128)
     parts = phases.view(np.float64).reshape(*angles.shape, 2)
@@ -359,19 +346,20 @@ def evolve(
     state.  The run goes a block of steps at a time, with one ``weights``
     call on the block's step grid (``EvolutionParams.step_grid``, whose end
     times date every snapshot and abort, the run's last at ``total_time``
-    exactly): a block is ``stack_length(m)`` steps for the midpoint
+    exactly): a block is ``block_length(16 m^2)`` steps for the midpoint
     exponential (m the sector dimension) and half as many for CF4, one
-    stacked ``eigh`` and one ``exp`` each, and ``split_block_length(m * r)``
-    steps of the r Strang runs stepped together, whose phases fill one
-    table reused by every block.  Their norms are checked at the end of each
-    block, and a block that fails half the drift limit is replayed with the
-    check after every step (see the module docstring), so a run aborts at
-    the same step whatever the block length; a non-finite schedule weight
-    raises ``ValueError`` when its block is due.  RK4 computes its stage
-    weights for the whole run before the first step, and refuses a step
-    outside the stability interval of the full H(s), which bounds the
-    sector's, with :class:`EvolutionAborted`; it steps in blocks of
-    ``stack_length(m)``, checked and replayed as the others'.
+    stacked ``eigh`` and one phase evaluation each, and
+    ``block_length(32 m r)`` steps of the r Strang runs stepped together,
+    whose phases fill one table reused by every block.  Their norms are
+    checked at the end of each block, and a block that fails half the drift
+    limit is replayed with the check after every step (see the module
+    docstring), so a run aborts at the same step whatever the block length;
+    a non-finite schedule weight raises ``ValueError`` when its block is
+    due.  RK4 computes its stage weights for the whole run before the first
+    step, and refuses a step outside the stability interval of the full
+    H(s), which bounds the sector's, with :class:`EvolutionAborted`; it
+    steps in blocks of ``block_length(32)`` steps, checked and replayed as
+    the others'.
 
     ``Integrator.SPLIT`` picks the propagator (see the module docstring):
     below ``SPLIT_MIN_DIMENSION`` CF4; else the Strang check at h and h/2,
@@ -498,7 +486,7 @@ def _propagate(
     init: StateVector,
     sector: SymmetricSector,
     runs: Sequence[EvolutionParams],
-    block_length: Callable[[int], int],
+    step_bytes: int,
     prepare: Callable[[np.ndarray, int, np.ndarray, np.ndarray], Callable],
     nodes: Sequence[float] = (0.5,),
 ) -> tuple[_Recording, list[np.ndarray]]:
@@ -507,11 +495,12 @@ def _propagate(
     run's recording and each run's final orbit-basis state.
 
     The runs are the columns of one contiguous (m, r) complex state, stepped
-    together a block of ``block_length(r)`` steps at a time, r the number of
-    runs still stepping; a run's column leaves once its run has taken its
-    last step.  Per block, ``prepare(columns, first, sizes, points)`` gets
-    the state, the block's first step index, the (r, n) step sizes and the
-    (r, n, q) schedule points s = t / T at the q fractions ``nodes`` of each
+    together a block of ``block_length(step_bytes * r)`` steps at a time,
+    ``step_bytes`` being what one step of one run adds to a block and r the
+    number of runs still stepping; a run's column leaves once its run has
+    taken its last step.  Per block, ``prepare(columns, first, sizes,
+    points)`` gets the state, the block's first step index, the (r, n) step
+    sizes and the (r, n, q) schedule points s = t / T at the q fractions ``nodes`` of each
     step (its midpoint by default), clamped to [0, 1]; it returns
     ``advance(lo, hi)``, which applies the block's steps lo to hi - 1 to
     ``columns`` in place.  The last run is recorded on its
@@ -530,11 +519,11 @@ def _propagate(
         "block length %d"
     )
     details = [family.dimension, sector.dimension, sector.group_order]
-    details.append(block_length(len(runs)))
+    details.append(block_length(step_bytes * len(runs)))
     if len(runs) > 1:
         message += "; Strang runs at steps %r and %r stepped together, then the"
         message += " second alone in blocks of %d"
-        details += [runs[0].step, runs[1].step, block_length(1)]
+        details += [runs[0].step, runs[1].step, block_length(step_bytes)]
     _debug(__name__, message, *details)
 
     recording = _Recording(sector, runs[-1])
@@ -547,7 +536,7 @@ def _propagate(
     for done, count in enumerate([run.step_count() for run in runs]):
         active = runs[done:]
         pairs = columns.view(np.float64)
-        block = block_length(len(active))
+        block = block_length(step_bytes * len(active))
         for first in range(resume, count, block):
             stop = min(first + block, count)
             # one row per active run, one column per step of the block
@@ -617,10 +606,11 @@ def _strang_runs(
     # One phase table serves every block.  Its rows are steps, each row an
     # (m, r) array in the layout of ``columns`` for the r runs stepping; a
     # block fills the first rows, and a replay reads them before the next
-    # block overwrites them.  The problem phases of the distinct values are
-    # evaluated in the start phase table and gathered onto the orbits
-    # before the start phases overwrite them.
-    capacity = max(r * split_block_length(m * r) for r in (1, len(runs)))
+    # block overwrites them, and a step adds 32 m r bytes to it.  The
+    # problem phases of the distinct values are evaluated in the start phase
+    # table and gathered onto the orbits before the start phases overwrite
+    # them.
+    capacity = max(r * block_length(32 * m * r) for r in (1, len(runs)))
     problem_table = np.empty(capacity * m, dtype=np.complex128)
     start_table = np.empty(capacity * m, dtype=np.complex128)
     angle_table = np.empty(capacity * m)
@@ -676,9 +666,7 @@ def _strang_runs(
 
         return advance
 
-    recording, finals = _propagate(
-        family, init, sector, runs, lambda r: split_block_length(m * r), prepare
-    )
+    recording, finals = _propagate(family, init, sector, runs, 32 * m, prepare)
     class_probabilities = []
     for i, angle in enumerate(pending):
         # each run's final state gets its closing problem half phase
@@ -697,7 +685,8 @@ def _run(
 ) -> EvolutionTrace:
     """One fixed-step run of RK4, the midpoint exponential or CF4 in
     ``sector``, which holds ``init``, stepped by ``_propagate`` in blocks of
-    ``stack_length(m)`` steps, half as many for CF4."""
+    ``block_length(16 m^2)`` steps, half as many for CF4, and of
+    ``block_length(32)`` for RK4, which adds only its step grid to a block."""
     m = sector.dimension
     # a step's exponentials, each a row of weights on H at the step's nodes
     nodes, exponents = (0.5,), [[1.0]]
@@ -717,6 +706,9 @@ def _run(
         )
         _check_rk4_stable(family, params.step, stage_weights)
         initial, problem = sector.initial, sector.problem
+        # a step adds only the driver's grid floats to a block: its start,
+        # size, end and midpoint
+        step_bytes = 32
 
         def derivative(weights: list[float], x: np.ndarray) -> np.ndarray:
             """d(psi)/dt = -i H psi for the schedule weights (w_I, w_P)."""
@@ -740,6 +732,8 @@ def _run(
             return advance
 
     else:
+        # a step adds, per exponential, an m x m H(s) and its eigenvectors
+        step_bytes = 16 * m * m * count
         # ``rotated`` holds the state in the eigenbasis of one step's H(s_mid)
         rotated = np.empty((m, 2))
         rotated_psi = rotated.view(np.complex128).reshape(m)
@@ -753,7 +747,7 @@ def _run(
                 weights = (exponents @ weights.reshape(-1, len(nodes), 2)).reshape(-1, 2)
             # the stack of H(s) is not kept past its eigensolve
             energies, vectors = np.linalg.eigh(family.path_arrays(weights, sector))
-            phases = np.exp((-1j * sizes[0].repeat(count))[:, None] * energies)
+            phases = _unit_phases((-sizes[0].repeat(count))[:, None] * energies)
 
             def advance(lo: int, hi: int) -> None:
                 lo, hi = lo * count, hi * count
@@ -764,8 +758,7 @@ def _run(
 
             return advance
 
-    length = max(1, stack_length(m) // count)
     recording, (final,) = _propagate(
-        family, init, sector, [params], lambda r: length, prepare, nodes
+        family, init, sector, [params], step_bytes, prepare, nodes
     )
     return recording.trace(family, final)

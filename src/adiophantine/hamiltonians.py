@@ -71,7 +71,7 @@ __all__ = [
     "Complement",
     "SpectralProfile",
     "spectral_profile",
-    "stack_length",
+    "block_length",
 ]
 
 # Nonzero displacement keeps the start ground state nondegenerate and
@@ -85,13 +85,17 @@ GAP_TOL = 1e-9
 # by the symmetry group; well above rounding, well below any reported digit
 STATE_SYMMETRY_TOL = 1e-14
 
-# bytes of one stack of dense m x m float64 matrices handed to a single
-# eigensolver call (the midpoint exponential's, CF4's and the spectral
-# profile's), which spreads numpy's fixed cost per call over the stack; the
-# midpoint step's time was the same at 32 to 128 KiB for m = 9, 21 and 45,
-# while peak memory grows with the stack.  The split integrator sizes its blocks
-# by its own budget, ``evolution.SPLIT_BLOCK_BYTES``
-STACK_BYTES = 1 << 16
+# bytes that one block may add to memory, in every blocked loop: the
+# eigensolver stacks of the midpoint exponential, CF4 and the spectral
+# profile, the split check's phase table and RK4's step grid, each loop
+# passing the bytes one of its steps adds to ``block_length``.  A block
+# spreads numpy's fixed cost per call over its steps; per Strang iteration
+# at T = 40 on x^2 + y^2 - 25, x*y - 6 and x*y - z (m = 21, 45, 75; median
+# of 21 interleaved rounds, one process) the split took 7.0, 11.2 and 16.0
+# us at 64 KiB, 6.1, 8.8 and 12.4 us at 256 KiB and 6.0, 8.4 and 11.9 us at
+# 512 KiB, where the decide-dense peak RSS rose by 0.95 MB over 64 KiB's
+# against 0.45 MB at 256 KiB
+BLOCK_BYTES = 1 << 18
 
 # largest basis dimension d whose dense d x d start operator is built: a
 # d x d float64 array takes 8 d^2 bytes, 0.54 GB at this limit, and the
@@ -124,10 +128,10 @@ def _debug(name: str, message: str, *args) -> None:
         logging.getLogger(name).debug(message, *args)
 
 
-def stack_length(dimension: int) -> int:
-    """How many m x m matrices, m = ``dimension``, fill one stacked
-    eigensolve of ``STACK_BYTES``; at least one."""
-    return max(1, STACK_BYTES // (8 * dimension * dimension))
+def block_length(bytes_per_step: int) -> int:
+    """How many steps (or grid points) of a blocked loop fill one block of
+    ``BLOCK_BYTES``, each adding ``bytes_per_step`` bytes; at least one."""
+    return max(1, BLOCK_BYTES // bytes_per_step)
 
 
 def problem_diagonal(p: Polynomial, basis: FockBasis) -> tuple[int, ...]:
@@ -588,7 +592,8 @@ def spectral_profile(
     trivial.  Each point's levels are the sorted union of the lowest of each
     block, so every field is that of the full space.  The schedule weights
     of the whole grid come from one ``weights`` call.  A block of dimension
-    m is solved ``stack_length(m)`` points at a time, one stacked
+    m is solved ``block_length(8 m^2)`` points at a time (``eigvalsh``
+    keeps no eigenvectors, so a point adds its m x m matrix), one stacked
     ``eigvalsh`` call each; numpy runs the same LAPACK routine on every
     matrix of a stack, so the energies are those of one call per point.
     Logs the basis and block dimensions and the group order at DEBUG level.
@@ -626,7 +631,7 @@ def spectral_profile(
     lowest = []
     for block in blocks:
         part = np.empty((grid_size, min(m, block.dimension)), dtype=np.float64)
-        stack = stack_length(block.dimension)
+        stack = block_length(8 * block.dimension**2)
         for first in range(0, grid_size, stack):
             rows = slice(first, first + stack)
             h = family.path_arrays(weights[rows], block)

@@ -33,7 +33,7 @@ from adiophantine.fock import (
 from adiophantine.hamiltonians import (
     DEFAULT_ALPHA,
     AdiabaticFamily,
-    stack_length,
+    block_length,
     start_factors,
 )
 from test_hamiltonians import _families
@@ -283,7 +283,7 @@ def test_rk4_abort_is_the_stepwise_one_at_any_block_length(monkeypatch, length):
     init = StateVector(basis, np.array([1.0, 1.0]) / np.sqrt(2))
     params = EvolutionParams(10.0, 0.01, integrator=RK4)
     if length is not None:
-        monkeypatch.setattr(evolution, "stack_length", lambda dimension: length)
+        monkeypatch.setattr(evolution, "block_length", lambda step_bytes: length)
     expected = _stepwise_rk4_abort(family, init, params)
     assert expected == "norm drift 1.050e-03 at t=0.2 exceeds"
     with pytest.raises(EvolutionAborted) as aborted:
@@ -679,16 +679,58 @@ def test_rk4_is_bitwise_the_stagewise_reference(case):
     assert np.array_equal(trace.probabilities, recorded)
 
 
-def test_sector_is_logged(caplog):
-    family, start = _sector_case("x*y*z - 8", 4)
+@pytest.mark.parametrize(
+    "case, params, logged",
+    [
+        # 256 KiB // (16 * 35**2) midpoint steps per stacked eigensolve
+        (
+            ("x*y*z - 8", 4),
+            EvolutionParams(0.1, 0.02, record_grid=2),
+            "basis dimension 125, sector dimension 35, group order 6, block length 13",
+        ),
+        # RK4 adds only its 32 bytes of step grid: 256 KiB // 32
+        (
+            ("x + y - 5", 8),
+            EvolutionParams(0.1, 0.005, integrator=RK4),
+            "basis dimension 81, sector dimension 45, group order 2, block length 8192",
+        ),
+        (
+            ("x + 2*y + 3*z - 7", 4),
+            EvolutionParams(0.1, 0.005, integrator=RK4),
+            "basis dimension 125, sector dimension 125, group order 1, block length 8192",
+        ),
+        # CF4 stacks two H(s) and their eigenvectors: 256 KiB // (32 * 9**2)
+        (
+            ("x - 20", 8),
+            EvolutionParams(0.1, 0.02, integrator=CF4),
+            "basis dimension 9, sector dimension 9, group order 1, block length 101",
+        ),
+        # the Strang check: two rows of 21 complex phases per run, both
+        # runs, then one alone; its outcome is logged next
+        (
+            ("x^2 + y^2 - 25", 5),
+            EvolutionParams(0.1, 0.02, integrator=SPLIT),
+            "basis dimension 36, sector dimension 21, group order 2, block length 195; "
+            "Strang runs at steps 0.02 and 0.01 stepped together, then the second "
+            "alone in blocks of 390",
+        ),
+    ],
+    ids=["midexp-m35", "rk4-m45", "rk4-m125", "cf4-m9", "split-m21"],
+)
+def test_sector_is_logged(caplog, case, params, logged):
+    family, start = _sector_case(*case)
     with caplog.at_level(logging.DEBUG, logger="adiophantine.evolution"):
-        evolve(family, start, EvolutionParams(0.1, 0.02, record_grid=2))
+        evolve(family, start, params)
     messages = [r.getMessage() for r in caplog.records if r.name == "adiophantine.evolution"]
-    # 6 = 64 KiB // (8 * 35**2) midpoint steps per stacked eigensolve
-    assert messages == [
-        "evolve: basis dimension 125, sector dimension 35, group order 6, "
-        "block length 6"
-    ]
+    assert messages[0] == "evolve: " + logged
+    assert len(messages) == 1 + (params.integrator is SPLIT)
+
+
+def test_strang_blocks_are_256_kib_of_phases():
+    # 32 m r bytes per iteration of r runs, as the split's own budget was
+    pairs = [(m, r) for m in range(1, 8193) for r in (1, 2)]
+    lengths = [block_length(32 * m * r) for m, r in pairs]
+    assert lengths == [max(1, 262144 // (32 * m * r)) for m, r in pairs]
 
 
 # -- trace output ----------------------------------------------------------------
@@ -779,10 +821,10 @@ def test_overflowing_generator_aborts_at_its_step(scale, t_abort):
     "case, sector_dimension, t_abort",
     [
         # max H_P is 625: the problem weight overflows at s = 0.35, the
-        # fourth of the 10 steps, all in one block of 18
+        # fourth of the 10 steps, all in one block of 37
         (("x^2 + y^2 - 25", 5), 21, 0.4),
         # zero displacement, max H_P 400: overflows at s = 0.45, the fifth
-        # of the 10 steps, in one block of 101
+        # of the 10 steps, in one block of 202
         (("x - 20", 8, 0.0), 9, 0.5),
     ],
     ids=["dense", "diagonal"],
@@ -791,7 +833,7 @@ def test_mid_block_abort_step(case, sector_dimension, t_abort):
     family, start = _sector_case(*case)
     sector = family.sector_for(start)
     assert sector.dimension == sector_dimension
-    assert stack_length(sector_dimension) > 10
+    assert block_length(16 * sector_dimension**2) > 10
     broken = replace(family, schedule=lambda s: (1.0 - s, 1e306 * s))
     message = f"non-finite amplitudes at t={t_abort};"
     with np.errstate(over="ignore", invalid="ignore"):
@@ -1121,8 +1163,7 @@ def test_block_length_moves_no_bit(monkeypatch, case, params, length, record_gri
         cf4_step = 4 * params.step if record_grid == 101 else params.step
         below = family.sector_for(start).dimension < SPLIT_MIN_DIMENSION
         assert reference.params.step == (cf4_step if below else params.step / 2)
-    monkeypatch.setattr(evolution, "split_block_length", lambda dimension: length)
-    monkeypatch.setattr(evolution, "stack_length", lambda dimension: length)
+    monkeypatch.setattr(evolution, "block_length", lambda step_bytes: length)
     _assert_bitwise_equal(evolve(family, start, params), reference)
 
 
@@ -1141,7 +1182,7 @@ def test_passing_replay_continues_the_run(caplog, monkeypatch):
     replays = [r.getMessage() for r in caplog.records if "replayed" in r.getMessage()]
     # 50 steps of both runs in one block, then 50 of the h/2 run alone in
     # another
-    assert evolution.split_block_length(2 * 13) >= 50
+    assert block_length(32 * 13 * 2) >= 50
     assert replays == [
         "evolve: run at step 0.02 replayed steps 0 to 49 one at a time; "
         "no step fails the check",
@@ -1271,7 +1312,7 @@ def _overflows_past(s0, fine_steps=None):
 
 # the split blocks of ``x - 20`` at cutoff 12 (m = 13): of both runs while
 # they step together, then of the h/2 run alone
-_BOTH, _ALONE = evolution.split_block_length(2 * 13), evolution.split_block_length(13)
+_BOTH, _ALONE = block_length(32 * 13 * 2), block_length(32 * 13)
 # the h run's step count at h = 0.02: two full blocks of both runs and a
 # partial third, so both runs still step together in a later block
 _STEPS = 2 * _BOTH + _BOTH // 2
@@ -1307,14 +1348,14 @@ _HALF_FAILS = _STEPS + min(_ALONE, _STEPS) // 2
             (_STEPS, min(_STEPS + _ALONE, 2 * _STEPS) - 1),
             _HALF_FAILS,
         ),
-        # m = 9: the midpoint exponential, 300 steps in blocks of 101; it
-        # meets s > 0.834 at its step 250, in the third block
+        # m = 9: the midpoint exponential, 300 steps in blocks of 202; it
+        # meets s > 0.834 at its step 250, in the second block
         (8, 6.0, 0.834, MIDEXP, None, (202, 299), 250),
-        # m = 9: the split runs CF4 at the record grid's spacing 6 / 100 =
-        # 0.06 (under 4h), 100 steps in blocks of 50; the second Gauss node
-        # of its step 80 is s = 0.8079 > 0.805, in the second block, and no
-        # node of an earlier step passes 0.805
-        (8, 6.0, 0.805, SPLIT, None, (50, 99), 80),
+        # m = 9: the split runs CF4 at 4h = 0.08 (under the record grid's
+        # spacing 12 / 100), 150 steps in blocks of 101; the second Gauss
+        # node of its step 130 is s = 0.8719 > 0.87, in the second block,
+        # and no node of an earlier step passes 0.87
+        (8, 12.0, 0.87, SPLIT, None, (101, 149), 130),
     ],
     ids=["h-run-two-run-phase", "half-step-run-alone", "midexp-m9", "cf4-m9"],
 )
@@ -1342,7 +1383,7 @@ def test_abort_in_a_later_block_is_the_stepwise_abort(
         if integrator is MIDEXP:
             _, _, t_abort = _stepwise_midpoint(broken, start, reference)
         elif run is None:
-            reference = replace(params, integrator=CF4, step=0.06)
+            reference = replace(params, integrator=CF4, step=0.08)
             _, _, t_abort = _stepwise_cf4(broken, start, reference)
         else:
             _, _, t_abort = _stepwise_strang(broken, start, reference)

@@ -734,21 +734,21 @@ def _failing_eigvalsh(monkeypatch, dimension=None):
 
 
 def test_eigensolver_failure_names_the_s_values(monkeypatch):
-    # the sector (m = 21) is solved first, 18 grid points per stacked
-    # eigensolve, so on 65 points its first stack ends at s = 17/64
+    # the sector (m = 21) is solved first, 74 grid points per stacked
+    # eigensolve, so on 147 points its first stack ends at s = 73/146
     family, _ = _family("x*y - 6", 5)
     _failing_eigvalsh(monkeypatch)
-    with pytest.raises(RuntimeError, match=r"eigensolver failed for s in \[0\.0, 0\.265625\]"):
-        spectral_profile(family, grid_size=65)
+    with pytest.raises(RuntimeError, match=r"eigensolver failed for s in \[0\.0, 0\.5\]"):
+        spectral_profile(family, grid_size=147)
 
 
 def test_complement_eigensolver_failure_names_its_s_values(monkeypatch):
-    # the complement (m = 15) takes 36 grid points per stack: s = 35/64
+    # the complement (m = 15) takes 145 grid points per stack: s = 144/288
     family, _ = _family("x*y - 6", 5)
     assert (family.sector.dimension, family.complement.dimension) == (21, 15)
     _failing_eigvalsh(monkeypatch, dimension=15)
-    with pytest.raises(RuntimeError, match=r"eigensolver failed for s in \[0\.0, 0\.546875\]"):
-        spectral_profile(family, grid_size=65)
+    with pytest.raises(RuntimeError, match=r"eigensolver failed for s in \[0\.0, 0\.5\]"):
+        spectral_profile(family, grid_size=289)
 
 
 def _helmert(orbit):
@@ -853,6 +853,23 @@ def test_spectral_profile_logs_its_blocks(caplog):
     assert messages == [
         "spectral_profile: basis dimension 125, block dimensions [75, 50], group order 2"
     ]
+
+
+@pytest.mark.parametrize("length", [1, 101])
+@pytest.mark.parametrize(
+    "case", [("x + y - 5", 8), ("x - 20", 8)], ids=["sector+complement", "one-block"]
+)
+def test_profile_stack_length_moves_no_bit(monkeypatch, case, length):
+    # one grid point per eigvalsh call, and the whole grid in one; by
+    # default the sector (m = 45) takes 16 points per call, its complement
+    # (m = 36) 25 and x - 20 (m = 9) 404, all 101 in one
+    family, _ = _family(*case)
+    reference = spectral_profile(family)
+    monkeypatch.setattr(hamiltonians, "block_length", lambda bytes_per_point: length)
+    profile = spectral_profile(family)
+    for field in dataclasses.fields(profile):
+        got, expected = (np.asarray(getattr(p, field.name)) for p in (profile, reference))
+        assert got.dtype == expected.dtype and got.tobytes() == expected.tobytes()
 
 
 def test_spectrum_at_endpoints():

@@ -2,10 +2,13 @@
 
 A code line is a source line that holds a token other than a comment: blank
 lines, comment-only lines and the lines of module, class and function
-docstrings are not counted.  Prints one line per module and the total,
-then the option count: the settings each subcommand takes
-(``cli.SETTINGS``), their total, and the fields of ``DecideConfig``; and
-last the public surface, the number of names in ``adiophantine.__all__``.
+docstrings are not counted.  Prints one line per module and the total;
+then each module's module-level constants, the names in ALL CAPS (a
+leading underscore allowed) that its top-level assignments bind, and their
+total, so that a tuning constant added or removed shows; then the option
+count: the settings each subcommand takes (``cli.SETTINGS``), their total,
+and the fields of ``DecideConfig``; and last the public surface, the
+number of names in ``adiophantine.__all__``.
 
 Run from the repository root: ``python tools/code_lines.py``.
 """
@@ -14,6 +17,7 @@ from __future__ import annotations
 
 import ast
 import io
+import re
 import sys
 import tokenize
 from dataclasses import fields
@@ -55,6 +59,26 @@ def _docstring_lines(tree: ast.Module) -> set[int]:
     return lines
 
 
+_CONSTANT = re.compile(r"_?[A-Z][A-Z0-9_]*")
+
+
+def module_constants(source: str) -> list[str]:
+    """The ALL-CAPS names bound by the top-level assignments of the Python
+    ``source``, in order."""
+    names = []
+    for node in ast.parse(source).body:
+        if isinstance(node, ast.Assign):
+            targets = node.targets
+        elif isinstance(node, ast.AnnAssign):
+            targets = [node.target]
+        else:
+            continue
+        names += [
+            t.id for t in targets if isinstance(t, ast.Name) and _CONSTANT.fullmatch(t.id)
+        ]
+    return names
+
+
 def code_lines(source: str) -> int:
     """The number of code lines in the Python ``source``."""
     docstrings = _docstring_lines(ast.parse(source))
@@ -67,12 +91,19 @@ def code_lines(source: str) -> int:
 
 
 def main() -> int:
-    total = 0
+    total, constants = 0, {}
     for path in sorted(PACKAGE.glob("*.py")):
-        count = code_lines(path.read_text())
+        source = path.read_text()
+        count = code_lines(source)
         total += count
+        constants[path.name] = module_constants(source)
         print(f"{path.name:20} {count:5d}")
     print(f"{'total':20} {total:5d}")
+    print()
+    print("module constants")
+    for name, names in constants.items():
+        print(f"{name:20} {len(names):5d}  {' '.join(names)}".rstrip())
+    print(f"{'total constants':20} {sum(map(len, constants.values())):5d}")
     print()
     for command, settings in SETTINGS.items():
         print(f"{command + ' settings':20} {len(settings):5d}")
