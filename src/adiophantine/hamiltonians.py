@@ -137,6 +137,15 @@ def block_length(bytes_per_step: int) -> int:
 def problem_diagonal(p: Polynomial, basis: FockBasis) -> tuple[int, ...]:
     """Exact integer diagonal D(n)^2 in basis order, which is the C order of
     the box [0, cutoff]^k that ``box_slabs`` evaluates."""
+    squares = _problem_squares(p, basis).tolist()
+    # the diagonal is highly degenerate: equal squares share one int object
+    # (the first of them), 8 bytes per entry instead of 36 for a caller that
+    # keeps the tuple
+    return tuple(map({}.setdefault, squares, squares))
+
+
+def _problem_squares(p: Polynomial, basis: FockBasis) -> np.ndarray:
+    """``problem_diagonal`` as an int64 array, the form a family keeps."""
     if p.num_vars != basis.num_modes:
         raise ValueError(
             f"polynomial has {p.num_vars} variables but basis has "
@@ -151,11 +160,7 @@ def problem_diagonal(p: Polynomial, basis: FockBasis) -> tuple[int, ...]:
             f"{basis.occupation(index)} exceeds 64-bit range"
         )
     values = values.astype(np.int64, copy=False)
-    # the diagonal is highly degenerate: equal squares share one int object
-    # (the first of them), 8 bytes per entry instead of 36 for a caller that
-    # keeps the tuple (AdiabaticFamily keeps an int64 copy instead)
-    squares = (values * values).tolist()
-    return tuple(map({}.setdefault, squares, squares))
+    return values * values
 
 
 def check_dimension(basis: FockBasis) -> None:
@@ -459,7 +464,7 @@ class AdiabaticFamily:
         check_dimension(basis)
         magnitudes = tuple(abs(a) for a in as_mode_alphas(alphas, basis.num_modes))
         ground = coherent_state(basis, magnitudes)
-        return cls(start_factors(basis, magnitudes), problem_diagonal(p, basis)), ground
+        return cls(start_factors(basis, magnitudes), _problem_squares(p, basis)), ground
 
 
 @dataclass(frozen=True, eq=False)

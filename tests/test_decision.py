@@ -399,7 +399,7 @@ def test_decide_on_refused_rungs_runs_no_midpoint_exponential(monkeypatch):
     assert report.successful_time == 640.0
     assert report.verdict is Verdict.SOLUTION_EXISTS
     assert report.class_value == 0
-    assert report.class_probability == 0.5609124001757441
+    assert report.class_probability == 0.5609124001756912
     refused = (80.0, 160.0, 320.0)
     assert [(p.total_time, p.integrator, p.step) for p in returned] == [
         (T, Integrator.SPLIT, 0.005 if T in refused else 0.01) for T in report.schedule

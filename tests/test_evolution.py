@@ -211,6 +211,63 @@ def test_initial_state_must_be_normalized():
         evolve(family, bad, EvolutionParams(1.0, 0.1))
 
 
+# -- phases ----------------------------------------------------------------------
+
+_EPS = np.finfo(np.float64).eps
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(
+        st.floats(-1e6, 1e6) | st.integers(-2000, 2000).map(lambda k: k * (math.pi / 2)),
+        min_size=1,
+        max_size=50,
+    )
+)
+@example([0.0, -0.0, 5e-324, -5e-324, 1e-310, -2.2250738585072014e-308])
+@example([math.pi / 2, -math.pi / 2, math.pi, -math.pi, 1.5 * math.pi, 2 * math.pi])
+@example([1e6, -1e6, 999999.9999999999, 3.0e5 * math.pi])
+def test_unit_phases_are_the_complex_exp_within_a_few_ulp(angles):
+    # multiples of pi/2 put the half angle next to a pole of tan or a zero;
+    # the function takes its angles as scratch
+    angles = np.array(angles)
+    phases = evolution._unit_phases(angles.copy())
+    bound = 4 * _EPS * np.maximum(1.0, np.abs(angles))
+    assert np.all(np.abs(phases - np.exp(1j * angles)) <= bound)
+    assert np.all(np.abs(np.abs(phases) - 1.0) <= 4 * _EPS)
+
+
+def test_unit_phases_of_non_finite_angles_are_not_finite():
+    with np.errstate(invalid="ignore"):
+        phases = evolution._unit_phases(np.array([np.inf, -np.inf, np.nan]))
+    assert not np.isfinite(phases).any()
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(1, 40), st.integers(1, 80), st.integers(1, 2), st.integers(0, 2**32 - 1)
+)
+def test_unit_phases_written_into_a_strang_table_view_are_its_own_bits(n, m, r, seed):
+    # the Strang check's table: rows of (m, r) phases, of which a block
+    # fills the first n; written whole, and one run's strided column.  The
+    # function takes its angles as scratch, so each call gets a copy
+    rows = n + 3
+    angles = np.random.default_rng(seed).uniform(-1e3, 1e3, (rows, m, r))
+
+    def phases(angles, out=None):
+        return evolution._unit_phases(angles.copy(), out)
+
+    table = np.full((rows, m, r), np.nan + 1j * np.nan)
+    phases(angles[:n], table[:n])
+    assert table[:n].tobytes() == phases(angles[:n]).tobytes()
+    assert np.isnan(table[n:]).all()
+    column = table[:, :, r - 1]
+    phases(angles[:, :, 0], column)
+    assert column.tobytes() == phases(angles[:, :, 0]).tobytes()
+    if r == 2:
+        assert table[:n, :, 0].tobytes() == phases(angles[:n, :, 0]).tobytes()
+
+
 # -- unitarity and drift -----------------------------------------------------------
 
 
@@ -499,7 +556,8 @@ def _end_if_non_finite(psi, j, end, params):
 
 def _stepwise_midpoint(family, init, params):
     """Reference: one eigh per midpoint step on the sector arrays, in the
-    arithmetic of ``evolve``; returns the final state, the probabilities
+    arithmetic of ``evolve``, whose phase function it shares (its bits are
+    not what this reference checks); returns the final state, the probabilities
     recorded on ``evolve``'s grid and the time after the first step whose
     state is not finite (None if every step's is)."""
     sector = family.sector_for(init)
@@ -521,7 +579,7 @@ def _stepwise_midpoint(family, init, params):
         generator = w_initial * sector.initial
         generator[indices, indices] += w_problem * sector.problem
         energies, vectors = np.linalg.eigh(generator)
-        phases = np.exp(-1j * h * energies)
+        phases = evolution._unit_phases(-h * energies)
         psi = matvec(vectors, phases * matvec(vectors.T, psi))
         non_finite_at = non_finite_at or _end_if_non_finite(psi, j, t + h, params)
         if j in record_after:

@@ -6,6 +6,7 @@ import pkgutil
 from pathlib import Path
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
 import adiophantine
@@ -13,7 +14,7 @@ from adiophantine.decision import DecideConfig, Verdict, decide
 from adiophantine.diophantine import min_over_box, parse_equation, substitute_shift
 from adiophantine.evolution import SPLIT_MIN_DIMENSION, SPLIT_TOLERANCE, Integrator
 from adiophantine.fock import FockBasis
-from adiophantine.hamiltonians import AdiabaticFamily
+from adiophantine.hamiltonians import AdiabaticFamily, problem_diagonal
 
 SUBMODULES = sorted(m.name for m in pkgutil.iter_modules(adiophantine.__path__))
 BENCH = Path(__file__).resolve().parents[1] / "bench"
@@ -190,6 +191,23 @@ def test_the_split_bar_has_a_bench_workload_on_each_side():
     large = {sector_dimension(*equation) for equation in CORPUS.DECIDE_DENSE}
     assert max(small) < SPLIT_MIN_DIMENSION <= min(large)
     assert (small, large) == ({9}, {21, 35, 45, 75})
+
+
+# the 21 decide equations and the certify diagonal at d = 4913
+_DIAGONALS = CORPUS.DECIDE_1MODE + CORPUS.DECIDE_DENSE + (CORPUS.BIG_DIAGONAL,)
+
+
+@pytest.mark.filterwarnings("ignore::adiophantine.fock.TruncationWarning")
+@pytest.mark.parametrize("text, cutoff", _DIAGONALS, ids=[f"{t}@{c}" for t, c in _DIAGONALS])
+def test_family_problem_values_are_the_problem_diagonal(text, cutoff):
+    # the family is built from the int64 squares, not from the interned tuple
+    # that ``problem_diagonal`` returns; both hold the same integers
+    p = substitute_shift(parse_equation(text), DecideConfig(cutoff=cutoff).semantics)
+    basis = FockBasis(p.num_vars, cutoff)
+    family, _ = AdiabaticFamily.from_polynomial(p, basis)
+    expected = np.array(problem_diagonal(p, basis))
+    assert family.problem_values.dtype == expected.dtype == np.int64
+    assert family.problem_values.tobytes() == expected.tobytes()
 
 
 def test_bench_traced_spectral_op(bench):

@@ -221,7 +221,7 @@ def test_start_operator_refuses_a_basis_over_the_dimension_limit(monkeypatch, al
     assert _start(2, 9, alphas)[0].full_space.initial.shape == (100, 100)
     message = "basis dimension 125 exceeds 100: each dense d x d array would need"
     # from_polynomial refuses before the problem diagonal is computed
-    monkeypatch.setattr(hamiltonians, "problem_diagonal", None)
+    monkeypatch.setattr(hamiltonians, "_problem_squares", None)
     with pytest.raises(ValueError, match=message + " 0.000125 GB"):
         _start(3, 4, alphas)
     # a family built under the limit refuses to allocate its dense sum

@@ -30,7 +30,10 @@ Run from the repository root: ``python tools/output_digest.py``.  It reads
 the package under ``src/`` of the tree it sits in; about 20 s on a
 2-core host, 1.5 s of it the ``evolve`` family and under a second each
 the ``sample``, ``oracle`` and ``displace`` families.  A tree without an
-integrator still prints its digests: the runs that name it exit 2.
+integrator still prints its digests: the runs that name it exit 2.  BLAS
+is pinned to one thread, whatever the environment says, and the first
+line prints that setting: the ``spectrum`` digest moves with the thread
+count, so digests are comparable across hosts only at one setting.
 """
 
 from __future__ import annotations
@@ -46,6 +49,10 @@ import sys
 import tempfile
 import warnings
 from pathlib import Path
+
+_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+for _var in _THREAD_VARIABLES:
+    os.environ[_var] = "1"
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
@@ -268,6 +275,7 @@ def main() -> int:
         "readme": _readme_commands(),
     }
     inputs = {"displace": configs}
+    print(" ".join(f"{var}={os.environ[var]}" for var in _THREAD_VARIABLES))
     for name, commands in families.items():
         print(f"{name:20} {digest(commands, inputs.get(name))}")
     return 0

@@ -21,8 +21,17 @@ refused: the check's Strang runs at h and h/2, the retry's at h/2 and h/4,
 and CF4 at h, which runs when the retry is refused too.  ``x^2 + y^2 -
 25`` at T = 80 accepts its retry, and ``(x-7)*(x-8)`` at T = 10 refuses it
 and runs CF4.  They print the least and the median of each run's wall
-time in ms, from the same interleaved rounds.  BLAS is pinned to one
-thread.
+time in ms, from the same interleaved rounds.
+
+The last table splits one iteration of the split check (one step of each
+Strang run stepping, or of the h/2 run alone) at m = 21, 45 and 75 into
+three costs: the phase evaluation (``evolution._unit_phases`` within the
+blocks' preparation), the rest of the blocks' preparation (the schedule
+weights, the angles and the gather onto the orbits) and the four-call
+step (``advance``).  Each is the time of a whole check at the rung's
+settings divided by its iterations, least and median in ns over the same
+rounds; what is left of a check's time is the block driver's (step
+grids, norm checks, copies).  BLAS is pinned to one thread.
 
 Run from the repository root: ``python tools/step_cost.py``; about 40 s
 on a 2-core host at the defaults.  It reads the package under ``src/`` of
@@ -67,6 +76,53 @@ CASES = [
 # (m = 13)
 REFUSED = [("x^2 + y^2 - 25", 8, 80.0), ("(x-7)*(x-8)", 12, 10.0)]
 
+# the sector dimensions of CASES whose split check iteration is split into
+# its costs
+ITERATION_DIMENSIONS = (21, 45, 75)
+
+
+def _iteration_costs(family, start, sector, params) -> tuple[float, float, float]:
+    """One split check of ``params`` (``evolution._strang_runs``), timed by
+    parts: the seconds per iteration spent evaluating phases while blocks
+    are prepared, in the rest of the blocks' preparation and in the steps.
+    The phase function and the block driver are wrapped for the one call."""
+    clock = time.perf_counter
+    totals = {"phases": 0.0, "prepare": 0.0, "step": 0.0, "iterations": 0}
+    unit_phases, propagate = evolution._unit_phases, evolution._propagate
+
+    def timed_phases(*args):
+        begin = clock()
+        phases = unit_phases(*args)
+        totals["phases"] += clock() - begin
+        return phases
+
+    def timed_propagate(family, init, sector, runs, step_bytes, prepare, *rest):
+        def timed_prepare(*args):
+            begin = clock()
+            advance = prepare(*args)
+            totals["prepare"] += clock() - begin
+
+            def timed_advance(lo, hi):
+                begin = clock()
+                advance(lo, hi)
+                totals["step"] += clock() - begin
+                totals["iterations"] += hi - lo
+
+            return timed_advance
+
+        result = propagate(family, init, sector, runs, step_bytes, timed_prepare, *rest)
+        # the closing half phases, evaluated after the last block, go untimed
+        evolution._unit_phases = unit_phases
+        return result
+
+    evolution._unit_phases, evolution._propagate = timed_phases, timed_propagate
+    try:
+        evolution._strang_runs(family, start, sector, params)
+    finally:
+        evolution._unit_phases, evolution._propagate = unit_phases, propagate
+    count, phases = totals["iterations"], totals["phases"]
+    return phases / count, (totals["prepare"] - phases) / count, totals["step"] / count
+
 
 def _runs(text: str, cutoff: int, total_time: float, refused: bool = False):
     """The sector dimension and three timed callables: the split check's
@@ -95,6 +151,8 @@ def _runs(text: str, cutoff: int, total_time: float, refused: bool = False):
             "midexp": lambda: evolution._run(family, start, sector, midpoint),
             "cf4": lambda: evolution._run(family, start, sector, cf4),
         }
+        if sector.dimension in ITERATION_DIMENSIONS:
+            runs["iteration"] = lambda: _iteration_costs(family, start, sector, params)
     # the start eigensystem and problem classes are cached per sector
     for run in runs.values():
         run()
@@ -121,13 +179,18 @@ def main(argv: list[str] | None = None) -> int:
         for label, total_time, runs in rows:
             for name, run in runs.items():
                 begin = time.perf_counter()
-                run()
-                samples[label, name].append(time.perf_counter() - begin)
+                costs = run()
+                if name == "iteration":
+                    samples[label, name].append(costs)
+                else:
+                    samples[label, name].append(time.perf_counter() - begin)
+
+    def cell(values, scale):
+        return f"{min(values) * scale:8.1f} / {statistics.median(values) * scale:8.1f}"
 
     def cells(label, runs, scale):
         return "  ".join(
-            f"{min(values) * scale:8.1f} / {statistics.median(values) * scale:8.1f}"
-            for values in (samples[label, name] for name in runs)
+            cell(samples[label, name], scale) for name in runs if name != "iteration"
         )
 
     print(f"T = {args.total_time}, h = 0.02, {args.repeats} interleaved rounds; "
@@ -139,6 +202,11 @@ def main(argv: list[str] | None = None) -> int:
     print(f"{'m':>3}  {'check at h':>19}  {'retry at h/2':>19}  {'CF4 at h':>19}  rung")
     for text, cutoff, total_time, m, runs in refused:
         print(f"{m:>3}  {cells(text, runs, 1e3)}  {text}@{cutoff}, T = {total_time}")
+    print("\none split check iteration; ns per iteration, least / median")
+    print(f"{'m':>3}  {'phases':>19}  {'rest of prepare':>19}  {'four-call step':>19}")
+    for m in ITERATION_DIMENSIONS:
+        parts = zip(*samples[m, "iteration"])
+        print(f"{m:>3}  " + "  ".join(cell(values, 1e9) for values in parts))
     return 0
 
 
